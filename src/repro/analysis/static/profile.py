@@ -3,8 +3,8 @@
 The :class:`ProgramProfile` summarises the structural facts the rest of the
 system consumes:
 
-* the parallel layer (:mod:`repro.semantics.denotational` /
-  :mod:`repro.semantics.wp`) checks :attr:`ProgramProfile.is_deterministic`
+* the loop explorers (:mod:`repro.semantics.denotational` /
+  :mod:`repro.semantics.wp`) check :attr:`ProgramProfile.is_deterministic`
   to skip per-scheduler fan-out on programs with no ``#`` choice;
 * a future auto-tuning planner reads the counts (choice points, loop nesting
   depth, gate locality, Clifford classification) as design-space features,

@@ -19,7 +19,7 @@ import numpy as np
 from ..exceptions import ReproError
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import ProverOptions
-from ..semantics.denotational import BACKENDS, LIFTINGS
+from ..semantics.denotational import LIFTINGS
 from ..telemetry import configure_tracing, get_tracer, metrics_snapshot
 from .session import Session
 from .verify import verify_source
@@ -30,29 +30,18 @@ __all__ = ["build_arg_parser", "main"]
 #: Epilog explaining the performance knobs; shown by ``--help``.
 _EPILOG = """\
 performance options:
-  The semantic engines offer two orthogonal switches (see README "Scaling
-  guide" for measured numbers):
-
-  --backend kraus     operator-list (Kraus) representation; the paper's
-                      presentation, best at small registers (default)
-  --backend transfer  d²×d² transfer-matrix representation; every
-                      composition is one dense matmul, best for loop-heavy
-                      programs from ~3 qubits up
+  The semantic engines compute with Kraus-form super-operators; one switch
+  selects how operators reach the full register (see README "Scaling guide"
+  for measured numbers):
 
   --lifting dense     every gate is eagerly promoted to the full register
                       via np.kron before any product (default)
   --lifting local     gates stay (small matrix, target qubits) and products
-                      contract only the targeted tensor factors; best for
-                      gate-local circuits from ~4 qubits up
+                      contract only the targeted tensor factors, so no
+                      full-register gate matrix is built
 
-  Both switches are semantics-preserving: all four combinations agree to the
-  library tolerance on every shipped case study.
-
-  --jobs N            shard scheduler exploration, pairwise products and the
-                      prover's per-predicate fan-out across N worker
-                      processes (default 1 = serial, 0 = one per CPU core);
-                      results and their ordering are identical to a serial
-                      run, small work sizes fall back to serial automatically
+  The switch is semantics-preserving: both liftings agree to the library
+  tolerance on every shipped case study.
 """
 
 
@@ -82,25 +71,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--epsilon", type=float, default=1e-6, help="precision of the order decision procedure"
     )
     parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="kraus",
-        help="super-operator representation used by the semantic engines (default: kraus)",
-    )
-    parser.add_argument(
         "--lifting",
         choices=list(LIFTINGS),
         default="dense",
         help="operator promotion strategy: dense np.kron embedding or "
         "structure-aware local contraction (default: dense)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the parallel execution layer "
-        "(default: 1 = serial, 0 = one per CPU core)",
     )
     parser.add_argument(
         "--script",
@@ -207,12 +182,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         session = Session(
             mode=CorrectnessMode(arguments.mode),
-            options=ProverOptions(
-                epsilon=arguments.epsilon,
-                backend=arguments.backend,
-                lifting=arguments.lifting,
-                parallelism=arguments.jobs,
-            ),
+            options=ProverOptions(epsilon=arguments.epsilon, lifting=arguments.lifting),
             base_path=source_path.parent,
         )
         for definition in arguments.operator:

@@ -152,7 +152,6 @@ def verify(
     operators: Optional[Dict[str, np.ndarray]] = None,
     mode: str = "partial",
     epsilon: float = 1e-6,
-    backend: str = "kraus",
     lifting: str = "dense",
 ) -> VerificationReport:
     """Convenience wrapper mirroring ``nqpv.verify``: source text plus extra operators.
@@ -169,9 +168,6 @@ def verify(
         ``"partial"`` (the default, as in NQPV) or ``"total"``.
     epsilon:
         Precision of the ``⊑_inf`` decision procedure.
-    backend:
-        Super-operator representation of the semantic engines: ``"kraus"``
-        (default) or ``"transfer"``.
     lifting:
         Operator promotion strategy: ``"dense"`` (default) or ``"local"``
         (structure-aware contraction; see the README scaling guide).
@@ -184,5 +180,5 @@ def verify(
         source,
         environment,
         mode=correctness_mode,
-        options=ProverOptions(epsilon=epsilon, backend=backend, lifting=lifting),
+        options=ProverOptions(epsilon=epsilon, lifting=lifting),
     )

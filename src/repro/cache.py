@@ -76,7 +76,6 @@ class ResultCache:
         self._maxsize = int(maxsize)
         self._enabled = True
         self._registry = registry if registry is not None else MetricsRegistry()
-        self._recording: Optional[list] = None
 
     # ------------------------------------------------------------------ access
     def lookup(self, region: str, key: Hashable):
@@ -112,8 +111,6 @@ class ResultCache:
         with self._lock:
             self._data[full_key] = value
             self._data.move_to_end(full_key)
-            if self._recording is not None:
-                self._recording.append((region, key, value))
             while len(self._data) > self._maxsize:
                 evicted_key, _ = self._data.popitem(last=False)
                 evicted_regions.append(evicted_key[0])
@@ -141,8 +138,6 @@ class ResultCache:
             else:
                 value = default
                 self._data[full_key] = default
-                if self._recording is not None:
-                    self._recording.append((region, key, default))
                 hit = False
                 while len(self._data) > self._maxsize:
                     evicted_key, _ = self._data.popitem(last=False)
@@ -154,24 +149,6 @@ class ResultCache:
         for evicted_region in evicted_regions:
             self._registry.counter("cache.evictions", region=evicted_region).inc()
         return value
-
-    # -------------------------------------------------------------- recording
-    def begin_recording(self) -> None:
-        """Start recording ``(region, key, value)`` triples of every insertion.
-
-        Used by the worker side of :mod:`repro.parallel` to capture the cache
-        entries a shard computed, so the parent process can replay them as
-        deltas into its own cache.
-        """
-        with self._lock:
-            self._recording = []
-
-    def take_recording(self) -> list:
-        """Stop recording and return the captured ``(region, key, value)`` triples."""
-        with self._lock:
-            recorded = self._recording or []
-            self._recording = None
-        return recorded
 
     # -------------------------------------------------------------- management
     @property

@@ -9,10 +9,10 @@ The package is the test-infrastructure spine behind ``tools/fuzz.py`` and the
   choice / while-with-invariant) under qubit-count and depth budgets with a
   Clifford-only bias knob;
 * :mod:`repro.fuzz.differential` — the oracle: every generated program is run
-  through the denotation engine and the wlp transformer under every
-  ``backend × lifting × jobs`` combination and the results are compared
-  pairwise to ``ATOL``; loop-free draws additionally check the prover's
-  verification condition against the semantic wlp;
+  through the denotation engine and the wlp transformer under both liftings
+  (``dense`` and ``local``) and the two results are compared to ``ATOL``;
+  loop-free draws additionally check the prover's verification condition
+  against the semantic wlp;
 * :mod:`repro.fuzz.shrink` — a delta-debugging shrinker (statement deletion,
   branch collapsing, qubit removal) that minimises a failing program while
   re-checking the oracle at every step.
@@ -23,8 +23,6 @@ forever after.
 """
 
 from .differential import (
-    DEFAULT_COMBOS,
-    Combo,
     DifferentialReport,
     Divergence,
     OracleConfig,
@@ -40,8 +38,6 @@ from .generator import (
 from .shrink import shrink
 
 __all__ = [
-    "Combo",
-    "DEFAULT_COMBOS",
     "DifferentialReport",
     "Divergence",
     "FuzzProgram",

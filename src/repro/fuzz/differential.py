@@ -8,18 +8,17 @@ through
 * the wlp transformer
   (:func:`repro.semantics.wp.weakest_liberal_precondition`)
 
-under every ``backend × lifting × jobs`` combination of
-:data:`DEFAULT_COMBOS`.  All pairs of runs must agree: denotation sets up to
-``ATOL`` on their Choi signatures (:func:`repro.superop.compare.set_equal`),
-wlp assertions up to ``ATOL`` on their predicate matrices.  Loop-free draws
+under both liftings (``dense`` and ``local``, the two oracle cells).  The two
+runs must agree: denotation sets up to ``ATOL`` on their Choi signatures
+(:func:`repro.superop.compare.set_equal`), wlp assertions up to ``ATOL`` on
+their predicate matrices, for loop-free and loop draws alike.  Loop-free draws
 additionally check the prover's verification condition
 (:meth:`repro.logic.prover.Prover.generate`) against the semantic wlp — the
 relative-completeness equality of Sec. 5 that PR 4 repaired for (Meas).
 
-The process-wide result cache is cleared before every combination run:
-``parallelism`` is deliberately excluded from cache signatures, so without
-clearing, the ``jobs=2`` runs would replay the ``jobs=1`` entries and the
-comparison would be vacuous.
+The process-wide result cache is cleared before every cell run, so each cell
+computes every subterm itself instead of replaying entries that an earlier
+draw stored for a digest-equal subterm.
 
 Any disagreement is reported as a :class:`Divergence` carrying the rendered
 source and the copy-pasteable repro line
@@ -29,7 +28,7 @@ source and the copy-pasteable repro line
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,14 +40,12 @@ from ..linalg.constants import ATOL
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import Prover, ProverOptions
 from ..predicates.assertion import QuantumAssertion
-from ..semantics.denotational import DenotationOptions, denotation
+from ..semantics.denotational import LIFTINGS, DenotationOptions, denotation
 from ..semantics.wp import WpOptions, weakest_liberal_precondition
 from ..superop.compare import set_equal
 from .generator import FuzzProgram
 
 __all__ = [
-    "Combo",
-    "DEFAULT_COMBOS",
     "OracleConfig",
     "Divergence",
     "DifferentialReport",
@@ -78,29 +75,8 @@ class ReplayProgram:
         return self.text
 
     def contains_while(self) -> bool:
-        """Whether the stored program has a loop (selects the loop tolerance)."""
+        """Whether the stored program has a loop (loop draws skip the prover check)."""
         return "while " in self.text
-
-
-@dataclass(frozen=True)
-class Combo:
-    """One cell of the oracle matrix: a backend × lifting × jobs combination."""
-
-    backend: str
-    lifting: str
-    jobs: int = 1
-
-    @property
-    def label(self) -> str:
-        """Return the compact ``backend/lifting/jN`` display label."""
-        return f"{self.backend}/{self.lifting}/j{self.jobs}"
-
-
-#: The full oracle matrix: kraus/transfer × dense/local × jobs ∈ {1, 2}.
-DEFAULT_COMBOS: Tuple[Combo, ...] = tuple(
-    Combo(backend, lifting, jobs)
-    for backend, lifting, jobs in product(("kraus", "transfer"), ("dense", "local"), (1, 2))
-)
 
 
 @dataclass(frozen=True)
@@ -109,17 +85,12 @@ class OracleConfig:
 
     Attributes
     ----------
-    combos:
-        The representation combinations to sweep.
+    liftings:
+        The oracle cells to sweep, one per lifting name.
     atol:
-        Agreement tolerance for loop-free programs (their denotations are
-        exact, so disagreement beyond float error is a real bug).
-    loop_atol:
-        Agreement tolerance for programs containing while loops.  Loop
-        denotations are truncations of the fixpoint chain, and the two
-        backends measure convergence on different (entry-sum-equivalent)
-        matrices, so their truncation points can differ by one iteration;
-        the looser tolerance absorbs exactly that truncation slack.
+        Agreement tolerance between cells.  Both cells measure loop
+        convergence on the same Choi matrices, so loop draws are compared
+        at the same tolerance as loop-free ones.
     max_iterations / convergence_tolerance / sampled_schedulers:
         Forwarded to :class:`DenotationOptions` / :class:`WpOptions`;
         ``max_iterations`` defaults below the engine's 64 to keep a
@@ -128,14 +99,13 @@ class OracleConfig:
         Whether to compare the prover's verification condition against the
         semantic wlp on loop-free draws.
     clear_cache:
-        Clear the process-wide result cache before each combination run, so
-        every combination genuinely recomputes (``parallelism`` shares cache
-        entries by design).
+        Clear the process-wide result cache before each cell run, so every
+        cell computes each subterm itself rather than replaying an entry an
+        earlier draw stored for a digest-equal subterm.
     """
 
-    combos: Tuple[Combo, ...] = DEFAULT_COMBOS
+    liftings: Tuple[str, ...] = LIFTINGS
     atol: float = ATOL
-    loop_atol: float = 1e-6
     max_iterations: int = 24
     convergence_tolerance: float = 1e-9
     sampled_schedulers: int = 2
@@ -147,9 +117,9 @@ class OracleConfig:
 class Divergence:
     """One observed disagreement, self-contained enough to reproduce.
 
-    ``kind`` is ``"denotation"`` / ``"wlp"`` (two combinations disagree),
+    ``kind`` is ``"denotation"`` / ``"wlp"`` (the two cells disagree),
     ``"prover"`` (verification condition vs semantic wlp) or ``"error"``
-    (a combination raised where the others succeeded).
+    (a cell raised).  ``combo_a`` / ``combo_b`` name the cells compared.
     """
 
     seed: int
@@ -188,7 +158,7 @@ class DifferentialReport:
     loop_free: int = 0
     with_loops: int = 0
     prover_checked: int = 0
-    combos: Tuple[str, ...] = ()
+    liftings: Tuple[str, ...] = ()
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
@@ -204,7 +174,7 @@ class DifferentialReport:
             "loop_free": self.loop_free,
             "with_loops": self.with_loops,
             "prover_checked": self.prover_checked,
-            "combos": list(self.combos),
+            "liftings": list(self.liftings),
             "divergence_count": len(self.divergences),
             "divergences": [divergence.to_dict() for divergence in self.divergences],
         }
@@ -235,25 +205,21 @@ def _assertions_close(a: QuantumAssertion, b: QuantumAssertion, atol: float) -> 
     return forward and backward
 
 
-def _combo_run(program, postcondition, register, combo: Combo, config: OracleConfig):
-    """Run denotation + wlp for one combination, returning ``(channels, wlp)``."""
+def _cell_run(program, postcondition, register, lifting: str, config: OracleConfig):
+    """Run denotation + wlp for one cell, returning ``(channels, wlp)``."""
     if config.clear_cache:
         clear_result_cache()
     den_options = DenotationOptions(
         max_iterations=config.max_iterations,
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
-        backend=combo.backend,
-        lifting=combo.lifting,
-        parallelism=combo.jobs,
+        lifting=lifting,
     )
     wp_options = WpOptions(
         max_iterations=config.max_iterations,
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
-        backend=combo.backend,
-        lifting=combo.lifting,
-        parallelism=combo.jobs,
+        lifting=lifting,
     )
     channels = denotation(program, register, den_options)
     wlp = weakest_liberal_precondition(program, postcondition, register, wp_options)
@@ -265,7 +231,7 @@ def check_program(
     config: Optional[OracleConfig] = None,
     environment: Optional[OperatorEnvironment] = None,
 ) -> List[Divergence]:
-    """Run the full oracle matrix on one generated program.
+    """Run every oracle cell on one generated program and compare the results.
 
     Returns the (possibly empty) list of divergences; this is the predicate
     the shrinker re-checks after every candidate reduction.
@@ -280,66 +246,65 @@ def check_program(
     postcondition = task.formula.postcondition
     register = task.register
     has_loop = fuzz_program.contains_while()
-    atol = config.loop_atol if has_loop else config.atol
 
     divergences: List[Divergence] = []
-    results: List[Tuple[Combo, List, QuantumAssertion]] = []
-    for combo in config.combos:
+    results: List[Tuple[str, List, QuantumAssertion]] = []
+    for lifting in config.liftings:
         try:
-            channels, wlp = _combo_run(program, postcondition, register, combo, config)
+            channels, wlp = _cell_run(program, postcondition, register, lifting, config)
         except Exception as error:  # pragma: no cover - only on real engine bugs
             divergences.append(
                 Divergence(
                     seed=seed,
                     index=index,
                     kind="error",
-                    combo_a=combo.label,
+                    combo_a=lifting,
                     combo_b="",
                     detail=f"{type(error).__name__}: {error}",
                     source=source,
                 )
             )
             continue
-        results.append((combo, channels, wlp))
+        results.append((lifting, channels, wlp))
 
-    for (combo_a, chan_a, wlp_a), (combo_b, chan_b, wlp_b) in combinations(results, 2):
-        if not set_equal(chan_a, chan_b, atol=atol):
+    for (cell_a, chan_a, wlp_a), (cell_b, chan_b, wlp_b) in combinations(results, 2):
+        if not set_equal(chan_a, chan_b, atol=config.atol):
             divergences.append(
                 Divergence(
                     seed=seed,
                     index=index,
                     kind="denotation",
-                    combo_a=combo_a.label,
-                    combo_b=combo_b.label,
+                    combo_a=cell_a,
+                    combo_b=cell_b,
                     detail=(
                         f"denotation sets differ (|a|={len(chan_a)}, |b|={len(chan_b)}, "
-                        f"atol={atol:g})"
+                        f"atol={config.atol:g})"
                     ),
                     source=source,
                 )
             )
-        if not _assertions_close(wlp_a, wlp_b, atol=atol):
+        if not _assertions_close(wlp_a, wlp_b, atol=config.atol):
             divergences.append(
                 Divergence(
                     seed=seed,
                     index=index,
                     kind="wlp",
-                    combo_a=combo_a.label,
-                    combo_b=combo_b.label,
-                    detail=f"wlp assertions differ (atol={atol:g})",
+                    combo_a=cell_a,
+                    combo_b=cell_b,
+                    detail=f"wlp assertions differ (atol={config.atol:g})",
                     source=source,
                 )
             )
 
     if config.check_prover and not has_loop and results:
-        combo, _, wlp = results[0]
+        lifting, _, wlp = results[0]
         if config.clear_cache:
             clear_result_cache()
         prover = Prover(
             register,
             mode=CorrectnessMode.PARTIAL,
             invariants=task.invariants,
-            options=ProverOptions(backend=combo.backend, lifting=combo.lifting),
+            options=ProverOptions(lifting=lifting),
         )
         outline = prover.generate(program, postcondition)
         if not _assertions_close(outline.precondition, wlp, atol=config.atol):
@@ -348,8 +313,8 @@ def check_program(
                     seed=seed,
                     index=index,
                     kind="prover",
-                    combo_a=f"prover:{combo.label}",
-                    combo_b=f"wlp:{combo.label}",
+                    combo_a=f"prover:{lifting}",
+                    combo_b=f"wlp:{lifting}",
                     detail="prover verification condition differs from semantic wlp",
                     source=source,
                 )
@@ -372,7 +337,7 @@ def run_differential(
     config = config or OracleConfig()
     environment = environment or default_environment()
     seed = programs[0].seed if programs else 0
-    report = DifferentialReport(seed=seed, combos=tuple(c.label for c in config.combos))
+    report = DifferentialReport(seed=seed, liftings=tuple(config.liftings))
     for position, fuzz_program in enumerate(programs):
         divergences = check_program(fuzz_program, config, environment)
         report.programs_checked += 1

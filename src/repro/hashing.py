@@ -2,8 +2,8 @@
 
 Every cacheable object in the library — AST nodes (:mod:`repro.language.ast`),
 :class:`~repro.predicates.predicate.QuantumPredicate` /
-:class:`~repro.predicates.assertion.QuantumAssertion`, and the three
-super-operator representations (Kraus, transfer, local) — gets a stable
+:class:`~repro.predicates.assertion.QuantumAssertion`, and the two
+super-operator representations (Kraus, local) — gets a stable
 SHA-256 *structural digest* computed from a canonical serialization of its
 contents.  The digests form the shared key-space of the process-wide
 :mod:`repro.cache` result cache (denotations, wp/wlp transformers, prover
@@ -215,10 +215,9 @@ def assertion_digest(assertion) -> str:
 
 
 def superop_digest(channel) -> str:
-    """Return the digest of a super-operator in any of the three representations.
+    """Return the digest of a super-operator in either representation.
 
-    Kraus-form and transfer-form maps digest their (quantized) Choi matrix, so
-    equal maps in those two representations share a digest.
+    Kraus-form maps digest their (quantized) Choi matrix.
     :class:`~repro.superop.local.LocalSuperOperator` digests its *small* Choi
     matrix over the sorted support together with ``(support, num_qubits)`` —
     never materialising the ``4^n`` dense Choi matrix.  A local map therefore
@@ -253,14 +252,11 @@ def register_signature(register) -> Tuple[str, ...]:
 def options_signature(options) -> Optional[tuple]:
     """Return a hashable signature of a dataclass of options, or ``None``.
 
-    The signature covers every field by ``repr``.  Two fields are
-    special-cased: explicit ``schedulers`` objects carry arbitrary user state
-    the cache cannot canonicalise, so any non-``None`` value makes the whole
-    computation *uncacheable* (returns ``None``) while the default policy
-    (``schedulers=None``, deterministic seeded sampling) stays cacheable; and
-    ``parallelism`` is *excluded* — it selects an execution strategy, not a
-    semantics, and serial/parallel runs produce identical results by
-    construction, so they must share cache entries.
+    The signature covers every field by ``repr``, except ``schedulers``:
+    explicit scheduler objects carry arbitrary user state the cache cannot
+    canonicalise, so any non-``None`` value makes the whole computation
+    *uncacheable* (returns ``None``) while the default policy
+    (``schedulers=None``, deterministic seeded sampling) stays cacheable.
     """
     parts: List[tuple] = [("type", type(options).__name__)]
     for field in dataclass_fields(options):
@@ -268,8 +264,6 @@ def options_signature(options) -> Optional[tuple]:
         if field.name == "schedulers":
             if value is not None:
                 return None
-            continue
-        if field.name == "parallelism":
             continue
         parts.append((field.name, repr(value)))
     return tuple(parts)
@@ -284,7 +278,7 @@ def tolerance_safe_hash(kind: str, dimension: int) -> int:
     The only sound hash inputs are exact discrete invariants preserved by
     equality: the ``kind`` tag and the ``dimension``.  All equal-comparable
     representations must share one ``kind`` (e.g. every super-operator class
-    passes ``"superop"``, since Kraus/transfer/local maps compare equal across
+    passes ``"superop"``, since Kraus and local maps compare equal across
     representations).  Bucket collisions are resolved by ``__eq__``.
     """
     return hash(("repro-tolerance-safe", kind, dimension))

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..exceptions import InvalidProofError, SemanticsError
+from ..exceptions import InvalidProofError
 from ..language.ast import Abort, If, Init, NDet, Seq, Skip, Unitary, While
 from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import leq_inf
 from ..registers import QubitRegister
 from ..semantics.denotational import (
-    BACKENDS,
     _check_lifting,
     initializer_channel,
-    measurement_pair,
+    measurement_superoperators,
 )
 from ..superop.local import LocalSuperOperator
 from ..telemetry.metrics import METRICS
@@ -61,7 +60,6 @@ def check_rule(
     premises: Sequence[CorrectnessFormula] = (),
     register: QubitRegister | None = None,
     epsilon: float = 1e-6,
-    backend: str = "kraus",
     lifting: str = "dense",
 ) -> None:
     """Check one application of a proof rule.
@@ -78,23 +76,15 @@ def check_rule(
         Register over which assertions are expressed (defaults to the program's).
     epsilon:
         Numerical precision of the ``⊑_inf`` checks.
-    backend:
-        Super-operator representation used when the rule applies a channel to
-        an assertion: ``"kraus"`` (default) or ``"transfer"`` (see
-        :mod:`repro.superop.transfer`).
     lifting:
         ``"dense"`` (default) materialises cylinder extensions; ``"local"``
         contracts only the targeted tensor factors (see
         :mod:`repro.superop.local`).
     """
-    if backend not in BACKENDS:
-        raise SemanticsError(
-            f"unknown semantics backend {backend!r}; expected one of {BACKENDS}"
-        )
     _check_lifting(lifting)
-    with span("check-rule", region="prover", rule=rule, backend=backend, lifting=lifting):
+    with span("check-rule", region="prover", rule=rule, lifting=lifting):
         METRICS.counter("checker.rules", rule=rule).inc()
-        _check_rule_impl(rule, conclusion, premises, register, epsilon, backend, lifting)
+        _check_rule_impl(rule, conclusion, premises, register, epsilon, lifting)
 
 
 def _check_rule_impl(
@@ -103,7 +93,6 @@ def _check_rule_impl(
     premises: Sequence[CorrectnessFormula],
     register: QubitRegister | None,
     epsilon: float,
-    backend: str,
     lifting: str,
 ) -> None:
     """The unspanned body of :func:`check_rule`."""
@@ -132,7 +121,7 @@ def _check_rule_impl(
 
     if rule == "Init":
         _require(isinstance(program, Init), "(Init) applies to initialisation statements")
-        channel = initializer_channel(program.qubits, register, backend, lifting)
+        channel = initializer_channel(program.qubits, register, lifting)
         expected = post.apply_superoperator_adjoint(channel)
         _require(_assertions_equal(pre, expected), "(Init) precondition must be Σ|i⟩⟨0|Θ|0⟩⟨i|")
         return
@@ -183,7 +172,7 @@ def _check_rule_impl(
         _require(else_premise.program == program.else_branch, "(Meas) second premise is the else-branch")
         _require(_assertions_equal(then_premise.postcondition, post), "(Meas) then-branch postcondition mismatch")
         _require(_assertions_equal(else_premise.postcondition, post), "(Meas) else-branch postcondition mismatch")
-        p0, p1 = measurement_pair(program, register, backend, lifting)
+        p0, p1 = measurement_superoperators(program, register, lifting)
         expected = measured_sum(p0, else_premise.precondition, p1, then_premise.precondition)
         _require(_assertions_equal(pre, expected), "(Meas) conclusion precondition must be P⁰(Θ₀)+P¹(Θ₁)")
         return
@@ -193,7 +182,7 @@ def _check_rule_impl(
         _require(len(premises) == 1, "(While) needs the loop-body premise")
         body_premise = premises[0]
         _require(body_premise.program == program.body, "(While) premise must be about the loop body")
-        p0, p1 = measurement_pair(program, register, backend, lifting)
+        p0, p1 = measurement_superoperators(program, register, lifting)
         invariant = body_premise.precondition
         expected_body_post = measured_sum(p0, post, p1, invariant)
         _require(

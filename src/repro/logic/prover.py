@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..cache import MISS, RESULT_CACHE
-from ..exceptions import InvariantError, SemanticsError, VerificationError
+from ..exceptions import InvariantError, VerificationError
 from ..hashing import assertion_digest, node_digest, options_signature, register_signature
 from ..telemetry.metrics import METRICS
 from ..telemetry.provenance import ProofEvent, proof_event, render_events
@@ -34,11 +34,9 @@ from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import OrderCheckResult, leq_inf
 from ..registers import QubitRegister
 from ..semantics.denotational import (
-    BACKENDS,
     _check_lifting,
-    _check_parallelism,
     initializer_channel,
-    measurement_pair,
+    measurement_superoperators,
 )
 from ..superop.local import LocalSuperOperator
 from .formula import CorrectnessFormula, CorrectnessMode
@@ -60,34 +58,19 @@ class ProverOptions:
         Truncation length of synthesised ranking sequences (total correctness).
     check_rankings:
         Whether total-correctness loops must pass the ranking check.
-    backend:
-        Super-operator representation used when rules apply channels to
-        assertions: ``"kraus"`` (default) or ``"transfer"``.
     lifting:
         ``"dense"`` (default) or ``"local"`` — whether channels are eagerly
         promoted to the full register or applied by contracting only their
         tensor factors (see :mod:`repro.superop.local`).
-    parallelism:
-        Worker processes for the per-postcondition-predicate (Meas)+(Union)
-        fan-out and the loop exploration of the underlying semantics — ``1``
-        (default) is serial, ``0`` means one worker per CPU core; results are
-        identical to the serial run (see :mod:`repro.parallel`).
     """
 
     epsilon: float = 1e-6
     ranking_truncation: int = 64
     check_rankings: bool = True
-    backend: str = "kraus"
     lifting: str = "dense"
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise SemanticsError(
-                f"unknown semantics backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         _check_lifting(self.lifting)
-        _check_parallelism(self.parallelism)
 
 
 @dataclass
@@ -199,7 +182,6 @@ class Prover:
             "prover",
             region="prover",
             mode=self.mode.name,
-            backend=self.options.backend,
             lifting=self.options.lifting,
             num_qubits=self.register.num_qubits,
         ):
@@ -300,9 +282,7 @@ class Prover:
         return AnnotatedStatement(program, pre, post, rule=rule)
 
     def _annotate_init(self, program: Init, post: QuantumAssertion) -> AnnotatedStatement:
-        channel = initializer_channel(
-            program.qubits, self.register, self.options.backend, self.options.lifting
-        )
+        channel = initializer_channel(program.qubits, self.register, self.options.lifting)
         with span("vc-transform", region="prover", rule="Init", predicates=len(post)):
             pre = post.apply_superoperator_adjoint(channel)
         return AnnotatedStatement(program, pre, post, rule="Init")
@@ -338,23 +318,13 @@ class Prover:
         return AnnotatedStatement(program, pre, post, rule="NDet", children=children)
 
     def _semantics_options(self):
-        """Return :class:`DenotationOptions` matching the prover's representation choices."""
+        """Return :class:`DenotationOptions` matching the prover's lifting choice."""
         from ..semantics.denotational import DenotationOptions
 
-        return DenotationOptions(
-            backend=self.options.backend,
-            lifting=self.options.lifting,
-            parallelism=self.options.parallelism,
-        )
-
-    def _measurement_pair(self, program):
-        """Build ``(P⁰, P¹)`` in the representation requested by the options."""
-        return measurement_pair(
-            program, self.register, self.options.backend, self.options.lifting
-        )
+        return DenotationOptions(lifting=self.options.lifting)
 
     def _annotate_if(self, program: If, post: QuantumAssertion) -> AnnotatedStatement:
-        p0, p1 = self._measurement_pair(program)
+        p0, p1 = measurement_superoperators(program, self.register, self.options.lifting)
         then_child = self._annotate(program.then_branch, post)
         else_child = self._annotate(program.else_branch, post)
         if post.is_singleton():
@@ -375,15 +345,10 @@ class Prover:
             # branch annotations hit the prover's memo when posts repeat, so
             # nested conditionals do not compound the extra traversals.
             pre: QuantumAssertion | None = None
-            branch_pairs = self._meas_union_parallel(program, post)
-            if branch_pairs is None:
-                branch_pairs = []
-                for predicate in post.predicates:
-                    single = QuantumAssertion([predicate])
-                    then_pre = self._annotate(program.then_branch, single).precondition
-                    else_pre = self._annotate(program.else_branch, single).precondition
-                    branch_pairs.append((then_pre, else_pre))
-            for then_pre, else_pre in branch_pairs:
+            for predicate in post.predicates:
+                single = QuantumAssertion([predicate])
+                then_pre = self._annotate(program.then_branch, single).precondition
+                else_pre = self._annotate(program.else_branch, single).precondition
                 with span("vc-transform", region="prover", rule="Meas+Union"):
                     part = measured_sum(p0, else_pre, p1, then_pre)
                     pre = part if pre is None else pre.union(part)
@@ -391,65 +356,6 @@ class Prover:
         return AnnotatedStatement(
             program, pre, post, rule=rule, children=[then_child, else_child]
         )
-
-    def _meas_union_parallel(self, program: If, post: QuantumAssertion):
-        """Shard the per-predicate branch annotations; ``None`` means "run serially".
-
-        Workers rebuild a fresh prover over the pickled branch subtrees, so
-        the parent's ``id``-keyed loop invariants are re-keyed by content
-        digest for transport and re-attached by walking the worker-side
-        copies.  Two *different* invariants on digest-equal loops cannot be
-        told apart after pickling — that (pathological) case falls back to
-        serial, as does a missing invariant (the serial path raises the
-        user-facing :class:`InvariantError`).  Returns the
-        ``(then_pre, else_pre)`` pairs in predicate order; worker-side proof
-        events are appended to this prover's log (their metric counters
-        arrive via the worker state merge instead of :meth:`_record`, so
-        nothing is double-counted).
-        """
-        if self.options.parallelism == 1:
-            return None
-        invariants_by_digest: Dict[str, QuantumAssertion] = {}
-        for branch in (program.then_branch, program.else_branch):
-            for node in branch.walk():
-                if isinstance(node, While):
-                    invariant = self.invariants.get(id(node))
-                    if invariant is None:
-                        return None
-                    digest = node_digest(node)
-                    existing = invariants_by_digest.get(digest)
-                    if existing is not None and assertion_digest(existing) != assertion_digest(invariant):
-                        return None
-                    invariants_by_digest[digest] = invariant
-        from ..parallel.executor import effective_jobs, parallel_map, shard_evenly
-        from ..parallel.worker import prover_predicate_shard
-
-        shards = shard_evenly(list(post.predicates), effective_jobs(self.options.parallelism))
-        payloads = [
-            (
-                program.then_branch,
-                program.else_branch,
-                shard,
-                self.register,
-                self.mode,
-                self.options,
-                invariants_by_digest,
-            )
-            for shard in shards
-        ]
-        shard_results = parallel_map(
-            prover_predicate_shard,
-            payloads,
-            self.options.parallelism,
-            work_size=self.register.dimension,
-        )
-        if shard_results is None:
-            return None
-        pairs = []
-        for then_pre, else_pre, events in (item for shard in shard_results for item in shard):
-            self.events.extend(events)
-            pairs.append((then_pre, else_pre))
-        return pairs
 
     def _annotate_while(self, program: While, post: QuantumAssertion) -> AnnotatedStatement:
         invariant = self.invariants.get(id(program))
@@ -463,7 +369,7 @@ class Prover:
             )
             if invariant.dimension != self.register.dimension:
                 raise InvariantError("loop invariant dimension does not match the register")
-        p0, p1 = self._measurement_pair(program)
+        p0, p1 = measurement_superoperators(program, self.register, self.options.lifting)
         with span("vc-transform", region="prover", rule="While", predicates=len(post)):
             loop_condition = measured_sum(p0, post, p1, invariant)
         body_child = self._annotate(program.body, loop_condition)

@@ -193,7 +193,7 @@ def measured_sum(p0, zero_branch: QuantumAssertion, p1, one_branch: QuantumAsser
     """Return the assertion ``P⁰(Θ₀) + P¹(Θ₁)`` used by rules (Meas) and (While).
 
     ``p0``/``p1`` may be any channel representation exposing ``apply`` (Kraus
-    or transfer form).  Every pair of predicates from the two operand
+    or local form).  Every pair of predicates from the two operand
     assertions is combined, matching the paper's extension of the measured sum
     to assertion sets.
     """

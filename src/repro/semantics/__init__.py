@@ -6,6 +6,10 @@
 * :mod:`repro.semantics.classical` — the classical probabilistic substrate used to
   reproduce the relational-vs-lifted model analysis of Sec. 3.3.2;
 * :mod:`repro.semantics.equivalence` — semantic equality and refinement of programs.
+
+The engines compute with Kraus-form super-operators on one serial path;
+``lifting="dense"|"local"`` on :class:`DenotationOptions` / :class:`WpOptions`
+is their only representation choice.
 """
 
 from .classical import (

@@ -10,23 +10,16 @@ quantum variables:
 * ``[[if]] = [[S0]] ∘ P⁰ + [[S1]] ∘ P¹`` element-wise;
 * ``[[while]]`` is the set of least upper bounds of the chains ``F^η_n`` over
   all schedulers ``η`` (Eq. (1)); it is approximated here by truncating each
-  chain once it has numerically converged (or after ``max_iterations``).
+  chain once the entrywise ℓ1 norm of the Choi-matrix increment between
+  consecutive iterates drops below ``convergence_tolerance``, once the loop
+  prefix can no longer contribute, or after ``max_iterations`` elements.
 
 For loop-free programs the computed set is exact (up to floating point); for
 programs with loops the caller controls which schedulers are explored.
 
-Two interchangeable backends compute the same semantics:
-
-* ``backend="kraus"`` (default) — maps are
-  :class:`~repro.superop.kraus.SuperOperator` in Kraus form; faithful to the
-  paper's presentation, but ``Seq`` composition multiplies Kraus counts.
-* ``backend="transfer"`` — maps are
-  :class:`~repro.superop.transfer.TransferSuperOperator` and denotation sets
-  are carried as one stacked :class:`~repro.superop.transfer.TransferSet`, so
-  every composition/comparison is a batched dense matrix operation.
-
-Orthogonally to the backend, ``lifting`` selects how a statement's operators
-reach the full program register:
+Maps are :class:`~repro.superop.kraus.SuperOperator` in Kraus form, as in the
+paper's presentation; ``lifting`` selects how a statement's operators reach
+the full program register:
 
 * ``lifting="dense"`` (default) — every gate/measurement/initialisation is
   eagerly promoted to its ``2^n × 2^n`` cylinder extension via ``np.kron``
@@ -37,7 +30,7 @@ reach the full program register:
   a genuinely global object demands it.  Results agree with dense lifting to
   the library tolerance ``ATOL`` on every shipped program.
 
-Both backends return objects sharing the channel protocol (``apply``,
+Both liftings return objects sharing the channel protocol (``apply``,
 ``apply_adjoint``, ``compose``, ``choi``, ``equals``, ``precedes``), so all
 downstream consumers (wp/wlp, equivalence, model checking) work with either.
 """
@@ -57,7 +50,6 @@ from ..registers import QubitRegister
 from ..superop.compare import deduplicate
 from ..superop.kraus import SuperOperator
 from ..superop.local import LocalSuperOperator
-from ..superop.transfer import TransferSet, TransferSuperOperator
 from ..telemetry.tracing import span
 from .schedulers import ConstantScheduler, Scheduler, constant_schedulers, sample_schedulers
 
@@ -68,12 +60,8 @@ __all__ = [
     "loop_iterates",
     "loop_prefix_cache",
     "measurement_superoperators",
-    "measurement_pair",
     "initializer_channel",
 ]
-
-#: The recognised values of ``DenotationOptions.backend``.
-BACKENDS = ("kraus", "transfer")
 
 #: The recognised values of ``DenotationOptions.lifting``.
 LIFTINGS = ("dense", "local")
@@ -87,14 +75,6 @@ def _check_lifting(lifting: str) -> None:
         )
 
 
-def _check_parallelism(parallelism: int) -> None:
-    """Raise :class:`SemanticsError` unless ``parallelism`` is a valid worker count."""
-    if not isinstance(parallelism, int) or parallelism < 0:
-        raise SemanticsError(
-            "parallelism must be a non-negative integer (0 = one worker per CPU core)"
-        )
-
-
 @dataclass
 class DenotationOptions:
     """Options steering the (approximate) computation of loop denotations.
@@ -104,8 +84,11 @@ class DenotationOptions:
     max_iterations:
         Truncation bound for the while-loop chains ``F^η_n``.
     convergence_tolerance:
-        The chain is considered converged when the trace norm of the increment
-        between consecutive iterates drops below this value.
+        The chain is considered converged when the entrywise ℓ1 norm of the
+        Choi-matrix increment between consecutive iterates (the sum of the
+        absolute values of its entries) drops below this value.  For a
+        completely positive increment that norm is at least the increment's
+        trace norm.
     schedulers:
         Explicit schedulers to explore for every loop.  When ``None``, all
         constant schedulers are used plus ``sampled_schedulers`` random ones.
@@ -113,21 +96,12 @@ class DenotationOptions:
         Number of additional pseudo-random schedulers to sample per loop.
     simplify_threshold:
         Kraus decompositions larger than this are re-canonicalised via the Choi
-        matrix to keep compositions tractable (Kraus backend only; the transfer
-        representation has constant size by construction).
+        matrix to keep compositions tractable.
     dedup:
         Whether to remove duplicate super-operators from denotation sets.
-    backend:
-        ``"kraus"`` or ``"transfer"`` — see the module docstring.
     lifting:
         ``"dense"`` (eager cylinder extension) or ``"local"``
         (structure-aware deferred lifting) — see the module docstring.
-    parallelism:
-        Worker processes for scheduler exploration and pairwise products
-        (see :mod:`repro.parallel`).  ``1`` (default) runs serially, ``0``
-        means one worker per CPU core.  An execution strategy only: results
-        and their ordering are identical to the serial run, and the field is
-        excluded from cache signatures.
     """
 
     max_iterations: int = 64
@@ -136,17 +110,10 @@ class DenotationOptions:
     sampled_schedulers: int = 2
     simplify_threshold: int = 64
     dedup: bool = True
-    backend: str = "kraus"
     lifting: str = "dense"
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise SemanticsError(
-                f"unknown semantics backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         _check_lifting(self.lifting)
-        _check_parallelism(self.parallelism)
 
 
 def measurement_superoperators(statement, register: QubitRegister, lifting: str = "dense"):
@@ -170,55 +137,17 @@ def measurement_superoperators(statement, register: QubitRegister, lifting: str 
         return SuperOperator([p0], validate=False), SuperOperator([p1], validate=False)
 
 
-def _measurement_transfer(statement, register: QubitRegister, lifting: str = "dense"):
-    """Transfer-backend analogue of :func:`measurement_superoperators`.
-
-    Local lifting returns the same :class:`LocalSuperOperator` pair as the
-    Kraus backend — local maps compose with transfer-form maps through the
-    shared dispatch, contracting only the measured factors.
-    """
-    if lifting == "local":
-        return measurement_superoperators(statement, register, lifting="local")
-    with span("measurement-pair", region="denotation", lifting=lifting, transfer=True):
-        p0 = register.embed(statement.measurement.p0, statement.qubits)
-        p1 = register.embed(statement.measurement.p1, statement.qubits)
-        return (
-            TransferSuperOperator.from_kraus([p0]),
-            TransferSuperOperator.from_kraus([p1]),
-        )
-
-
-def measurement_pair(statement, register: QubitRegister, backend: str = "kraus", lifting: str = "dense"):
-    """Return ``(P⁰, P¹)`` in the representation selected by ``backend``/``lifting``.
-
-    This is the single dispatch shared by the prover and the rule checker:
-    local lifting wins over the backend choice (a local map composes with
-    either dense representation), otherwise the Kraus pair is converted when
-    the transfer backend is requested.
-    """
-    p0, p1 = measurement_superoperators(statement, register, lifting=lifting)
-    if backend == "transfer" and lifting != "local":
-        p0 = TransferSuperOperator.from_superoperator(p0)
-        p1 = TransferSuperOperator.from_superoperator(p1)
-    return p0, p1
-
-
-def initializer_channel(
-    qubits: Sequence[str], register: QubitRegister, backend: str = "kraus", lifting: str = "dense"
-):
-    """Return the ``Set0`` channel on the named ``qubits`` in the selected representation.
+def initializer_channel(qubits: Sequence[str], register: QubitRegister, lifting: str = "dense"):
+    """Return the ``Set0`` channel on the named ``qubits`` under the selected lifting.
 
     Shared by the wp transformer, the prover and the rule checker, mirroring
-    the dispatch of :func:`measurement_pair`.
+    the dispatch of :func:`measurement_superoperators`.
     """
     _check_lifting(lifting)
-    with span("initializer", region="denotation", backend=backend, lifting=lifting):
+    with span("initializer", region="denotation", lifting=lifting):
         if lifting == "local":
             return LocalSuperOperator.initializer(register.positions(qubits), register.num_qubits)
-        channel = SuperOperator.initializer(len(qubits)).embed(qubits, register)
-        if backend == "transfer":
-            channel = TransferSuperOperator.from_superoperator(channel)
-        return channel
+        return SuperOperator.initializer(len(qubits)).embed(qubits, register)
 
 
 def _local_statement_channel(statement, register: QubitRegister) -> LocalSuperOperator:
@@ -252,9 +181,10 @@ def denotation(
     loops, one super-operator per explored scheduler is produced, each obtained
     by truncating the non-decreasing chain of Eq. (1) at numerical convergence.
 
-    Returns a list of :class:`SuperOperator` (Kraus backend) or
-    :class:`TransferSuperOperator` (transfer backend); both satisfy the same
-    channel protocol.
+    Returns a list of :class:`SuperOperator` (dense lifting) or
+    :class:`~repro.superop.local.LocalSuperOperator` and
+    :class:`SuperOperator` (local lifting); both satisfy the same channel
+    protocol.
 
     Results are memoized in the process-wide result cache (region
     ``"denotation"``) under the program's content digest, the register
@@ -272,7 +202,6 @@ def denotation(
         "denotation",
         region="denotation",
         node=type(program).__name__,
-        backend=options.backend,
         lifting=options.lifting,
         num_qubits=register.num_qubits,
     ) as denotation_span:
@@ -285,15 +214,9 @@ def denotation(
                 denotation_span.set_tag("cache", "hit")
                 return list(cached)
         denotation_span.set_tag("cache", "miss" if cache_key is not None else "bypass")
-        if options.backend == "transfer":
-            transfer_maps = _denote_transfer(program, register, options)
-            if options.dedup:
-                transfer_maps = transfer_maps.deduplicated()
-            result = transfer_maps.operators()
-        else:
-            result = _denote(program, register, options)
-            if options.dedup:
-                result = deduplicate(result)
+        result = _denote(program, register, options)
+        if options.dedup:
+            result = deduplicate(result)
         if cache_key is not None:
             RESULT_CACHE.store("denotation", cache_key, tuple(result))
         denotation_span.set_tag("set_size", len(result))
@@ -313,7 +236,7 @@ def apply_denotation(
 
 
 # ---------------------------------------------------------------------------
-# Structural recursion — Kraus backend
+# Structural recursion
 # ---------------------------------------------------------------------------
 
 
@@ -352,17 +275,12 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
                 region="denotation",
                 statement=type(statement).__name__,
                 set_size=len(current) * len(step),
-            ) as seq_span:
-                composed = _kraus_pairwise_parallel(current, step, register, options)
-                if composed is None:
-                    composed = [
-                        _maybe_simplify(later.compose(earlier), options)
-                        for earlier in current
-                        for later in step
-                    ]
-                else:
-                    seq_span.set_tag("parallel", True)
-                current = composed
+            ):
+                current = [
+                    _maybe_simplify(later.compose(earlier), options)
+                    for earlier in current
+                    for later in step
+                ]
                 if options.dedup and len(current) > 1:
                     current = deduplicate(current)
         return current
@@ -387,99 +305,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
 
 
 # ---------------------------------------------------------------------------
-# Structural recursion — transfer backend (batched)
-# ---------------------------------------------------------------------------
-
-
-def _local_transfer_step(current: TransferSet, statement, register: QubitRegister) -> TransferSet:
-    """Push one basic statement onto a transfer stack by local contraction.
-
-    ``current`` holds the transfer matrices accumulated so far; the statement's
-    small transfer matrix (``4^k × 4^k``) left-multiplies every stack element
-    while touching only the statement's tensor factors — ``O(4^k · 16^n)`` per
-    element instead of the ``O(64^n)`` dense composition.
-    """
-    if isinstance(statement, Skip):
-        return current
-    channel = _local_statement_channel(statement, register)
-    return current.then_each_local(channel.small_transfer(), channel.transfer_positions())
-
-
-def _denote_transfer(
-    program: Program, register: QubitRegister, options: DenotationOptions
-) -> TransferSet:
-    dimension = register.dimension
-    local = options.lifting == "local"
-
-    if isinstance(program, Skip):
-        return TransferSet.singleton(TransferSuperOperator.identity(dimension))
-    if isinstance(program, Abort):
-        return TransferSet.singleton(TransferSuperOperator.zero(dimension))
-    if isinstance(program, (Init, Unitary)):
-        if local:
-            identity = TransferSet.singleton(TransferSuperOperator.identity(dimension))
-            return _local_transfer_step(identity, program, register)
-        if isinstance(program, Init):
-            kraus = SuperOperator.initializer(len(program.qubits)).kraus_operators
-            embedded = [register.embed(operator, program.qubits) for operator in kraus]
-            return TransferSet.singleton(TransferSuperOperator.from_kraus(embedded))
-        embedded = register.embed(program.matrix, program.qubits)
-        return TransferSet.singleton(TransferSuperOperator.from_unitary(embedded))
-    if isinstance(program, Seq):
-        current = TransferSet.singleton(TransferSuperOperator.identity(dimension))
-        for statement in program.statements:
-            if local and isinstance(statement, (Skip, Init, Unitary)):
-                # Deferred lifting: basic statements never materialise their
-                # full-register transfer matrix, they contract into the stack.
-                with span(
-                    "seq-compose",
-                    region="denotation",
-                    statement=type(statement).__name__,
-                    set_size=len(current),
-                    local=True,
-                ):
-                    current = _local_transfer_step(current, statement, register)
-                continue
-            step = _denote_transfer(statement, register, options)
-            with span(
-                "seq-compose",
-                region="denotation",
-                statement=type(statement).__name__,
-                set_size=len(current) * len(step),
-            ) as seq_span:
-                composed = _transfer_pairwise_parallel(step, current, register, options)
-                if composed is None:
-                    composed = step.compose_pairwise(current)
-                else:
-                    seq_span.set_tag("parallel", True)
-                current = composed
-                if options.dedup and len(current) > 1:
-                    current = current.deduplicated()
-        return current
-    if isinstance(program, NDet):
-        pieces = [_denote_transfer(branch, register, options) for branch in program.branches]
-        combined = pieces[0]
-        for piece in pieces[1:]:
-            combined = combined.concatenate(piece)
-        return combined
-    if isinstance(program, If):
-        p0, p1 = _measurement_transfer(program, register, lifting=options.lifting)
-        else_set = _denote_transfer(program.else_branch, register, options)
-        then_set = _denote_transfer(program.then_branch, register, options)
-        if local:
-            else_set = else_set.after_each_local(p0.small_transfer(), p0.transfer_positions())
-            then_set = then_set.after_each_local(p1.small_transfer(), p1.transfer_positions())
-        else:
-            else_set = else_set.after_each(p0)
-            then_set = then_set.after_each(p1)
-        return else_set.branch_sum_pairwise(then_set)
-    if isinstance(program, While):
-        return TransferSet.from_operators(_denote_while_transfer(program, register, options))
-    raise SemanticsError(f"unknown program construct {type(program).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# While loops (both backends)
+# While loops
 # ---------------------------------------------------------------------------
 
 
@@ -525,9 +351,8 @@ class _GlobalPrefixCache:
         """Return the cached prefix, inserting ``default`` atomically on a miss.
 
         Delegates to :meth:`ResultCache.get_or_set` — one lock hold for the
-        lookup and the insertion, so concurrent workers exploring loops with
-        shared prefixes cannot interleave duplicate inserts or double-count
-        hits and misses.
+        lookup and the insertion, so each call bumps exactly one of the
+        hit/miss counters.
         """
         return RESULT_CACHE.get_or_set("loop-prefix", self._base + (choices,), default)
 
@@ -560,7 +385,7 @@ def deterministic_loop_bypass(program, body_maps, options) -> bool:
     deterministic — no nondeterministic choice anywhere, which also manifests
     as a single body denotation.  Every scheduler then resolves to the same
     chain, so the single ``ConstantScheduler(0)`` run is the whole semantics
-    and sampling, fan-out and worker sharding are pure overhead.
+    and sampling and fan-out are pure overhead.
     """
     if options.schedulers is not None or len(body_maps) != 1:
         return False
@@ -570,7 +395,7 @@ def deterministic_loop_bypass(program, body_maps, options) -> bool:
 
 
 def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List:
-    """Run :func:`loop_iterates` for every scheduler, sharding across workers when asked."""
+    """Run :func:`loop_iterates` for every scheduler and collect the chain limits."""
     if deterministic_loop_bypass(program, body_maps, options):
         with span(
             "loop",
@@ -597,11 +422,7 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
         schedulers=len(schedulers),
         body_maps=len(body_maps),
         num_qubits=register.num_qubits,
-    ) as loop_span:
-        results = _explore_loop_parallel(program, register, body_maps, schedulers, options)
-        if results is not None:
-            loop_span.set_tag("parallel", True)
-            return results
+    ):
         prefix_cache = loop_prefix_cache(program, register, options, len(schedulers))
         results = []
         for scheduler in schedulers:
@@ -612,42 +433,10 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
     return results
 
 
-def _explore_loop_parallel(program, register, body_maps, schedulers, options) -> Optional[List]:
-    """Shard the per-scheduler loop exploration; ``None`` means "run serially".
-
-    Each worker explores a contiguous slice of the scheduler list with its own
-    shard-local prefix cache (the worker's global-cache insertions come back
-    in its state delta); flattening the per-shard results in slice order
-    reproduces the serial scheduler order exactly.
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import effective_jobs, parallel_map, shard_evenly
-    from ..parallel.worker import loop_scheduler_shard
-
-    shards = shard_evenly(schedulers, effective_jobs(options.parallelism))
-    payloads = [
-        (program, register, list(body_maps), shard, options) for shard in shards
-    ]
-    shard_results = parallel_map(
-        loop_scheduler_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return [result for shard in shard_results for result in shard]
-
-
 def _denote_while(
     program: While, register: QubitRegister, options: DenotationOptions
 ) -> List[SuperOperator]:
     body_maps = _denote(program.body, register, options)
-    return _explore_loop(program, register, body_maps, options)
-
-
-def _denote_while_transfer(
-    program: While, register: QubitRegister, options: DenotationOptions
-) -> List[TransferSuperOperator]:
-    body_maps = _denote_transfer(program.body, register, options).operators()
     return _explore_loop(program, register, body_maps, options)
 
 
@@ -661,13 +450,15 @@ def loop_iterates(
 ) -> List:
     """Return the chain ``F^η_0 ⪯ F^η_1 ⪯ …`` of Eq. (1) under one scheduler.
 
-    The chain is truncated at numerical convergence (increment below the
-    configured tolerance) or after ``max_iterations`` elements.  The final
-    element approximates the least upper bound, i.e. the loop's semantics under
-    the scheduler.
+    The chain is truncated after ``max_iterations`` elements, or earlier once
+    the entrywise ℓ1 norm of the Choi-matrix increment ``F^η_n − F^η_{n−1}``
+    (the sum of the absolute values of its entries) drops below
+    ``convergence_tolerance``, or once the success probability bound of the
+    loop prefix does.  The final element approximates the least upper bound,
+    i.e. the loop's semantics under the scheduler.
 
-    ``body_maps`` may be Kraus-form or transfer-form channels; the measurement
-    projections are built in the matching representation.
+    ``body_maps`` are the loop body's denotations; the measurement
+    projections are built under the lifting selected by ``options``.
 
     ``prefix_cache``, when supplied, memoises the loop prefixes
     ``η_n ∘ P¹ ∘ … ∘ η_1 ∘ P¹`` keyed by the scheduler's choice sequence, so
@@ -679,19 +470,14 @@ def loop_iterates(
     history is retained.
     """
     options = options or DenotationOptions()
-    transfer_mode = bool(body_maps) and isinstance(body_maps[0], TransferSuperOperator)
-    if transfer_mode:
-        p0, p1 = _measurement_transfer(program, register, lifting=options.lifting)
-        identity = TransferSuperOperator.identity(register.dimension)
+    p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
+    if options.lifting == "local":
+        identity = LocalSuperOperator.identity(register.num_qubits)
     else:
-        p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
-        if options.lifting == "local":
-            identity = LocalSuperOperator.identity(register.num_qubits)
-        else:
-            identity = SuperOperator.identity(register.dimension)
+        identity = SuperOperator.identity(register.dimension)
 
     iterates: List = []
-    with span("loop-chain", region="loop", transfer=transfer_mode) as chain_span:
+    with span("loop-chain", region="loop") as chain_span:
         # step_k = η_k ∘ P¹ is iteration-independent; build each at most once.
         steps: Dict[int, object] = {}
         # prefix_i = η_i ∘ P¹ ∘ … ∘ η_1 ∘ P¹ ; the i = 0 prefix is the identity map.
@@ -717,10 +503,7 @@ def loop_iterates(
             increment = p0.compose(prefix)
             new_total = _maybe_simplify(total + increment, options)
             iterates.append(new_total)
-            if transfer_mode:
-                gap = float(np.abs(new_total.matrix - total.matrix).sum())
-            else:
-                gap = float(np.abs(new_total.choi() - total.choi()).sum())
+            gap = float(np.abs(new_total.choi() - total.choi()).sum())
             total = new_total
             if gap < options.convergence_tolerance:
                 break
@@ -730,66 +513,6 @@ def loop_iterates(
                 break
         chain_span.set_tag("iterations", len(iterates))
     return iterates
-
-
-def _kraus_pairwise_parallel(current, step, register, options) -> Optional[List]:
-    """Shard the earlier×later Kraus products of one Seq step; ``None`` = serial.
-
-    The serial composition is ``earlier``-major, so the *current* set is what
-    gets sliced: concatenating the shard outputs in slice order reproduces
-    the serial product order element for element.
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import (
-        MIN_PAIRWISE_PRODUCTS,
-        effective_jobs,
-        parallel_map,
-        shard_evenly,
-    )
-    from ..parallel.worker import kraus_pairwise_shard
-
-    if len(current) * len(step) < MIN_PAIRWISE_PRODUCTS:
-        return None
-    shards = shard_evenly(current, effective_jobs(options.parallelism))
-    payloads = [(shard, step, options) for shard in shards]
-    shard_results = parallel_map(
-        kraus_pairwise_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return [channel for shard in shard_results for channel in shard]
-
-
-def _transfer_pairwise_parallel(step, current, register, options) -> Optional[TransferSet]:
-    """Shard a batched ``step.compose_pairwise(current)``; ``None`` = serial.
-
-    ``compose_pairwise`` is *earlier*-major (matching the Kraus backend's
-    serial enumeration — the cross-backend ordering invariant the sampled
-    schedulers rely on), so the accumulated ``current`` stack is what gets
-    sliced and the shard outputs concatenate along axis 0 into the serial
-    stack order.
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import (
-        MIN_PAIRWISE_PRODUCTS,
-        effective_jobs,
-        parallel_map,
-        shard_evenly,
-    )
-    from ..parallel.worker import transfer_pairwise_shard
-
-    if len(step) * len(current) < MIN_PAIRWISE_PRODUCTS:
-        return None
-    shards = shard_evenly(current.stack, effective_jobs(options.parallelism))
-    payloads = [(shard, step.stack) for shard in shards]
-    shard_results = parallel_map(
-        transfer_pairwise_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return TransferSet(np.concatenate(shard_results, axis=0))
 
 
 def _maybe_simplify(channel, options: DenotationOptions):

@@ -31,13 +31,10 @@ def _denotations(
     first: Program,
     second: Program,
     options: DenotationOptions | None,
-    backend: str | None,
     lifting: str | None = None,
 ) -> Tuple[list, list, QubitRegister]:
     register = common_register(first, second)
     options = options or DenotationOptions()
-    if backend is not None and backend != options.backend:
-        options = replace(options, backend=backend)
     if lifting is not None and lifting != options.lifting:
         options = replace(options, lifting=lifting)
     return (
@@ -52,18 +49,16 @@ def programs_equivalent(
     second: Program,
     options: DenotationOptions | None = None,
     atol: float = 1e-6,
-    backend: str | None = None,
     lifting: str | None = None,
 ) -> bool:
     """Return ``True`` when ``[[first]] = [[second]]`` over the common register.
 
     Exact for loop-free programs; for loops the comparison is relative to the
-    explored schedulers.  ``backend`` overrides the representation used for
-    both denotations (``"kraus"`` or ``"transfer"``) and ``lifting`` the
-    promotion strategy (``"dense"`` or ``"local"``); the set comparison itself
-    is representation-agnostic.
+    explored schedulers.  ``lifting`` overrides the promotion strategy
+    (``"dense"`` or ``"local"``) used for both denotations; the set comparison
+    itself is lifting-agnostic.
     """
-    first_maps, second_maps, _ = _denotations(first, second, options, backend, lifting)
+    first_maps, second_maps, _ = _denotations(first, second, options, lifting)
     return set_equal(first_maps, second_maps, atol=atol)
 
 
@@ -72,17 +67,16 @@ def program_refines(
     specification: Program,
     options: DenotationOptions | None = None,
     atol: float = 1e-6,
-    backend: str | None = None,
     lifting: str | None = None,
 ) -> bool:
     """Return ``True`` when every behaviour of ``implementation`` is allowed by ``specification``.
 
     In the lifted model this is denotation-set inclusion
     ``[[implementation]] ⊆ [[specification]]`` — the notion of refinement that
-    stepwise program development relies on.  ``backend`` and ``lifting``
-    override the representation used for both denotations.
+    stepwise program development relies on.  ``lifting`` overrides the
+    promotion strategy used for both denotations.
     """
     implementation_maps, specification_maps, _ = _denotations(
-        implementation, specification, options, backend, lifting
+        implementation, specification, options, lifting
     )
     return set_subset(implementation_maps, specification_maps, atol=atol)

@@ -110,8 +110,8 @@ class RandomScheduler(Scheduler):
     implementation memoised the first draw per iteration at whatever
     ``num_choices`` it happened to see and silently rescaled stale choices
     with ``index % num_choices``, so a reused instance drifted away from a
-    fresh one.)  Instances carry no hidden state, which also makes scheduler
-    identity shippable to the worker processes of :mod:`repro.parallel`.
+    fresh one.)  Instances carry no hidden state, so a pickled copy selects
+    exactly what the original does.
     """
 
     def __init__(self, seed: int = 0):

@@ -33,9 +33,7 @@ from ..predicates.predicate import QuantumPredicate, clip_to_predicate
 from ..registers import QubitRegister
 from ..telemetry.tracing import span
 from .denotational import (
-    BACKENDS,
     _check_lifting,
-    _check_parallelism,
     _loop_schedulers,
     deterministic_loop_bypass,
     initializer_channel,
@@ -50,38 +48,20 @@ __all__ = ["WpOptions", "weakest_precondition", "weakest_liberal_precondition"]
 class WpOptions:
     """Options controlling the loop approximation of the wp/wlp transformers.
 
-    ``backend`` selects the super-operator representation used for the loop
-    bodies: ``"kraus"`` applies adjoints Kraus operator by Kraus operator,
-    ``"transfer"`` turns every adjoint application into a single
-    conjugate-transpose matmul on the vectorised predicate (see
-    :mod:`repro.superop.transfer`).
-
     ``lifting`` selects how statements reach the register: ``"dense"``
     materialises every cylinder extension, ``"local"`` conjugates predicates
     by contracting only the statement's tensor factors (see
     :mod:`repro.superop.local`).
-
-    ``parallelism`` shards the per-scheduler loop evaluation (and the body
-    denotations, which forward it) across worker processes — ``1`` (default)
-    is serial, ``0`` means one worker per CPU core; results are identical to
-    the serial run (see :mod:`repro.parallel`).
     """
 
     max_iterations: int = 64
     schedulers: Optional[Sequence[Scheduler]] = None
     sampled_schedulers: int = 2
     convergence_tolerance: float = 1e-9
-    backend: str = "kraus"
     lifting: str = "dense"
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise SemanticsError(
-                f"unknown semantics backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         _check_lifting(self.lifting)
-        _check_parallelism(self.parallelism)
 
 
 def weakest_precondition(
@@ -119,7 +99,6 @@ def _transform(
     with span(
         "wp" if not liberal else "wlp",
         region="wp",
-        backend=options.backend,
         lifting=options.lifting,
         num_qubits=register.num_qubits,
         predicates=len(postcondition.predicates),
@@ -180,9 +159,7 @@ def _xp_single_uncached(
             return [QuantumPredicate.identity(register.num_qubits)]
         return [QuantumPredicate.zero(register.num_qubits)]
     if isinstance(program, Init):
-        channel = initializer_channel(
-            program.qubits, register, options.backend, options.lifting
-        )
+        channel = initializer_channel(program.qubits, register, options.lifting)
         return [post.apply_superoperator_adjoint(channel)]
     if isinstance(program, Unitary):
         if options.lifting == "local":
@@ -244,7 +221,7 @@ def _xp_while(
 
     if deterministic_loop_bypass(program, body_choices, options):
         # Statically deterministic loop: every scheduler resolves to the same
-        # backward chain, so evaluate it once and skip sampling and sharding.
+        # backward chain, so evaluate it once and skip sampling.
         with span("wp-loop", region="wp", schedulers=1, liberal=liberal) as wp_span:
             wp_span.set_tag("deterministic_bypass", True)
             return [
@@ -262,59 +239,14 @@ def _xp_while(
                 )
             ]
     schedulers = _loop_schedulers(options, len(body_choices))
-    results: List[QuantumPredicate] = []
-    with span("wp-loop", region="wp", schedulers=len(schedulers), liberal=liberal) as wp_span:
-        sharded = _xp_while_parallel(
-            program, post, register, options, liberal, p0, p1, body_choices, schedulers
-        )
-        if sharded is not None:
-            wp_span.set_tag("parallel", True)
-            results.extend(sharded)
-        else:
-            results.extend(
-                _xp_while_scheduler(
-                    program, post, register, options, liberal, p0, p1, body_choices, scheduler, identity
-                )
-                for scheduler in schedulers
+    with span("wp-loop", region="wp", schedulers=len(schedulers), liberal=liberal):
+        results = [
+            _xp_while_scheduler(
+                program, post, register, options, liberal, p0, p1, body_choices, scheduler, identity
             )
+            for scheduler in schedulers
+        ]
     return _dedup(results)
-
-
-def _xp_while_parallel(
-    program: While,
-    post: QuantumPredicate,
-    register: QubitRegister,
-    options: WpOptions,
-    liberal: bool,
-    p0,
-    p1,
-    body_choices: List,
-    schedulers: List[Scheduler],
-) -> Optional[List[QuantumPredicate]]:
-    """Shard the per-scheduler backward loop evaluation; ``None`` means "run serially".
-
-    Workers receive contiguous scheduler slices plus the already-computed
-    measurement pair and body denotations, so no semantics is recomputed;
-    flattening the shard results in slice order reproduces the serial
-    scheduler order (the caller's ``_dedup`` keeps first occurrences either
-    way).
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import effective_jobs, parallel_map, shard_evenly
-    from ..parallel.worker import wp_loop_shard
-
-    shards = shard_evenly(schedulers, effective_jobs(options.parallelism))
-    payloads = [
-        (program, post, register, options, liberal, p0, p1, list(body_choices), shard)
-        for shard in shards
-    ]
-    shard_results = parallel_map(
-        wp_loop_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return [predicate for shard in shard_results for predicate in shard]
 
 
 def _xp_while_scheduler(
@@ -356,9 +288,7 @@ def _body_denotations(program: While, register: QubitRegister, options: WpOption
         convergence_tolerance=options.convergence_tolerance,
         schedulers=options.schedulers,
         sampled_schedulers=options.sampled_schedulers,
-        backend=options.backend,
         lifting=options.lifting,
-        parallelism=options.parallelism,
     )
     return denotation(program.body, register, body_options)
 

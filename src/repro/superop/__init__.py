@@ -1,25 +1,20 @@
-"""Super-operator substrate (S2): Kraus maps, Choi matrices, transfer matrices, channels and orderings.
+"""Super-operator substrate (S2): Kraus maps, Choi matrices, channels and orderings.
 
-Four interoperable representations of a completely positive map are provided:
+Three interoperable representations of a completely positive map are provided:
 
-* **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}``; best for
-  applying a small map to individual states.
+* **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}``; the form the
+  semantic engines compute with, as in the paper's presentation.
 * **Choi** (:mod:`.choi`) — the ``d²×d²`` positive matrix ``Σ vec(E_i)vec(E_i)†``;
   best for order/positivity questions (Lemma 3.1) and for recovering minimal
   Kraus decompositions.
-* **Transfer/Liouville** (:mod:`.transfer`) — the ``d²×d²`` matrix acting on
-  vectorised states; best whenever full-register maps are composed, iterated
-  or compared, since all of those become single dense matrix operations.
 * **Local** (:mod:`.local`) — ``(small Kraus operators, target factor
   positions)`` with *deferred* cylinder extension; every product contracts
-  only the targeted tensor factors, which is the ``lifting="local"`` fast
-  path of the semantics engines for gate-local programs.
+  only the targeted tensor factors, which is the ``lifting="local"`` path of
+  the semantics engines.
 
-Conversions between the dense three are lossless: Kraus→Choi is a sum of
-outer products, Choi↔transfer is a cheap index reshuffle, and Choi→Kraus is
-an eigendecomposition; a local map densifies via
-:meth:`~repro.superop.local.LocalSuperOperator.to_superoperator` /
-:meth:`~repro.superop.local.LocalSuperOperator.to_transfer`.
+Conversions are lossless: Kraus→Choi is a sum of outer products, Choi→Kraus
+is an eigendecomposition, and a local map densifies via
+:meth:`~repro.superop.local.LocalSuperOperator.to_superoperator`.
 """
 
 from .channels import (
@@ -56,13 +51,5 @@ from .compare import (
 )
 from .kraus import SuperOperator
 from .local import LocalSuperOperator
-from .transfer import (
-    TransferSet,
-    TransferSuperOperator,
-    choi_from_transfer,
-    kraus_from_transfer,
-    transfer_from_choi,
-    transfer_matrix,
-)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,13 +7,10 @@ matrix is positive semidefinite.  The comparison of super-operators under the
 CPO order ``⪯`` of Sec. 3.2 reduces (Lemma 3.1) to a Löwner comparison of Choi
 matrices.
 
-Within the three-representation scheme of :mod:`repro.superop` (Kraus, Choi,
-transfer) the Choi matrix is the *order* representation: positivity of a map
-and the ``⪯`` comparison are spectral properties of the Choi matrix, and the
-minimal Kraus decomposition falls out of its eigendecomposition.  It shares
-its entries with the transfer matrix up to the reshuffle permutation
-implemented in :mod:`repro.superop.transfer`, so converting between the two is
-free of floating-point error.
+Within :mod:`repro.superop` the Choi matrix is the *order* representation:
+positivity of a map and the ``⪯`` comparison are spectral properties of the
+Choi matrix, and the minimal Kraus decomposition falls out of its
+eigendecomposition.
 """
 
 from __future__ import annotations

@@ -9,14 +9,11 @@ precondition semantics: application to states, adjoint application to
 predicates, composition, pointwise addition, scaling, tensor products and the
 CPO order ``⪯`` of Sec. 3.2.
 
-The Kraus form is one of three faithful representations available in
-:mod:`repro.superop` (the others being the Choi matrix of
-:mod:`~repro.superop.choi` and the transfer matrix of
-:mod:`~repro.superop.transfer`).  Kraus wins when a map with few operators is
-applied to individual states (``k·d³`` per application); it loses when maps
-are repeatedly composed or compared, because the operator count multiplies
-under composition and every comparison requires rebuilding a ``d²×d²`` Choi
-matrix.
+The Kraus form is the representation the semantic engines compute with; the
+Choi matrix of :mod:`~repro.superop.choi` is derived from it for comparisons.
+Applying a map with ``k`` operators to a state costs ``k·d³``; the operator
+count multiplies under composition (kept in check by :meth:`simplified`) and
+every comparison rebuilds a ``d²×d²`` Choi matrix.
 """
 
 from __future__ import annotations
@@ -155,12 +152,6 @@ class SuperOperator:
         """Return the (unnormalised) Choi matrix of the map."""
         return choi_matrix(self._kraus)
 
-    def transfer(self) -> np.ndarray:
-        """Return the transfer (Liouville) matrix ``Σ_i E_i ⊗ conj(E_i)``."""
-        from .transfer import transfer_matrix  # deferred: transfer builds on kraus
-
-        return transfer_matrix(self._kraus)
-
     # -------------------------------------------------------------- application
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Apply the super-operator to a (partial) density operator."""
@@ -261,7 +252,7 @@ class SuperOperator:
         """Return ``True`` when both maps are equal (same Choi matrix).
 
         Accepts any representation exposing ``choi()``/``dimension``, so
-        Kraus-form and transfer-form maps compare transparently.
+        Kraus-form and local maps compare transparently.
         """
         if self._dimension != other.dimension:
             return False
@@ -270,16 +261,12 @@ class SuperOperator:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SuperOperator):
             return self.equals(other)
-        from .transfer import TransferSuperOperator  # deferred: transfer builds on kraus
-
-        if isinstance(other, TransferSuperOperator):
-            return self.equals(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         # Tolerance-based equality admits no payload-derived hash (rounding a
         # boundary-straddling pair of equal maps can split buckets); hash only
-        # the exact invariants, shared across all three representations.
+        # the exact invariants, shared with the local representation.
         return tolerance_safe_hash("superop", self._dimension)
 
     def precedes(self, other, atol: float = ORDER_ATOL) -> bool:

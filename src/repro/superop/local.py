@@ -1,12 +1,11 @@
 """Structure-aware (local) super-operators: deferred cylinder extension.
 
 The paper's semantics silently identifies every operation with its cylinder
-extension on the full program register, and the Kraus
-(:mod:`repro.superop.kraus`) and transfer (:mod:`repro.superop.transfer`)
-representations follow that convention *eagerly*: a one-qubit gate on an
-``n``-qubit register is stored — and multiplied — as a dense ``2^n × 2^n``
-(or ``4^n × 4^n``) matrix.  That eager lifting is what caps the case studies
-at a handful of qubits.
+extension on the full program register, and the Kraus representation
+(:mod:`repro.superop.kraus`) follows that convention *eagerly*: a one-qubit
+gate on an ``n``-qubit register is stored — and multiplied — as a dense
+``2^n × 2^n`` matrix.  That eager lifting is what caps the case studies at a
+handful of qubits.
 
 :class:`LocalSuperOperator` keeps the structure instead: a completely positive
 map is stored as ``(small Kraus operators, target factor positions)`` over a
@@ -14,20 +13,19 @@ register of ``num_qubits`` qubits, and *every* product with a state, a
 predicate or another map is computed by contracting only the targeted tensor
 factors (:func:`repro.linalg.tensor.apply_local_left` and friends).  The full
 ``2^n``-dimensional embedding is never materialised unless a caller explicitly
-asks for it (:meth:`LocalSuperOperator.to_superoperator` /
-:meth:`LocalSuperOperator.to_transfer`), so
+asks for it (:meth:`LocalSuperOperator.to_superoperator`), so
 
 * applying a ``k``-local map to a state/predicate costs ``O(2^k · 4^n)``
   instead of ``O(8^n)``;
-* composing a ``k``-local map with a dense Kraus- or transfer-form map is a
-  batched local contraction of the same cost;
+* composing a ``k``-local map with a dense Kraus-form map is a batched local
+  contraction of the same cost;
 * composing two local maps *stays local*: the result lives on the union of
   the two supports and lifting remains deferred until a genuinely global
   operation forces it.
 
 Instances satisfy the shared channel protocol (``apply``, ``apply_adjoint``,
-``compose``, ``choi``, ``equals``, ``precedes``) and interoperate with both
-dense representations, so the semantics engines can mix them freely (the
+``compose``, ``choi``, ``equals``, ``precedes``) and interoperate with the
+dense Kraus form, so the semantics engines can mix them freely (the
 ``lifting="local"`` mode of :class:`repro.semantics.denotational.DenotationOptions`
 and :class:`repro.semantics.wp.WpOptions`).
 """
@@ -53,7 +51,6 @@ from ..linalg.tensor import (
 )
 from .choi import choi_matrix
 from .kraus import SuperOperator
-from .transfer import TransferSuperOperator, transfer_matrix
 
 __all__ = ["LocalSuperOperator"]
 
@@ -224,23 +221,6 @@ class LocalSuperOperator:
         """Convert to a dense Kraus-form :class:`SuperOperator`."""
         return SuperOperator(self.embedded_kraus(), validate=False)
 
-    def to_transfer(self) -> TransferSuperOperator:
-        """Convert to a dense :class:`TransferSuperOperator`."""
-        return TransferSuperOperator.from_kraus(self.embedded_kraus())
-
-    def small_transfer(self) -> np.ndarray:
-        """Return the ``4^k × 4^k`` transfer matrix of the *small* map.
-
-        Its row/column indices factorise as the ``k`` ket factors followed by
-        the ``k`` bra factors, so inside a full ``4^n``-dimensional transfer
-        picture it acts on the factor positions :meth:`transfer_positions`.
-        """
-        return transfer_matrix(self._smalls)
-
-    def transfer_positions(self) -> Tuple[int, ...]:
-        """Return the positions of the small transfer matrix inside ``4^n`` space."""
-        return self._positions + tuple(self._num_qubits + p for p in self._positions)
-
     # -------------------------------------------------------------- application
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Apply the map to a (partial) density operator via local contractions."""
@@ -278,9 +258,9 @@ class LocalSuperOperator:
         """Return ``self ∘ other`` (first ``other``, then ``self``).
 
         Local ∘ local stays local on the union support (lifting remains
-        deferred); composing with a dense Kraus- or transfer-form map returns
-        a map of the *other* operand's representation, computed by batched
-        local contraction rather than dense matrix products.
+        deferred); composing with a dense Kraus-form map returns a Kraus-form
+        map, computed by batched local contraction rather than dense matrix
+        products.
         """
         if isinstance(other, LocalSuperOperator):
             self._check_register(other)
@@ -296,17 +276,11 @@ class LocalSuperOperator:
             for operator in self._smalls:
                 kraus.extend(apply_local_left(operator, stack, self._positions))
             return SuperOperator(kraus, validate=False)
-        if isinstance(other, TransferSuperOperator):
-            self._check_dimension(other)
-            matrix = apply_local_left(
-                self.small_transfer(), other.matrix, self.transfer_positions()
-            )
-            return TransferSuperOperator(matrix, validate=False)
         raise SuperOperatorError(f"cannot compose with {type(other).__name__}")
 
     def then(self, other) -> object:
         """Return ``other ∘ self`` (first ``self``, then ``other``)."""
-        if isinstance(other, (LocalSuperOperator, SuperOperator, TransferSuperOperator)):
+        if isinstance(other, (LocalSuperOperator, SuperOperator)):
             return other.compose(self)
         raise SuperOperatorError(f"cannot compose with {type(other).__name__}")
 
@@ -325,9 +299,6 @@ class LocalSuperOperator:
             return SuperOperator(
                 self.embedded_kraus() + list(other.kraus_operators), validate=False
             )
-        if isinstance(other, TransferSuperOperator):
-            self._check_dimension(other)
-            return self.to_transfer() + other
         raise SuperOperatorError(f"cannot add {type(other).__name__}")
 
     def __mul__(self, scalar: float) -> "LocalSuperOperator":
@@ -413,13 +384,13 @@ class LocalSuperOperator:
         return is_positive(difference, atol=atol)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (LocalSuperOperator, SuperOperator, TransferSuperOperator)):
+        if isinstance(other, (LocalSuperOperator, SuperOperator)):
             return self.equals(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         # Tolerance-based equality admits no payload-derived hash; hash only
-        # the exact invariants, shared across all three representations.
+        # the exact invariants, shared with the Kraus representation.
         return tolerance_safe_hash("superop", self.dimension)
 
     # -------------------------------------------------------------------- misc

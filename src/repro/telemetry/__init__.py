@@ -6,7 +6,7 @@ Three zero-dependency pillars, all process-wide and safe under threads:
   opened with the :func:`span` context manager, tagged with a pipeline
   ``region`` (``parse`` / ``denotation`` / ``wp`` / ``prover`` /
   ``order-decision`` / ``loop`` / ``compare`` / ``cache``) plus workload
-  attributes (backend, lifting, qubit count).  Disabled by default; enable
+  attributes (lifting, qubit count).  Disabled by default; enable
   with ``configure_tracing(enabled=True)``, export with
   ``get_tracer().export_jsonl(path)`` or render with ``get_tracer().render()``.
 

@@ -19,7 +19,7 @@ tracing, which is opt-in).
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 __all__ = [
     "Counter",
@@ -119,36 +119,6 @@ class Histogram:
                 },
             }
 
-    def state(self) -> Dict[str, Any]:
-        """Return the raw internal state (unrendered, mergeable via :meth:`absorb`)."""
-        with self._lock:
-            return {
-                "buckets": self._buckets,
-                "counts": list(self._counts),
-                "count": self._count,
-                "total": self._total,
-                "min": self._min,
-                "max": self._max,
-            }
-
-    def absorb(self, state: Dict[str, Any]) -> None:
-        """Merge another histogram's raw :meth:`state` into this one.
-
-        Counts and totals add; min/max combine — exactly the statistics the
-        union of both observation streams would have produced.  Bucket edges
-        must match (they always do for instruments created from the same
-        registry defaults).
-        """
-        with self._lock:
-            if tuple(state["buckets"]) != self._buckets:
-                raise ValueError("cannot absorb a histogram with different bucket edges")
-            for index, count in enumerate(state["counts"]):
-                self._counts[index] += count
-            self._count += state["count"]
-            self._total += state["total"]
-            self._min = min(self._min, state["min"])
-            self._max = max(self._max, state["max"])
-
 
 def _render_name(name: str, labels: Tuple[Tuple[str, Any], ...]) -> str:
     """Render ``name`` with its labels, Prometheus style."""
@@ -239,68 +209,6 @@ class MetricsRegistry:
             for table in (self._counters, self._gauges, self._histograms):
                 for key in [key for key in table if key[0].startswith(prefix)]:
                     del table[key]
-
-    # ------------------------------------------------------- state merge (parallel)
-    def export_state(self) -> Dict[str, Any]:
-        """Return raw instrument state keyed by ``(name, labels)`` tuples.
-
-        Unlike :meth:`snapshot` (which renders labelled names into display
-        strings), the exported state is keyed by the registry's internal
-        ``(name, sorted-labels)`` keys, so two exports can be diffed and a
-        delta absorbed back without parsing rendered names.  This is the
-        transport format of the worker-state merge in :mod:`repro.parallel`.
-        """
-        with self._lock:
-            counters = list(self._counters.items())
-            gauges = list(self._gauges.items())
-            histograms = list(self._histograms.items())
-        return {
-            "counters": {key: instrument.value for key, instrument in counters},
-            "gauges": {key: instrument.value for key, instrument in gauges},
-            "histograms": {key: instrument.state() for key, instrument in histograms},
-        }
-
-    @staticmethod
-    def diff_states(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:
-        """Return the delta turning ``before`` into ``after`` (new activity only).
-
-        Counters keep their positive increments; gauges keep values that were
-        set or changed; histograms keep the per-bucket count increments (the
-        delta's min/max are ``after``'s, which is sound for :meth:`absorb_state`
-        because combining with the parent's min/max can only widen the range).
-        """
-        delta: Dict[str, Any] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for key, value in after["counters"].items():
-            increment = value - before["counters"].get(key, 0)
-            if increment > 0:
-                delta["counters"][key] = increment
-        for key, value in after["gauges"].items():
-            if key not in before["gauges"] or before["gauges"][key] != value:
-                delta["gauges"][key] = value
-        for key, state in after["histograms"].items():
-            prior = before["histograms"].get(key)
-            if prior is not None:
-                if state["count"] == prior["count"]:
-                    continue
-                state = dict(state)
-                state["counts"] = [
-                    count - prior_count
-                    for count, prior_count in zip(state["counts"], prior["counts"])
-                ]
-                state["count"] = state["count"] - prior["count"]
-                state["total"] = state["total"] - prior["total"]
-            if state["count"] > 0:
-                delta["histograms"][key] = state
-        return delta
-
-    def absorb_state(self, delta: Dict[str, Any]) -> None:
-        """Merge a :meth:`diff_states` delta into this registry's instruments."""
-        for (name, labels), increment in delta["counters"].items():
-            self.counter(name, **dict(labels)).inc(increment)
-        for (name, labels), value in delta["gauges"].items():
-            self.gauge(name, **dict(labels)).set(value)
-        for (name, labels), state in delta["histograms"].items():
-            self.histogram(name, **dict(labels)).absorb(state)
 
 
 #: The process-wide registry every instrumented module shares.

@@ -57,8 +57,6 @@ __all__ = [
     "region_breakdown",
     "leaf_coverage",
     "traced_regions",
-    "span_tree_to_dict",
-    "span_tree_from_dict",
 ]
 
 #: Process-wide monotonically increasing span identifiers.
@@ -128,36 +126,6 @@ class Span:
             "self_ms": round(self.self_time * 1000.0, 6),
             "tags": dict(self.tags),
         }
-
-
-def span_tree_to_dict(root: Span) -> Dict[str, Any]:
-    """Serialise one span subtree as a nested, picklable dict.
-
-    This is the wire format worker processes use to ship their trace
-    subtrees back to the parent (see :meth:`Tracer.adopt`): plain dicts of
-    JSON-compatible values, children nested under ``"children"``.
-    """
-    record = root.to_dict()
-    record["children"] = [span_tree_to_dict(child) for child in root.children]
-    return record
-
-
-def span_tree_from_dict(record: Dict[str, Any], parent_id: Optional[int] = None) -> Span:
-    """Rebuild a :class:`Span` subtree from a :func:`span_tree_to_dict` record.
-
-    The rebuilt spans get fresh ``span_id`` values from this process (the
-    worker's ids would collide across workers); durations are preserved by
-    synthesising monotonic times ``start=0, end=duration``.
-    """
-    rebuilt = Span(record["name"], dict(record.get("tags", {})), parent_id=parent_id)
-    rebuilt.start_wall = record.get("start", rebuilt.start_wall)
-    rebuilt.start = 0.0
-    rebuilt.end = record.get("duration_ms", 0.0) / 1000.0
-    rebuilt.children = [
-        span_tree_from_dict(child, parent_id=rebuilt.span_id)
-        for child in record.get("children", ())
-    ]
-    return rebuilt
 
 
 class _NullSpan:
@@ -280,54 +248,6 @@ class Tracer:
                 self._roots.append(closed)
                 del self._roots[: max(0, len(self._roots) - self._max_roots)]
 
-    # ----------------------------------------------------- worker-state merge
-    def reset_after_fork(self) -> None:
-        """Reset per-thread stacks and retained roots in a freshly forked worker.
-
-        ``fork`` copies the forking thread's thread-local open-span stack into
-        the child, where those spans belong to the *parent's* trace; a worker
-        must start from a clean slate so its subtrees are self-contained.
-        """
-        self._local = threading.local()
-        with self._lock:
-            self._roots = []
-
-    def root_mark(self) -> int:
-        """Return the current finished-root count (pair with :meth:`roots_since`)."""
-        with self._lock:
-            return len(self._roots)
-
-    def roots_since(self, mark: int) -> List[Span]:
-        """Return the finished roots recorded after :meth:`root_mark` returned ``mark``."""
-        with self._lock:
-            return list(self._roots[mark:])
-
-    def adopt(self, records: Sequence[Dict[str, Any]], **tags: Any) -> None:
-        """Attach serialised worker span subtrees to the current trace position.
-
-        Each record (a :func:`span_tree_to_dict` tree) is rebuilt and
-        re-parented under the span currently open on this thread — normally
-        the dispatching span of the parallel fan-out — or retained as a root
-        when no span is open.  Extra ``tags`` (e.g. ``worker_pid``) are set on
-        each adopted subtree root.  Adopted children ran concurrently, so the
-        dispatching span's self time (duration minus child durations) is
-        clamped at zero rather than meaningful.
-        """
-        if not self._enabled:
-            return
-        stack = self._stack()
-        parent = stack[-1] if stack else None
-        for record in records:
-            rebuilt = span_tree_from_dict(record, parent_id=parent.span_id if parent else None)
-            for key, value in tags.items():
-                rebuilt.set_tag(key, value)
-            if parent is not None:
-                parent.children.append(rebuilt)
-            else:
-                with self._lock:
-                    self._roots.append(rebuilt)
-                    del self._roots[: max(0, len(self._roots) - self._max_roots)]
-
     # ------------------------------------------------------------------ export
     def finished_roots(self) -> List[Span]:
         """Return the retained finished root spans, oldest first."""
@@ -369,7 +289,7 @@ def span(name: str, **tags: Any):
 
     Usage::
 
-        with span("denotation", region="denotation", backend="kraus") as sp:
+        with span("denotation", region="denotation", lifting="dense") as sp:
             ...
             sp.set_tag("cache", "hit")
     """

@@ -1,8 +1,8 @@
 """Smoke test of the unified scaling benchmark harness.
 
 Runs ``benchmarks/bench_scaling.py`` in ``--smoke`` mode against a temporary
-output path: the sweep must succeed, every backend × lifting combination must
-agree with the reference semantics, and the emitted JSON must follow the
+output path: the sweep must succeed, both liftings must agree with the
+reference semantics, and the emitted JSON must follow the
 ``BENCH_scaling.json`` schema documented in the README.
 """
 
@@ -25,55 +25,38 @@ def test_smoke_sweep_writes_schema_conformant_json(tmp_path):
     assert payload["benchmark"] == "bench_scaling"
     assert payload["smoke"] is True
     assert payload["passed"] is True
-    assert isinstance(payload["claims"], dict)
 
+    members = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values())
     results = payload["results"]
-    expected_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values()) * 4
-    assert len(results) == expected_cells
-    assert payload["jobs"] == 1
-    assert payload["cpu_count"] >= 1
+    assert len(results) == members * 2
     for entry in results:
         assert entry["agrees_with_reference"] is True
-        assert entry["backend"] in ("kraus", "transfer")
         assert entry["lifting"] in ("dense", "local")
-        assert entry["jobs"] == 1
         assert entry["seconds"] >= 0.0
         assert entry["num_qubits"] >= 2
+    claims = payload["claims"]
+    assert len(claims) == members
+    assert all(key.endswith("_kraus_local_speedup") for key in claims)
+    assert all(value > 0.0 for value in claims.values())
 
 
-def test_smoke_sweep_with_jobs_adds_parallel_cells(tmp_path):
-    out = tmp_path / "BENCH_scaling_parallel.json"
-    exit_code = bench_scaling.main(["--smoke", "--jobs", "2", "--out", str(out)])
-    assert exit_code == 0
-
-    payload = json.loads(out.read_text())
-    assert payload["jobs"] == 2
-    base_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values()) * 4
-    jobs_entries = [e for e in payload["results"] if e["jobs"] != 1]
-    serial_companions = payload["results"][base_cells:]
-    # One serial + one jobs=2 row per smoke jobs cell, all agreeing.
-    assert len(jobs_entries) == len(bench_scaling.JOBS_CELLS_SMOKE)
-    assert len(serial_companions) == 2 * len(bench_scaling.JOBS_CELLS_SMOKE)
-    assert all(e["agrees_with_reference"] for e in payload["results"])
-    assert any(key.endswith("_jobs2_speedup") for key in payload["claims"])
-
-
-def test_headline_claims_indexing():
+def test_local_speedups_indexing():
     results = [
-        {"workload": "grover", "size": 4, "backend": "transfer", "lifting": "dense", "seconds": 1.0},
-        {"workload": "grover", "size": 4, "backend": "transfer", "lifting": "local", "seconds": 0.25},
-        # A jobs-sweep row for the same cell must not perturb the local claim.
-        {"workload": "grover", "size": 4, "backend": "transfer", "lifting": "dense", "jobs": 4, "seconds": 0.3},
+        {"workload": "grover", "size": 4, "lifting": "dense", "seconds": 1.0},
+        {"workload": "grover", "size": 4, "lifting": "local", "seconds": 0.25},
+        # A member with only one lifting measured yields no ratio.
+        {"workload": "qwalk", "size": 16, "lifting": "dense", "seconds": 2.0},
     ]
-    claims = bench_scaling.headline_claims(results)
-    assert claims == {"grover4_transfer_local_speedup": 4.0}
+    claims = bench_scaling.local_speedups(results)
+    assert claims == {"grover4_kraus_local_speedup": 4.0}
 
 
-def test_jobs_claims_indexing():
-    results = [
-        {"workload": "qwalk", "size": 16, "backend": "transfer", "lifting": "dense", "jobs": 1, "seconds": 2.0},
-        {"workload": "qwalk", "size": 16, "backend": "transfer", "lifting": "dense", "jobs": 4, "seconds": 1.0},
+def test_disagreeing_cell_fails_the_payload():
+    payload = {
+        "results": [
+            {"workload": "qwalk", "size": 4, "lifting": "local", "agrees_with_reference": False}
+        ]
+    }
+    assert bench_scaling.check_payload(payload) == [
+        "qwalk size=4 local disagrees with the reference semantics"
     ]
-    claims = bench_scaling.jobs_claims(results, 4)
-    assert claims == {"qwalk16_transfer_jobs4_speedup": 2.0}
-    assert bench_scaling.jobs_claims(results, 1) == {}

@@ -14,7 +14,6 @@ import pytest
 from repro.analysis.static.analyzer import analyze_source
 from repro.assistant.verify import build_task
 from repro.fuzz import (
-    DEFAULT_COMBOS,
     GeneratorConfig,
     OracleConfig,
     generate_batch,
@@ -24,6 +23,7 @@ from repro.fuzz import (
 from repro.fuzz.differential import check_program, repro_line
 from repro.fuzz.generator import FGate, FuzzProgram
 from repro.language.parser import parse_annotated_program
+from repro.linalg.constants import ATOL
 
 #: The fixed sweep identity: every run checks the same 200 programs.
 SWEEP_SEED = 20260808
@@ -85,15 +85,12 @@ class TestGeneratorValidity:
 
 
 class TestDifferentialSweep:
-    """kraus/transfer × dense/local × jobs∈{1,2} agree on every fixed-seed draw."""
+    """Dense and local lifting agree on every fixed-seed draw."""
 
     def test_oracle_matrix_is_complete(self):
-        labels = {combo.label for combo in DEFAULT_COMBOS}
-        assert len(labels) == 8
-        for backend in ("kraus", "transfer"):
-            for lifting in ("dense", "local"):
-                for jobs in (1, 2):
-                    assert f"{backend}/{lifting}/j{jobs}" in labels
+        config = OracleConfig()
+        assert config.liftings == ("dense", "local")
+        assert config.atol == ATOL
 
     @pytest.mark.parametrize("chunk", range(SWEEP_COUNT // CHUNK))
     def test_all_representation_pairs_agree(self, chunk):
@@ -186,7 +183,7 @@ class TestDivergenceReporting:
         monkeypatch.setattr(differential, "set_equal", lambda *a, **k: False)
         monkeypatch.setattr(differential, "_assertions_close", lambda *a, **k: False)
         program = generate_program(SWEEP_SEED, 0)
-        config = OracleConfig(combos=DEFAULT_COMBOS[:2], check_prover=False)
+        config = OracleConfig(check_prover=False)
         divergences = check_program(program, config)
         assert divergences
         first = divergences[0]

@@ -7,7 +7,9 @@ Covers the two directions of the contract:
   the property is exercised non-vacuously);
 * **hash/eq consistency** — the regression the layer fixes: ``allclose``-equal
   objects straddling the old 1e-6 rounding boundary used to land in different
-  dict buckets because ``__hash__`` hashed rounded bytes.
+  dict buckets because ``__hash__`` hashed rounded bytes;
+* **options signatures** — every option field that can change a result is part
+  of the cache key, so no two differently-configured runs share an entry.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from repro.hashing import (
     digest_array,
     measurement_digest,
     node_digest,
+    options_signature,
     predicate_digest,
     superop_digest,
     tolerance_safe_hash,
@@ -31,11 +34,14 @@ from repro.linalg.random import (
     random_unitary,
     rng_from,
 )
+from repro.logic.prover import ProverOptions
 from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.predicate import QuantumPredicate
+from repro.semantics.denotational import DenotationOptions
+from repro.semantics.schedulers import ConstantScheduler
+from repro.semantics.wp import WpOptions
 from repro.superop.kraus import SuperOperator
 from repro.superop.local import LocalSuperOperator
-from repro.superop.transfer import TransferSuperOperator
 
 #: Perturbation scale well below the digest grid (1e-9): most perturbed pairs
 #: stay digest-equal, making the soundness property non-vacuous.
@@ -178,12 +184,11 @@ def test_boundary_straddling_superoperators_share_a_dict_bucket():
     assert hi in {lo: "cached"}
 
 
-def test_hash_consistent_across_all_three_representations():
+def test_hash_consistent_across_representations():
     dense = SuperOperator([H])
-    transfer = TransferSuperOperator.from_kraus([H])
     local = LocalSuperOperator.from_unitary(H, [0], 1)
-    assert dense == transfer and dense == local
-    assert hash(dense) == hash(transfer) == hash(local)
+    assert dense == local
+    assert hash(dense) == hash(local)
     assert hash(dense) == tolerance_safe_hash("superop", 2)
 
 
@@ -210,3 +215,52 @@ def test_node_digest_survives_id_reuse():
         digest = node_digest(node)
         assert digest == node_digest(Unitary(("q0",), "G2", gate))
         del node
+
+
+# ---------------------------------------------------------------------------
+# Options signatures (the option part of every result-cache key)
+# ---------------------------------------------------------------------------
+
+#: One non-default value for every field that can change a computed result.
+RESULT_CHANGING_FIELDS = [
+    (DenotationOptions, "max_iterations", 8),
+    (DenotationOptions, "convergence_tolerance", 1e-6),
+    (DenotationOptions, "sampled_schedulers", 3),
+    (DenotationOptions, "simplify_threshold", 16),
+    (DenotationOptions, "dedup", False),
+    (DenotationOptions, "lifting", "local"),
+    (WpOptions, "max_iterations", 8),
+    (WpOptions, "sampled_schedulers", 3),
+    (WpOptions, "convergence_tolerance", 1e-6),
+    (WpOptions, "lifting", "local"),
+    (ProverOptions, "epsilon", 1e-4),
+    (ProverOptions, "ranking_truncation", 16),
+    (ProverOptions, "check_rankings", False),
+    (ProverOptions, "lifting", "local"),
+]
+
+
+@pytest.mark.parametrize(
+    "options_type,field,value",
+    RESULT_CHANGING_FIELDS,
+    ids=[f"{t.__name__}.{f}" for t, f, _ in RESULT_CHANGING_FIELDS],
+)
+def test_options_signature_covers_every_result_changing_field(options_type, field, value):
+    default = options_signature(options_type())
+    changed = options_signature(options_type(**{field: value}))
+    assert changed is not None and default is not None
+    assert changed != default
+    assert changed == options_signature(options_type(**{field: value}))  # stable
+    hash(changed)
+
+
+def test_options_signature_separates_option_types():
+    # Equal field values on different option types must not share cache keys.
+    assert options_signature(DenotationOptions()) != options_signature(WpOptions())
+    assert options_signature(WpOptions()) != options_signature(ProverOptions())
+
+
+def test_explicit_schedulers_make_options_uncacheable():
+    assert options_signature(DenotationOptions(schedulers=[ConstantScheduler(0)])) is None
+    assert options_signature(WpOptions(schedulers=[ConstantScheduler(1)])) is None
+    assert options_signature(DenotationOptions(schedulers=None)) is not None

@@ -1,5 +1,7 @@
 """Unit tests for the program AST (Sec. 3.1)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,30 @@ class TestSugar:
         assert not deterministic.contains_while()
         nondeterministic = ndet(Skip(), Abort())
         assert not nondeterministic.is_deterministic()
+
+
+def _measurement():
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    return Measurement("m", p0, np.eye(2, dtype=complex) - p0)
+
+
+def _ast_nodes():
+    measurement = _measurement()
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    skip, abort = Skip(), Abort()
+    init = Init(("q",))
+    unitary = Unitary(("q",), "H", hadamard)
+    sequence = Seq((init, unitary))
+    choice = NDet((skip, unitary))
+    conditional = If(measurement, ("q",), unitary, skip)
+    loop = While(measurement, ("q",), sequence)
+    return [skip, abort, init, unitary, sequence, choice, conditional, loop]
+
+
+@pytest.mark.parametrize("node", _ast_nodes(), ids=lambda n: type(n).__name__)
+def test_ast_nodes_pickle_roundtrip(node):
+    assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_measurement_pickle_roundtrip():
+    assert pickle.loads(pickle.dumps(_measurement())) == _measurement()

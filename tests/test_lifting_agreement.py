@@ -1,10 +1,9 @@
-"""Cross-backend × cross-lifting agreement sweep (the ISSUE 5 acceptance test).
+"""Cross-lifting agreement sweep.
 
-Every case-study formula at register sizes 2–4 qubits is pushed through all
-four combinations of ``backend ∈ {kraus, transfer}`` and
+Every case-study formula at register sizes 2–4 qubits is pushed through both
 ``lifting ∈ {dense, local}``; the denotation sets, wp/wlp transformers and
-the prover verdicts must agree with the reference (``kraus``/``dense``) to
-the library tolerance ``ATOL``.
+the prover verdicts must agree with the reference (``dense``) to the library
+tolerance ``ATOL``.
 """
 
 import numpy as np
@@ -17,11 +16,9 @@ from repro.programs.errcorr import errcorr_formula
 from repro.programs.grover import grover_formula
 from repro.programs.qwalk import qwalk_formula, qwalk_invariant
 from repro.programs.rus import rus_formula, rus_invariant
-from repro.semantics.denotational import BACKENDS, LIFTINGS, DenotationOptions, denotation
+from repro.semantics.denotational import LIFTINGS, DenotationOptions, denotation
 from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
 from repro.superop.compare import set_equal
-
-COMBINATIONS = [(backend, lifting) for backend in BACKENDS for lifting in LIFTINGS]
 
 
 def sweep_cases():
@@ -43,12 +40,10 @@ CASES = list(sweep_cases())
 
 
 @pytest.mark.parametrize("name,formula,register,invariants", CASES, ids=[c[0] for c in CASES])
-@pytest.mark.parametrize("backend,lifting", COMBINATIONS, ids=[f"{b}-{l}" for b, l in COMBINATIONS])
-def test_denotations_agree_across_backend_and_lifting(name, formula, register, invariants, backend, lifting):
+@pytest.mark.parametrize("lifting", LIFTINGS)
+def test_denotations_agree_across_liftings(name, formula, register, invariants, lifting):
     reference = denotation(formula.program, register, DenotationOptions())
-    maps = denotation(
-        formula.program, register, DenotationOptions(backend=backend, lifting=lifting)
-    )
+    maps = denotation(formula.program, register, DenotationOptions(lifting=lifting))
     assert set_equal(reference, maps, atol=ATOL)
 
 
@@ -57,10 +52,10 @@ def test_denotations_agree_across_backend_and_lifting(name, formula, register, i
     [case for case in CASES if case[2].num_qubits <= 3],
     ids=[c[0] for c in CASES if c[2].num_qubits <= 3],
 )
-@pytest.mark.parametrize("backend,lifting", COMBINATIONS, ids=[f"{b}-{l}" for b, l in COMBINATIONS])
-def test_wp_and_wlp_agree_across_backend_and_lifting(name, formula, register, invariants, backend, lifting):
+@pytest.mark.parametrize("lifting", LIFTINGS)
+def test_wp_and_wlp_agree_across_liftings(name, formula, register, invariants, lifting):
     post = formula.postcondition
-    options = WpOptions(backend=backend, lifting=lifting)
+    options = WpOptions(lifting=lifting)
     reference_wp = weakest_precondition(formula.program, post, register, WpOptions())
     assert reference_wp.set_equal(
         weakest_precondition(formula.program, post, register, options)
@@ -71,11 +66,11 @@ def test_wp_and_wlp_agree_across_backend_and_lifting(name, formula, register, in
     )
 
 
-@pytest.mark.parametrize("backend,lifting", COMBINATIONS, ids=[f"{b}-{l}" for b, l in COMBINATIONS])
-def test_prover_verdicts_stable_across_backend_and_lifting(backend, lifting):
-    options = ProverOptions(backend=backend, lifting=lifting)
+@pytest.mark.parametrize("lifting", LIFTINGS)
+def test_prover_verdicts_stable_across_liftings(lifting):
+    options = ProverOptions(lifting=lifting)
     for name, formula, register, invariants in CASES:
         if register.num_qubits > 3:
             continue  # keep the prover sweep cheap; 4-qubit runs live in benchmarks
         report = verify_formula(formula, register, invariants or None, options=options)
-        assert report.verified, (name, backend, lifting)
+        assert report.verified, (name, lifting)

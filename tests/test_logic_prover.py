@@ -191,3 +191,26 @@ class TestProofOutlines:
         rules = report.outline.rules_used()
         assert rules[0] == "NDet"
         assert "Skip" in rules and "Abort" in rules
+
+
+def test_meas_rule_over_a_multi_predicate_postcondition_matches_wlp():
+    """(Meas) then (Union): one precondition per postcondition predicate, each the wlp."""
+    from repro.linalg.random import random_predicate_matrix
+    from repro.programs import errcorr_program, errcorr_register
+    from repro.semantics.wp import weakest_liberal_precondition
+
+    program, register = errcorr_program(3), errcorr_register(3)
+    target = next(node for node in program.walk() if isinstance(node, If))
+    post = QuantumAssertion(
+        [random_predicate_matrix(register.dimension, seed=seed) for seed in (7, 8, 9)]
+    )
+    formula = CorrectnessFormula(
+        QuantumAssertion.zero(register.num_qubits), target, post, CorrectnessMode.PARTIAL
+    )
+    report = verify_formula(formula, register)
+    assert report.verified
+    assert len(report.verification_condition.predicates) == 3
+    assert report.verification_condition.set_equal(
+        weakest_liberal_precondition(target, post, register)
+    )
+    assert report.outline.rules_used()[0] == "Meas+Union"

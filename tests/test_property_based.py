@@ -3,8 +3,9 @@
 The properties exercised here are the load-bearing facts the paper's theory
 rests on: structural closure of super-operators, the duality between channels
 and their adjoints, monotonicity of the ``⊑_inf`` order, soundness of the
-prover against the denotational semantics, and well-definedness of the
-mixed-state semantics (Example 3.3 generalised to random decompositions).
+prover against the denotational semantics, well-definedness of the
+mixed-state semantics (Example 3.3 generalised to random decompositions), and
+the algebraic laws of demonic choice, sequencing and conditionals.
 """
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.linalg.random import (
     random_state_vector,
     random_unitary,
 )
+from repro.linalg.tensor import embed_operator
 from repro.logic.formula import CorrectnessFormula, CorrectnessMode
 from repro.logic.prover import verify_formula
 from repro.logic.semantic_check import check_formula_semantically
@@ -47,15 +49,9 @@ from repro.registers import QubitRegister
 from repro.semantics.denotational import DenotationOptions, denotation
 from repro.semantics.wp import weakest_liberal_precondition, weakest_precondition
 from repro.superop.choi import choi_matrix, kraus_from_choi
-from repro.superop.compare import set_equal
+from repro.superop.compare import set_equal, set_subset
 from repro.superop.kraus import SuperOperator
-from repro.superop.transfer import (
-    TransferSuperOperator,
-    choi_from_transfer,
-    kraus_from_transfer,
-    transfer_from_choi,
-    transfer_matrix,
-)
+from repro.superop.local import LocalSuperOperator
 
 # A small pool of named single-qubit unitaries for program generation.
 _GATES = [("H", H), ("X", X), ("Y", Y), ("Z", Z), ("S", S_GATE)]
@@ -158,58 +154,46 @@ class TestSuperOperatorProperties:
 
 
 # ---------------------------------------------------------------------------
-# Representation round-trip properties (Kraus ↔ transfer ↔ Choi)
+# Representation round-trip properties (Kraus ↔ Choi, dense ↔ local lifting)
 # ---------------------------------------------------------------------------
 
 
 class TestRepresentationRoundTrips:
     @given(seed=seeds, count=st.integers(min_value=1, max_value=4))
     @_SETTINGS
-    def test_transfer_choi_reshuffle_is_lossless(self, seed, count):
-        """Transfer and Choi matrices hold the same entries up to a permutation."""
+    def test_kraus_choi_kraus_round_trip_preserves_the_map(self, seed, count):
         kraus = random_kraus_operators(4, count=count, trace_preserving=False, seed=seed)
-        transfer = transfer_matrix(kraus)
-        choi = choi_matrix(kraus)
-        assert np.allclose(choi_from_transfer(transfer), choi, atol=1e-12)
-        assert np.allclose(transfer_from_choi(choi), transfer, atol=1e-12)
-        # The reshuffle is an involution, exactly.
-        assert np.array_equal(transfer_from_choi(choi_from_transfer(transfer)), transfer)
-
-    @given(seed=seeds, count=st.integers(min_value=1, max_value=4))
-    @_SETTINGS
-    def test_kraus_transfer_kraus_round_trip_preserves_the_map(self, seed, count):
-        kraus = random_kraus_operators(4, count=count, trace_preserving=False, seed=seed)
-        recovered = kraus_from_transfer(transfer_matrix(kraus))
-        assert np.allclose(transfer_matrix(recovered), transfer_matrix(kraus), atol=1e-8)
-        via_choi = kraus_from_choi(choi_matrix(kraus))
+        recovered = kraus_from_choi(choi_matrix(kraus))
+        assert np.allclose(choi_matrix(recovered), choi_matrix(kraus), atol=1e-8)
         assert SuperOperator(recovered, validate=False).equals(
-            SuperOperator(via_choi, validate=False)
+            SuperOperator(kraus, validate=False)
         )
 
-    @given(seed=seeds)
+    @given(
+        seed=seeds,
+        positions=st.permutations([0, 1, 2]).flatmap(
+            lambda order: st.integers(min_value=1, max_value=3).map(lambda k: tuple(order[:k]))
+        ),
+    )
     @_SETTINGS
-    def test_transfer_application_agrees_with_kraus(self, seed):
-        kraus = random_kraus_operators(2, count=2, trace_preserving=False, seed=seed)
-        kraus_form = SuperOperator(kraus)
-        transfer_form = TransferSuperOperator.from_superoperator(kraus_form)
-        rho = random_partial_density_operator(2, seed=seed + 1)
-        observable = random_predicate_matrix(2, seed=seed + 2)
-        assert np.allclose(kraus_form.apply(rho), transfer_form.apply(rho), atol=1e-10)
-        assert np.allclose(
-            kraus_form.apply_adjoint(observable),
-            transfer_form.apply_adjoint(observable),
-            atol=1e-10,
-        )
-        assert transfer_form.equals(kraus_form) and kraus_form.equals(transfer_form)
+    def test_local_application_agrees_with_kraus(self, seed, positions):
+        kraus = random_kraus_operators(2 ** len(positions), count=2, trace_preserving=False, seed=seed)
+        local = LocalSuperOperator(kraus, positions, 3)
+        dense = SuperOperator([embed_operator(k, positions, 3) for k in kraus])
+        rho = random_density_operator(8, seed=seed + 1)
+        observable = random_predicate_matrix(8, seed=seed + 2)
+        assert np.allclose(local.apply(rho), dense.apply(rho), atol=1e-10)
+        assert np.allclose(local.apply_adjoint(observable), dense.apply_adjoint(observable), atol=1e-10)
+        assert local.equals(dense)
 
     @given(program=loop_free_programs())
     @_SETTINGS
-    def test_backends_compute_equal_denotation_sets(self, program):
+    def test_liftings_compute_equal_denotation_sets(self, program):
         register = QubitRegister(["q"])
-        kraus_maps = denotation(program, register, DenotationOptions(backend="kraus"))
-        transfer_maps = denotation(program, register, DenotationOptions(backend="transfer"))
-        assert len(kraus_maps) == len(transfer_maps)
-        assert set_equal(kraus_maps, transfer_maps, atol=1e-8)
+        dense_maps = denotation(program, register, DenotationOptions(lifting="dense"))
+        local_maps = denotation(program, register, DenotationOptions(lifting="local"))
+        assert len(dense_maps) == len(local_maps)
+        assert set_equal(dense_maps, local_maps, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +284,41 @@ class TestSemanticsProperties:
         )
         assert wlp.expectation(rho) == pytest.approx(direct, abs=1e-7)
 
+    @given(
+        program=loop_free_programs(),
+        seed=seeds,
+        scale=st.floats(min_value=0.05, max_value=1.0),
+    )
+    @_SETTINGS
+    def test_wp_is_linear_and_wlp_of_zero_is_the_divergence_probability(
+        self, program, seed, scale
+    ):
+        """``wp.S.(c·M)`` is ``c · wp.S.M``; ``wlp.S.0`` holds one ``I − E†(I)`` per branch.
+
+        Checked on expectations at a random state: scaling the postcondition
+        scales the guaranteed expectation, and every branch ``E`` of ``[[S]]``
+        has a predicate in ``wlp.S.0`` whose expectation is the probability
+        ``1 − tr E(ρ)`` that the branch diverges.
+        """
+        register = QubitRegister(["q"])
+        matrix = random_predicate_matrix(2, seed=seed)
+        post = QuantumAssertion([matrix])
+        scaled = QuantumAssertion([scale * matrix])
+        rho = random_density_operator(2, seed=seed + 1)
+        channels = denotation(program, register)
+        wp = weakest_precondition(program, post, register)
+        assert weakest_precondition(program, scaled, register).expectation(rho) == pytest.approx(
+            scale * wp.expectation(rho), abs=1e-7
+        )
+        zero = QuantumAssertion([np.zeros((2, 2), dtype=complex)])
+        gaps = weakest_liberal_precondition(program, zero, register)
+        for channel in channels:
+            output = channel.apply(rho)
+            gap = 1.0 - float(np.real(np.trace(output)))
+            assert any(
+                abs(predicate.expectation(rho) - gap) <= 1e-7 for predicate in gaps.predicates
+            )
+
     @given(program=loop_free_programs(), seed=seeds)
     @_SETTINGS
     def test_prover_is_sound_on_random_programs(self, program, seed):
@@ -327,3 +346,59 @@ class TestSemanticsProperties:
         assert report.verified
         expected = weakest_liberal_precondition(program, post, register)
         assert report.verification_condition.set_equal(expected)
+
+
+# ---------------------------------------------------------------------------
+# Algebraic laws of the lifted semantics on random programs
+# ---------------------------------------------------------------------------
+
+
+def _equivalent(first, second):
+    register = QubitRegister(["q"])
+    return set_equal(denotation(first, register), denotation(second, register), atol=1e-8)
+
+
+def _refines(implementation, specification):
+    register = QubitRegister(["q"])
+    return set_subset(
+        denotation(implementation, register), denotation(specification, register), atol=1e-8
+    )
+
+
+class TestProgramAlgebraProperties:
+    """Laws that follow from ``[[S]]`` being a set of super-operators (Sec. 3)."""
+
+    @given(first=loop_free_programs(), second=loop_free_programs())
+    @_SETTINGS
+    def test_choice_is_commutative_and_idempotent(self, first, second):
+        assert _equivalent(ndet(first, second), ndet(second, first))
+        assert _equivalent(ndet(first, first), first)
+
+    @given(first=loop_free_programs(), second=loop_free_programs(), third=loop_free_programs())
+    @_SETTINGS
+    def test_sequencing_is_associative(self, first, second, third):
+        assert _equivalent(seq(seq(first, second), third), seq(first, seq(second, third)))
+
+    @given(first=loop_free_programs(), second=loop_free_programs(), third=loop_free_programs())
+    @_SETTINGS
+    def test_sequencing_distributes_over_choice(self, first, second, third):
+        assert _equivalent(
+            seq(ndet(first, second), third), ndet(seq(first, third), seq(second, third))
+        )
+        assert _equivalent(
+            seq(third, ndet(first, second)), ndet(seq(third, first), seq(third, second))
+        )
+
+    @given(first=loop_free_programs(), second=loop_free_programs(), third=loop_free_programs())
+    @_SETTINGS
+    def test_conditional_distributes_over_choice_in_a_branch(self, first, second, third):
+        def branch(then_branch):
+            return If(MEAS_COMPUTATIONAL, ("q",), then_branch, third)
+
+        assert _equivalent(branch(ndet(first, second)), ndet(branch(first), branch(second)))
+
+    @given(first=loop_free_programs(), second=loop_free_programs())
+    @_SETTINGS
+    def test_every_program_refines_its_choice_with_another(self, first, second):
+        assert _refines(first, ndet(first, second))
+        assert _refines(second, ndet(first, second))

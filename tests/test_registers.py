@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.registers.QubitRegister`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,10 @@ class TestAlgebra:
         program = seq(Init(("q2",)), Unitary(("q1",), "X", X))
         register = QubitRegister.for_program(program)
         assert register.names == ("q1", "q2")
+
+
+def test_register_pickle_roundtrip():
+    register = QubitRegister(("a", "b", "c"))
+    clone = pickle.loads(pickle.dumps(register))
+    assert clone.names == register.names
+    assert clone.dimension == register.dimension

@@ -1,12 +1,16 @@
 """Tests of the process-wide result cache and its hot-path wiring.
 
 Covers the :class:`~repro.cache.ResultCache` mechanics (LRU bound, counters,
-``cache_stats()``), the prover's content-digest memo (structurally identical
+``cache_stats()``, the atomic ``get_or_set``), the prover's content-digest memo (structurally identical
 subprograms share one annotation; a single-branch edit reuses ≥ 50 % of the
-per-subterm annotations — the ISSUE 6 acceptance criterion), honoring of
-caller tolerances after the de-clamping, and a cached-vs-uncached correctness
-sweep over the case-study formulas at 2–4 qubits × backend × lifting.
+per-subterm annotations), honoring of caller tolerances after the
+de-clamping, a cached-vs-uncached correctness sweep over the case-study
+formulas at 2–4 qubits × lifting, and a reproducibility sweep: cold, warm and
+uncached runs of denotation, wp/wlp and the prover return identical results
+in identical order.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -21,8 +25,11 @@ from repro.predicates.predicate import QuantumPredicate
 from repro.programs.deutsch import deutsch_formula
 from repro.programs.errcorr import errcorr_formula
 from repro.programs.grover import grover_formula
+from repro.programs.qwalk import qwalk_formula, qwalk_invariant
+from repro.programs.rus import rus_formula, rus_invariant
 from repro.registers import QubitRegister
-from repro.semantics.denotational import BACKENDS, LIFTINGS, DenotationOptions, denotation
+from repro.semantics.denotational import LIFTINGS, DenotationOptions, denotation
+from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
 
@@ -74,6 +81,50 @@ def test_result_cache_none_key_bypasses_and_disable_switch():
     assert cache.lookup("r", "k") is MISS
     cache.configure(enabled=True)
     assert cache.stats()["enabled"] is True
+
+
+class TestGetOrSet:
+    """``ResultCache.get_or_set`` looks up and inserts under one lock hold."""
+
+    def test_hit_and_miss_counters_bump_exactly_once(self):
+        cache = ResultCache(maxsize=8)
+        assert cache.get_or_set("r", "k", 1) == 1  # miss, inserts
+        assert cache.get_or_set("r", "k", 2) == 1  # hit, keeps first value
+        stats = cache.stats()["regions"]["r"]
+        assert stats == {"hits": 1, "misses": 1, "evictions": 0}
+
+    def test_uncacheable_key_returns_default_untouched(self):
+        cache = ResultCache(maxsize=8)
+        assert cache.get_or_set("r", None, "d") == "d"
+        assert cache.stats()["regions"] == {}
+
+    def test_concurrent_racers_agree_on_one_value(self):
+        cache = ResultCache(maxsize=64)
+        barrier = threading.Barrier(8)
+        winners = []
+
+        def race(token):
+            barrier.wait()
+            winners.append(cache.get_or_set("race", "key", token))
+
+        threads = [threading.Thread(target=race, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # Exactly one insert won; every thread observed the winner's value,
+        # and hit + miss counts account for all eight calls with one miss.
+        assert len(set(winners)) == 1
+        stats = cache.stats()["regions"]["race"]
+        assert stats["misses"] == 1
+        assert stats["hits"] == 7
+
+    def test_eviction_still_bounded(self):
+        cache = ResultCache(maxsize=2)
+        for index in range(5):
+            cache.get_or_set("r", f"k{index}", index)
+        assert cache.stats()["size"] == 2
+        assert cache.stats()["regions"]["r"]["evictions"] == 3
 
 
 def test_cache_stats_reports_process_wide_regions():
@@ -182,36 +233,35 @@ def _sweep_cases():
 
 
 _CASES = list(_sweep_cases())
-_COMBINATIONS = [(backend, lifting) for backend in BACKENDS for lifting in LIFTINGS]
 
 
-@pytest.mark.parametrize("backend,lifting", _COMBINATIONS, ids=[f"{b}-{l}" for b, l in _COMBINATIONS])
-def test_cached_and_uncached_runs_agree(backend, lifting):
+@pytest.mark.parametrize("lifting", LIFTINGS)
+def test_cached_and_uncached_runs_agree(lifting):
     for name, formula, register in _CASES:
-        options = DenotationOptions(backend=backend, lifting=lifting)
+        options = DenotationOptions(lifting=lifting)
         RESULT_CACHE.configure(enabled=False)
         uncached_maps = denotation(formula.program, register, options)
         RESULT_CACHE.configure(enabled=True)
         clear_result_cache()
         denotation(formula.program, register, options)  # populate
         cached_maps = denotation(formula.program, register, options)  # served from cache
-        assert set_equal(uncached_maps, cached_maps, atol=ATOL), (name, backend, lifting)
+        assert set_equal(uncached_maps, cached_maps, atol=ATOL), (name, lifting)
 
         if register.num_qubits > 3:
             continue  # prover sweep stays cheap, as in tier-1
-        prover_options = ProverOptions(backend=backend, lifting=lifting)
+        prover_options = ProverOptions(lifting=lifting)
         RESULT_CACHE.configure(enabled=False)
         uncached_report = verify_formula(formula, register, options=prover_options)
         RESULT_CACHE.configure(enabled=True)
         clear_result_cache()
         verify_formula(formula, register, options=prover_options)
         cached_report = verify_formula(formula, register, options=prover_options)
-        assert cached_report.verified == uncached_report.verified, (name, backend, lifting)
+        assert cached_report.verified == uncached_report.verified, (name, lifting)
         uncached_vc = uncached_report.verification_condition
         cached_vc = cached_report.verification_condition
         assert len(uncached_vc.predicates) == len(cached_vc.predicates)
         for mine, theirs in zip(uncached_vc.predicates, cached_vc.predicates):
-            assert np.allclose(mine.matrix, theirs.matrix, atol=ATOL), (name, backend, lifting)
+            assert np.allclose(mine.matrix, theirs.matrix, atol=ATOL), (name, lifting)
 
 
 def test_explicit_schedulers_bypass_the_cache():
@@ -223,3 +273,101 @@ def test_explicit_schedulers_bypass_the_cache():
     stats = cache_stats()
     assert _region(stats, "denotation")["misses"] == 0
     assert _region(stats, "denotation")["hits"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Cold, warm and uncached runs are identical, in identical order
+# ---------------------------------------------------------------------------
+
+
+def _reproducibility_cases():
+    """Yield ``(name, formula, register, invariants)`` across sizes 2–4 qubits."""
+    yield "deutsch", *deutsch_formula(), []
+    for qubits in (2, 3, 4):
+        yield f"grover{qubits}", *grover_formula(qubits, layout="gates"), []
+    for positions in (4, 8, 16):
+        formula, register = qwalk_formula(positions)
+        yield f"qwalk{positions}", formula, register, [qwalk_invariant(positions)]
+    for code_size in (3, 4):
+        yield f"errcorr{code_size}", *errcorr_formula(num_data_qubits=code_size), []
+    formula, register = rus_formula()
+    yield "rus", formula, register, [rus_invariant()]
+
+
+_REPRODUCIBILITY_CASES = list(_reproducibility_cases())
+_SMALL_CASES = [case for case in _REPRODUCIBILITY_CASES if case[2].num_qubits <= 3]
+
+
+def _cold_warm_uncached(region, compute):
+    """Run ``compute`` from an empty cache, again from the warm cache, then uncached."""
+    clear_result_cache()
+    cold = compute()
+    before = _region(cache_stats(), region)
+    warm = compute()
+    after = _region(cache_stats(), region)
+    assert after["hits"] > before["hits"], f"warm run was not served by the {region} cache"
+    assert after["misses"] == before["misses"], f"warm run recomputed a {region} entry"
+    RESULT_CACHE.configure(enabled=False)
+    try:
+        uncached = compute()
+    finally:
+        RESULT_CACHE.configure(enabled=True)
+    return cold, warm, uncached
+
+
+def _assert_same_matrices_in_order(reference, others, label):
+    for other in others:
+        assert len(other) == len(reference), label
+        for position, (a, b) in enumerate(zip(reference, other)):
+            assert np.allclose(a, b, atol=ATOL), (label, position)
+
+
+@pytest.mark.parametrize(
+    "name,formula,register,invariants",
+    _REPRODUCIBILITY_CASES,
+    ids=[case[0] for case in _REPRODUCIBILITY_CASES],
+)
+@pytest.mark.parametrize("lifting", LIFTINGS)
+def test_denotation_runs_are_reproducible(name, formula, register, invariants, lifting):
+    options = DenotationOptions(lifting=lifting)
+    runs = _cold_warm_uncached(
+        "denotation", lambda: denotation(formula.program, register, options)
+    )
+    cold = runs[0]
+    # Identical ordering AND identical elements to ATOL, not just set equality.
+    for other in runs[1:]:
+        assert len(other) == len(cold), name
+        for position, (a, b) in enumerate(zip(cold, other)):
+            assert a.equals(b, atol=ATOL), (name, position)
+
+
+@pytest.mark.parametrize(
+    "name,formula,register,invariants", _SMALL_CASES, ids=[case[0] for case in _SMALL_CASES]
+)
+@pytest.mark.parametrize("lifting", LIFTINGS)
+def test_wp_and_wlp_runs_are_reproducible(name, formula, register, invariants, lifting):
+    program, post = formula.program, formula.postcondition
+    options = WpOptions(lifting=lifting)
+    for label, transform in (("wp", weakest_precondition), ("wlp", weakest_liberal_precondition)):
+        cold, warm, uncached = _cold_warm_uncached(
+            "wp",
+            lambda: [p.matrix for p in transform(program, post, register, options).predicates],
+        )
+        _assert_same_matrices_in_order(cold, (warm, uncached), (name, label))
+
+
+@pytest.mark.parametrize(
+    "name,formula,register,invariants", _SMALL_CASES, ids=[case[0] for case in _SMALL_CASES]
+)
+@pytest.mark.parametrize("lifting", LIFTINGS)
+def test_prover_runs_are_reproducible(name, formula, register, invariants, lifting):
+    options = ProverOptions(lifting=lifting)
+    reports = _cold_warm_uncached(
+        "prover", lambda: verify_formula(formula, register, invariants or None, options=options)
+    )
+    assert all(report.verified for report in reports), name
+    assert reports[1].messages == reports[0].messages  # replayed, not dropped
+    conditions = [
+        [p.matrix for p in report.verification_condition.predicates] for report in reports
+    ]
+    _assert_same_matrices_in_order(conditions[0], conditions[1:], name)

@@ -1,5 +1,7 @@
 """Unit tests for the lifted denotational semantics (Fig. 2, Lemmas 3.1–3.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,11 @@ from repro.language.ast import (
 from repro.linalg.constants import H, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.states import density, ket, maximally_mixed, minus_state, plus_state
+from repro.logic.checker import check_rule
+from repro.logic.formula import CorrectnessFormula, CorrectnessMode
+from repro.logic.prover import ProverOptions
+from repro.predicates.assertion import QuantumAssertion
+from repro.programs import nondeterministic_rus_program, rus_program
 from repro.registers import QubitRegister
 from repro.semantics.denotational import (
     DenotationOptions,
@@ -27,7 +34,8 @@ from repro.semantics.denotational import (
     loop_iterates,
     measurement_superoperators,
 )
-from repro.semantics.schedulers import ConstantScheduler
+from repro.semantics.schedulers import ConstantScheduler, FunctionScheduler
+from repro.semantics.wp import WpOptions
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
 
@@ -176,3 +184,79 @@ class TestMeasurementSuperoperators:
         p0, p1 = measurement_superoperators(statement, q_register)
         assert operators_close(p0.apply(density(plus_state())), 0.5 * density(ket("0")))
         assert operators_close(p1.apply(density(plus_state())), 0.5 * density(ket("1")))
+
+
+class TestLoopPrefixCache:
+    def test_schedulers_share_the_empty_prefix(self):
+        program = nondeterministic_rus_program()
+        loop = next(node for node in program.walk() if isinstance(node, While))
+        register = QubitRegister(["q"])
+        options = DenotationOptions(max_iterations=12, convergence_tolerance=0.0)
+        bodies = denotation(loop.body, register, options)
+        cache = {}
+        for scheduler in (ConstantScheduler(0), ConstantScheduler(1)):
+            cached_chain = loop_iterates(
+                loop, register, bodies, scheduler, options, prefix_cache=cache
+            )
+            rolling_chain = loop_iterates(loop, register, bodies, scheduler, options)
+            assert len(cached_chain) == len(rolling_chain)
+            for cached, rolling in zip(cached_chain, rolling_chain):
+                assert cached.equals(rolling, atol=1e-8)
+        # The empty prefix is shared; each constant scheduler contributes its own
+        # chain of choice-keyed prefixes on top of it.
+        assert () in cache
+        assert len(cache) == 2 * 12 + 1
+
+    def test_prefix_cache_reuse_gives_identical_results(self):
+        program = rus_program()
+        register = QubitRegister(["q"])
+        loop = next(node for node in program.walk() if isinstance(node, While))
+        options = DenotationOptions(max_iterations=10, convergence_tolerance=0.0)
+        bodies = denotation(loop.body, register, options)
+        scheduler = ConstantScheduler(0)
+        cold = loop_iterates(loop, register, bodies, scheduler, options)
+        cache = {}
+        warm_first = loop_iterates(loop, register, bodies, scheduler, options, prefix_cache=cache)
+        populated = dict(cache)
+        warm_second = loop_iterates(loop, register, bodies, scheduler, options, prefix_cache=cache)
+        assert populated.keys() == cache.keys()
+        for a, b, c in zip(cold, warm_first, warm_second):
+            assert len(b.kraus_operators) == len(c.kraus_operators)
+            assert all(
+                np.array_equal(x, y) for x, y in zip(b.kraus_operators, c.kraus_operators)
+            )
+            assert a.equals(b, atol=1e-10)
+
+
+def test_unknown_lifting_is_rejected():
+    with pytest.raises(SemanticsError):
+        DenotationOptions(lifting="sparse")
+    with pytest.raises(SemanticsError):
+        WpOptions(lifting="locall")
+    with pytest.raises(SemanticsError):
+        ProverOptions(lifting="Dense")
+    identity = QuantumAssertion.identity(1)
+    conclusion = CorrectnessFormula(identity, Skip(), identity, CorrectnessMode.PARTIAL)
+    with pytest.raises(SemanticsError):
+        check_rule("Skip", conclusion, register=QubitRegister(["q"]), lifting="lazy")
+
+
+def test_denotation_options_pickle_roundtrip():
+    options = DenotationOptions(lifting="local", max_iterations=16)
+    assert pickle.loads(pickle.dumps(options)) == options
+
+
+def test_explicit_function_scheduler_matches_constant_scheduler():
+    # A scheduler given as a plain function (here an unpicklable lambda) is
+    # used as is: it resolves every choice like the constant scheduler it mimics.
+    from repro.programs import qwalk_program, qwalk_register
+
+    program, register = qwalk_program(4), qwalk_register(4)
+    by_function = denotation(
+        program,
+        register,
+        DenotationOptions(schedulers=[FunctionScheduler(lambda iteration, choices: 0)]),
+    )
+    by_constant = denotation(program, register, DenotationOptions(schedulers=[ConstantScheduler(0)]))
+    assert len(by_function) == len(by_constant) == 1
+    assert by_function[0].equals(by_constant[0], atol=1e-10)

@@ -55,6 +55,15 @@ class TestSetComparisons:
         assert set_equal([identity, hadamard], [hadamard, identity])
         assert not set_equal([identity], [identity, hadamard])
 
+    def test_set_comparisons_tolerate_mixed_dimensions(self):
+        small = SuperOperator.identity(2)
+        large = SuperOperator.identity(4)
+        assert set_subset([small], [small, large])
+        assert set_subset([small, large], [large, small])
+        assert not set_subset([small], [large])
+        assert not set_equal([small], [large])
+        assert len(deduplicate([small, large, small, large])) == 2
+
 
 class TestChains:
     def test_lub_of_valid_chain(self):

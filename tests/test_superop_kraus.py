@@ -1,5 +1,7 @@
 """Unit tests for :class:`repro.superop.kraus.SuperOperator`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,8 @@ class TestOrderingAndEquality:
         assert SuperOperator([P0]).probability_bound() == pytest.approx(1.0)
         assert SuperOperator.scalar(0.3, 2).probability_bound() == pytest.approx(0.3)
         assert SuperOperator.zero(2).probability_bound() == pytest.approx(0.0)
+
+
+def test_superoperator_pickle_roundtrip():
+    kraus = SuperOperator([np.kron(H, np.eye(2))])
+    assert pickle.loads(pickle.dumps(kraus)).equals(kraus)

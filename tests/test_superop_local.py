@@ -3,8 +3,10 @@
 Covers the tensor-level contraction helpers of :mod:`repro.linalg.tensor`
 (local products agree with materialised dense embeddings) and the
 :class:`repro.superop.local.LocalSuperOperator` algebra, including its
-interoperation with the Kraus and transfer representations.
+interoperation with the Kraus representation.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from repro.linalg.tensor import (
 from repro.registers import QubitRegister
 from repro.superop.kraus import SuperOperator
 from repro.superop.local import LocalSuperOperator
-from repro.superop.transfer import TransferSet, TransferSuperOperator
 
 
 def random_matrix(rng, side, batch=None):
@@ -102,11 +103,10 @@ def test_local_compose_stays_local_on_union_support():
     assert composed.equals(h1.to_superoperator().compose(cx.to_superoperator()))
 
 
-def test_local_compose_with_dense_representations():
+def test_local_compose_with_dense_kraus():
     n = 3
     local = LocalSuperOperator.from_unitary(H, (2,), n)
     dense = LocalSuperOperator.from_unitary(CX, (0, 1), n).to_superoperator()
-    transfer = TransferSuperOperator.from_kraus(dense.kraus_operators)
     reference = local.to_superoperator().compose(dense)
 
     forward = local.compose(dense)
@@ -114,11 +114,6 @@ def test_local_compose_with_dense_representations():
     backward = dense.compose(local)
     assert isinstance(backward, SuperOperator)
     assert backward.equals(dense.compose(local.to_superoperator()))
-    t_forward = local.compose(transfer)
-    assert isinstance(t_forward, TransferSuperOperator) and t_forward.equals(reference)
-    t_backward = transfer.compose(local)
-    assert isinstance(t_backward, TransferSuperOperator)
-    assert t_backward.equals(transfer.compose(local.to_transfer()))
 
 
 def test_local_sum_and_scaling():
@@ -130,7 +125,6 @@ def test_local_sum_and_scaling():
     dense = 0.25 * a.to_superoperator() + 0.75 * b.to_superoperator()
     assert mixed.equals(dense)
     assert (0.25 * a + 0.75 * b.to_superoperator()).equals(dense)
-    assert (0.25 * a + 0.75 * b.to_transfer()).equals(dense)
     assert mixed.is_trace_nonincreasing()
     assert mixed.probability_bound() == pytest.approx(1.0)
 
@@ -181,7 +175,7 @@ def test_mixed_representation_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         LocalSuperOperator.identity(3).compose(SuperOperator.identity(16))
     with pytest.raises(DimensionMismatchError):
-        TransferSuperOperator.identity(16) + LocalSuperOperator.identity(3)
+        SuperOperator.identity(16) + LocalSuperOperator.identity(3)
 
 
 def test_local_validation_errors():
@@ -195,17 +189,114 @@ def test_local_validation_errors():
         LocalSuperOperator([2.0 * np.eye(2)], (0,), 2)  # not trace non-increasing
 
 
-def test_transfer_set_local_application():
-    n = 3
-    local = LocalSuperOperator.from_unitary(H, (1,), n)
-    rng = np.random.default_rng(3)
-    stack = TransferSet(
-        np.stack([TransferSuperOperator.from_unitary(np.eye(8)).matrix for _ in range(2)])
-    )
-    small_t, positions = local.small_transfer(), local.transfer_positions()
-    left = stack.then_each_local(small_t, positions)
-    right = stack.after_each_local(small_t, positions)
-    dense_t = local.to_transfer()
-    for index in range(2):
-        assert left[index].equals(dense_t.compose(stack[index]))
-        assert right[index].equals(stack[index].compose(dense_t))
+def test_local_superoperator_pickle_roundtrip():
+    local = LocalSuperOperator.from_unitary(H, (0,), 2)
+    assert pickle.loads(pickle.dumps(local)).equals(local)
+
+
+# ---------------------------------------------------------------------------
+# Random local maps agree with their dense embeddings, support by support
+# ---------------------------------------------------------------------------
+
+#: Supports inside a 3-qubit register: single factors, non-contiguous pairs,
+#: reversed and permuted orders (the tensor-leg permutations most likely to go wrong).
+SUPPORTS = [(0,), (2,), (1, 0), (0, 2), (2, 0, 1)]
+SUPPORT_IDS = ["-".join(map(str, support)) for support in SUPPORTS]
+
+
+def _random_local_pair(positions, seed, num_qubits=3):
+    """Return a random trace non-increasing local map and its dense embedding."""
+    from repro.linalg.random import random_kraus_operators
+
+    smalls = random_kraus_operators(2 ** len(positions), count=2, trace_preserving=False, seed=seed)
+    local = LocalSuperOperator(smalls, positions, num_qubits)
+    dense = SuperOperator([embed_operator(k, positions, num_qubits) for k in smalls])
+    return local, dense
+
+
+@pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+def test_random_local_map_matches_dense_embedding(positions):
+    from repro.linalg.random import random_density_operator, random_predicate_matrix
+
+    local, dense = _random_local_pair(positions, seed=1)
+    rho = random_density_operator(8, seed=2)
+    observable = random_predicate_matrix(8, seed=3)
+    assert np.allclose(local.apply(rho), dense.apply(rho), atol=1e-10)
+    assert np.allclose(local.apply_adjoint(observable), dense.apply_adjoint(observable), atol=1e-10)
+    assert np.allclose(local.choi(), dense.choi(), atol=1e-10)
+    assert np.allclose(local.kraus_gram(), dense.kraus_gram(), atol=1e-10)
+    assert local.probability_bound() == pytest.approx(dense.probability_bound(), abs=1e-10)
+    assert local.is_trace_nonincreasing() and not local.is_trace_preserving()
+
+
+@pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+def test_local_adjoint_map_matches_dense_adjoint(positions):
+    from repro.linalg.random import random_predicate_matrix
+
+    local, dense = _random_local_pair(positions, seed=4)
+    observable = random_predicate_matrix(8, seed=5)
+    adjoint = local.adjoint()
+    assert isinstance(adjoint, LocalSuperOperator)
+    assert adjoint.positions == local.positions
+    assert np.allclose(adjoint.apply(observable), dense.apply_adjoint(observable), atol=1e-10)
+    assert adjoint.adjoint().equals(dense)
+
+
+@pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+def test_local_compose_matches_dense_compose(positions):
+    local, dense = _random_local_pair(positions, seed=6)
+    other_local, other_dense = _random_local_pair((1,), seed=7)
+    composed = local.compose(other_local)
+    assert isinstance(composed, LocalSuperOperator)
+    assert composed.support == tuple(sorted(set(positions) | {1}))
+    assert composed.equals(dense.compose(other_dense))
+    assert (local @ other_local).equals(composed)
+    assert local.then(other_local).equals(other_dense.compose(dense))
+
+
+@pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+def test_local_sum_and_scaling_match_dense(positions):
+    local, dense = _random_local_pair(positions, seed=8)
+    other_local, other_dense = _random_local_pair((2, 1), seed=9)
+    mixed = 0.5 * local + 0.5 * other_local
+    assert isinstance(mixed, LocalSuperOperator)
+    assert mixed.equals(0.5 * dense + 0.5 * other_dense)
+    assert (0.25 * local).equals(0.25 * dense)
+    with pytest.raises(SuperOperatorError):
+        local * -0.5
+
+
+@pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+def test_local_equality_and_order_are_representation_independent(positions):
+    local, dense = _random_local_pair(positions, seed=10)
+    assert local.equals(dense) and dense.equals(local)
+    assert local == dense and hash(local) == hash(dense)
+    other_local, other_dense = _random_local_pair(positions, seed=11)
+    assert not local.equals(other_local)
+    assert not local.equals(other_dense)
+    half = 0.5 * local
+    assert half.precedes(local) and half.precedes(dense)
+    assert (0.5 * dense).precedes(local)
+    assert not local.precedes(half)
+
+
+@pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+def test_local_simplified_preserves_a_random_map(positions):
+    local, dense = _random_local_pair(positions, seed=12)
+    redundant = 0.5 * local + 0.5 * local  # twice the Kraus operators, same map
+    assert len(redundant.small_kraus) == 2 * len(local.small_kraus)
+    simplified = redundant.simplified()
+    assert isinstance(simplified, LocalSuperOperator)
+    assert simplified.equals(dense)
+    assert len(simplified.small_kraus) <= len(local.small_kraus)
+
+
+def test_set_comparisons_accept_mixed_representations():
+    from repro.superop.compare import deduplicate, set_equal, set_subset
+
+    local_a, dense_a = _random_local_pair((0, 2), seed=13)
+    local_b, dense_b = _random_local_pair((1,), seed=14)
+    assert set_equal([dense_a, dense_b], [local_b, local_a])
+    assert set_subset([local_a], [dense_a, dense_b])
+    assert not set_subset([local_a], [dense_b])
+    assert len(deduplicate([dense_a, local_a, local_b])) == 2

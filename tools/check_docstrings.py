@@ -26,7 +26,6 @@ DEFAULT_TARGETS = (
     "src/repro/superop",
     "src/repro/semantics",
     "src/repro/programs",
-    "src/repro/parallel",
     "src/repro/analysis/static",
     "src/repro/fuzz",
 )

@@ -159,7 +159,7 @@ def main(argv=None) -> int:
                 report_failure(program, divergences, args, oracle_config)
             )
         else:
-            print(f"index {args.index}: all combinations agree")
+            print(f"index {args.index}: both liftings agree")
         failures = payload["failures"]
     else:
         programs = [
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
         print(
             f"checked {report.programs_checked} programs "
             f"({report.loop_free} loop-free, {report.with_loops} with loops) "
-            f"across {len(report.combos)} combos: "
+            f"across {len(report.liftings)} liftings: "
             f"{len(failures)} divergent program(s)"
         )
 
