@@ -10,9 +10,10 @@ quantum variables:
 * ``[[if]] = [[S0]] ∘ P⁰ + [[S1]] ∘ P¹`` element-wise;
 * ``[[while]]`` is the set of least upper bounds of the chains ``F^η_n`` over
   all schedulers ``η`` (Eq. (1)); it is approximated here by truncating each
-  chain once the entrywise ℓ1 norm of the Choi-matrix increment between
-  consecutive iterates drops below ``convergence_tolerance``, once the loop
-  prefix can no longer contribute, or after ``max_iterations`` elements.
+  chain once the trace norm of the completely positive increment
+  ``F^η_n − F^η_{n−1}`` (``Σ_i ‖K_i‖²_F`` over its Kraus operators, no Choi
+  matrix needed) drops below ``convergence_tolerance``, once the loop prefix
+  can no longer contribute, or after ``max_iterations`` elements.
 
 For loop-free programs the computed set is exact (up to floating point); for
 programs with loops the caller controls which schedulers are explored.
@@ -84,19 +85,20 @@ class DenotationOptions:
     max_iterations:
         Truncation bound for the while-loop chains ``F^η_n``.
     convergence_tolerance:
-        The chain is considered converged when the entrywise ℓ1 norm of the
-        Choi-matrix increment between consecutive iterates (the sum of the
-        absolute values of its entries) drops below this value.  For a
-        completely positive increment that norm is at least the increment's
-        trace norm.
+        The chain is considered converged when the trace norm of the
+        increment between consecutive iterates drops below this value.  The
+        increment is completely positive, so its trace norm is the trace of
+        its Choi matrix, ``Σ_i ‖K_i‖²_F`` over its Kraus operators ``K_i``;
+        it bounds the probability mass the iteration adds for any input state.
     schedulers:
         Explicit schedulers to explore for every loop.  When ``None``, all
         constant schedulers are used plus ``sampled_schedulers`` random ones.
     sampled_schedulers:
         Number of additional pseudo-random schedulers to sample per loop.
     simplify_threshold:
-        Kraus decompositions larger than this are re-canonicalised via the Choi
-        matrix to keep compositions tractable.
+        Kraus decompositions larger than this are re-canonicalised
+        (:meth:`~repro.superop.kraus.SuperOperator.simplified`) to keep
+        compositions tractable.
     dedup:
         Whether to remove duplicate super-operators from denotation sets.
     lifting:
@@ -450,12 +452,13 @@ def loop_iterates(
 ) -> List:
     """Return the chain ``F^η_0 ⪯ F^η_1 ⪯ …`` of Eq. (1) under one scheduler.
 
-    The chain is truncated after ``max_iterations`` elements, or earlier once
-    the entrywise ℓ1 norm of the Choi-matrix increment ``F^η_n − F^η_{n−1}``
-    (the sum of the absolute values of its entries) drops below
-    ``convergence_tolerance``, or once the success probability bound of the
-    loop prefix does.  The final element approximates the least upper bound,
-    i.e. the loop's semantics under the scheduler.
+    The chain is truncated after ``max_iterations`` elements, or earlier at
+    the first iteration whose increment ``F^η_n − F^η_{n−1} = P⁰ ∘ prefix_n``
+    has trace norm ``Σ_i ‖K_i‖²_F < convergence_tolerance`` (that iterate is
+    still included), or once the success probability bound of the loop
+    prefix drops below it.  The norm is read off the increment's Kraus
+    operators, so no Choi matrix is built.  The final element approximates
+    the least upper bound, i.e. the loop's semantics under the scheduler.
 
     ``body_maps`` are the loop body's denotations; the measurement
     projections are built under the lifting selected by ``options``.
@@ -501,11 +504,9 @@ def loop_iterates(
                     prefix_cache[choices] = cached
             prefix = cached
             increment = p0.compose(prefix)
-            new_total = _maybe_simplify(total + increment, options)
-            iterates.append(new_total)
-            gap = float(np.abs(new_total.choi() - total.choi()).sum())
-            total = new_total
-            if gap < options.convergence_tolerance:
+            total = _maybe_simplify(total + increment, options)
+            iterates.append(total)
+            if _choi_trace(increment) < options.convergence_tolerance:
                 break
             # Once the prefix itself is (numerically) zero the loop can never
             # produce further contributions, e.g. for almost-surely terminating loops.
@@ -513,6 +514,18 @@ def loop_iterates(
                 break
         chain_span.set_tag("iterations", len(iterates))
     return iterates
+
+
+def _choi_trace(channel) -> float:
+    """Return ``tr Choi(E) = Σ_i ‖K_i‖²_F``, the trace norm of a CP map.
+
+    A local map's Kraus operators are ``s ⊗ I`` on the ``n − k`` untouched
+    qubits, so each small operator ``s`` contributes ``‖s‖²_F · 2^(n−k)``.
+    """
+    if isinstance(channel, LocalSuperOperator):
+        cylinder = 2 ** (channel.num_qubits - len(channel.positions))
+        return cylinder * sum(np.vdot(small, small).real for small in channel.small_kraus)
+    return sum(np.vdot(operator, operator).real for operator in channel.kraus_operators)
 
 
 def _maybe_simplify(channel, options: DenotationOptions):

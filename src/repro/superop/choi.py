@@ -9,8 +9,15 @@ matrices.
 
 Within :mod:`repro.superop` the Choi matrix is the *order* representation:
 positivity of a map and the ``⪯`` comparison are spectral properties of the
-Choi matrix, and the minimal Kraus decomposition falls out of its
-eigendecomposition.
+Choi matrix, and a minimal Kraus decomposition falls out of its
+eigendecomposition (:func:`kraus_from_choi`).
+
+Stacking the row-vectorised Kraus operators as the rows of a ``k × d²``
+matrix ``V`` gives ``Choi = Vᵀ V̄``: :func:`choi_matrix` builds it with one
+matrix product, and its ``d⁴ · 16`` bytes are the largest object the
+library allocates.  :meth:`~repro.superop.kraus.SuperOperator.simplified`
+avoids it when ``k < d²`` by working with the ``k × k`` Gram matrix
+``V̄ Vᵀ`` instead, which has the same non-zero spectrum.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import numpy as np
 from ..exceptions import LinalgError
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive, loewner_le
+from ..telemetry.tracing import span
 
 __all__ = [
     "choi_matrix",
@@ -39,16 +47,23 @@ def choi_matrix(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
 
     ``vec`` stacks matrix rows, so the Choi matrix equals
     ``Σ_{jk} |j⟩⟨k| ⊗ E(|j⟩⟨k|)`` up to the chosen vectorisation convention.
+    The sum is one matrix product ``Vᵀ V̄``, where row ``i`` of ``V`` is
+    ``vec(E_i)``.
     """
     kraus = [np.asarray(operator, dtype=complex) for operator in kraus_operators]
     if not kraus:
         raise LinalgError("a Choi matrix needs at least one Kraus operator")
     dimension = kraus[0].shape[0]
-    choi = np.zeros((dimension * dimension, dimension * dimension), dtype=complex)
-    for operator in kraus:
-        vectorised = operator.reshape(-1, 1)
-        choi = choi + vectorised @ dagger(vectorised)
-    return choi
+    side = dimension * dimension
+    with span(
+        "choi",
+        region="superop",
+        dimension=dimension,
+        kraus_rank=len(kraus),
+        bytes=side * side * 16,
+    ):
+        vectors = np.stack(kraus).reshape(len(kraus), side)
+        return vectors.T @ vectors.conj()
 
 
 def choi_from_apply(apply_map, dimension: int) -> np.ndarray:
@@ -71,20 +86,24 @@ def choi_from_apply(apply_map, dimension: int) -> np.ndarray:
 
 
 def kraus_from_choi(choi: np.ndarray, atol: float = 1e-10) -> List[np.ndarray]:
-    """Recover a minimal Kraus decomposition from a Choi matrix."""
+    """Recover a minimal Kraus decomposition from a Choi matrix.
+
+    Every eigenpair ``(λ, w)`` with ``λ > atol`` gives the Kraus operator
+    ``√λ · w`` (un-vectorised), so the count is the numerical rank of the
+    Choi matrix.  A Choi matrix with no such eigenvalue gives the single
+    zero operator.
+    """
     choi = np.asarray(choi, dtype=complex)
     side = choi.shape[0]
     dimension = int(round(np.sqrt(side)))
     if dimension * dimension != side:
         raise LinalgError("Choi matrix side length must be a perfect square")
     eigenvalues, eigenvectors = np.linalg.eigh((choi + dagger(choi)) / 2)
-    kraus: List[np.ndarray] = []
-    for value, column in zip(eigenvalues, eigenvectors.T):
-        if value > atol:
-            kraus.append(np.sqrt(value) * column.reshape(dimension, dimension))
-    if not kraus:
-        kraus.append(np.zeros((dimension, dimension), dtype=complex))
-    return kraus
+    keep = eigenvalues > atol
+    if not keep.any():
+        return [np.zeros((dimension, dimension), dtype=complex)]
+    scaled = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
+    return list(scaled.T.reshape(-1, dimension, dimension))
 
 
 def is_cp_choi(choi: np.ndarray, atol: float = ORDER_ATOL) -> bool:

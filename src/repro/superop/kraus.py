@@ -12,8 +12,11 @@ CPO order ``⪯`` of Sec. 3.2.
 The Kraus form is the representation the semantic engines compute with; the
 Choi matrix of :mod:`~repro.superop.choi` is derived from it for comparisons.
 Applying a map with ``k`` operators to a state costs ``k·d³``; the operator
-count multiplies under composition (kept in check by :meth:`simplified`) and
-every comparison rebuilds a ``d²×d²`` Choi matrix.
+count multiplies under composition and every comparison rebuilds a
+``d²×d²`` Choi matrix.  :meth:`SuperOperator.simplified` keeps the count in
+check: it eigendecomposes the ``k×k`` Gram matrix of the Kraus operators
+when ``k < d²`` and the Choi matrix otherwise, so compressing a map never
+builds a ``d²×d²`` object that is larger than its Kraus list.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive, is_unitary, kraus_gram, loewner_le, num_qubits_of
 from ..linalg.tensor import apply_local_right
-from .choi import choi_matrix
+from ..telemetry.tracing import span
+from .choi import choi_matrix, kraus_from_choi
 
 __all__ = ["SuperOperator"]
 
@@ -284,21 +288,46 @@ class SuperOperator:
     def simplified(self, atol: float = 1e-10) -> "SuperOperator":
         """Return an equivalent map with a minimal Kraus decomposition.
 
-        The canonical Kraus operators are recovered from the eigendecomposition
-        of the Choi matrix; eigenvalues below ``atol`` are dropped.  This keeps
-        the number of Kraus operators from exploding when composing many maps
-        (important for loop fixpoints and the Grover performance experiment).
+        With row ``i`` of the ``k × d²`` matrix ``V`` equal to ``vec(E_i)``,
+        the Choi matrix ``Vᵀ V̄`` (``d² × d²``) and the Gram matrix ``V̄ Vᵀ``
+        (``k × k``) have the same non-zero eigenvalues, and the smaller one
+        is eigendecomposed:
+
+        * ``k < d²`` — the Gram side: for ``V̄ Vᵀ = U Λ U†`` the operators
+          ``U[:, λ > atol]ᵀ V`` (un-vectorised) are a minimal decomposition,
+          and no ``d² × d²`` object is built;
+        * ``k ≥ d²`` — the Choi side: :func:`~repro.superop.choi.kraus_from_choi`
+          on the Choi matrix.
+
+        Either way eigenvalues ``≤ atol`` are dropped, so the result has as
+        many operators as the numerical rank of the Choi matrix; the zero map
+        gives :meth:`zero`.  This keeps the number of Kraus operators from
+        exploding when composing many maps (loop fixpoints, the Grover
+        performance experiment).
         """
-        choi = self.choi()
-        eigenvalues, eigenvectors = np.linalg.eigh((choi + dagger(choi)) / 2)
-        kraus: List[np.ndarray] = []
-        for value, column in zip(eigenvalues, eigenvectors.T):
-            if value > atol:
-                operator = np.sqrt(value) * column.reshape(self._dimension, self._dimension)
-                kraus.append(operator)
-        if not kraus:
-            return SuperOperator.zero(self._dimension)
-        return SuperOperator(kraus, validate=False)
+        rank_in = len(self._kraus)
+        dimension = self._dimension
+        side = dimension * dimension
+        gram_side = rank_in < side
+        with span(
+            "simplify",
+            region="superop",
+            dimension=dimension,
+            rank_in=rank_in,
+            side="gram" if gram_side else "choi",
+        ) as simplify_span:
+            if gram_side:
+                vectors = np.stack(self._kraus).reshape(rank_in, side)
+                gram = vectors.conj() @ vectors.T
+                eigenvalues, eigenvectors = np.linalg.eigh((gram + dagger(gram)) / 2)
+                keep = eigenvalues > atol
+                combined = eigenvectors[:, keep].T @ vectors
+                kraus = list(combined.reshape(-1, dimension, dimension))
+            else:
+                kraus = kraus_from_choi(self.choi(), atol=atol)
+            result = SuperOperator(kraus, validate=False) if kraus else SuperOperator.zero(dimension)
+            simplify_span.set_tag("rank_out", len(result._kraus))
+        return result
 
     def probability_bound(self) -> float:
         """Return ``λ_max(Σ E_i†E_i)`` — the maximal success probability over inputs."""

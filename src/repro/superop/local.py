@@ -356,8 +356,10 @@ class LocalSuperOperator:
         """Return an equivalent local map with a minimal small-Kraus decomposition.
 
         Support merges multiply Kraus counts exactly like dense composition
-        does; re-canonicalising through the *small* Choi matrix keeps the count
-        bounded by ``4^k`` without ever touching full-register objects.
+        does; re-canonicalising the *small* operators with
+        :meth:`SuperOperator.simplified` (small Gram or small Choi matrix,
+        whichever is smaller) keeps the count bounded by ``4^k`` without ever
+        touching full-register objects.
         """
         side = self._smalls[0].shape[0]
         canonical = SuperOperator(self._smalls, validate=False).simplified(atol=atol)

@@ -5,10 +5,11 @@ Three zero-dependency pillars, all process-wide and safe under threads:
 * **Span tracing** (:mod:`repro.telemetry.tracing`) — nested wall-clock spans
   opened with the :func:`span` context manager, tagged with a pipeline
   ``region`` (``parse`` / ``denotation`` / ``wp`` / ``prover`` /
-  ``order-decision`` / ``loop`` / ``compare`` / ``cache``) plus workload
-  attributes (lifting, qubit count).  Disabled by default; enable
-  with ``configure_tracing(enabled=True)``, export with
-  ``get_tracer().export_jsonl(path)`` or render with ``get_tracer().render()``.
+  ``order-decision`` / ``loop`` / ``compare`` / ``cache`` / ``superop``) plus
+  workload attributes (lifting, qubit count, Kraus rank, matrix bytes).
+  Disabled by default; enable with ``configure_tracing(enabled=True)``,
+  export with ``get_tracer().export_jsonl(path)`` or render with
+  ``get_tracer().render()``.
 
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and latency
   histograms in the shared :data:`METRICS` registry, read via

@@ -16,7 +16,10 @@ Every span carries a ``region`` tag naming the pipeline stage it belongs to;
 the shipped instrumentation uses:
 
 ``parse``, ``verify``, ``denotation``, ``loop``, ``wp``, ``prover``,
-``order-decision``, ``compare``, ``refinement``.
+``order-decision``, ``compare``, ``refinement``, and ``superop`` for the
+dense kernels' leaf spans (``choi``, tagged ``dimension``, ``kraus_rank``,
+``bytes``; ``simplify``, tagged ``dimension``, ``rank_in``, ``rank_out``,
+``side``).
 
 :func:`region_breakdown` partitions wall time by attributing each span's
 *self time* (duration minus the durations of its direct children) to its

@@ -25,7 +25,14 @@ from repro.logic.checker import check_rule
 from repro.logic.formula import CorrectnessFormula, CorrectnessMode
 from repro.logic.prover import ProverOptions
 from repro.predicates.assertion import QuantumAssertion
-from repro.programs import nondeterministic_rus_program, rus_program
+from repro.programs import (
+    apply_noise,
+    nondeterministic_rus_program,
+    qwalk_program,
+    qwalk_register,
+    rus_program,
+    rus_register,
+)
 from repro.registers import QubitRegister
 from repro.semantics.denotational import (
     DenotationOptions,
@@ -34,8 +41,16 @@ from repro.semantics.denotational import (
     loop_iterates,
     measurement_superoperators,
 )
-from repro.semantics.schedulers import ConstantScheduler, FunctionScheduler
+from repro.semantics.schedulers import (
+    ConstantScheduler,
+    FunctionScheduler,
+    constant_schedulers,
+    sample_schedulers,
+)
 from repro.semantics.wp import WpOptions
+from repro.superop import choi as choi_module
+from repro.superop import kraus as kraus_module
+from repro.superop import local as local_module
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
 
@@ -176,6 +191,117 @@ class TestWhileLoops:
         for channel in maps[:2]:
             output = channel.apply(density(ket("1")))
             assert np.trace(output).real == pytest.approx(1.0, abs=1e-6)
+
+
+def _noisy_rus_ndet():
+    noisy, ancillas = apply_noise(nondeterministic_rus_program(), "amplitude_damping", 0.05)
+    return noisy, rus_register().union(ancillas)
+
+
+#: The library's loop programs with their registers.
+LOOP_PROGRAMS = {
+    "rus": lambda: (rus_program(), rus_register()),
+    "rus_ndet": lambda: (nondeterministic_rus_program(), rus_register()),
+    "qwalk4": lambda: (qwalk_program(4), qwalk_register(4)),
+    "qwalk8": lambda: (qwalk_program(8), qwalk_register(8)),
+    "noisy_rus_ndet": _noisy_rus_ndet,
+}
+
+
+def _loop_runs(name, lifting):
+    """Return ``{(loop, scheduler): loop_iterates arguments}`` for a library program."""
+    program, register = LOOP_PROGRAMS[name]()
+    options = DenotationOptions(lifting=lifting)
+    runs = {}
+    for loop_index, loop in enumerate(node for node in program.walk() if isinstance(node, While)):
+        bodies = denotation(loop.body, register, options)
+        schedulers = constant_schedulers(len(bodies)) + sample_schedulers(2)
+        for index, scheduler in enumerate(schedulers):
+            runs[loop_index, index] = (loop, register, bodies, scheduler, options)
+    return runs
+
+
+def _loop_chains(runs):
+    """Run :func:`loop_iterates` on every entry of :func:`_loop_runs`."""
+    return {key: loop_iterates(*arguments) for key, arguments in runs.items()}
+
+
+def _choi_trace_gap(later, earlier):
+    """``tr Choi(later − earlier)``, the reference trace norm of a CP increment."""
+    return float(np.trace(later.choi() - earlier.choi()).real)
+
+
+class TestLoopConvergence:
+    """Convergence is decided on ``Σ‖K_i‖²_F`` of the increment, without Choi matrices."""
+
+    @pytest.mark.parametrize("lifting", ["dense", "local"])
+    @pytest.mark.parametrize("name", ["rus", "rus_ndet", "qwalk4", "qwalk8"])
+    def test_loop_iterates_never_builds_a_choi_matrix(self, monkeypatch, name, lifting):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loop_iterates must not build a Choi matrix")
+
+        runs = _loop_runs(name, lifting)
+        for module in (choi_module, kraus_module, local_module):
+            monkeypatch.setattr(module, "choi_matrix", refuse)
+        chains = _loop_chains(runs)
+        assert chains and all(len(chain) >= 2 for chain in chains.values())
+
+    #: cos²θ of the rotation ``Ry(θ)`` in the closed-form loop below.
+    COS2 = 0.9
+
+    @pytest.mark.parametrize("lifting", ["dense", "local"])
+    @pytest.mark.parametrize("idle_qubits", [0, 1])
+    @pytest.mark.parametrize("tolerance", [1e-2, 1e-5, 1e-9])
+    def test_stops_at_first_increment_below_tolerance(self, lifting, idle_qubits, tolerance):
+        # while M[q] do q *= Ry(θ): prefix n is c^(n−1) Ry|1⟩⟨1| and increment
+        # n ≥ 1 is −s·c^(n−1) |0⟩⟨1| ⊗ I on the idle qubits, so
+        # Σ‖K‖²_F = 2^idle · s² · c^(2(n−1)), always below the prefix bound
+        # c^(2(n−1)).  The entrywise ℓ1 norm of the Choi increment is
+        # 4^idle · s² · c^(2(n−1)), so an idle qubit separates the two norms.
+        c, s = np.sqrt(self.COS2), np.sqrt(1 - self.COS2)
+        rotation = np.array([[c, -s], [s, c]], dtype=complex)
+        register = QubitRegister(["q"] + [f"r{i}" for i in range(idle_qubits)])
+        loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "Ry", rotation))
+        options = DenotationOptions(
+            lifting=lifting, convergence_tolerance=tolerance, max_iterations=256
+        )
+        bodies = denotation(loop.body, register, options)
+        chain = loop_iterates(loop, register, bodies, ConstantScheduler(0), options)
+
+        def norm(n):
+            return 2.0 ** idle_qubits * s**2 * self.COS2 ** (n - 1)
+
+        first = next(n for n in range(1, 256) if norm(n) < tolerance)
+        assert len(chain) == first + 1
+        for n in range(1, len(chain)):
+            assert _choi_trace_gap(chain[n], chain[n - 1]) == pytest.approx(norm(n), abs=1e-12)
+        assert _choi_trace_gap(chain[-1], chain[-2]) < tolerance
+        assert _choi_trace_gap(chain[-2], chain[-3]) >= tolerance
+
+    def test_reset_loop_increments_vanish_after_two_iterations(self):
+        # while M[q] do q *= X: increments P⁰, |0⟩⟨1|, 0 — norms 1, 1, 0.
+        register = QubitRegister(["q"])
+        loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "X", X))
+        for lifting in ("dense", "local"):
+            options = DenotationOptions(lifting=lifting)
+            bodies = denotation(loop.body, register, options)
+            chain = loop_iterates(loop, register, bodies, ConstantScheduler(0), options)
+            gaps = [_choi_trace_gap(b, a) for a, b in zip(chain, chain[1:])]
+            assert len(chain) == 3
+            assert gaps == pytest.approx([1.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
+    def test_liftings_agree_on_iteration_counts(self, name):
+        # The fuzz oracle compares loop draws of both liftings at ATOL, which
+        # holds only while both truncate every chain at the same iteration.
+        dense = _loop_chains(_loop_runs(name, "dense"))
+        local = _loop_chains(_loop_runs(name, "local"))
+        assert dense.keys() == local.keys()
+        assert {key: len(chain) for key, chain in dense.items()} == {
+            key: len(chain) for key, chain in local.items()
+        }
+        for key in dense:
+            assert dense[key][-1].equals(local[key][-1], atol=1e-8)
 
 
 class TestMeasurementSuperoperators:

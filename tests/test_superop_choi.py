@@ -17,6 +17,17 @@ from repro.superop.choi import (
     kraus_from_choi,
 )
 from repro.superop.kraus import SuperOperator
+from repro.telemetry.tracing import configure_tracing, get_tracer
+
+
+def outer_product_choi(kraus):
+    """The reference: one rank-one update ``vec(E) vec(E)†`` per Kraus operator."""
+    dimension = kraus[0].shape[0]
+    choi = np.zeros((dimension * dimension, dimension * dimension), dtype=complex)
+    for operator in kraus:
+        vectorised = np.asarray(operator, dtype=complex).reshape(-1, 1)
+        choi = choi + vectorised @ vectorised.conj().T
+    return choi
 
 
 class TestChoiMatrix:
@@ -44,6 +55,45 @@ class TestChoiMatrix:
             choi_matrix([])
 
 
+class TestChoiKernel:
+    """The one-product ``Vᵀ V̄`` against the sum of outer products it replaced."""
+
+    # (dimension, Kraus count): k = 1, k < d², k = d² and k > d².
+    CASES = [(2, 1), (8, 1), (2, 3), (4, 5), (8, 7), (2, 4), (4, 16), (2, 9), (4, 23)]
+
+    @pytest.mark.parametrize("dimension, count", CASES)
+    def test_matches_sum_of_outer_products(self, dimension, count):
+        kraus = random_kraus_operators(dimension, count=count, seed=dimension * 100 + count)
+        assert np.allclose(choi_matrix(kraus), outer_product_choi(kraus), rtol=0, atol=1e-12)
+
+    def test_non_trace_preserving_and_generator_input(self):
+        kraus = random_kraus_operators(4, count=6, trace_preserving=False, seed=11)
+        by_generator = choi_matrix(operator for operator in kraus)
+        assert np.allclose(by_generator, outer_product_choi(kraus), rtol=0, atol=1e-12)
+
+    def test_result_is_hermitian(self):
+        choi = choi_matrix(random_kraus_operators(4, count=30, seed=3))
+        assert np.allclose(choi, choi.conj().T, rtol=0, atol=1e-13)
+
+    def test_span_tags_rank_dimension_and_bytes(self):
+        kraus = random_kraus_operators(4, count=5, seed=2)
+        configure_tracing(enabled=True)
+        get_tracer().clear()
+        try:
+            choi_matrix(kraus)
+        finally:
+            configure_tracing(enabled=False)
+        (root,) = get_tracer().finished_roots()
+        get_tracer().clear()
+        assert root.name == "choi"
+        assert root.tags == {
+            "region": "superop",
+            "dimension": 4,
+            "kraus_rank": 5,
+            "bytes": 16 ** 2 * 16,
+        }
+
+
 class TestKrausRecovery:
     def test_roundtrip_through_choi(self):
         original = SuperOperator([P0, X @ P1])
@@ -58,6 +108,18 @@ class TestKrausRecovery:
     def test_invalid_choi_side(self):
         with pytest.raises(LinalgError):
             kraus_from_choi(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("dimension, count", [(2, 1), (2, 3), (4, 5), (4, 23)])
+    def test_recovers_numerical_rank_many_operators(self, dimension, count):
+        kraus = random_kraus_operators(dimension, count=count, seed=count)
+        choi = choi_matrix(kraus)
+        recovered = kraus_from_choi(choi)
+        assert len(recovered) == min(count, dimension * dimension)
+        assert np.allclose(choi_matrix(recovered), choi, rtol=0, atol=1e-10)
+        # Distinct eigenvectors of a Hermitian matrix: the operators are orthogonal.
+        vectors = np.stack(recovered).reshape(len(recovered), -1)
+        overlaps = vectors.conj() @ vectors.T
+        assert np.allclose(overlaps, np.diag(np.diag(overlaps)), rtol=0, atol=1e-10)
 
 
 class TestTraceConditions:

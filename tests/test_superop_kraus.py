@@ -8,9 +8,13 @@ import pytest
 from repro.exceptions import DimensionMismatchError, SuperOperatorError
 from repro.linalg.constants import CX, H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
+from repro.linalg.random import random_kraus_operators
 from repro.linalg.states import density, ket, maximally_mixed, plus_state
 from repro.registers import QubitRegister
+from repro.superop import choi as choi_module
+from repro.superop import kraus as kraus_module
 from repro.superop.kraus import SuperOperator
+from repro.telemetry.tracing import configure_tracing, get_tracer
 
 
 class TestConstruction:
@@ -151,6 +155,89 @@ class TestOrderingAndEquality:
         assert SuperOperator([P0]).probability_bound() == pytest.approx(1.0)
         assert SuperOperator.scalar(0.3, 2).probability_bound() == pytest.approx(0.3)
         assert SuperOperator.zero(2).probability_bound() == pytest.approx(0.0)
+
+
+def redundant_kraus(dimension, rank, count, seed):
+    """Return ``count`` Kraus operators of a random rank-``rank`` channel.
+
+    The ``rank`` operators of a random channel are mixed by a ``count × rank``
+    isometry ``Q``: ``F_j = Σ_i Q[j, i] E_i`` describes the same map
+    (``Q†Q = I``) with ``count`` linearly dependent operators.
+    """
+    base = np.stack(random_kraus_operators(dimension, count=rank, seed=seed))
+    rng = np.random.default_rng(seed)
+    mixing, _ = np.linalg.qr(rng.normal(size=(count, rank)) + 1j * rng.normal(size=(count, rank)))
+    return list(np.einsum("ji,iab->jab", mixing, base))
+
+
+def choi_rank(channel, atol=1e-10):
+    """Numerical rank of the Choi matrix, at the threshold ``simplified`` drops at."""
+    return int(np.sum(np.linalg.eigvalsh(channel.choi()) > atol))
+
+
+def traced_simplify(channel):
+    """Run ``simplified`` under tracing; return the result and its span's tags."""
+    configure_tracing(enabled=True)
+    get_tracer().clear()
+    try:
+        result = channel.simplified()
+    finally:
+        configure_tracing(enabled=False)
+    roots = get_tracer().finished_roots()
+    get_tracer().clear()
+    (simplify,) = [node for root in roots for node in root.walk() if node.name == "simplify"]
+    return result, simplify.tags
+
+
+class TestSimplifiedKernel:
+    """Gram side for ``k < d²``, Choi side for ``k ≥ d²``; both minimal and exact."""
+
+    # (dimension, rank, Kraus count, expected side)
+    CASES = [
+        (2, 2, 3, "gram"),
+        (4, 6, 6, "gram"),
+        (4, 5, 9, "gram"),
+        (8, 3, 40, "gram"),
+        (2, 2, 4, "choi"),
+        (4, 5, 16, "choi"),
+        (2, 3, 9, "choi"),
+        (4, 7, 30, "choi"),
+        (4, 16, 20, "choi"),
+    ]
+
+    @pytest.mark.parametrize("dimension, rank, count, side", CASES)
+    def test_result_equals_input_with_choi_rank_operators(self, dimension, rank, count, side):
+        channel = SuperOperator(redundant_kraus(dimension, rank, count, seed=count))
+        result, tags = traced_simplify(channel)
+        assert result.equals(channel)
+        assert len(result.kraus_operators) == choi_rank(channel) == rank
+        assert tags == {
+            "region": "superop",
+            "dimension": dimension,
+            "rank_in": count,
+            "rank_out": rank,
+            "side": side,
+        }
+
+    @pytest.mark.parametrize("count", [1, 3, 4, 6])
+    def test_zero_map_gives_zero(self, count):
+        zero = SuperOperator([np.zeros((2, 2), dtype=complex)] * count, validate=False)
+        result = zero.simplified()
+        expected = SuperOperator.zero(2).kraus_operators
+        assert len(result.kraus_operators) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(result.kraus_operators, expected))
+
+    def test_initializer_7_simplifies_without_a_choi_matrix(self, monkeypatch):
+        # Regression: Grover-7 asked for the 4 GiB Choi matrix of this channel
+        # (128 Kraus operators, d² = 16384).  The Gram side never builds it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("choi_matrix must not be called")
+
+        monkeypatch.setattr(kraus_module, "choi_matrix", refuse)
+        monkeypatch.setattr(choi_module, "choi_matrix", refuse)
+        result = SuperOperator.initializer(7).simplified()
+        assert len(result.kraus_operators) == 128
+        assert np.allclose(result.kraus_gram(), np.eye(128), rtol=0, atol=1e-10)
 
 
 def test_superoperator_pickle_roundtrip():
