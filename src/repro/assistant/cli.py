@@ -19,7 +19,6 @@ import numpy as np
 from ..exceptions import ReproError
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import ProverOptions
-from ..semantics.denotational import LIFTINGS
 from ..telemetry import configure_tracing, get_tracer, metrics_snapshot
 from .session import Session
 from .verify import verify_source
@@ -27,21 +26,13 @@ from .verify import verify_source
 __all__ = ["build_arg_parser", "main"]
 
 
-#: Epilog explaining the performance knobs; shown by ``--help``.
+#: Epilog describing how the engines compute; shown by ``--help``.
 _EPILOG = """\
-performance options:
-  The semantic engines compute with Kraus-form super-operators; one switch
-  selects how operators reach the full register (see README "Scaling guide"
-  for measured numbers):
-
-  --lifting dense     every gate is eagerly promoted to the full register
-                      via np.kron before any product (default)
-  --lifting local     gates stay (small matrix, target qubits) and products
-                      contract only the targeted tensor factors, so no
-                      full-register gate matrix is built
-
-  The switch is semantics-preserving: both liftings agree to the library
-  tolerance on every shipped case study.
+performance:
+  The semantic engines compute with Kraus-form super-operators on the full
+  register: every statement enters as its cylinder extension (np.kron).
+  See README "Scaling guide" for measured numbers and --trace for where one
+  run spends its time.
 """
 
 
@@ -69,13 +60,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--epsilon", type=float, default=1e-6, help="precision of the order decision procedure"
-    )
-    parser.add_argument(
-        "--lifting",
-        choices=list(LIFTINGS),
-        default="dense",
-        help="operator promotion strategy: dense np.kron embedding or "
-        "structure-aware local contraction (default: dense)",
     )
     parser.add_argument(
         "--script",
@@ -182,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         session = Session(
             mode=CorrectnessMode(arguments.mode),
-            options=ProverOptions(epsilon=arguments.epsilon, lifting=arguments.lifting),
+            options=ProverOptions(epsilon=arguments.epsilon),
             base_path=source_path.parent,
         )
         for definition in arguments.operator:

@@ -152,7 +152,6 @@ def verify(
     operators: Optional[Dict[str, np.ndarray]] = None,
     mode: str = "partial",
     epsilon: float = 1e-6,
-    lifting: str = "dense",
 ) -> VerificationReport:
     """Convenience wrapper mirroring ``nqpv.verify``: source text plus extra operators.
 
@@ -168,9 +167,6 @@ def verify(
         ``"partial"`` (the default, as in NQPV) or ``"total"``.
     epsilon:
         Precision of the ``⊑_inf`` decision procedure.
-    lifting:
-        Operator promotion strategy: ``"dense"`` (default) or ``"local"``
-        (structure-aware contraction; see the README scaling guide).
     """
     environment = default_environment()
     for name, matrix in (operators or {}).items():
@@ -180,5 +176,5 @@ def verify(
         source,
         environment,
         mode=correctness_mode,
-        options=ProverOptions(epsilon=epsilon, lifting=lifting),
+        options=ProverOptions(epsilon=epsilon),
     )

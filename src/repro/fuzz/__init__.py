@@ -1,4 +1,4 @@
-"""Program fuzzing and cross-representation differential testing.
+"""Program fuzzing and differential testing of the semantic engines.
 
 The package is the test-infrastructure spine behind ``tools/fuzz.py`` and the
 ``tests/test_fuzz_differential.py`` sweep (ROADMAP scenario-diversity item):
@@ -9,10 +9,10 @@ The package is the test-infrastructure spine behind ``tools/fuzz.py`` and the
   choice / while-with-invariant) under qubit-count and depth budgets with a
   Clifford-only bias knob;
 * :mod:`repro.fuzz.differential` — the oracle: every generated program is run
-  through the denotation engine and the wlp transformer under both liftings
-  (``dense`` and ``local``) and the two results are compared to ``ATOL``;
-  loop-free draws additionally check the prover's verification condition
-  against the semantic wlp;
+  through the denotation engine and the wlp transformer; on loop-free draws
+  the wlp must be the dual ``{E†(Q) + I − E†(I) : E ∈ [[S]]}`` of the
+  denotation to ``ATOL`` and the prover's verification condition must equal
+  the semantic wlp, while loop draws are checked for engine errors only;
 * :mod:`repro.fuzz.shrink` — a delta-debugging shrinker (statement deletion,
   branch collapsing, qubit removal) that minimises a failing program while
   re-checking the oracle at every step.

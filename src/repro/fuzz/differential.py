@@ -1,22 +1,29 @@
-"""Cross-representation differential oracle for generated programs.
+"""Differential oracle for generated programs: denotation against wlp.
 
 Each program drawn by :mod:`repro.fuzz.generator` is resolved through the
 standard front end (:func:`repro.assistant.verify.build_task`) and then run
-through
+through two engines that share no code path above the super-operator layer:
 
-* the denotation engine (:func:`repro.semantics.denotational.denotation`) and
+* the denotation engine (:func:`repro.semantics.denotational.denotation`),
+  which composes Kraus maps forward, and
 * the wlp transformer
-  (:func:`repro.semantics.wp.weakest_liberal_precondition`)
+  (:func:`repro.semantics.wp.weakest_liberal_precondition`), which rewrites
+  predicates backward by structural recursion.
 
-under both liftings (``dense`` and ``local``, the two oracle cells).  The two
-runs must agree: denotation sets up to ``ATOL`` on their Choi signatures
-(:func:`repro.superop.compare.set_equal`), wlp assertions up to ``ATOL`` on
-their predicate matrices, for loop-free and loop draws alike.  Loop-free draws
-additionally check the prover's verification condition
+On a loop-free draw the two are dual: for the postcondition ``Θ`` the
+structural ``wlp.S.Θ`` must equal ``{E†(Q) + I − E†(I) : E ∈ [[S]], Q ∈ Θ}``
+up to ``ATOL`` on the predicate matrices.  This is the partial-correctness
+reading of Def. 4.2 and it is exact for loop-free programs (Lemma A.1).
+Loop-free draws also check the prover's verification condition
 (:meth:`repro.logic.prover.Prover.generate`) against the semantic wlp — the
-relative-completeness equality of Sec. 5 that PR 4 repaired for (Meas).
+relative-completeness equality of Sec. 5.
 
-The process-wide result cache is cleared before every cell run, so each cell
+Loop draws are only checked for engine errors.  Each engine truncates a loop
+on its own stopping rule, so on loops the two agree only up to the mass the
+truncation drops, and that residual has no certified bound yet; the loop
+comparison waits for one.
+
+The process-wide result cache is cleared before every engine run, so each run
 computes every subterm itself instead of replaying entries that an earlier
 draw stored for a digest-equal subterm.
 
@@ -28,8 +35,7 @@ source and the copy-pasteable repro line
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +44,10 @@ from ..cache import clear_result_cache
 from ..language.names import OperatorEnvironment, default_environment
 from ..linalg.constants import ATOL
 from ..logic.formula import CorrectnessMode
-from ..logic.prover import Prover, ProverOptions
+from ..logic.prover import Prover
 from ..predicates.assertion import QuantumAssertion
-from ..semantics.denotational import LIFTINGS, DenotationOptions, denotation
+from ..semantics.denotational import DenotationOptions, denotation
 from ..semantics.wp import WpOptions, weakest_liberal_precondition
-from ..superop.compare import set_equal
 from .generator import FuzzProgram
 
 __all__ = [
@@ -75,7 +80,7 @@ class ReplayProgram:
         return self.text
 
     def contains_while(self) -> bool:
-        """Whether the stored program has a loop (loop draws skip the prover check)."""
+        """Whether the stored program has a loop (loop draws skip the duality and prover checks)."""
         return "while " in self.text
 
 
@@ -85,12 +90,10 @@ class OracleConfig:
 
     Attributes
     ----------
-    liftings:
-        The oracle cells to sweep, one per lifting name.
     atol:
-        Agreement tolerance between cells.  Both cells measure loop
-        convergence on the same Choi matrices, so loop draws are compared
-        at the same tolerance as loop-free ones.
+        Agreement tolerance of the duality and prover checks, entrywise on
+        predicate matrices.  Both checks are exact on loop-free draws, so
+        the library tolerance ``ATOL`` is all the slack they get.
     max_iterations / convergence_tolerance / sampled_schedulers:
         Forwarded to :class:`DenotationOptions` / :class:`WpOptions`;
         ``max_iterations`` defaults below the engine's 64 to keep a
@@ -99,12 +102,11 @@ class OracleConfig:
         Whether to compare the prover's verification condition against the
         semantic wlp on loop-free draws.
     clear_cache:
-        Clear the process-wide result cache before each cell run, so every
-        cell computes each subterm itself rather than replaying an entry an
+        Clear the process-wide result cache before each engine run, so every
+        run computes each subterm itself rather than replaying an entry an
         earlier draw stored for a digest-equal subterm.
     """
 
-    liftings: Tuple[str, ...] = LIFTINGS
     atol: float = ATOL
     max_iterations: int = 24
     convergence_tolerance: float = 1e-9
@@ -117,9 +119,10 @@ class OracleConfig:
 class Divergence:
     """One observed disagreement, self-contained enough to reproduce.
 
-    ``kind`` is ``"denotation"`` / ``"wlp"`` (the two cells disagree),
-    ``"prover"`` (verification condition vs semantic wlp) or ``"error"``
-    (a cell raised).  ``combo_a`` / ``combo_b`` name the cells compared.
+    ``kind`` is ``"duality"`` (the wlp differs from the one the denotation
+    implies), ``"prover"`` (verification condition vs semantic wlp) or
+    ``"error"`` (an engine raised).  ``combo_a`` / ``combo_b`` name the two
+    results compared; an ``"error"`` names the failing run in ``combo_a``.
     """
 
     seed: int
@@ -158,7 +161,6 @@ class DifferentialReport:
     loop_free: int = 0
     with_loops: int = 0
     prover_checked: int = 0
-    liftings: Tuple[str, ...] = ()
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
@@ -174,7 +176,6 @@ class DifferentialReport:
             "loop_free": self.loop_free,
             "with_loops": self.with_loops,
             "prover_checked": self.prover_checked,
-            "liftings": list(self.liftings),
             "divergence_count": len(self.divergences),
             "divergences": [divergence.to_dict() for divergence in self.divergences],
         }
@@ -185,44 +186,50 @@ def repro_line(seed: int, index: int) -> str:
     return f"python tools/fuzz.py --seed {seed} --index {index} --shrink"
 
 
-def _assertions_close(a: QuantumAssertion, b: QuantumAssertion, atol: float) -> bool:
-    """Set-compare two assertions on their predicate matrices to ``atol``.
+def _matrices(assertion: QuantumAssertion) -> List[np.ndarray]:
+    """Return the predicate matrices of an assertion."""
+    return [np.asarray(predicate.matrix) for predicate in assertion.predicates]
+
+
+def _matrix_sets_close(a: List[np.ndarray], b: List[np.ndarray], atol: float) -> bool:
+    """Set-compare two lists of predicate matrices by mutual inclusion at ``atol``.
 
     :meth:`QuantumAssertion.set_equal` compares at the fixed ``ORDER_ATOL``;
-    the oracle needs the tolerance to follow :class:`OracleConfig`, so the
-    mutual-inclusion check is redone here on the raw matrices.
+    the oracle needs the tolerance to follow :class:`OracleConfig`.
     """
-    if a.dimension != b.dimension:
-        return False
-    mats_a = [np.asarray(p.matrix) for p in a.predicates]
-    mats_b = [np.asarray(p.matrix) for p in b.predicates]
-    forward = all(
-        any(np.allclose(ma, mb, atol=atol, rtol=0.0) for mb in mats_b) for ma in mats_a
-    )
-    backward = all(
-        any(np.allclose(ma, mb, atol=atol, rtol=0.0) for ma in mats_a) for mb in mats_b
-    )
-    return forward and backward
+
+    def included(xs, ys):
+        return all(any(np.allclose(x, y, atol=atol, rtol=0.0) for y in ys) for x in xs)
+
+    return included(a, b) and included(b, a)
 
 
-def _cell_run(program, postcondition, register, lifting: str, config: OracleConfig):
-    """Run denotation + wlp for one cell, returning ``(channels, wlp)``."""
+def _dual_wlp(channels, postcondition: QuantumAssertion) -> List[np.ndarray]:
+    """Return ``E†(Q) + I − E†(I)`` for every channel ``E`` and predicate ``Q`` of ``Θ``.
+
+    For a loop-free program with ``channels = [[S]]`` this is ``wlp.S.Θ``
+    (Def. 4.2, Lemma A.1), computed from the denotation instead of by
+    structural recursion.
+    """
+    identity = np.eye(postcondition.dimension, dtype=complex)
+    return [
+        channel.apply_adjoint(predicate.matrix) + identity - channel.apply_adjoint(identity)
+        for channel in channels
+        for predicate in postcondition.predicates
+    ]
+
+
+def _engine_run(program, postcondition, register, config: OracleConfig):
+    """Run denotation + wlp once, returning ``(channels, wlp)``."""
     if config.clear_cache:
         clear_result_cache()
-    den_options = DenotationOptions(
+    loop_options = dict(
         max_iterations=config.max_iterations,
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
-        lifting=lifting,
     )
-    wp_options = WpOptions(
-        max_iterations=config.max_iterations,
-        convergence_tolerance=config.convergence_tolerance,
-        sampled_schedulers=config.sampled_schedulers,
-        lifting=lifting,
-    )
-    channels = denotation(program, register, den_options)
-    wlp = weakest_liberal_precondition(program, postcondition, register, wp_options)
+    channels = denotation(program, register, DenotationOptions(**loop_options))
+    wlp = weakest_liberal_precondition(program, postcondition, register, WpOptions(**loop_options))
     return channels, wlp
 
 
@@ -231,93 +238,62 @@ def check_program(
     config: Optional[OracleConfig] = None,
     environment: Optional[OperatorEnvironment] = None,
 ) -> List[Divergence]:
-    """Run every oracle cell on one generated program and compare the results.
+    """Run both engines on one generated program and cross-check the results.
 
     Returns the (possibly empty) list of divergences; this is the predicate
     the shrinker re-checks after every candidate reduction.
     """
     config = config or OracleConfig()
     environment = environment or default_environment()
-    seed, index = fuzz_program.seed, fuzz_program.index
     source = fuzz_program.source()
 
     task = build_task(source, environment)
     program = task.formula.program
     postcondition = task.formula.postcondition
     register = task.register
-    has_loop = fuzz_program.contains_while()
 
     divergences: List[Divergence] = []
-    results: List[Tuple[str, List, QuantumAssertion]] = []
-    for lifting in config.liftings:
-        try:
-            channels, wlp = _cell_run(program, postcondition, register, lifting, config)
-        except Exception as error:  # pragma: no cover - only on real engine bugs
-            divergences.append(
-                Divergence(
-                    seed=seed,
-                    index=index,
-                    kind="error",
-                    combo_a=lifting,
-                    combo_b="",
-                    detail=f"{type(error).__name__}: {error}",
-                    source=source,
-                )
-            )
-            continue
-        results.append((lifting, channels, wlp))
 
-    for (cell_a, chan_a, wlp_a), (cell_b, chan_b, wlp_b) in combinations(results, 2):
-        if not set_equal(chan_a, chan_b, atol=config.atol):
-            divergences.append(
-                Divergence(
-                    seed=seed,
-                    index=index,
-                    kind="denotation",
-                    combo_a=cell_a,
-                    combo_b=cell_b,
-                    detail=(
-                        f"denotation sets differ (|a|={len(chan_a)}, |b|={len(chan_b)}, "
-                        f"atol={config.atol:g})"
-                    ),
-                    source=source,
-                )
+    def diverge(kind: str, combo_a: str, combo_b: str, detail: str) -> None:
+        divergences.append(
+            Divergence(
+                seed=fuzz_program.seed,
+                index=fuzz_program.index,
+                kind=kind,
+                combo_a=combo_a,
+                combo_b=combo_b,
+                detail=detail,
+                source=source,
             )
-        if not _assertions_close(wlp_a, wlp_b, atol=config.atol):
-            divergences.append(
-                Divergence(
-                    seed=seed,
-                    index=index,
-                    kind="wlp",
-                    combo_a=cell_a,
-                    combo_b=cell_b,
-                    detail=f"wlp assertions differ (atol={config.atol:g})",
-                    source=source,
-                )
-            )
+        )
 
-    if config.check_prover and not has_loop and results:
-        lifting, _, wlp = results[0]
+    try:
+        channels, wlp = _engine_run(program, postcondition, register, config)
+    except Exception as error:  # pragma: no cover - only on real engine bugs
+        diverge("error", "denotation+wlp", "", f"{type(error).__name__}: {error}")
+        return divergences
+    if fuzz_program.contains_while():
+        return divergences
+
+    if not _matrix_sets_close(_matrices(wlp), _dual_wlp(channels, postcondition), config.atol):
+        diverge(
+            "duality",
+            "wlp",
+            "denotation",
+            f"wlp.S.Θ differs from {{E†(Q) + I − E†(I) : E ∈ [[S]]}} over "
+            f"{len(channels)} channel(s) (atol={config.atol:g})",
+        )
+    if config.check_prover:
         if config.clear_cache:
             clear_result_cache()
-        prover = Prover(
-            register,
-            mode=CorrectnessMode.PARTIAL,
-            invariants=task.invariants,
-            options=ProverOptions(lifting=lifting),
-        )
+        prover = Prover(register, mode=CorrectnessMode.PARTIAL, invariants=task.invariants)
         outline = prover.generate(program, postcondition)
-        if not _assertions_close(outline.precondition, wlp, atol=config.atol):
-            divergences.append(
-                Divergence(
-                    seed=seed,
-                    index=index,
-                    kind="prover",
-                    combo_a=f"prover:{lifting}",
-                    combo_b=f"wlp:{lifting}",
-                    detail="prover verification condition differs from semantic wlp",
-                    source=source,
-                )
+        if not _matrix_sets_close(_matrices(outline.precondition), _matrices(wlp), config.atol):
+            diverge(
+                "prover",
+                "prover",
+                "wlp",
+                "prover verification condition differs from semantic wlp",
             )
     return divergences
 
@@ -337,7 +313,7 @@ def run_differential(
     config = config or OracleConfig()
     environment = environment or default_environment()
     seed = programs[0].seed if programs else 0
-    report = DifferentialReport(seed=seed, liftings=tuple(config.liftings))
+    report = DifferentialReport(seed=seed)
     for position, fuzz_program in enumerate(programs):
         divergences = check_program(fuzz_program, config, environment)
         report.programs_checked += 1

@@ -2,12 +2,12 @@
 
 Every cacheable object in the library — AST nodes (:mod:`repro.language.ast`),
 :class:`~repro.predicates.predicate.QuantumPredicate` /
-:class:`~repro.predicates.assertion.QuantumAssertion`, and the two
-super-operator representations (Kraus, local) — gets a stable
-SHA-256 *structural digest* computed from a canonical serialization of its
-contents.  The digests form the shared key-space of the process-wide
-:mod:`repro.cache` result cache (denotations, wp/wlp transformers, prover
-annotations) and of the ROADMAP's service-level deduplication.
+:class:`~repro.predicates.assertion.QuantumAssertion`, and Kraus-form
+super-operators — gets a stable SHA-256 *structural digest* computed from a
+canonical serialization of its contents.  The digests form the shared
+key-space of the process-wide :mod:`repro.cache` result cache (denotations,
+wp/wlp transformers, prover annotations) and of the ROADMAP's service-level
+deduplication.
 
 Quantization and soundness
 --------------------------
@@ -215,27 +215,11 @@ def assertion_digest(assertion) -> str:
 
 
 def superop_digest(channel) -> str:
-    """Return the digest of a super-operator in either representation.
+    """Return the digest of a super-operator: its dimension and quantized Choi matrix.
 
-    Kraus-form maps digest their (quantized) Choi matrix.
-    :class:`~repro.superop.local.LocalSuperOperator` digests its *small* Choi
-    matrix over the sorted support together with ``(support, num_qubits)`` —
-    never materialising the ``4^n`` dense Choi matrix.  A local map therefore
-    digests differently from its dense embedding even when the maps are equal;
-    that is the permitted (conservative) direction of the digest contract.
+    Equal maps with different Kraus decompositions share the Choi matrix, so
+    they digest alike (up to the rounding-boundary caveat above).
     """
-    from .superop.choi import choi_matrix
-    from .superop.local import LocalSuperOperator
-
-    if isinstance(channel, LocalSuperOperator):
-        support = tuple(sorted(channel.positions))
-        smalls = channel._lift_to(list(support))
-        return digest_parts(
-            "superop-local",
-            channel.num_qubits,
-            support,
-            digest_array(choi_matrix(smalls)),
-        )
     return digest_parts("superop", channel.dimension, digest_array(channel.choi()))
 
 
@@ -276,9 +260,8 @@ def tolerance_safe_hash(kind: str, dimension: int) -> int:
     transitive, so a hash that inspects the numeric payload — even quantized —
     necessarily splits some pair of equal objects across a rounding boundary.
     The only sound hash inputs are exact discrete invariants preserved by
-    equality: the ``kind`` tag and the ``dimension``.  All equal-comparable
-    representations must share one ``kind`` (e.g. every super-operator class
-    passes ``"superop"``, since Kraus and local maps compare equal across
-    representations).  Bucket collisions are resolved by ``__eq__``.
+    equality: the ``kind`` tag and the ``dimension``.  Every class whose
+    instances can compare equal must pass the same ``kind`` (super-operators
+    pass ``"superop"``).  Bucket collisions are resolved by ``__eq__``.
     """
     return hash(("repro-tolerance-safe", kind, dimension))

@@ -203,8 +203,7 @@ def kraus_gram(operators: Iterable[np.ndarray]) -> np.ndarray:
 
     The gram decides trace preservation (``= I``), the trace non-increasing
     side condition (``⊑ I``) and the maximal success probability
-    (``λ_max``); it is shared by the Kraus-form and local super-operator
-    representations.
+    (``λ_max``) of a Kraus-form super-operator.
     """
     operators = [np.asarray(operator, dtype=complex) for operator in operators]
     if not operators:

@@ -3,26 +3,14 @@
 These functions are the workhorse of the register machinery: an operator given
 on a few named qubits must be promoted ("cylinder extension" in the paper's
 terminology) to the full program register before it can be composed with other
-operators.
-
-Two families of helpers live here:
-
-* **Dense lifting** — :func:`embed_operator` / :func:`expand_to_register`
-  materialise the cylinder extension ``A ⊗ I`` as a full ``2^n × 2^n`` matrix.
-* **Local (structure-aware) lifting** — :func:`apply_local_left`,
-  :func:`apply_local_right` and :func:`apply_local_conjugation` compute the
-  *product* of a cylinder extension with another matrix directly, via a
-  reshaped ``einsum`` over the tensor factors.  The embedded operator is never
-  materialised and the cost drops from ``O(8^n)`` per product to
-  ``O(2^k · 4^n)`` for a ``k``-local operator — the substrate of the
-  ``lifting="local"`` mode of the semantics engines
-  (:class:`repro.superop.local.LocalSuperOperator`).
+operators.  :func:`embed_operator` / :func:`expand_to_register` materialise the
+cylinder extension ``A ⊗ I`` as a full ``2^n × 2^n`` matrix, which is the one
+way statements reach the register in the semantics engines.
 """
 
 from __future__ import annotations
 
-import string
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -36,11 +24,6 @@ __all__ = [
     "partial_trace",
     "reduced_state",
     "expand_to_register",
-    "apply_local_left",
-    "apply_local_right",
-    "apply_local_conjugation",
-    "operator_support",
-    "restrict_operator",
 ]
 
 
@@ -165,156 +148,3 @@ def reduced_state(
         positions.append(register.index(name))
     return partial_trace(rho, positions, len(register))
 
-
-# ---------------------------------------------------------------------------
-# Structure-aware (local) lifting: products with a cylinder extension computed
-# by contracting tensor factors, without materialising the embedded operator.
-# ---------------------------------------------------------------------------
-
-
-def _local_product_setup(
-    small: np.ndarray, target: np.ndarray, positions: Sequence[int], axis: int
-) -> Tuple[np.ndarray, np.ndarray, int, Tuple[int, ...]]:
-    """Validate and normalise the operands of a local product.
-
-    ``axis`` is the target axis (``-2`` rows / ``-1`` columns) whose index is
-    interpreted as ``num_factors`` binary tensor factors; ``positions`` names
-    the factors (in the order of ``small``'s own factors) that ``small`` acts
-    on.  Returns the coerced arrays plus ``num_factors`` and the positions.
-    """
-    small = np.asarray(small, dtype=complex)
-    target = np.asarray(target, dtype=complex)
-    if small.ndim != 2 or small.shape[0] != small.shape[1]:
-        raise LinalgError(f"local operator must be square, got shape {small.shape}")
-    if target.ndim < 2:
-        raise LinalgError(f"local products need a matrix target, got shape {target.shape}")
-    positions = tuple(int(p) for p in positions)
-    k = num_qubits_of(small)
-    if len(positions) != k:
-        raise DimensionMismatchError(
-            f"local operator acts on {k} factor(s) but {len(positions)} position(s) were given"
-        )
-    side = target.shape[axis]
-    num_factors = int(round(np.log2(side)))
-    if 2 ** num_factors != side:
-        raise LinalgError(f"target dimension {side} is not a power of two")
-    if len(set(positions)) != len(positions):
-        raise LinalgError(f"duplicate positions in {positions}")
-    if any(not 0 <= p < num_factors for p in positions):
-        raise LinalgError(f"positions {positions} out of range for {num_factors} factor(s)")
-    return small, target, num_factors, positions
-
-
-def apply_local_left(
-    small: np.ndarray, target: np.ndarray, positions: Sequence[int]
-) -> np.ndarray:
-    """Return ``embed(small, positions) @ target`` without building the embedding.
-
-    ``target`` has shape ``(..., 2**n, m)``; its second-to-last axis is read as
-    ``n`` binary tensor factors and ``small`` (a ``2^k × 2^k`` matrix) is
-    contracted against the factors listed in ``positions``.  Leading axes are
-    treated as a batch.  Cost is ``O(2^k · 2^n · m)`` instead of the
-    ``O(4^n · m)`` of a materialised dense product.
-    """
-    small, target, n, positions = _local_product_setup(small, target, positions, axis=-2)
-    k = len(positions)
-    letters = iter(string.ascii_letters)
-    row = [next(letters) for _ in range(n)]
-    out = {p: next(letters) for p in positions}
-    col = next(letters)
-    small_sub = "".join(out[p] for p in positions) + "".join(row[p] for p in positions)
-    target_sub = "..." + "".join(row) + col
-    result_sub = "..." + "".join(out.get(i, row[i]) for i in range(n)) + col
-    work = target.reshape(target.shape[:-2] + (2,) * n + (target.shape[-1],))
-    small_t = small.reshape((2,) * (2 * k))
-    result = np.einsum(f"{small_sub},{target_sub}->{result_sub}", small_t, work)
-    return result.reshape(target.shape)
-
-
-def apply_local_right(
-    target: np.ndarray, small: np.ndarray, positions: Sequence[int]
-) -> np.ndarray:
-    """Return ``target @ embed(small, positions)`` without building the embedding.
-
-    ``target`` has shape ``(..., m, 2**n)``; its last axis is read as ``n``
-    binary tensor factors, the factors listed in ``positions`` being contracted
-    with the *row* index of ``small``.  Leading axes are treated as a batch.
-    """
-    small, target, n, positions = _local_product_setup(small, target, positions, axis=-1)
-    k = len(positions)
-    letters = iter(string.ascii_letters)
-    col = [next(letters) for _ in range(n)]
-    out = {p: next(letters) for p in positions}
-    row = next(letters)
-    small_sub = "".join(col[p] for p in positions) + "".join(out[p] for p in positions)
-    target_sub = "..." + row + "".join(col)
-    result_sub = "..." + row + "".join(out.get(i, col[i]) for i in range(n))
-    work = target.reshape(target.shape[:-1] + (2,) * n)
-    small_t = small.reshape((2,) * (2 * k))
-    result = np.einsum(f"{small_sub},{target_sub}->{result_sub}", small_t, work)
-    return result.reshape(target.shape)
-
-
-def apply_local_conjugation(
-    small: np.ndarray, rho: np.ndarray, positions: Sequence[int]
-) -> np.ndarray:
-    """Return ``embed(small) @ rho @ embed(small)†`` via two local contractions.
-
-    This is the state-update of a ``k``-local Kraus operator applied to a full
-    ``2^n × 2^n`` operator; ``rho`` may carry leading batch axes.
-    """
-    small = np.asarray(small, dtype=complex)
-    left = apply_local_left(small, rho, positions)
-    return apply_local_right(left, np.conjugate(small).T, positions)
-
-
-def operator_support(matrix: np.ndarray, atol: float = 1e-10) -> Tuple[int, ...]:
-    """Return the tensor-factor positions on which ``matrix`` acts nontrivially.
-
-    A factor ``p`` is *outside* the support when the operator decomposes as
-    ``I_p ⊗ R`` with respect to that factor; such factors can be dropped by
-    :func:`restrict_operator` before local lifting, shrinking the matrix a
-    structure-unaware caller supplied in needlessly large dimension.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    n = num_qubits_of(matrix)
-    tensor = matrix.reshape((2,) * (2 * n))
-    support = []
-    for p in range(n):
-        block = np.moveaxis(tensor, (p, n + p), (0, 1))
-        identity_factor = (
-            np.allclose(block[0, 1], 0.0, atol=atol)
-            and np.allclose(block[1, 0], 0.0, atol=atol)
-            and np.allclose(block[0, 0], block[1, 1], atol=atol)
-        )
-        if not identity_factor:
-            support.append(p)
-    return tuple(support)
-
-
-def restrict_operator(matrix: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """Return the ``2^k × 2^k`` restriction of ``matrix`` to the factors in ``keep``.
-
-    The caller asserts (e.g. via :func:`operator_support`) that every dropped
-    factor is an identity tensor factor; the restriction is read off by fixing
-    those factors' row and column indices to ``0``.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    n = num_qubits_of(matrix)
-    keep = tuple(int(p) for p in keep)
-    if len(set(keep)) != len(keep):
-        raise LinalgError(f"duplicate positions in {keep}")
-    if any(not 0 <= p < n for p in keep):
-        raise LinalgError(f"positions {keep} out of range for {n} factor(s)")
-    tensor = matrix.reshape((2,) * (2 * n))
-    index = [0] * (2 * n)
-    for p in keep:
-        index[p] = slice(None)
-        index[n + p] = slice(None)
-    sliced = tensor[tuple(index)]
-    k = len(keep)
-    # After slicing, kept axes appear in ascending-position order; move the
-    # axis holding sorted(keep)[i] to the slot keep.index(sorted(keep)[i]).
-    order = [int(o) for o in np.argsort(keep)]
-    sliced = np.moveaxis(sliced, range(2 * k), order + [k + o for o in order])
-    return sliced.reshape(2 ** k, 2 ** k)

@@ -16,12 +16,7 @@ from ..language.ast import Abort, If, Init, NDet, Seq, Skip, Unitary, While
 from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import leq_inf
 from ..registers import QubitRegister
-from ..semantics.denotational import (
-    _check_lifting,
-    initializer_channel,
-    measurement_superoperators,
-)
-from ..superop.local import LocalSuperOperator
+from ..semantics.denotational import initializer_channel, measurement_superoperators
 from ..telemetry.metrics import METRICS
 from ..telemetry.tracing import span
 from .formula import CorrectnessFormula, CorrectnessMode
@@ -48,8 +43,6 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidProofError(message)
 
 
-
-
 def _assertions_equal(a: QuantumAssertion, b: QuantumAssertion) -> bool:
     return a.set_equal(b)
 
@@ -60,7 +53,6 @@ def check_rule(
     premises: Sequence[CorrectnessFormula] = (),
     register: QubitRegister | None = None,
     epsilon: float = 1e-6,
-    lifting: str = "dense",
 ) -> None:
     """Check one application of a proof rule.
 
@@ -76,15 +68,10 @@ def check_rule(
         Register over which assertions are expressed (defaults to the program's).
     epsilon:
         Numerical precision of the ``⊑_inf`` checks.
-    lifting:
-        ``"dense"`` (default) materialises cylinder extensions; ``"local"``
-        contracts only the targeted tensor factors (see
-        :mod:`repro.superop.local`).
     """
-    _check_lifting(lifting)
-    with span("check-rule", region="prover", rule=rule, lifting=lifting):
+    with span("check-rule", region="prover", rule=rule):
         METRICS.counter("checker.rules", rule=rule).inc()
-        _check_rule_impl(rule, conclusion, premises, register, epsilon, lifting)
+        _check_rule_impl(rule, conclusion, premises, register, epsilon)
 
 
 def _check_rule_impl(
@@ -93,7 +80,6 @@ def _check_rule_impl(
     premises: Sequence[CorrectnessFormula],
     register: QubitRegister | None,
     epsilon: float,
-    lifting: str,
 ) -> None:
     """The unspanned body of :func:`check_rule`."""
     register = conclusion.register(register)
@@ -121,21 +107,15 @@ def _check_rule_impl(
 
     if rule == "Init":
         _require(isinstance(program, Init), "(Init) applies to initialisation statements")
-        channel = initializer_channel(program.qubits, register, lifting)
+        channel = initializer_channel(program.qubits, register)
         expected = post.apply_superoperator_adjoint(channel)
         _require(_assertions_equal(pre, expected), "(Init) precondition must be Σ|i⟩⟨0|Θ|0⟩⟨i|")
         return
 
     if rule == "Unit":
         _require(isinstance(program, Unitary), "(Unit) applies to unitary statements")
-        if lifting == "local":
-            channel = LocalSuperOperator.from_unitary(
-                program.matrix, register.positions(program.qubits), register.num_qubits
-            )
-            expected = post.apply_superoperator_adjoint(channel)
-        else:
-            embedded = register.embed(program.matrix, program.qubits)
-            expected = post.conjugate_by(embedded)
+        embedded = register.embed(program.matrix, program.qubits)
+        expected = post.conjugate_by(embedded)
         _require(_assertions_equal(pre, expected), "(Unit) precondition must be U†ΘU")
         return
 
@@ -172,7 +152,7 @@ def _check_rule_impl(
         _require(else_premise.program == program.else_branch, "(Meas) second premise is the else-branch")
         _require(_assertions_equal(then_premise.postcondition, post), "(Meas) then-branch postcondition mismatch")
         _require(_assertions_equal(else_premise.postcondition, post), "(Meas) else-branch postcondition mismatch")
-        p0, p1 = measurement_superoperators(program, register, lifting)
+        p0, p1 = measurement_superoperators(program, register)
         expected = measured_sum(p0, else_premise.precondition, p1, then_premise.precondition)
         _require(_assertions_equal(pre, expected), "(Meas) conclusion precondition must be P⁰(Θ₀)+P¹(Θ₁)")
         return
@@ -182,7 +162,7 @@ def _check_rule_impl(
         _require(len(premises) == 1, "(While) needs the loop-body premise")
         body_premise = premises[0]
         _require(body_premise.program == program.body, "(While) premise must be about the loop body")
-        p0, p1 = measurement_superoperators(program, register, lifting)
+        p0, p1 = measurement_superoperators(program, register)
         invariant = body_premise.precondition
         expected_body_post = measured_sum(p0, post, p1, invariant)
         _require(

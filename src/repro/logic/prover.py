@@ -33,12 +33,7 @@ from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, W
 from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import OrderCheckResult, leq_inf
 from ..registers import QubitRegister
-from ..semantics.denotational import (
-    _check_lifting,
-    initializer_channel,
-    measurement_superoperators,
-)
-from ..superop.local import LocalSuperOperator
+from ..semantics.denotational import initializer_channel, measurement_superoperators
 from .formula import CorrectnessFormula, CorrectnessMode
 from .proof import AnnotatedStatement, ProofOutline
 from .ranking import check_ranking, synthesize_ranking
@@ -48,7 +43,7 @@ __all__ = ["ProverOptions", "VerificationReport", "Prover", "assign_invariants",
 
 @dataclass
 class ProverOptions:
-    """Numerical and representation options of the prover.
+    """Order-decision and ranking options of the prover.
 
     Attributes
     ----------
@@ -58,19 +53,11 @@ class ProverOptions:
         Truncation length of synthesised ranking sequences (total correctness).
     check_rankings:
         Whether total-correctness loops must pass the ranking check.
-    lifting:
-        ``"dense"`` (default) or ``"local"`` — whether channels are eagerly
-        promoted to the full register or applied by contracting only their
-        tensor factors (see :mod:`repro.superop.local`).
     """
 
     epsilon: float = 1e-6
     ranking_truncation: int = 64
     check_rankings: bool = True
-    lifting: str = "dense"
-
-    def __post_init__(self) -> None:
-        _check_lifting(self.lifting)
 
 
 @dataclass
@@ -182,7 +169,6 @@ class Prover:
             "prover",
             region="prover",
             mode=self.mode.name,
-            lifting=self.options.lifting,
             num_qubits=self.register.num_qubits,
         ):
             root = self._annotate(program, postcondition)
@@ -282,21 +268,15 @@ class Prover:
         return AnnotatedStatement(program, pre, post, rule=rule)
 
     def _annotate_init(self, program: Init, post: QuantumAssertion) -> AnnotatedStatement:
-        channel = initializer_channel(program.qubits, self.register, self.options.lifting)
+        channel = initializer_channel(program.qubits, self.register)
         with span("vc-transform", region="prover", rule="Init", predicates=len(post)):
             pre = post.apply_superoperator_adjoint(channel)
         return AnnotatedStatement(program, pre, post, rule="Init")
 
     def _annotate_unitary(self, program: Unitary, post: QuantumAssertion) -> AnnotatedStatement:
         with span("vc-transform", region="prover", rule="Unit", predicates=len(post)):
-            if self.options.lifting == "local":
-                channel = LocalSuperOperator.from_unitary(
-                    program.matrix, self.register.positions(program.qubits), self.register.num_qubits
-                )
-                pre = post.apply_superoperator_adjoint(channel)
-            else:
-                embedded = self.register.embed(program.matrix, program.qubits)
-                pre = post.conjugate_by(embedded)
+            embedded = self.register.embed(program.matrix, program.qubits)
+            pre = post.conjugate_by(embedded)
         return AnnotatedStatement(program, pre, post, rule="Unit")
 
     def _annotate_seq(self, program: Seq, post: QuantumAssertion) -> AnnotatedStatement:
@@ -317,14 +297,8 @@ class Prover:
         assert pre is not None
         return AnnotatedStatement(program, pre, post, rule="NDet", children=children)
 
-    def _semantics_options(self):
-        """Return :class:`DenotationOptions` matching the prover's lifting choice."""
-        from ..semantics.denotational import DenotationOptions
-
-        return DenotationOptions(lifting=self.options.lifting)
-
     def _annotate_if(self, program: If, post: QuantumAssertion) -> AnnotatedStatement:
-        p0, p1 = measurement_superoperators(program, self.register, self.options.lifting)
+        p0, p1 = measurement_superoperators(program, self.register)
         then_child = self._annotate(program.then_branch, post)
         else_child = self._annotate(program.else_branch, post)
         if post.is_singleton():
@@ -369,7 +343,7 @@ class Prover:
             )
             if invariant.dimension != self.register.dimension:
                 raise InvariantError("loop invariant dimension does not match the register")
-        p0, p1 = measurement_superoperators(program, self.register, self.options.lifting)
+        p0, p1 = measurement_superoperators(program, self.register)
         with span("vc-transform", region="prover", rule="While", predicates=len(post)):
             loop_condition = measured_sum(p0, post, p1, invariant)
         body_child = self._annotate(program.body, loop_condition)
@@ -393,20 +367,11 @@ class Prover:
         if self.mode is CorrectnessMode.TOTAL:
             rule = "WhileT"
             if self.options.check_rankings:
-                semantics_options = self._semantics_options()
                 ranking = synthesize_ranking(
-                    program,
-                    self.register,
-                    truncation=self.options.ranking_truncation,
-                    options=semantics_options,
+                    program, self.register, truncation=self.options.ranking_truncation
                 )
                 check_ranking(
-                    program,
-                    ranking,
-                    loop_condition,
-                    self.register,
-                    epsilon=self.options.epsilon,
-                    options=semantics_options,
+                    program, ranking, loop_condition, self.register, epsilon=self.options.epsilon
                 )
                 self._record(
                     proof_event(

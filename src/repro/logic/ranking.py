@@ -83,7 +83,7 @@ def synthesize_ranking(
             schedulers = schedulers + sample_schedulers(2)
     schedulers = list(schedulers)
 
-    p0, p1 = measurement_superoperators(loop, register, lifting=options.lifting)
+    p0, p1 = measurement_superoperators(loop, register)
     identity = np.eye(register.dimension, dtype=complex)
     termination_now = p0.apply_adjoint(identity)  # P⁰(I): probability of exiting immediately.
 
@@ -129,7 +129,7 @@ def check_ranking(
     register = register or QubitRegister.for_program(loop)
     options = options or DenotationOptions()
     body_maps = denotation(loop.body, register, options)
-    p0, p1 = measurement_superoperators(loop, register, lifting=options.lifting)
+    p0, p1 = measurement_superoperators(loop, register)
 
     for scheduler_index, scheduler in enumerate(ranking.schedulers):
         sequence = ranking.sequences[scheduler_index]

@@ -192,10 +192,9 @@ class QuantumAssertion:
 def measured_sum(p0, zero_branch: QuantumAssertion, p1, one_branch: QuantumAssertion) -> QuantumAssertion:
     """Return the assertion ``P⁰(Θ₀) + P¹(Θ₁)`` used by rules (Meas) and (While).
 
-    ``p0``/``p1`` may be any channel representation exposing ``apply`` (Kraus
-    or local form).  Every pair of predicates from the two operand
-    assertions is combined, matching the paper's extension of the measured sum
-    to assertion sets.
+    ``p0``/``p1`` are the measurement's projection super-operators.  Every
+    pair of predicates from the two operand assertions is combined, matching
+    the paper's extension of the measured sum to assertion sets.
     """
     predicates = []
     for m0 in zero_branch.predicates:

@@ -19,8 +19,8 @@ ancillas) with the same single-bit-flip noise model:
   correction flips ``q`` exactly when all ancillas measure ``1``.
 
 Every statement of the family is a one- or two-qubit operation regardless of
-``n`` — the family is the canonical *gate-local* workload for the
-``lifting="local"`` semantics mode (see ``benchmarks/bench_scaling.py``).
+``n``, so the family shows how the cost of the cylinder extensions grows with
+the register width alone (see ``benchmarks/bench_scaling.py``).
 """
 
 from __future__ import annotations

@@ -91,8 +91,8 @@ def grover_program(
     * ``"gates"`` — the Hadamard layers are emitted as ``n`` single-qubit
       statements and the diffusion is decomposed as
       ``H-layer · (2|0…0⟩⟨0…0| − I) · H-layer``; only the oracle and the zero
-      reflection stay global.  This is the realistic, gate-local circuit that
-      the ``lifting="local"`` semantics mode exploits.
+      reflection stay global.  This is the realistic, gate-local circuit of
+      the ``grover`` family in ``benchmarks/bench_scaling.py``.
     """
     if layout not in ("fused", "gates"):
         raise ValueError(f"unknown Grover layout {layout!r}; expected 'fused' or 'gates'")

@@ -7,9 +7,8 @@
   reproduce the relational-vs-lifted model analysis of Sec. 3.3.2;
 * :mod:`repro.semantics.equivalence` — semantic equality and refinement of programs.
 
-The engines compute with Kraus-form super-operators on one serial path;
-``lifting="dense"|"local"`` on :class:`DenotationOptions` / :class:`WpOptions`
-is their only representation choice.
+The engines compute with Kraus-form super-operators on one serial path, and
+every statement reaches the register as its dense cylinder extension.
 """
 
 from .classical import (

@@ -19,21 +19,9 @@ For loop-free programs the computed set is exact (up to floating point); for
 programs with loops the caller controls which schedulers are explored.
 
 Maps are :class:`~repro.superop.kraus.SuperOperator` in Kraus form, as in the
-paper's presentation; ``lifting`` selects how a statement's operators reach
-the full program register:
-
-* ``lifting="dense"`` (default) — every gate/measurement/initialisation is
-  eagerly promoted to its ``2^n × 2^n`` cylinder extension via ``np.kron``
-  before any product is taken, as in the paper's prototype.
-* ``lifting="local"`` — operators stay ``(small matrix, target positions)``
-  (:class:`~repro.superop.local.LocalSuperOperator`) and all products contract
-  only the targeted tensor factors; lifting is deferred until composition with
-  a genuinely global object demands it.  Results agree with dense lifting to
-  the library tolerance ``ATOL`` on every shipped program.
-
-Both liftings return objects sharing the channel protocol (``apply``,
-``apply_adjoint``, ``compose``, ``choi``, ``equals``, ``precedes``), so all
-downstream consumers (wp/wlp, equivalence, model checking) work with either.
+paper's presentation.  Every gate, measurement and initialisation reaches the
+full program register as its ``2^n × 2^n`` cylinder extension (Sec. 2), built
+with ``np.kron`` before any product is taken, as in the paper's prototype.
 """
 
 from __future__ import annotations
@@ -50,7 +38,6 @@ from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, W
 from ..registers import QubitRegister
 from ..superop.compare import deduplicate
 from ..superop.kraus import SuperOperator
-from ..superop.local import LocalSuperOperator
 from ..telemetry.tracing import span
 from .schedulers import ConstantScheduler, Scheduler, constant_schedulers, sample_schedulers
 
@@ -63,17 +50,6 @@ __all__ = [
     "measurement_superoperators",
     "initializer_channel",
 ]
-
-#: The recognised values of ``DenotationOptions.lifting``.
-LIFTINGS = ("dense", "local")
-
-
-def _check_lifting(lifting: str) -> None:
-    """Raise :class:`SemanticsError` unless ``lifting`` names a known mode."""
-    if lifting not in LIFTINGS:
-        raise SemanticsError(
-            f"unknown lifting mode {lifting!r}; expected one of {LIFTINGS}"
-        )
 
 
 @dataclass
@@ -101,9 +77,6 @@ class DenotationOptions:
         compositions tractable.
     dedup:
         Whether to remove duplicate super-operators from denotation sets.
-    lifting:
-        ``"dense"`` (eager cylinder extension) or ``"local"``
-        (structure-aware deferred lifting) — see the module docstring.
     """
 
     max_iterations: int = 64
@@ -112,81 +85,42 @@ class DenotationOptions:
     sampled_schedulers: int = 2
     simplify_threshold: int = 64
     dedup: bool = True
-    lifting: str = "dense"
-
-    def __post_init__(self) -> None:
-        _check_lifting(self.lifting)
 
 
-def measurement_superoperators(statement, register: QubitRegister, lifting: str = "dense"):
+def measurement_superoperators(
+    statement, register: QubitRegister
+) -> Tuple[SuperOperator, SuperOperator]:
     """Return the pair ``(P⁰, P¹)`` of projection super-operators of a measurement node.
 
-    With ``lifting="local"`` the projectors are wrapped as
-    :class:`~repro.superop.local.LocalSuperOperator` on the measured qubits
-    (no dense embedding is built); with the default ``"dense"`` they are
-    eagerly promoted to the full register as Kraus-form maps.
+    Both projectors are promoted to the full register as Kraus-form maps.
     """
-    _check_lifting(lifting)
-    with span("measurement-pair", region="denotation", lifting=lifting):
-        if lifting == "local":
-            positions = register.positions(statement.qubits)
-            return (
-                LocalSuperOperator.from_projector(statement.measurement.p0, positions, register.num_qubits),
-                LocalSuperOperator.from_projector(statement.measurement.p1, positions, register.num_qubits),
-            )
+    with span("measurement-pair", region="denotation"):
         p0 = register.embed(statement.measurement.p0, statement.qubits)
         p1 = register.embed(statement.measurement.p1, statement.qubits)
         return SuperOperator([p0], validate=False), SuperOperator([p1], validate=False)
 
 
-def initializer_channel(qubits: Sequence[str], register: QubitRegister, lifting: str = "dense"):
-    """Return the ``Set0`` channel on the named ``qubits`` under the selected lifting.
+def initializer_channel(qubits: Sequence[str], register: QubitRegister) -> SuperOperator:
+    """Return the ``Set0`` channel on the named ``qubits``, extended to the register.
 
-    Shared by the wp transformer, the prover and the rule checker, mirroring
-    the dispatch of :func:`measurement_superoperators`.
+    Shared by the wp transformer, the prover and the rule checker.
     """
-    _check_lifting(lifting)
-    with span("initializer", region="denotation", lifting=lifting):
-        if lifting == "local":
-            return LocalSuperOperator.initializer(register.positions(qubits), register.num_qubits)
+    with span("initializer", region="denotation"):
         return SuperOperator.initializer(len(qubits)).embed(qubits, register)
-
-
-def _local_statement_channel(statement, register: QubitRegister) -> LocalSuperOperator:
-    """Return the :class:`LocalSuperOperator` denoted by a basic statement.
-
-    ``Unitary`` matrices are additionally shrunk to their true support
-    (:meth:`LocalSuperOperator.from_full`), so over-wide gates — e.g. a
-    controlled gate handed over on more qubits than it actually touches —
-    are lifted from the smallest possible factor space.
-    """
-    num_qubits = register.num_qubits
-    if isinstance(statement, Skip):
-        return LocalSuperOperator.identity(num_qubits)
-    if isinstance(statement, Init):
-        return LocalSuperOperator.initializer(register.positions(statement.qubits), num_qubits)
-    if isinstance(statement, Unitary):
-        return LocalSuperOperator.from_full(
-            statement.matrix, register.positions(statement.qubits), num_qubits
-        )
-    raise SemanticsError(f"{type(statement).__name__} does not denote a local channel")
 
 
 def denotation(
     program: Program,
     register: QubitRegister | None = None,
     options: DenotationOptions | None = None,
-) -> List:
+) -> List[SuperOperator]:
     """Compute (an approximation of) the denotation ``[[S]]`` over ``register``.
 
     The result is exact for loop-free programs.  For programs containing while
     loops, one super-operator per explored scheduler is produced, each obtained
     by truncating the non-decreasing chain of Eq. (1) at numerical convergence.
 
-    Returns a list of :class:`SuperOperator` (dense lifting) or
-    :class:`~repro.superop.local.LocalSuperOperator` and
-    :class:`SuperOperator` (local lifting); both satisfy the same channel
-    protocol.
+    Returns a list of :class:`SuperOperator` on the full register.
 
     Results are memoized in the process-wide result cache (region
     ``"denotation"``) under the program's content digest, the register
@@ -204,7 +138,6 @@ def denotation(
         "denotation",
         region="denotation",
         node=type(program).__name__,
-        lifting=options.lifting,
         num_qubits=register.num_qubits,
     ) as denotation_span:
         options_sig = options_signature(options)
@@ -244,32 +177,19 @@ def apply_denotation(
 
 def _denote(program: Program, register: QubitRegister, options: DenotationOptions) -> List[SuperOperator]:
     dimension = register.dimension
-    local = options.lifting == "local"
 
     if isinstance(program, Skip):
-        if local:
-            return [LocalSuperOperator.identity(register.num_qubits)]
         return [SuperOperator.identity(dimension)]
     if isinstance(program, Abort):
-        if local:
-            return [LocalSuperOperator.zero(register.num_qubits)]
         return [SuperOperator.zero(dimension)]
     if isinstance(program, Init):
-        if local:
-            return [_local_statement_channel(program, register)]
         channel = SuperOperator.initializer(len(program.qubits)).embed(program.qubits, register)
         return [channel]
     if isinstance(program, Unitary):
-        if local:
-            return [_local_statement_channel(program, register)]
         embedded = register.embed(program.matrix, program.qubits)
         return [SuperOperator([embedded], validate=False)]
     if isinstance(program, Seq):
-        current: List = [
-            LocalSuperOperator.identity(register.num_qubits)
-            if local
-            else SuperOperator.identity(dimension)
-        ]
+        current = [SuperOperator.identity(dimension)]
         for statement in program.statements:
             step = _denote(statement, register, options)
             with span(
@@ -292,7 +212,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
             maps.extend(_denote(branch, register, options))
         return maps
     if isinstance(program, If):
-        p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
+        p0, p1 = measurement_superoperators(program, register)
         else_maps = _denote(program.else_branch, register, options)
         then_maps = _denote(program.then_branch, register, options)
         combined = []
@@ -396,7 +316,7 @@ def deterministic_loop_bypass(program, body_maps, options) -> bool:
     return program_profile(program).is_deterministic
 
 
-def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List:
+def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List[SuperOperator]:
     """Run :func:`loop_iterates` for every scheduler and collect the chain limits."""
     if deterministic_loop_bypass(program, body_maps, options):
         with span(
@@ -445,11 +365,11 @@ def _denote_while(
 def loop_iterates(
     program: While,
     register: QubitRegister,
-    body_maps: Sequence,
+    body_maps: Sequence[SuperOperator],
     scheduler: Scheduler,
     options: DenotationOptions | None = None,
-    prefix_cache: Optional[Dict[Tuple[int, ...], object]] = None,
-) -> List:
+    prefix_cache: Optional[Dict[Tuple[int, ...], SuperOperator]] = None,
+) -> List[SuperOperator]:
     """Return the chain ``F^η_0 ⪯ F^η_1 ⪯ …`` of Eq. (1) under one scheduler.
 
     The chain is truncated after ``max_iterations`` elements, or earlier at
@@ -460,8 +380,7 @@ def loop_iterates(
     operators, so no Choi matrix is built.  The final element approximates
     the least upper bound, i.e. the loop's semantics under the scheduler.
 
-    ``body_maps`` are the loop body's denotations; the measurement
-    projections are built under the lifting selected by ``options``.
+    ``body_maps`` are the loop body's denotations.
 
     ``prefix_cache``, when supplied, memoises the loop prefixes
     ``η_n ∘ P¹ ∘ … ∘ η_1 ∘ P¹`` keyed by the scheduler's choice sequence, so
@@ -473,16 +392,13 @@ def loop_iterates(
     history is retained.
     """
     options = options or DenotationOptions()
-    p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
-    if options.lifting == "local":
-        identity = LocalSuperOperator.identity(register.num_qubits)
-    else:
-        identity = SuperOperator.identity(register.dimension)
+    p0, p1 = measurement_superoperators(program, register)
+    identity = SuperOperator.identity(register.dimension)
 
-    iterates: List = []
+    iterates: List[SuperOperator] = []
     with span("loop-chain", region="loop") as chain_span:
         # step_k = η_k ∘ P¹ is iteration-independent; build each at most once.
-        steps: Dict[int, object] = {}
+        steps: Dict[int, SuperOperator] = {}
         # prefix_i = η_i ∘ P¹ ∘ … ∘ η_1 ∘ P¹ ; the i = 0 prefix is the identity map.
         choices: Tuple[int, ...] = ()
         if prefix_cache is not None:
@@ -516,22 +432,13 @@ def loop_iterates(
     return iterates
 
 
-def _choi_trace(channel) -> float:
-    """Return ``tr Choi(E) = Σ_i ‖K_i‖²_F``, the trace norm of a CP map.
-
-    A local map's Kraus operators are ``s ⊗ I`` on the ``n − k`` untouched
-    qubits, so each small operator ``s`` contributes ``‖s‖²_F · 2^(n−k)``.
-    """
-    if isinstance(channel, LocalSuperOperator):
-        cylinder = 2 ** (channel.num_qubits - len(channel.positions))
-        return cylinder * sum(np.vdot(small, small).real for small in channel.small_kraus)
+def _choi_trace(channel: SuperOperator) -> float:
+    """Return ``tr Choi(E) = Σ_i ‖K_i‖²_F``, the trace norm of a CP map."""
     return sum(np.vdot(operator, operator).real for operator in channel.kraus_operators)
 
 
-def _maybe_simplify(channel, options: DenotationOptions):
-    """Re-canonicalise a Kraus-form or local map whose operator count exploded."""
-    if isinstance(channel, SuperOperator) and len(channel.kraus_operators) > options.simplify_threshold:
-        return channel.simplified()
-    if isinstance(channel, LocalSuperOperator) and len(channel.small_kraus) > options.simplify_threshold:
+def _maybe_simplify(channel: SuperOperator, options: DenotationOptions) -> SuperOperator:
+    """Re-canonicalise a map whose Kraus operator count exploded."""
+    if len(channel.kraus_operators) > options.simplify_threshold:
         return channel.simplified()
     return channel

@@ -10,7 +10,6 @@ schedulers, approximately for loops.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Tuple
 
 from ..language.ast import Program
@@ -28,20 +27,10 @@ def common_register(first: Program, second: Program) -> QubitRegister:
 
 
 def _denotations(
-    first: Program,
-    second: Program,
-    options: DenotationOptions | None,
-    lifting: str | None = None,
-) -> Tuple[list, list, QubitRegister]:
+    first: Program, second: Program, options: DenotationOptions | None
+) -> Tuple[list, list]:
     register = common_register(first, second)
-    options = options or DenotationOptions()
-    if lifting is not None and lifting != options.lifting:
-        options = replace(options, lifting=lifting)
-    return (
-        denotation(first, register, options),
-        denotation(second, register, options),
-        register,
-    )
+    return denotation(first, register, options), denotation(second, register, options)
 
 
 def programs_equivalent(
@@ -49,16 +38,13 @@ def programs_equivalent(
     second: Program,
     options: DenotationOptions | None = None,
     atol: float = 1e-6,
-    lifting: str | None = None,
 ) -> bool:
     """Return ``True`` when ``[[first]] = [[second]]`` over the common register.
 
     Exact for loop-free programs; for loops the comparison is relative to the
-    explored schedulers.  ``lifting`` overrides the promotion strategy
-    (``"dense"`` or ``"local"``) used for both denotations; the set comparison
-    itself is lifting-agnostic.
+    explored schedulers.
     """
-    first_maps, second_maps, _ = _denotations(first, second, options, lifting)
+    first_maps, second_maps = _denotations(first, second, options)
     return set_equal(first_maps, second_maps, atol=atol)
 
 
@@ -67,16 +53,14 @@ def program_refines(
     specification: Program,
     options: DenotationOptions | None = None,
     atol: float = 1e-6,
-    lifting: str | None = None,
 ) -> bool:
     """Return ``True`` when every behaviour of ``implementation`` is allowed by ``specification``.
 
     In the lifted model this is denotation-set inclusion
     ``[[implementation]] ⊆ [[specification]]`` — the notion of refinement that
-    stepwise program development relies on.  ``lifting`` overrides the
-    promotion strategy used for both denotations.
+    stepwise program development relies on.
     """
-    implementation_maps, specification_maps, _ = _denotations(
-        implementation, specification, options, lifting
+    implementation_maps, specification_maps = _denotations(
+        implementation, specification, options
     )
     return set_subset(implementation_maps, specification_maps, atol=atol)

@@ -27,13 +27,11 @@ from ..cache import MISS, RESULT_CACHE
 from ..exceptions import SemanticsError
 from ..hashing import node_digest, options_signature, predicate_digest, register_signature
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
-from ..linalg.tensor import apply_local_conjugation
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.predicate import QuantumPredicate, clip_to_predicate
 from ..registers import QubitRegister
 from ..telemetry.tracing import span
 from .denotational import (
-    _check_lifting,
     _loop_schedulers,
     deterministic_loop_bypass,
     initializer_channel,
@@ -46,22 +44,12 @@ __all__ = ["WpOptions", "weakest_precondition", "weakest_liberal_precondition"]
 
 @dataclass
 class WpOptions:
-    """Options controlling the loop approximation of the wp/wlp transformers.
-
-    ``lifting`` selects how statements reach the register: ``"dense"``
-    materialises every cylinder extension, ``"local"`` conjugates predicates
-    by contracting only the statement's tensor factors (see
-    :mod:`repro.superop.local`).
-    """
+    """Options controlling the loop approximation of the wp/wlp transformers."""
 
     max_iterations: int = 64
     schedulers: Optional[Sequence[Scheduler]] = None
     sampled_schedulers: int = 2
     convergence_tolerance: float = 1e-9
-    lifting: str = "dense"
-
-    def __post_init__(self) -> None:
-        _check_lifting(self.lifting)
 
 
 def weakest_precondition(
@@ -99,7 +87,6 @@ def _transform(
     with span(
         "wp" if not liberal else "wlp",
         region="wp",
-        lifting=options.lifting,
         num_qubits=register.num_qubits,
         predicates=len(postcondition.predicates),
     ):
@@ -159,17 +146,9 @@ def _xp_single_uncached(
             return [QuantumPredicate.identity(register.num_qubits)]
         return [QuantumPredicate.zero(register.num_qubits)]
     if isinstance(program, Init):
-        channel = initializer_channel(program.qubits, register, options.lifting)
+        channel = initializer_channel(program.qubits, register)
         return [post.apply_superoperator_adjoint(channel)]
     if isinstance(program, Unitary):
-        if options.lifting == "local":
-            # U†MU computed by contracting only the gate's tensor factors;
-            # unitary conjugation preserves 0 ⊑ M ⊑ I exactly, so no clipping.
-            positions = register.positions(program.qubits)
-            matrix = apply_local_conjugation(
-                np.conjugate(program.matrix).T, post.matrix, positions
-            )
-            return [QuantumPredicate(matrix, validate=False)]
         embedded = register.embed(program.matrix, program.qubits)
         return [post.conjugate_by(embedded)]
     if isinstance(program, Seq):
@@ -186,7 +165,7 @@ def _xp_single_uncached(
             result.extend(_xp_single(branch, post, register, options, liberal))
         return _dedup(result)
     if isinstance(program, If):
-        p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
+        p0, p1 = measurement_superoperators(program, register)
         else_parts = _xp_single(program.else_branch, post, register, options, liberal)
         then_parts = _xp_single(program.then_branch, post, register, options, liberal)
         combined: List[QuantumPredicate] = []
@@ -215,7 +194,7 @@ def _xp_while(
     ``f_k(A) = P⁰(M) + P¹(η_k†(A) + I − η_k†(I))`` for wlp,
     starting from ``M^·_0 = 0`` (wp) or ``I`` (wlp).
     """
-    p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
+    p0, p1 = measurement_superoperators(program, register)
     body_choices = _body_denotations(program, register, options)
     identity = np.eye(register.dimension, dtype=complex)
 
@@ -288,7 +267,6 @@ def _body_denotations(program: While, register: QubitRegister, options: WpOption
         convergence_tolerance=options.convergence_tolerance,
         schedulers=options.schedulers,
         sampled_schedulers=options.sampled_schedulers,
-        lifting=options.lifting,
     )
     return denotation(program.body, register, body_options)
 

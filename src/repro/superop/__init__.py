@@ -1,20 +1,17 @@
 """Super-operator substrate (S2): Kraus maps, Choi matrices, channels and orderings.
 
-Three interoperable representations of a completely positive map are provided:
+Two interoperable representations of a completely positive map are provided:
 
-* **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}``; the form the
-  semantic engines compute with, as in the paper's presentation.
+* **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}`` on the full
+  register; the form the semantic engines compute with, as in the paper's
+  presentation.  A statement on a few qubits enters as its cylinder
+  extension (:meth:`~repro.superop.kraus.SuperOperator.embed`).
 * **Choi** (:mod:`.choi`) — the ``d²×d²`` positive matrix ``Σ vec(E_i)vec(E_i)†``;
   best for order/positivity questions (Lemma 3.1) and for recovering minimal
   Kraus decompositions.
-* **Local** (:mod:`.local`) — ``(small Kraus operators, target factor
-  positions)`` with *deferred* cylinder extension; every product contracts
-  only the targeted tensor factors, which is the ``lifting="local"`` path of
-  the semantics engines.
 
-Conversions are lossless: Kraus→Choi is a sum of outer products, Choi→Kraus
-is an eigendecomposition, and a local map densifies via
-:meth:`~repro.superop.local.LocalSuperOperator.to_superoperator`.
+Conversions are lossless: Kraus→Choi is one matrix product and Choi→Kraus
+is an eigendecomposition.
 """
 
 from .channels import (
@@ -50,6 +47,5 @@ from .compare import (
     superoperator_precedes,
 )
 from .kraus import SuperOperator
-from .local import LocalSuperOperator
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -5,14 +5,13 @@ super-operators; these helpers implement equality and the CPO order on
 individual maps (Lemma 3.1) and the induced comparisons on finite sets, which
 are used by the semantic model checker and the tests of Lemma 3.2.
 
-All set-level functions accept any mix of Kraus-form
-:class:`~repro.superop.kraus.SuperOperator` and
-:class:`~repro.superop.local.LocalSuperOperator` elements: each map is
-reduced once to a flattened Choi-entry *signature* (the same ``d⁴`` complex
-numbers for equal maps in either representation), after which duplicate
-detection and subset checks are vectorised row comparisons on the stacked
-signatures — instead of rebuilding a pair of Choi matrices for every one of
-the ``O(n²)`` candidate pairs.
+In the set-level functions each
+:class:`~repro.superop.kraus.SuperOperator` is reduced once to a flattened
+Choi-entry *signature* (the same ``d⁴`` complex numbers for equal maps,
+whatever their Kraus decompositions), after which duplicate detection and
+subset checks are vectorised row comparisons on the stacked signatures —
+instead of rebuilding a pair of Choi matrices for every one of the ``O(n²)``
+candidate pairs.
 """
 
 from __future__ import annotations

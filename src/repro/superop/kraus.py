@@ -21,7 +21,7 @@ builds a ``d²×d²`` object that is larger than its Kraus list.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from ..exceptions import DimensionMismatchError, SuperOperatorError
 from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive, is_unitary, kraus_gram, loewner_le, num_qubits_of
-from ..linalg.tensor import apply_local_right
 from ..telemetry.tracing import span
 from .choi import choi_matrix, kraus_from_choi
 
@@ -193,23 +192,8 @@ class SuperOperator:
         return SuperOperator([dagger(operator) for operator in self._kraus], validate=False)
 
     # ------------------------------------------------------------------ algebra
-    def compose(self, other) -> "SuperOperator":
-        """Return ``self ∘ other`` (first ``other``, then ``self``).
-
-        A :class:`~repro.superop.local.LocalSuperOperator` operand is composed
-        by contracting only its targeted tensor factors (no dense embedding is
-        built); the result is a Kraus-form map either way.
-        """
-        from .local import LocalSuperOperator  # deferred: local builds on kraus
-
-        if isinstance(other, LocalSuperOperator):
-            self._check_dimension(other)
-            stack = np.stack(self._kraus)
-            kraus: List[np.ndarray] = []
-            for small in other.small_kraus:
-                # E ∘ embed(s): right-multiply every Kraus operator locally.
-                kraus.extend(apply_local_right(stack, small, other.positions))
-            return SuperOperator(kraus, validate=False)
+    def compose(self, other: "SuperOperator") -> "SuperOperator":
+        """Return ``self ∘ other`` (first ``other``, then ``self``)."""
         self._check_dimension(other)
         kraus = [a @ b for a in self._kraus for b in other._kraus]
         return SuperOperator(kraus, validate=False)
@@ -221,15 +205,8 @@ class SuperOperator:
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         return self.compose(other)
 
-    def __add__(self, other) -> "SuperOperator":
+    def __add__(self, other: "SuperOperator") -> "SuperOperator":
         """Return the pointwise sum (Kraus lists concatenated)."""
-        from .local import LocalSuperOperator  # deferred: local builds on kraus
-
-        if isinstance(other, LocalSuperOperator):
-            self._check_dimension(other)
-            return SuperOperator(
-                list(self._kraus) + other.embedded_kraus(), validate=False
-            )
         self._check_dimension(other)
         return SuperOperator(self._kraus + other._kraus, validate=False)
 
@@ -252,12 +229,8 @@ class SuperOperator:
         return SuperOperator(kraus, validate=False)
 
     # ----------------------------------------------------------------- ordering
-    def equals(self, other, atol: float = ATOL) -> bool:
-        """Return ``True`` when both maps are equal (same Choi matrix).
-
-        Accepts any representation exposing ``choi()``/``dimension``, so
-        Kraus-form and local maps compare transparently.
-        """
+    def equals(self, other: "SuperOperator", atol: float = ATOL) -> bool:
+        """Return ``True`` when both maps are equal (same Choi matrix)."""
         if self._dimension != other.dimension:
             return False
         return bool(np.allclose(self.choi(), other.choi(), atol=atol))
@@ -270,10 +243,10 @@ class SuperOperator:
     def __hash__(self) -> int:
         # Tolerance-based equality admits no payload-derived hash (rounding a
         # boundary-straddling pair of equal maps can split buckets); hash only
-        # the exact invariants, shared with the local representation.
+        # the exact invariants.
         return tolerance_safe_hash("superop", self._dimension)
 
-    def precedes(self, other, atol: float = ORDER_ATOL) -> bool:
+    def precedes(self, other: "SuperOperator", atol: float = ORDER_ATOL) -> bool:
         """Return ``True`` when ``self ⪯ other`` in the CPO of super-operators.
 
         By Lemma 3.1 this holds iff ``other − self`` is completely positive,
@@ -334,7 +307,7 @@ class SuperOperator:
         eigenvalues = np.linalg.eigvalsh(self.kraus_gram())
         return float(max(eigenvalues.max(), 0.0))
 
-    def _check_dimension(self, other) -> None:
+    def _check_dimension(self, other: "SuperOperator") -> None:
         if self._dimension != other.dimension:
             raise DimensionMismatchError(
                 f"super-operators act on different dimensions: {self._dimension} vs {other.dimension}"

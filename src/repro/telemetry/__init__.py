@@ -6,7 +6,7 @@ Three zero-dependency pillars, all process-wide and safe under threads:
   opened with the :func:`span` context manager, tagged with a pipeline
   ``region`` (``parse`` / ``denotation`` / ``wp`` / ``prover`` /
   ``order-decision`` / ``loop`` / ``compare`` / ``cache`` / ``superop``) plus
-  workload attributes (lifting, qubit count, Kraus rank, matrix bytes).
+  workload attributes (qubit count, Kraus rank, matrix bytes).
   Disabled by default; enable with ``configure_tracing(enabled=True)``,
   export with ``get_tracer().export_jsonl(path)`` or render with
   ``get_tracer().render()``.

@@ -292,7 +292,7 @@ def span(name: str, **tags: Any):
 
     Usage::
 
-        with span("denotation", region="denotation", lifting="dense") as sp:
+        with span("denotation", region="denotation", num_qubits=3) as sp:
             ...
             sp.set_tag("cache", "hit")
     """

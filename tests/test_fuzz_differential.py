@@ -1,4 +1,4 @@
-"""Fuzzer sweep: generator validity, cross-representation agreement, shrinker laws.
+"""Fuzzer sweep: generator validity, denotation-vs-wlp duality, shrinker laws.
 
 The sweep seed and size are fixed so the batch is identical on every run and
 on CI; any divergence this module ever finds should be promoted to
@@ -37,6 +37,20 @@ SWEEP_CONFIG = OracleConfig(max_iterations=16)
 
 def _chunk(index: int):
     return generate_batch(SWEEP_SEED, SWEEP_COUNT)[index * CHUNK : (index + 1) * CHUNK]
+
+
+def _first_loop_free():
+    return next(p for p in generate_batch(SWEEP_SEED, SWEEP_COUNT) if not p.contains_while())
+
+
+def _halve_denotation(monkeypatch):
+    """Make the oracle's denotation engine return every channel scaled by ½."""
+    import repro.fuzz.differential as differential
+
+    real = differential.denotation
+    monkeypatch.setattr(
+        differential, "denotation", lambda *a, **k: [0.5 * e for e in real(*a, **k)]
+    )
 
 
 class TestGeneratorValidity:
@@ -85,15 +99,15 @@ class TestGeneratorValidity:
 
 
 class TestDifferentialSweep:
-    """Dense and local lifting agree on every fixed-seed draw."""
+    """On every fixed-seed draw the engines run, and loop-free ones are dual."""
 
-    def test_oracle_matrix_is_complete(self):
+    def test_oracle_checks_at_the_library_tolerance(self):
         config = OracleConfig()
-        assert config.liftings == ("dense", "local")
         assert config.atol == ATOL
+        assert config.check_prover
 
     @pytest.mark.parametrize("chunk", range(SWEEP_COUNT // CHUNK))
-    def test_all_representation_pairs_agree(self, chunk):
+    def test_sweep_chunk_has_no_divergence(self, chunk):
         for program in _chunk(chunk):
             divergences = check_program(program, SWEEP_CONFIG)
             assert not divergences, "\n".join(
@@ -105,10 +119,53 @@ class TestDifferentialSweep:
     def test_loop_free_draws_check_prover_against_wlp(self):
         batch = generate_batch(SWEEP_SEED, SWEEP_COUNT)
         loop_free = [p for p in batch if not p.contains_while()]
-        # The prover-vs-wlp comparison (relative completeness on loop-free
-        # programs) runs inside check_program; here we pin that the sweep
-        # actually exercises it on a healthy fraction of the batch.
+        # The duality and prover-vs-wlp comparisons (exact on loop-free
+        # programs) run inside check_program; here we pin that the sweep
+        # actually exercises them on a healthy fraction of the batch.
         assert len(loop_free) >= SWEEP_COUNT // 10
+
+    def test_duality_holds_on_loop_free_draws_to_rounding(self):
+        # The check is exact, not slack-absorbing: on loop-free draws the
+        # structural wlp and the one implied by the denotation agree far
+        # below ATOL.
+        from repro.fuzz.differential import _dual_wlp, _engine_run, _matrices
+
+        checked = 0
+        for program in generate_batch(SWEEP_SEED, 60):
+            if program.contains_while():
+                continue
+            task = build_task(program.source())
+            post = task.formula.postcondition
+            channels, wlp = _engine_run(task.formula.program, post, task.register, SWEEP_CONFIG)
+            dual = _dual_wlp(channels, post)
+            for matrix in _matrices(wlp):
+                assert min(np.abs(matrix - other).max() for other in dual) < 1e-12
+            checked += 1
+        assert checked >= 5
+
+    def test_halved_denotation_breaks_duality(self, monkeypatch):
+        # A denotation engine that loses half of every channel's mass must be
+        # caught on a loop-free draw, even though every other check passes.
+        _halve_denotation(monkeypatch)
+        program = _first_loop_free()
+        divergences = check_program(program, SWEEP_CONFIG)
+        assert [d.kind for d in divergences] == ["duality"]
+        assert (divergences[0].combo_a, divergences[0].combo_b) == ("wlp", "denotation")
+
+    def test_loop_draws_check_engine_errors_only(self, monkeypatch):
+        import repro.fuzz.differential as differential
+
+        program = next(p for p in _chunk(0) if p.contains_while())
+        _halve_denotation(monkeypatch)
+        assert check_program(program, SWEEP_CONFIG) == []
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(differential, "denotation", broken)
+        divergences = check_program(program, SWEEP_CONFIG)
+        assert [d.kind for d in divergences] == ["error"]
+        assert "RuntimeError: engine bug" in divergences[0].detail
 
 
 class TestShrinker:
@@ -175,17 +232,16 @@ class TestDivergenceReporting:
         assert repro_line(11, 42) == "python tools/fuzz.py --seed 11 --index 42 --shrink"
 
     def test_forced_divergence_reports_repro_and_source(self, monkeypatch):
-        # Force every pair to "diverge" by stubbing the comparators (identical
-        # float results pass even at negative tolerance), exercising the
-        # reporting path without a real bug.
+        # Force both comparisons to "diverge" by stubbing the comparator,
+        # exercising the reporting path without a real bug.
         import repro.fuzz.differential as differential
 
-        monkeypatch.setattr(differential, "set_equal", lambda *a, **k: False)
-        monkeypatch.setattr(differential, "_assertions_close", lambda *a, **k: False)
-        program = generate_program(SWEEP_SEED, 0)
-        config = OracleConfig(check_prover=False)
-        divergences = check_program(program, config)
-        assert divergences
+        monkeypatch.setattr(differential, "_matrix_sets_close", lambda *a, **k: False)
+        program = _first_loop_free()
+        divergences = check_program(program, SWEEP_CONFIG)
+        assert [d.kind for d in divergences] == ["duality", "prover"]
+        unproven = check_program(program, OracleConfig(check_prover=False))
+        assert [d.kind for d in unproven] == ["duality"]
         first = divergences[0]
         assert first.repro == repro_line(program.seed, program.index)
         assert first.source == program.source()

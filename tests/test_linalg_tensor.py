@@ -1,11 +1,19 @@
 """Unit tests for tensor utilities: embedding, permutation, partial trace."""
 
+import itertools
+import string
+
 import numpy as np
 import pytest
 
 from repro.exceptions import DimensionMismatchError, LinalgError
 from repro.linalg.constants import CX, H, I2, P0, P1, X
-from repro.linalg.operators import operators_close
+from repro.linalg.operators import num_qubits_of, operators_close
+from repro.linalg.random import (
+    random_density_operator,
+    random_kraus_operators,
+    random_predicate_matrix,
+)
 from repro.linalg.states import bell_state, density, ket, maximally_mixed
 from repro.linalg.tensor import (
     embed_operator,
@@ -15,6 +23,8 @@ from repro.linalg.tensor import (
     permute_qubits,
     reduced_state,
 )
+from repro.registers import QubitRegister
+from repro.superop.kraus import SuperOperator
 
 
 class TestKron:
@@ -114,3 +124,77 @@ class TestPartialTrace:
         rho = np.kron(density(ket("0")), density(plus := (ket("0") + ket("1")) / np.sqrt(2)))
         reduced = reduced_state(rho, ["b"], ["a", "b"])
         assert operators_close(reduced, density(plus))
+
+
+# ---------------------------------------------------------------------------
+# The cylinder extension against an independent factor-by-factor contraction
+# ---------------------------------------------------------------------------
+
+#: Every ordered support inside a 4-qubit register: each size and each order of
+#: the targeted factors (the tensor-leg permutations most likely to go wrong).
+SUPPORTS = [
+    support for size in range(1, 5) for support in itertools.permutations(range(4), size)
+]
+SUPPORT_IDS = ["-".join(map(str, support)) for support in SUPPORTS]
+REGISTER = QubitRegister(["a", "b", "c", "d"])
+
+
+def _contract(small, target, positions):
+    """Return ``embed(small, positions) @ target`` without embedding ``small``.
+
+    The row index of ``target`` is read as binary tensor factors and ``small``
+    is contracted against the factors in ``positions`` alone: a second
+    implementation of the cylinder extension that builds no Kronecker product
+    and permutes no qubits.
+    """
+    n, k = num_qubits_of(target), len(positions)
+    rows, outs = string.ascii_lowercase[:n], string.ascii_lowercase[n : n + k]
+    out_of = dict(zip(positions, outs))
+    inputs = "".join(rows[p] for p in positions)
+    result_rows = "".join(out_of.get(i, rows[i]) for i in range(n))
+    subscripts = f"{outs}{inputs},{rows}z->{result_rows}z"
+    result = np.einsum(subscripts, small.reshape((2,) * (2 * k)), target.reshape((2,) * n + (-1,)))
+    return result.reshape(target.shape)
+
+
+def _conjugate(small, hermitian, positions):
+    """Return ``K M K†`` for ``K = embed(small, positions)`` and a hermitian ``M``."""
+    return _contract(small, _contract(small, hermitian, positions).conj().T, positions)
+
+
+class TestCylinderExtension:
+    """Dense embedding agrees with the factor contraction on every support."""
+
+    @pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+    def test_embedding_matches_factor_contraction(self, positions):
+        rng = np.random.default_rng(SUPPORTS.index(positions))
+        side = 2 ** len(positions)
+        small, other = rng.normal(size=(2, side, side)) + 1j * rng.normal(size=(2, side, side))
+        target = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        embedded = embed_operator(small, positions, 4)
+        assert np.allclose(embedded, _contract(small, np.eye(16, dtype=complex), positions))
+        assert np.allclose(embedded @ target, _contract(small, target, positions))
+        # The extension commutes with products and adjoints.
+        product = embed_operator(small @ other, positions, 4)
+        assert np.allclose(product, embedded @ embed_operator(other, positions, 4))
+        assert np.allclose(embed_operator(small.conj().T, positions, 4), embedded.conj().T)
+
+    @pytest.mark.parametrize("positions", SUPPORTS, ids=SUPPORT_IDS)
+    def test_embedded_channel_leaves_the_other_qubits_alone(self, positions):
+        seed = SUPPORTS.index(positions)
+        qubits = [REGISTER.names[p] for p in positions]
+        kraus = random_kraus_operators(2 ** len(positions), count=2, seed=seed)
+        channel = SuperOperator(kraus).embed(qubits, REGISTER)
+        rho = random_density_operator(16, seed=seed)
+        observable = random_predicate_matrix(16, seed=seed)
+        image = channel.apply(rho)
+        assert np.allclose(image, sum(_conjugate(k, rho, positions) for k in kraus))
+        assert np.allclose(
+            channel.apply_adjoint(observable),
+            sum(_conjugate(k.conj().T, observable, positions) for k in kraus),
+        )
+        assert channel.is_trace_preserving()
+        rest = [name for name in REGISTER.names if name not in qubits]
+        if rest:
+            # No signalling: the qubits the statement does not name keep their state.
+            assert np.allclose(REGISTER.reduce(image, rest), REGISTER.reduce(rho, rest))

@@ -1,8 +1,7 @@
 """Semantic laws checked on every program of the case-study library.
 
-For every program shipped in :mod:`repro.programs` the two liftings must
-produce the same denotation set and the same wp/wlp preconditions; the
-preconditions must be the adjoints of the denotation (Lemma A.1); and the
+For every program shipped in :mod:`repro.programs` the wp/wlp preconditions
+must be the adjoints of the denotation (Lemma A.1), and the
 program must obey the algebraic laws of the lifted semantics: demonic choice
 is idempotent, ``skip`` is a unit of sequencing, and a program refines its
 choice with ``abort``.  Termination is checked against what the paper states
@@ -28,26 +27,31 @@ from repro.programs import (
     teleport_program,
 )
 from repro.registers import QubitRegister
-from repro.semantics.denotational import DenotationOptions, denotation
+from repro.semantics.denotational import denotation
 from repro.semantics.equivalence import program_refines, programs_equivalent
-from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
+from repro.semantics.wp import weakest_liberal_precondition, weakest_precondition
 from repro.superop.compare import set_equal
 
 #: Every program of the library, keyed for readable parametrised test ids.
 PROGRAMS = {
     "deutsch": deutsch_program,
     "errcorr": errcorr_program,
+    "errcorr4": lambda: errcorr_program(4),
     "grover2": lambda: grover_program(2),
     "grover3": lambda: grover_program(3),
+    "grover3-gates": lambda: grover_program(3, layout="gates"),
+    "grover4": lambda: grover_program(4),
+    "grover4-gates": lambda: grover_program(4, layout="gates"),
     "phaseflip": phaseflip_program,
     "qwalk": qwalk_program,
+    "qwalk8": lambda: qwalk_program(8),
     "rus": rus_program,
     "rus_ndet": nondeterministic_rus_program,
     "teleport": teleport_program,
 }
 
 #: Programs whose every run diverges: the walk never reaches the absorbing vertex.
-NEVER_TERMINATING = {"qwalk"}
+NEVER_TERMINATING = {"qwalk", "qwalk8"}
 
 TRANSFORMERS = {"wp": weakest_precondition, "wlp": weakest_liberal_precondition}
 
@@ -59,27 +63,6 @@ def _program_and_register(name):
 
 def _postcondition(register):
     return QuantumAssertion([random_predicate_matrix(register.dimension, seed=5)])
-
-
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-def test_liftings_agree_on_denotations(name):
-    program, register = _program_and_register(name)
-    dense_maps = denotation(program, register, DenotationOptions(lifting="dense"))
-    local_maps = denotation(program, register, DenotationOptions(lifting="local"))
-    assert len(dense_maps) == len(local_maps)
-    assert set_equal(dense_maps, local_maps, atol=1e-8)
-
-
-@pytest.mark.parametrize("name", sorted(PROGRAMS))
-@pytest.mark.parametrize("transformer", sorted(TRANSFORMERS))
-def test_liftings_agree_on_preconditions(name, transformer):
-    program, register = _program_and_register(name)
-    post = _postcondition(register)
-    transform = TRANSFORMERS[transformer]
-    dense_pre = transform(program, post, register, WpOptions(lifting="dense"))
-    local_pre = transform(program, post, register, WpOptions(lifting="local"))
-    assert len(dense_pre.predicates) == len(local_pre.predicates)
-    assert dense_pre.set_equal(local_pre)
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
@@ -134,7 +117,6 @@ def test_choice_is_idempotent(name):
     program, _ = _program_and_register(name)
     doubled = ndet(program, program)
     assert programs_equivalent(doubled, program, atol=ATOL)
-    assert programs_equivalent(doubled, program, atol=ATOL, lifting="local")
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

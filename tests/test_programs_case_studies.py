@@ -12,6 +12,7 @@ from repro.logic.prover import verify_formula
 from repro.logic.semantic_check import check_formula_semantically
 from repro.programs.deutsch import deutsch_formula, deutsch_program, oracle_unitary
 from repro.programs.errcorr import errcorr_formula, errcorr_program, errcorr_register
+from repro.programs.grover import grover_formula
 from repro.programs.phaseflip import phaseflip_formula
 from repro.programs.qwalk import (
     invalid_invariant,
@@ -153,3 +154,29 @@ class TestExtensions:
         assert isinstance(
             next(node for node in formula.program.walk() if isinstance(node, While)).body, NDet
         )
+
+
+def _small_case_study_formulas():
+    """Yield ``(name, formula, register, invariants)`` for the case studies at 1–3 qubits."""
+    yield "deutsch", *deutsch_formula(), []
+    for qubits in (2, 3):
+        yield f"grover{qubits}", *grover_formula(qubits), []
+        yield f"grover{qubits}-gates", *grover_formula(qubits, layout="gates"), []
+    for positions in (4, 8):
+        formula, register = qwalk_formula(positions)
+        yield f"qwalk{positions}", formula, register, [qwalk_invariant(positions)]
+    yield "errcorr3", *errcorr_formula(num_data_qubits=3), []
+    formula, register = rus_formula()
+    yield "rus", formula, register, [rus_invariant()]
+
+
+SMALL_CASES = list(_small_case_study_formulas())
+
+
+@pytest.mark.parametrize(
+    "name,formula,register,invariants", SMALL_CASES, ids=[case[0] for case in SMALL_CASES]
+)
+def test_case_study_formulas_verify_up_to_three_qubits(name, formula, register, invariants):
+    # 4-qubit members are verified by the benchmarks; the prover sweep stays cheap.
+    assert register.num_qubits <= 3
+    assert verify_formula(formula, register, invariants or None).verified

@@ -38,7 +38,6 @@ from repro.linalg.random import (
     random_state_vector,
     random_unitary,
 )
-from repro.linalg.tensor import embed_operator
 from repro.logic.formula import CorrectnessFormula, CorrectnessMode
 from repro.logic.prover import verify_formula
 from repro.logic.semantic_check import check_formula_semantically
@@ -46,12 +45,11 @@ from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.order import leq_inf
 from repro.predicates.predicate import QuantumPredicate
 from repro.registers import QubitRegister
-from repro.semantics.denotational import DenotationOptions, denotation
+from repro.semantics.denotational import denotation
 from repro.semantics.wp import weakest_liberal_precondition, weakest_precondition
 from repro.superop.choi import choi_matrix, kraus_from_choi
 from repro.superop.compare import set_equal, set_subset
 from repro.superop.kraus import SuperOperator
-from repro.superop.local import LocalSuperOperator
 
 # A small pool of named single-qubit unitaries for program generation.
 _GATES = [("H", H), ("X", X), ("Y", Y), ("Z", Z), ("S", S_GATE)]
@@ -154,7 +152,7 @@ class TestSuperOperatorProperties:
 
 
 # ---------------------------------------------------------------------------
-# Representation round-trip properties (Kraus ↔ Choi, dense ↔ local lifting)
+# Representation round-trip properties (Kraus ↔ Choi)
 # ---------------------------------------------------------------------------
 
 
@@ -168,32 +166,6 @@ class TestRepresentationRoundTrips:
         assert SuperOperator(recovered, validate=False).equals(
             SuperOperator(kraus, validate=False)
         )
-
-    @given(
-        seed=seeds,
-        positions=st.permutations([0, 1, 2]).flatmap(
-            lambda order: st.integers(min_value=1, max_value=3).map(lambda k: tuple(order[:k]))
-        ),
-    )
-    @_SETTINGS
-    def test_local_application_agrees_with_kraus(self, seed, positions):
-        kraus = random_kraus_operators(2 ** len(positions), count=2, trace_preserving=False, seed=seed)
-        local = LocalSuperOperator(kraus, positions, 3)
-        dense = SuperOperator([embed_operator(k, positions, 3) for k in kraus])
-        rho = random_density_operator(8, seed=seed + 1)
-        observable = random_predicate_matrix(8, seed=seed + 2)
-        assert np.allclose(local.apply(rho), dense.apply(rho), atol=1e-10)
-        assert np.allclose(local.apply_adjoint(observable), dense.apply_adjoint(observable), atol=1e-10)
-        assert local.equals(dense)
-
-    @given(program=loop_free_programs())
-    @_SETTINGS
-    def test_liftings_compute_equal_denotation_sets(self, program):
-        register = QubitRegister(["q"])
-        dense_maps = denotation(program, register, DenotationOptions(lifting="dense"))
-        local_maps = denotation(program, register, DenotationOptions(lifting="local"))
-        assert len(dense_maps) == len(local_maps)
-        assert set_equal(dense_maps, local_maps, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

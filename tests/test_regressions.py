@@ -2,9 +2,9 @@
 
 Every ``fuzz_<seed>_<index>.nqpv`` / ``.expected.json`` pair was once a real
 divergence found by ``tools/fuzz.py`` (shrunk to a minimal program before
-promotion); replaying them through the full oracle matrix pins the fixes
-forever after.  The corpus grows automatically: any new promotion is picked
-up by the ``glob`` below without touching this file.
+promotion); replaying them through the oracle pins the fixes forever after.
+The corpus grows automatically: any new promotion is picked up by the
+``glob`` below without touching this file.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Covers the :class:`~repro.cache.ResultCache` mechanics (LRU bound, counters,
 subprograms share one annotation; a single-branch edit reuses ≥ 50 % of the
 per-subterm annotations), honoring of caller tolerances after the
 de-clamping, a cached-vs-uncached correctness sweep over the case-study
-formulas at 2–4 qubits × lifting, and a reproducibility sweep: cold, warm and
+formulas at 2–4 qubits, and a reproducibility sweep: cold, warm and
 uncached runs of denotation, wp/wlp and the prover return identical results
 in identical order.
 """
@@ -28,7 +28,7 @@ from repro.programs.grover import grover_formula
 from repro.programs.qwalk import qwalk_formula, qwalk_invariant
 from repro.programs.rus import rus_formula, rus_invariant
 from repro.registers import QubitRegister
-from repro.semantics.denotational import LIFTINGS, DenotationOptions, denotation
+from repro.semantics.denotational import DenotationOptions, denotation
 from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
@@ -235,33 +235,32 @@ def _sweep_cases():
 _CASES = list(_sweep_cases())
 
 
-@pytest.mark.parametrize("lifting", LIFTINGS)
-def test_cached_and_uncached_runs_agree(lifting):
+def test_cached_and_uncached_runs_agree():
     for name, formula, register in _CASES:
-        options = DenotationOptions(lifting=lifting)
+        options = DenotationOptions()
         RESULT_CACHE.configure(enabled=False)
         uncached_maps = denotation(formula.program, register, options)
         RESULT_CACHE.configure(enabled=True)
         clear_result_cache()
         denotation(formula.program, register, options)  # populate
         cached_maps = denotation(formula.program, register, options)  # served from cache
-        assert set_equal(uncached_maps, cached_maps, atol=ATOL), (name, lifting)
+        assert set_equal(uncached_maps, cached_maps, atol=ATOL), name
 
         if register.num_qubits > 3:
             continue  # prover sweep stays cheap, as in tier-1
-        prover_options = ProverOptions(lifting=lifting)
+        prover_options = ProverOptions()
         RESULT_CACHE.configure(enabled=False)
         uncached_report = verify_formula(formula, register, options=prover_options)
         RESULT_CACHE.configure(enabled=True)
         clear_result_cache()
         verify_formula(formula, register, options=prover_options)
         cached_report = verify_formula(formula, register, options=prover_options)
-        assert cached_report.verified == uncached_report.verified, (name, lifting)
+        assert cached_report.verified == uncached_report.verified, name
         uncached_vc = uncached_report.verification_condition
         cached_vc = cached_report.verification_condition
         assert len(uncached_vc.predicates) == len(cached_vc.predicates)
         for mine, theirs in zip(uncached_vc.predicates, cached_vc.predicates):
-            assert np.allclose(mine.matrix, theirs.matrix, atol=ATOL), (name, lifting)
+            assert np.allclose(mine.matrix, theirs.matrix, atol=ATOL), name
 
 
 def test_explicit_schedulers_bypass_the_cache():
@@ -327,9 +326,8 @@ def _assert_same_matrices_in_order(reference, others, label):
     _REPRODUCIBILITY_CASES,
     ids=[case[0] for case in _REPRODUCIBILITY_CASES],
 )
-@pytest.mark.parametrize("lifting", LIFTINGS)
-def test_denotation_runs_are_reproducible(name, formula, register, invariants, lifting):
-    options = DenotationOptions(lifting=lifting)
+def test_denotation_runs_are_reproducible(name, formula, register, invariants):
+    options = DenotationOptions()
     runs = _cold_warm_uncached(
         "denotation", lambda: denotation(formula.program, register, options)
     )
@@ -344,10 +342,9 @@ def test_denotation_runs_are_reproducible(name, formula, register, invariants, l
 @pytest.mark.parametrize(
     "name,formula,register,invariants", _SMALL_CASES, ids=[case[0] for case in _SMALL_CASES]
 )
-@pytest.mark.parametrize("lifting", LIFTINGS)
-def test_wp_and_wlp_runs_are_reproducible(name, formula, register, invariants, lifting):
+def test_wp_and_wlp_runs_are_reproducible(name, formula, register, invariants):
     program, post = formula.program, formula.postcondition
-    options = WpOptions(lifting=lifting)
+    options = WpOptions()
     for label, transform in (("wp", weakest_precondition), ("wlp", weakest_liberal_precondition)):
         cold, warm, uncached = _cold_warm_uncached(
             "wp",
@@ -359,9 +356,8 @@ def test_wp_and_wlp_runs_are_reproducible(name, formula, register, invariants, l
 @pytest.mark.parametrize(
     "name,formula,register,invariants", _SMALL_CASES, ids=[case[0] for case in _SMALL_CASES]
 )
-@pytest.mark.parametrize("lifting", LIFTINGS)
-def test_prover_runs_are_reproducible(name, formula, register, invariants, lifting):
-    options = ProverOptions(lifting=lifting)
+def test_prover_runs_are_reproducible(name, formula, register, invariants):
+    options = ProverOptions()
     reports = _cold_warm_uncached(
         "prover", lambda: verify_formula(formula, register, invariants or None, options=options)
     )

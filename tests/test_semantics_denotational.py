@@ -21,10 +21,6 @@ from repro.language.ast import (
 from repro.linalg.constants import H, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.states import density, ket, maximally_mixed, minus_state, plus_state
-from repro.logic.checker import check_rule
-from repro.logic.formula import CorrectnessFormula, CorrectnessMode
-from repro.logic.prover import ProverOptions
-from repro.predicates.assertion import QuantumAssertion
 from repro.programs import (
     apply_noise,
     nondeterministic_rus_program,
@@ -47,10 +43,8 @@ from repro.semantics.schedulers import (
     constant_schedulers,
     sample_schedulers,
 )
-from repro.semantics.wp import WpOptions
 from repro.superop import choi as choi_module
 from repro.superop import kraus as kraus_module
-from repro.superop import local as local_module
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
 
@@ -208,10 +202,10 @@ LOOP_PROGRAMS = {
 }
 
 
-def _loop_runs(name, lifting):
+def _loop_runs(name):
     """Return ``{(loop, scheduler): loop_iterates arguments}`` for a library program."""
     program, register = LOOP_PROGRAMS[name]()
-    options = DenotationOptions(lifting=lifting)
+    options = DenotationOptions()
     runs = {}
     for loop_index, loop in enumerate(node for node in program.walk() if isinstance(node, While)):
         bodies = denotation(loop.body, register, options)
@@ -234,14 +228,13 @@ def _choi_trace_gap(later, earlier):
 class TestLoopConvergence:
     """Convergence is decided on ``Σ‖K_i‖²_F`` of the increment, without Choi matrices."""
 
-    @pytest.mark.parametrize("lifting", ["dense", "local"])
     @pytest.mark.parametrize("name", ["rus", "rus_ndet", "qwalk4", "qwalk8"])
-    def test_loop_iterates_never_builds_a_choi_matrix(self, monkeypatch, name, lifting):
+    def test_loop_iterates_never_builds_a_choi_matrix(self, monkeypatch, name):
         def refuse(*args, **kwargs):
             raise AssertionError("loop_iterates must not build a Choi matrix")
 
-        runs = _loop_runs(name, lifting)
-        for module in (choi_module, kraus_module, local_module):
+        runs = _loop_runs(name)
+        for module in (choi_module, kraus_module):
             monkeypatch.setattr(module, "choi_matrix", refuse)
         chains = _loop_chains(runs)
         assert chains and all(len(chain) >= 2 for chain in chains.values())
@@ -249,10 +242,9 @@ class TestLoopConvergence:
     #: cos²θ of the rotation ``Ry(θ)`` in the closed-form loop below.
     COS2 = 0.9
 
-    @pytest.mark.parametrize("lifting", ["dense", "local"])
     @pytest.mark.parametrize("idle_qubits", [0, 1])
     @pytest.mark.parametrize("tolerance", [1e-2, 1e-5, 1e-9])
-    def test_stops_at_first_increment_below_tolerance(self, lifting, idle_qubits, tolerance):
+    def test_stops_at_first_increment_below_tolerance(self, idle_qubits, tolerance):
         # while M[q] do q *= Ry(θ): prefix n is c^(n−1) Ry|1⟩⟨1| and increment
         # n ≥ 1 is −s·c^(n−1) |0⟩⟨1| ⊗ I on the idle qubits, so
         # Σ‖K‖²_F = 2^idle · s² · c^(2(n−1)), always below the prefix bound
@@ -262,9 +254,7 @@ class TestLoopConvergence:
         rotation = np.array([[c, -s], [s, c]], dtype=complex)
         register = QubitRegister(["q"] + [f"r{i}" for i in range(idle_qubits)])
         loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "Ry", rotation))
-        options = DenotationOptions(
-            lifting=lifting, convergence_tolerance=tolerance, max_iterations=256
-        )
+        options = DenotationOptions(convergence_tolerance=tolerance, max_iterations=256)
         bodies = denotation(loop.body, register, options)
         chain = loop_iterates(loop, register, bodies, ConstantScheduler(0), options)
 
@@ -282,26 +272,12 @@ class TestLoopConvergence:
         # while M[q] do q *= X: increments P⁰, |0⟩⟨1|, 0 — norms 1, 1, 0.
         register = QubitRegister(["q"])
         loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "X", X))
-        for lifting in ("dense", "local"):
-            options = DenotationOptions(lifting=lifting)
-            bodies = denotation(loop.body, register, options)
-            chain = loop_iterates(loop, register, bodies, ConstantScheduler(0), options)
-            gaps = [_choi_trace_gap(b, a) for a, b in zip(chain, chain[1:])]
-            assert len(chain) == 3
-            assert gaps == pytest.approx([1.0, 0.0], abs=1e-12)
-
-    @pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
-    def test_liftings_agree_on_iteration_counts(self, name):
-        # The fuzz oracle compares loop draws of both liftings at ATOL, which
-        # holds only while both truncate every chain at the same iteration.
-        dense = _loop_chains(_loop_runs(name, "dense"))
-        local = _loop_chains(_loop_runs(name, "local"))
-        assert dense.keys() == local.keys()
-        assert {key: len(chain) for key, chain in dense.items()} == {
-            key: len(chain) for key, chain in local.items()
-        }
-        for key in dense:
-            assert dense[key][-1].equals(local[key][-1], atol=1e-8)
+        options = DenotationOptions()
+        bodies = denotation(loop.body, register, options)
+        chain = loop_iterates(loop, register, bodies, ConstantScheduler(0), options)
+        gaps = [_choi_trace_gap(b, a) for a, b in zip(chain, chain[1:])]
+        assert len(chain) == 3
+        assert gaps == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 class TestMeasurementSuperoperators:
@@ -354,21 +330,8 @@ class TestLoopPrefixCache:
             assert a.equals(b, atol=1e-10)
 
 
-def test_unknown_lifting_is_rejected():
-    with pytest.raises(SemanticsError):
-        DenotationOptions(lifting="sparse")
-    with pytest.raises(SemanticsError):
-        WpOptions(lifting="locall")
-    with pytest.raises(SemanticsError):
-        ProverOptions(lifting="Dense")
-    identity = QuantumAssertion.identity(1)
-    conclusion = CorrectnessFormula(identity, Skip(), identity, CorrectnessMode.PARTIAL)
-    with pytest.raises(SemanticsError):
-        check_rule("Skip", conclusion, register=QubitRegister(["q"]), lifting="lazy")
-
-
 def test_denotation_options_pickle_roundtrip():
-    options = DenotationOptions(lifting="local", max_iterations=16)
+    options = DenotationOptions(max_iterations=16, dedup=False)
     assert pickle.loads(pickle.dumps(options)) == options
 
 

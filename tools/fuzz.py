@@ -1,7 +1,7 @@
 """Fuzzing driver: generate programs, run the differential oracle, promote findings.
 
-Sweeps a fixed-seed batch of generated programs through the cross-
-representation oracle of :mod:`repro.fuzz.differential`::
+Sweeps a fixed-seed batch of generated programs through the denotation-vs-wlp
+oracle of :mod:`repro.fuzz.differential`::
 
     python tools/fuzz.py --seed 2023 --max-programs 200 --report fuzz-report.json
 
@@ -158,8 +158,10 @@ def main(argv=None) -> int:
             payload["failures"].append(
                 report_failure(program, divergences, args, oracle_config)
             )
+        elif program.contains_while():
+            print(f"index {args.index}: loop draw ran without engine errors")
         else:
-            print(f"index {args.index}: both liftings agree")
+            print(f"index {args.index}: wlp matches the denotation and the prover")
         failures = payload["failures"]
     else:
         programs = [
@@ -178,8 +180,8 @@ def main(argv=None) -> int:
         payload["failures"] = failures
         print(
             f"checked {report.programs_checked} programs "
-            f"({report.loop_free} loop-free, {report.with_loops} with loops) "
-            f"across {len(report.liftings)} liftings: "
+            f"(duality on {report.loop_free} loop-free, prover on {report.prover_checked}, "
+            f"engine errors only on {report.with_loops} with loops): "
             f"{len(failures)} divergent program(s)"
         )
 
