@@ -1,10 +1,10 @@
 """Program analyses: termination, refinement (S14) and static semantic analysis.
 
 The :mod:`repro.analysis.static` subpackage is the non-throwing lint layer:
-multi-pass diagnostics (well-formedness, qubit-usage dataflow) plus the
+multi-pass diagnostics (well-formedness on the raw tree, qubit-usage
+dataflow on the typed AST) plus the
 :class:`~repro.analysis.static.profile.ProgramProfile` structure summary
-consumed by the verify pre-flight and the semantic engines' deterministic
-fast path.
+reported by the verify pre-flight and ``--diagnostics-json``.
 """
 
 from .refinement import RefinementReport, check_refinement, transfer_formula
@@ -14,7 +14,6 @@ from .static import (
     ProgramProfile,
     analyze_program,
     analyze_source,
-    profile_node,
     program_profile,
 )
 from .termination import (
@@ -33,7 +32,6 @@ __all__ = [
     "ProgramProfile",
     "analyze_program",
     "analyze_source",
-    "profile_node",
     "program_profile",
     "TerminationReport",
     "loop_termination_curve",

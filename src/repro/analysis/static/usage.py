@@ -1,6 +1,6 @@
 """Qubit-usage dataflow pass: use-before-init, unused and dead initialisations.
 
-The pass interprets the mini-IR of :mod:`repro.analysis.static.model` over a
+The pass interprets a typed :class:`~repro.language.ast.Program` over a
 small per-qubit *must* lattice::
 
     UNSEEN ──┐            UNSEEN  never initialised on any path so far
@@ -20,6 +20,10 @@ reported from the unstable intermediate passes.  All three diagnostics are
   (guard measurements and assertion-annotation mentions count as uses);
 * ``QV203`` — an ``init`` overwrites a previous ``init`` that no statement
   consumed in between (must-INIT state only).
+
+Warnings point at the ``source_span`` of the statement involved; a program
+built without spans gets no ``QV201``/``QV203`` and spanless ``QV202``
+warnings.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from ...diagnostics import Diagnostic, SourceSpan, make_diagnostic
-from .model import Node
+from ...language.ast import If, Init, NDet, Program, Seq, Unitary, While
 
 __all__ = ["check_usage"]
 
@@ -54,22 +58,21 @@ def _join(left: _State, right: _State) -> _State:
 
 
 def _collect_syntactic(
-    node: Node,
+    program: Program,
     ever_init: Dict[str, Optional[SourceSpan]],
     ever_used: set,
 ) -> None:
     """Flow-insensitive sweep: first-init spans and the set of used qubits."""
-    if node.kind == "init":
-        for qubit in node.qubits:
-            ever_init.setdefault(qubit, node.span)
-    elif node.kind in ("unitary", "if", "while"):
-        ever_used.update(node.qubits)
-    for child in node.children:
-        _collect_syntactic(child, ever_init, ever_used)
+    for node in program.walk():
+        if isinstance(node, Init):
+            for qubit in node.qubits:
+                ever_init.setdefault(qubit, node.source_span)
+        elif isinstance(node, (Unitary, If, While)):
+            ever_used.update(node.qubits)
 
 
 class _UsageWalker:
-    """One dataflow interpretation of a mini-IR tree."""
+    """One dataflow interpretation of a typed program."""
 
     def __init__(self):
         self.first_unseen_use: Dict[str, SourceSpan] = {}
@@ -83,65 +86,58 @@ class _UsageWalker:
             state[qubit] = _USED
 
     def _init(self, qubits, span: Optional[SourceSpan], state: _State, emit: bool) -> None:
-        # Deduplicate within one statement: a repeated qubit in a single
-        # initialisation is QV101's business, not a dead overwrite.
-        for qubit in dict.fromkeys(qubits):
+        for qubit in qubits:
             if emit and state.get(qubit, _UNSEEN) == _INIT and span is not None:
                 self.dead_inits.append((qubit, span))
             state[qubit] = _INIT
 
     # ------------------------------------------------------------- traversal
-    def visit(self, node: Node, state: _State, emit: bool) -> _State:
-        """Interpret ``node`` starting from ``state``; return the exit state."""
-        if node.kind in ("skip", "abort"):
-            return state
-        if node.kind == "init":
-            self._init(node.qubits, node.span, state, emit)
-            return state
-        if node.kind == "unitary":
-            self._use(node.qubits, node.span, state, emit)
-            return state
-        if node.kind == "seq":
-            for child in node.children:
-                state = self.visit(child, state, emit)
-            return state
-        if node.kind == "choice":
-            exits = [self.visit(child, dict(state), emit) for child in node.children]
-            merged = exits[0] if exits else state
+    def visit(self, program: Program, state: _State, emit: bool) -> _State:
+        """Interpret ``program`` starting from ``state``; return the exit state."""
+        if isinstance(program, Init):
+            self._init(program.qubits, program.source_span, state, emit)
+        elif isinstance(program, Unitary):
+            self._use(program.qubits, program.source_span, state, emit)
+        elif isinstance(program, Seq):
+            for statement in program.statements:
+                state = self.visit(statement, state, emit)
+        elif isinstance(program, NDet):
+            exits = [self.visit(branch, dict(state), emit) for branch in program.branches]
+            state = exits[0]
             for other in exits[1:]:
-                merged = _join(merged, other)
-            return merged
-        if node.kind == "if":
-            self._use(node.qubits, node.span, state, emit)
-            then_exit = self.visit(node.children[0], dict(state), emit)
-            else_exit = self.visit(node.children[1], dict(state), emit)
-            return _join(then_exit, else_exit)
-        if node.kind == "while":
-            return self._visit_while(node, state, emit)
-        raise TypeError(f"unsupported mini-IR kind {node.kind!r}")
+                state = _join(state, other)
+        elif isinstance(program, If):
+            self._use(program.qubits, program.source_span, state, emit)
+            then_exit = self.visit(program.then_branch, dict(state), emit)
+            else_exit = self.visit(program.else_branch, dict(state), emit)
+            state = _join(then_exit, else_exit)
+        elif isinstance(program, While):
+            state = self._visit_while(program, state, emit)
+        return state
 
-    def _visit_while(self, node: Node, state: _State, emit: bool) -> _State:
-        body = node.children[0]
+    def _visit_while(self, loop: While, state: _State, emit: bool) -> _State:
         entry = dict(state)
         # Silent fixpoint: fold the body's effect into the entry state.
         for _ in range(_MAX_FIXPOINT_ITERATIONS):
             trial = dict(entry)
-            self._use(node.qubits, node.span, trial, emit=False)
-            body_exit = self.visit(body, dict(trial), emit=False)
+            self._use(loop.qubits, loop.source_span, trial, emit=False)
+            body_exit = self.visit(loop.body, dict(trial), emit=False)
             joined = _join(entry, body_exit)
             if joined == entry:
                 break
             entry = joined
         # Reporting pass on the stabilised entry state.
         final = dict(entry)
-        self._use(node.qubits, node.span, final, emit)
+        self._use(loop.qubits, loop.source_span, final, emit)
         if emit:
-            self.visit(body, dict(final), emit=True)
+            self.visit(loop.body, dict(final), emit=True)
         return final
 
 
-def check_usage(root: Node, external_uses: AbstractSet[str] = frozenset()) -> List[Diagnostic]:
-    """Run the usage-dataflow pass over a mini-IR tree and return its warnings.
+def check_usage(
+    program: Program, external_uses: AbstractSet[str] = frozenset()
+) -> List[Diagnostic]:
+    """Run the usage-dataflow pass over a typed program and return its warnings.
 
     ``external_uses`` are qubits mentioned outside the program proper (e.g. in
     assertion annotations); they suppress ``QV202`` but take no part in the
@@ -149,10 +145,10 @@ def check_usage(root: Node, external_uses: AbstractSet[str] = frozenset()) -> Li
     """
     ever_init: Dict[str, Optional[SourceSpan]] = {}
     ever_used: set = set()
-    _collect_syntactic(root, ever_init, ever_used)
+    _collect_syntactic(program, ever_init, ever_used)
 
     walker = _UsageWalker()
-    walker.visit(root, {}, emit=True)
+    walker.visit(program, {}, emit=True)
 
     diagnostics: List[Diagnostic] = []
     for qubit, span in sorted(walker.first_unseen_use.items()):

@@ -53,8 +53,9 @@ from ...linalg.operators import is_hermitian, is_predicate_matrix, is_unitary
 
 __all__ = ["check_wellformed"]
 
-#: Message of the missing-postcondition diagnostic; kept identical to the
-#: historical AssistantError raised by the verify front end.
+#: Message of the missing-postcondition diagnostic.  The verify pre-flight
+#: raises it as a StaticAnalysisError, which is an AssistantError, so callers
+#: matching the front end's historical AssistantError text still match.
 _MISSING_POSTCONDITION = "the source must end with a postcondition annotation '{ ... }'"
 
 

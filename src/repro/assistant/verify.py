@@ -13,10 +13,11 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from ..analysis.static.analyzer import AnalysisResult, analyze_source
-from ..exceptions import AssistantError, StaticAnalysisError
+from ..analysis.static.analyzer import AnalysisResult, analyze_raw
+from ..exceptions import StaticAnalysisError
 from ..language.names import OperatorEnvironment, default_environment
-from ..language.parser import AnnotatedProgram, AssertionSpec, parse_annotated_program
+from ..language.parser import AnnotatedProgram, AssertionSpec, resolve_annotated
+from ..language.syntax import parse_raw_annotated
 from ..logic.formula import CorrectnessFormula, CorrectnessMode
 from ..logic.prover import ProverOptions, VerificationReport, verify_formula
 from ..predicates.assertion import QuantumAssertion
@@ -70,17 +71,23 @@ def build_task(
     register: Optional[QubitRegister | Sequence[str]] = None,
     mode: CorrectnessMode = CorrectnessMode.PARTIAL,
 ) -> VerificationTask:
-    """Parse and resolve an annotated source text into a :class:`VerificationTask`."""
+    """Parse and resolve an annotated source text into a :class:`VerificationTask`.
+
+    The source is parsed once: the strict resolver and the static analyzer
+    both work from the same tolerant raw tree.
+    """
     environment = environment or default_environment()
     with span("parse", region="parse", source_bytes=len(source)):
-        annotated = parse_annotated_program(source, environment)
+        raw = parse_raw_annotated(source)
+        annotated = resolve_annotated(raw, environment)
     program = annotated.program
 
     # Mandatory pre-flight: reject ill-formed inputs before any assertion is
-    # resolved or super-operator constructed.  The strict parse above already
-    # raised on syntax/name errors, so the analyzer errors caught here are the
-    # purely semantic ones (missing postcondition/invariant, bad predicates).
-    analysis = analyze_source(source, environment)
+    # resolved or super-operator constructed.  The strict resolution above
+    # already raised on syntax/name errors, so the analyzer errors caught here
+    # are the purely semantic ones (missing postcondition/invariant, bad
+    # predicates).
+    analysis = analyze_raw(raw, environment, program)
     if analysis.errors:
         first = analysis.errors[0]
         raise StaticAnalysisError(
@@ -99,8 +106,6 @@ def build_task(
     elif not isinstance(register, QubitRegister):
         register = QubitRegister(register)
 
-    if annotated.postcondition is None:
-        raise AssistantError("the source must end with a postcondition annotation '{ ... }'")
     with span("resolve", region="parse", num_qubits=register.num_qubits):
         postcondition = resolve_assertion(annotated.postcondition, register, environment)
         if annotated.precondition is not None:

@@ -13,13 +13,16 @@ Two entry points are provided:
 Both are thin strict wrappers over the tolerant raw parser of
 :mod:`repro.language.syntax`: the raw parse collects semantic problems
 (empty qubit lists, ``:= 1`` initialisations, empty annotations) instead of
-raising, and the resolver below re-raises the first problem in source order —
-so the strict behaviour is unchanged while the static analyzer can reuse the
-same raw trees without stopping at the first defect.  Every
+raising, and the resolver below re-raises the first problem in source order.
+:func:`resolve_annotated` is that resolver as a function of the raw tree, so
+a caller that parses once (the verify front end) can hand the same raw tree
+to the resolver and to the static analyzer.  Every
 :class:`~repro.exceptions.ParseError` and
 :class:`~repro.exceptions.NameResolutionError` raised here carries the
-1-based ``line:column`` of the offending token, and the resolved AST nodes
-carry their :class:`~repro.diagnostics.SourceSpan`.
+1-based ``line:column`` of the offending token, a problem the analyzer also
+reports carries its stable ``code`` (``QV102``, ``QV103``, ``QV114``,
+``QV115``), and the resolved AST nodes carry their
+:class:`~repro.diagnostics.SourceSpan`.
 
 Grammar (EBNF) ::
 
@@ -49,6 +52,7 @@ from .ast import If, Init, Program, Skip, Abort, Unitary, While, ndet, seq
 from .names import OperatorEnvironment, default_environment
 from .syntax import (
     RawAbort,
+    RawAnnotatedProgram,
     RawAssertion,
     RawChoice,
     RawIf,
@@ -69,6 +73,7 @@ __all__ = [
     "AnnotatedProgram",
     "parse_program",
     "parse_annotated_program",
+    "resolve_annotated",
 ]
 
 
@@ -156,7 +161,9 @@ class _Resolver:
                 before.column,
             ):
                 return
-            raise ParseError(problem.message, problem.span.line, problem.span.column)
+            raise ParseError(
+                problem.message, problem.span.line, problem.span.column, code=problem.code
+            )
 
     # --------------------------------------------------------------- lookups
     def _unitary(self, operator: RawName, num_qubits: int):
@@ -245,17 +252,32 @@ def parse_annotated_program(
     postcondition, and every ``inv:`` annotation is attached to the while loop
     that follows it.
     """
-    environment = environment or default_environment()
-    raw = parse_raw_annotated(source)
+    return resolve_annotated(parse_raw_annotated(source), environment or default_environment())
+
+
+def resolve_annotated(
+    raw: RawAnnotatedProgram, environment: OperatorEnvironment
+) -> AnnotatedProgram:
+    """Resolve a raw annotated tree strictly, raising its first problem in source order.
+
+    This is :func:`parse_annotated_program` after the tolerant parse: the
+    same exception class at the same position for the same text.  A source
+    without any program statement raises a ``QV115``
+    :class:`~repro.exceptions.ParseError` at the end of the input.
+    """
     resolver = _Resolver(environment, raw.problems)
     statements = [resolver.resolve(statement) for statement in raw.statements]
     resolver.flush_problems()
 
     if not statements:
-        raise ParseError("the source text contains no program statement")
-    program = seq(*statements)
+        raise ParseError(
+            "the source text contains no program statement",
+            raw.end_span.line,
+            raw.end_span.column,
+            code="QV115",
+        )
     return AnnotatedProgram(
-        program=program,
+        program=seq(*statements),
         precondition=_spec(raw.precondition),
         postcondition=_spec(raw.postcondition),
         loop_invariants=resolver.loop_invariants,

@@ -13,10 +13,12 @@ This module separates *parsing* from *validation*:
   tokens) and collect every tolerated semantic problem as a
   :class:`RawProblem` in parse order.
 
-The strict entry points re-raise the first recorded problem, so their
-behaviour is unchanged; the static analyzer of
-:mod:`repro.analysis.static` instead converts all of them into diagnostics
-and keeps going.
+One raw tree serves both consumers: the strict resolver of
+:mod:`repro.language.parser` re-raises the first recorded problem, while the
+well-formedness pass of :mod:`repro.analysis.static` converts all of them
+into diagnostics and keeps going.  The raw tree is the only tree that can
+hold a statement that does not resolve; the analyzer's other passes walk the
+typed AST the resolver builds from it.
 """
 
 from __future__ import annotations
@@ -193,13 +195,10 @@ RawStatement = Union[
 
 @dataclass(frozen=True)
 class RawProgram:
-    """Result of :func:`parse_raw_program`: the raw tree plus parse metadata."""
+    """Result of :func:`parse_raw_program`: the raw tree plus its recorded problems."""
 
     root: RawStatement
-    annotations: Tuple[RawAssertion, ...]
-    dangling_invariants: Tuple[RawAssertion, ...]
     problems: Tuple[RawProblem, ...]
-    end_span: SourceSpan
 
 
 @dataclass(frozen=True)
@@ -427,21 +426,15 @@ def parse_raw_program(source: str) -> RawProgram:
     """Parse a plain program into a raw tree, collecting semantic problems.
 
     Mirrors :func:`repro.language.parser.parse_program`: the whole input is a
-    top-level choice (a bare ``#`` is allowed), annotations are parsed and
-    recorded but take no part in the program structure.  Raises
-    :class:`~repro.exceptions.ParseError` only for genuine syntax errors.
+    top-level choice (a bare ``#`` is allowed), annotations are parsed (an
+    empty one is still recorded as a problem) but take no part in the program
+    structure.  Raises :class:`~repro.exceptions.ParseError` only for genuine
+    syntax errors.
     """
     parser = _RawParser(tokenize(source))
     root = parser.parse_choice()
-    eof = parser.expect("EOF")
-    parser.finish()
-    return RawProgram(
-        root=root,
-        annotations=tuple(parser.annotations),
-        dangling_invariants=tuple(parser.dangling_invariants),
-        problems=tuple(parser.problems),
-        end_span=SourceSpan.from_token(eof),
-    )
+    parser.expect("EOF")
+    return RawProgram(root=root, problems=tuple(parser.problems))
 
 
 def parse_raw_annotated(source: str) -> RawAnnotatedProgram:

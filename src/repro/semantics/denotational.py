@@ -302,18 +302,16 @@ def deterministic_loop_bypass(program, body_maps, options) -> bool:
     """Return whether loop exploration can skip scheduler enumeration entirely.
 
     The fast path applies when the caller left the scheduler policy at its
-    default (``options.schedulers is None``) and the static analyzer's
-    :class:`~repro.analysis.static.profile.ProgramProfile` shows the loop is
-    deterministic — no nondeterministic choice anywhere, which also manifests
-    as a single body denotation.  Every scheduler then resolves to the same
-    chain, so the single ``ConstantScheduler(0)`` run is the whole semantics
-    and sampling and fan-out are pure overhead.
+    default (``options.schedulers is None``) and the loop is deterministic
+    (:meth:`~repro.language.ast.Program.is_deterministic`: no
+    nondeterministic choice anywhere, which also manifests as a single body
+    denotation).  Every scheduler then resolves to the same chain, so the
+    single ``ConstantScheduler(0)`` run is the whole semantics and sampling
+    and fan-out are pure overhead.
     """
     if options.schedulers is not None or len(body_maps) != 1:
         return False
-    from ..analysis.static.profile import program_profile
-
-    return program_profile(program).is_deterministic
+    return program.is_deterministic()
 
 
 def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List[SuperOperator]:

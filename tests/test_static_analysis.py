@@ -40,6 +40,7 @@ from repro.exceptions import (
     LinalgError,
     NameResolutionError,
     ParseError,
+    ReproError,
     SemanticsError,
     StaticAnalysisError,
 )
@@ -225,6 +226,30 @@ class TestPositionThreading:
         with_span = parse_program("[q] *= H")
         assert with_span == Unitary(("q",), "H", H)
 
+    @pytest.mark.parametrize(
+        "code, source",
+        [
+            ("QV102", "[] := 0;\n{ P0[q] }"),
+            ("QV103", "[q] := 1;\n{ P0[q] }"),
+            ("QV114", "[q] := 0;\n{ }"),
+            ("QV115", "{ P0[q] }"),
+        ],
+    )
+    def test_strict_parse_error_carries_the_analyzer_code(self, code, source):
+        with pytest.raises(ParseError) as excinfo:
+            parse_annotated_program(source)
+        (diagnostic,) = [d for d in analyze_source(source).diagnostics if d.code == code]
+        assert excinfo.value.code == code
+        assert (excinfo.value.line, excinfo.value.column) == (
+            diagnostic.span.line,
+            diagnostic.span.column,
+        )
+
+    def test_plain_parse_error_carries_its_code(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("[q] := 1")
+        assert excinfo.value.code == "QV103"
+
     def test_ast_errors_carry_stable_codes(self):
         with pytest.raises(SemanticsError) as excinfo:
             Init(())
@@ -279,6 +304,39 @@ class TestProgramProfile:
         assert record["statement_count"] == 1
         assert record["qubits"] == ["q"]
         json.dumps(record)  # must be JSON-serialisable as-is
+
+
+class TestProfileOfTheTypedProgram:
+    """The profile describes the typed AST the engines run, not the source text."""
+
+    @pytest.mark.parametrize(
+        "path", sorted(EXAMPLES_DIR.glob("*.nqpv")), ids=lambda path: path.name
+    )
+    def test_source_profile_is_the_program_profile(self, path, environment):
+        source = path.read_text()
+        program = parse_annotated_program(source, environment).program
+        assert analyze_source(source, environment).profile == program_profile(program)
+
+    def test_nested_choice_is_one_choice_point(self):
+        # The AST flattens ( S0 # ( S1 # S2 ) ) into one three-way choice.
+        source = "[q] := 0;\n( [q] *= X # ( skip # [q] *= H ) );\n{ P0[q] }"
+        profile = analyze_source(source).profile
+        assert (profile.choice_points, profile.statement_count) == (1, 5)
+        assert profile == program_profile(parse_annotated_program(source).program)
+
+    def test_nested_sequence_is_one_clifford_segment(self):
+        # The AST flattens the parenthesised sequence into its neighbours.
+        source = "[q] := 0;\n[q] *= H;\n( [q] *= X ; [q] *= Z );\n[q] *= H;\n{ P0[q] }"
+        profile = analyze_source(source).profile
+        assert profile.clifford_segments == 1
+        assert profile == program_profile(parse_annotated_program(source).program)
+
+    def test_unresolved_source_gets_errors_but_no_warnings_or_profile(self):
+        # QV201 would fire on the first line, but a source the strict parser
+        # rejects has no typed program for the usage and profile passes.
+        analysis = analyze_source("[q] *= H;\n[q] := 0;\n[q] *= FOO;\n{ P0[q] }")
+        assert codes(analysis) == ["QV104"]
+        assert analysis.profile is None
 
 
 class TestAnalyzerPurity:
@@ -419,6 +477,75 @@ class TestVerifyIntegration:
 
     def test_static_analysis_error_is_an_assistant_error(self):
         assert issubclass(StaticAnalysisError, AssistantError)
+
+    def test_verify_tokenizes_the_source_once(self, monkeypatch):
+        from repro.language import syntax
+
+        calls = []
+        tokenize = syntax.tokenize
+
+        def counting_tokenize(source):
+            calls.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(syntax, "tokenize", counting_tokenize)
+        assert verify_source((EXAMPLES_DIR / "bitflip.nqpv").read_text()).verified
+        assert len(calls) == 1
+
+
+#: What ``verify_source`` does with each malformed corpus program: either the
+#: ``(exception class, line, column, code)`` it raises, or the diagnostic codes
+#: of the report it returns.  The strict parser raises the analyzer's code for
+#: the defects the raw parser records (QV102, QV103, QV114) and for a source
+#: without statements (QV115, at the end of the input); name-resolution and
+#: syntax errors carry no code.
+_VERIFY_ON_CORPUS = {
+    "dangling_invariant.nqpv": ["QV204"],
+    "dead_init_overwrite.nqpv": ["QV203"],
+    "duplicate_qubit.nqpv": ("SemanticsError", None, None, "QV101"),
+    "empty_assertion.nqpv": ("ParseError", 3, 3, "QV114"),
+    "empty_qubit_list.nqpv": ("ParseError", 1, 2, "QV102"),
+    "init_never_used.nqpv": ["QV202"],
+    "init_nonzero.nqpv": ("ParseError", 1, 8, "QV103"),
+    "invalid_predicate.nqpv": ("StaticAnalysisError", None, None, "QV110"),
+    "measurement_dim_mismatch.nqpv": ("NameResolutionError", 3, 7, None),
+    "missing_invariant.nqpv": ("StaticAnalysisError", None, None, "QV112"),
+    "missing_postcondition.nqpv": ("StaticAnalysisError", None, None, "QV113"),
+    "no_statement.nqpv": ("ParseError", 2, 1, "QV115"),
+    "not_unitary.nqpv": ("NameResolutionError", 2, 8, None),
+    "operator_dim_mismatch.nqpv": ("NameResolutionError", 2, 12, None),
+    "predicate_dim_mismatch.nqpv": ("StaticAnalysisError", None, None, "QV111"),
+    "syntax_error.nqpv": ("ParseError", 3, 1, None),
+    "unknown_measurement.nqpv": ("NameResolutionError", 2, 4, None),
+    "unknown_operator.nqpv": ("NameResolutionError", 2, 8, None),
+    "unknown_predicate.nqpv": ("StaticAnalysisError", None, None, "QV109"),
+    "use_before_init.nqpv": ["QV201"],
+}
+
+
+class TestVerifyOnCorpus:
+    def test_table_covers_the_corpus(self):
+        assert sorted(path.name for path in CORPUS_DIR.glob("*.nqpv")) == sorted(
+            _VERIFY_ON_CORPUS
+        )
+
+    @pytest.mark.parametrize("name", sorted(_VERIFY_ON_CORPUS))
+    def test_verify_source_outcome(self, name):
+        source = (CORPUS_DIR / name).read_text()
+        expected = _VERIFY_ON_CORPUS[name]
+        if isinstance(expected, list):
+            assert [d.code for d in verify_source(source).diagnostics] == expected
+            return
+        with pytest.raises(ReproError) as excinfo:
+            verify_source(source)
+        error = excinfo.value
+        outcome = (
+            type(error).__name__,
+            getattr(error, "line", None),
+            getattr(error, "column", None),
+            error.code,
+        )
+        assert outcome == expected
 
 
 class TestCliLint:
