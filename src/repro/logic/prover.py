@@ -32,8 +32,9 @@ from ..telemetry.tracing import span
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
 from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import OrderCheckResult, leq_inf
+from ..predicates.predicate import QuantumPredicate, clip_to_predicate
 from ..registers import QubitRegister
-from ..semantics.denotational import initializer_channel, measurement_superoperators
+from ..semantics.denotational import initializer_adjoint, measurement_superoperators
 from .formula import CorrectnessFormula, CorrectnessMode
 from .proof import AnnotatedStatement, ProofOutline
 from .ranking import check_ranking, synthesize_ranking
@@ -268,9 +269,12 @@ class Prover:
         return AnnotatedStatement(program, pre, post, rule=rule)
 
     def _annotate_init(self, program: Init, post: QuantumAssertion) -> AnnotatedStatement:
-        channel = initializer_channel(program.qubits, self.register)
+        def set0_adjoint(predicate: QuantumPredicate) -> QuantumPredicate:
+            image = initializer_adjoint(predicate.matrix, program.qubits, self.register)
+            return QuantumPredicate(clip_to_predicate(image), validate=False)
+
         with span("vc-transform", region="prover", rule="Init", predicates=len(post)):
-            pre = post.apply_superoperator_adjoint(channel)
+            pre = post.map(set0_adjoint)
         return AnnotatedStatement(program, pre, post, rule="Init")
 
     def _annotate_unitary(self, program: Unitary, post: QuantumAssertion) -> AnnotatedStatement:

@@ -6,6 +6,8 @@ quantum variables:
 
 * the four basic statements are deterministic and denote singletons;
 * ``[[S0; S1]] = [[S1]] ∘ [[S0]]`` element-wise (the lifted model of Sec. 3.3.2);
+  composition is associative, so each maximal run of consecutive unitary
+  statements is first multiplied into one matrix and composed once;
 * ``[[S0 □ S1]] = [[S0]] ∪ [[S1]]``;
 * ``[[if]] = [[S0]] ∘ P⁰ + [[S1]] ∘ P¹`` element-wise;
 * ``[[while]]`` is the set of least upper bounds of the chains ``F^η_n`` over
@@ -27,7 +29,8 @@ with ``np.kron`` before any product is taken, as in the paper's prototype.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from ..cache import MISS, RESULT_CACHE
 from ..exceptions import SemanticsError
 from ..hashing import node_digest, options_signature, register_signature
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
+from ..linalg.tensor import embed_operator
 from ..registers import QubitRegister
 from ..superop.compare import deduplicate
 from ..superop.kraus import SuperOperator
@@ -49,6 +53,7 @@ __all__ = [
     "loop_prefix_cache",
     "measurement_superoperators",
     "initializer_channel",
+    "initializer_adjoint",
 ]
 
 
@@ -103,10 +108,39 @@ def measurement_superoperators(
 def initializer_channel(qubits: Sequence[str], register: QubitRegister) -> SuperOperator:
     """Return the ``Set0`` channel on the named ``qubits``, extended to the register.
 
-    Shared by the wp transformer, the prover and the rule checker.
+    The rule checker replays the (Init) rule on its Kraus sum; the backward
+    engines use :func:`initializer_adjoint` instead.
     """
     with span("initializer", region="denotation"):
         return SuperOperator.initializer(len(qubits)).embed(qubits, register)
+
+
+def initializer_adjoint(
+    matrix: np.ndarray, qubits: Sequence[str], register: QubitRegister
+) -> np.ndarray:
+    """Return ``Set0†(M) = Σ_i |i⟩⟨0| M |0⟩⟨i|`` on the named ``qubits``, one slice of ``M``.
+
+    The sum equals ``I_q̄ ⊗ ⟨0|M|0⟩_q̄``: ``M`` is read as a ``2n``-axis
+    tensor, index 0 is taken on the row and column axes of ``q̄``, and the
+    remaining block is extended to the register; when ``q̄`` is the whole
+    register the result is ``⟨0|M|0⟩ · I``.  It equals
+    ``initializer_channel(qubits, register).apply_adjoint(matrix)`` without
+    building or applying its ``2^|q̄|`` Kraus operators.  Shared by the wp
+    transformer and the prover.
+    """
+    num_qubits = register.num_qubits
+    positions = register.positions(qubits)
+    tensor = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * num_qubits))
+    index: List[object] = [slice(None)] * (2 * num_qubits)
+    for position in positions:
+        index[position] = 0
+        index[num_qubits + position] = 0
+    block = tensor[tuple(index)]
+    rest = [position for position in range(num_qubits) if position not in positions]
+    if not rest:
+        return block * np.eye(register.dimension, dtype=complex)
+    side = 2 ** len(rest)
+    return embed_operator(block.reshape(side, side), rest, num_qubits)
 
 
 def denotation(
@@ -189,13 +223,15 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
         embedded = register.embed(program.matrix, program.qubits)
         return [SuperOperator([embedded], validate=False)]
     if isinstance(program, Seq):
-        current = [SuperOperator.identity(dimension)]
-        for statement in program.statements:
-            step = _denote(statement, register, options)
+        steps = _seq_steps(program.statements, register, options)
+        _, current = next(steps)
+        if options.dedup and len(current) > 1:
+            current = deduplicate(current)
+        for statement, step in steps:
             with span(
                 "seq-compose",
                 region="denotation",
-                statement=type(statement).__name__,
+                statement=statement,
                 set_size=len(current) * len(step),
             ):
                 current = [
@@ -224,6 +260,29 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
     if isinstance(program, While):
         return _denote_while(program, register, options)
     raise SemanticsError(f"unknown program construct {type(program).__name__}")
+
+
+def _seq_steps(
+    statements: Sequence[Program], register: QubitRegister, options: DenotationOptions
+) -> Iterator[Tuple[str, List[SuperOperator]]]:
+    """Yield ``(statement type, maps)`` for each step of a sequential composition.
+
+    A maximal run of consecutive :class:`Unitary` statements is one step: the
+    product ``U_k ⋯ U_1`` of their embedded matrices, as one rank-one map, so
+    the maps composed so far meet the run once instead of once per gate.
+    Composition is associative, so the denoted set is unchanged.  Every other
+    statement is a step of its own denotation.
+    """
+    for is_run, group in groupby(statements, key=lambda statement: isinstance(statement, Unitary)):
+        if not is_run:
+            for statement in group:
+                yield type(statement).__name__, _denote(statement, register, options)
+            continue
+        product = None
+        for statement in group:
+            embedded = register.embed(statement.matrix, statement.qubits)
+            product = embedded if product is None else embedded @ product
+        yield "Unitary", [SuperOperator([product], validate=False)]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +479,7 @@ def loop_iterates(
             increment = p0.compose(prefix)
             total = _maybe_simplify(total + increment, options)
             iterates.append(total)
-            if _choi_trace(increment) < options.convergence_tolerance:
+            if increment.choi_trace() < options.convergence_tolerance:
                 break
             # Once the prefix itself is (numerically) zero the loop can never
             # produce further contributions, e.g. for almost-surely terminating loops.
@@ -428,11 +487,6 @@ def loop_iterates(
                 break
         chain_span.set_tag("iterations", len(iterates))
     return iterates
-
-
-def _choi_trace(channel: SuperOperator) -> float:
-    """Return ``tr Choi(E) = Σ_i ‖K_i‖²_F``, the trace norm of a CP map."""
-    return sum(np.vdot(operator, operator).real for operator in channel.kraus_operators)
 
 
 def _maybe_simplify(channel: SuperOperator, options: DenotationOptions) -> SuperOperator:

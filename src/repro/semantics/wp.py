@@ -34,7 +34,7 @@ from ..telemetry.tracing import span
 from .denotational import (
     _loop_schedulers,
     deterministic_loop_bypass,
-    initializer_channel,
+    initializer_adjoint,
     measurement_superoperators,
 )
 from .schedulers import ConstantScheduler, Scheduler
@@ -146,8 +146,8 @@ def _xp_single_uncached(
             return [QuantumPredicate.identity(register.num_qubits)]
         return [QuantumPredicate.zero(register.num_qubits)]
     if isinstance(program, Init):
-        channel = initializer_channel(program.qubits, register)
-        return [post.apply_superoperator_adjoint(channel)]
+        image = initializer_adjoint(post.matrix, program.qubits, register)
+        return [QuantumPredicate(clip_to_predicate(image), validate=False)]
     if isinstance(program, Unitary):
         embedded = register.embed(program.matrix, program.qubits)
         return [post.conjugate_by(embedded)]

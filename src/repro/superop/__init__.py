@@ -38,7 +38,6 @@ from .choi import (
     kraus_from_choi,
 )
 from .compare import (
-    convergence_gap,
     deduplicate,
     lub_of_chain,
     set_equal,

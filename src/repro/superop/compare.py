@@ -5,18 +5,33 @@ super-operators; these helpers implement equality and the CPO order on
 individual maps (Lemma 3.1) and the induced comparisons on finite sets, which
 are used by the semantic model checker and the tests of Lemma 3.2.
 
-In the set-level functions each
-:class:`~repro.superop.kraus.SuperOperator` is reduced once to a flattened
-Choi-entry *signature* (the same ``d⁴`` complex numbers for equal maps,
-whatever their Kraus decompositions), after which duplicate detection and
-subset checks are vectorised row comparisons on the stacked signatures —
-instead of rebuilding a pair of Choi matrices for every one of the ``O(n²)``
-candidate pairs.
+Two maps are the same set element when their flattened Choi matrices (the
+same ``d⁴`` complex numbers for equal maps, whatever their Kraus
+decompositions) agree entrywise under ``np.isclose``:
+``|C_E − C_F| ≤ atol + rtol · |C_F|``.  The set-level functions screen every
+pair before building one.  Each map's image ``E(σ)`` of one fixed pure probe
+state ``σ = |ψ⟩⟨ψ|`` costs ``k`` matrix–vector products, and its Choi trace
+is ``t_E = Σ_i ‖K_i‖²_F``.  Since ``E(σ)_ab = Σ_ij σ_ij C_(a,i),(b,j)``, a
+pair the entrywise rule merges has
+
+    max|E(σ) − F(σ)| ≤ ‖σ‖_ℓ1 · atol + rtol · max(t_E, t_F).
+
+The ``rtol`` term needs no ``‖σ‖_ℓ1`` factor: a Choi matrix is positive
+semidefinite, so ``|C_(a,i),(b,j)| ≤ √(D_ai D_bj)`` with ``D_ai =
+C_(a,i),(a,i)``, and Cauchy–Schwarz with ``‖ψ‖ = 1`` gives
+``Σ_ij |ψ_i ψ_j| √(D_ai D_bj) ≤ √(Σ_i D_ai · Σ_j D_bj) ≤ t``.  A pair above
+the bound, plus a rounding margin, is distinct.  A pair with
+``t_E + t_F ≤ atol`` is equal, since no entry of a Choi matrix exceeds its
+trace.  Only the pairs neither screen decides are confirmed on Choi
+signatures, each built lazily and at most once per map, so duplicate
+detection and subset checks give exactly the verdicts of comparing every
+pair's Choi matrices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from functools import lru_cache
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -35,15 +50,73 @@ __all__ = [
 #: Relative tolerance matching ``np.allclose``, used by the signature comparisons.
 _RTOL = 1e-5
 
+#: Rounding margin of the screens, relative to the Choi traces ``t_E + t_F``
+#: (times ``‖σ‖_ℓ1`` for probe images).  The floating-point error of a Choi
+#: entry or a probe image is about ``(k + d) · ε · t``; this margin leaves
+#: orders of magnitude to spare.  A larger margin is always sound, only slower.
+_ROUNDING = 1e-9
 
-def _signatures(maps: Sequence) -> np.ndarray:
-    """Return the ``(n, d⁴)`` stack of flattened Choi matrices of ``maps``."""
-    return np.stack([np.asarray(channel.choi(), dtype=complex).reshape(-1) for channel in maps])
+
+@lru_cache(maxsize=16)
+def _probe(dimension: int) -> Tuple[np.ndarray, float]:
+    """Return the fixed probe ``ψ`` of a dimension and ``‖ψψ†‖_ℓ1 = (Σ_i |ψ_i|)²``.
+
+    ``ψ`` is a normalised complex Gaussian vector drawn from a generator
+    seeded with the dimension, so it is the same constant in every call.
+    """
+    generator = np.random.default_rng(dimension)
+    vector = generator.standard_normal(dimension) + 1j * generator.standard_normal(dimension)
+    vector /= np.linalg.norm(vector)
+    vector.setflags(write=False)
+    return vector, float(np.sum(np.abs(vector)) ** 2)
 
 
-def _row_matches(stack: np.ndarray, row: np.ndarray, atol: float) -> np.ndarray:
-    """Return a boolean mask of which rows of ``stack`` equal ``row`` numerically."""
-    return np.isclose(stack, row, rtol=_RTOL, atol=atol).all(axis=1)
+class _Screen:
+    """The maps of one comparison: probe images and Choi traces, Choi signatures on demand."""
+
+    def __init__(self, maps: Sequence):
+        self.maps = maps
+        probe, self.probe_l1 = _probe(maps[0].dimension)
+        images = []
+        for channel in maps:
+            columns = np.stack([operator @ probe for operator in channel.kraus_operators])
+            images.append((columns.T @ columns.conj()).reshape(-1))
+        self.images = np.stack(images)
+        self.traces = np.array([channel.choi_trace() for channel in maps])
+        self._signatures: Dict[int, np.ndarray] = {}
+
+    def signature(self, index: int) -> np.ndarray:
+        """Return the flattened Choi matrix of map ``index``, built at most once."""
+        signature = self._signatures.get(index)
+        if signature is None:
+            signature = np.asarray(self.maps[index].choi(), dtype=complex).reshape(-1)
+            self._signatures[index] = signature
+        return signature
+
+    def matches_any(self, rows: np.ndarray, other: "_Screen", index: int, atol: float) -> bool:
+        """Return whether map ``index`` of ``other`` equals any of this screen's ``rows``.
+
+        Equality is ``np.isclose`` on the Choi signatures (the tolerance
+        scaled by ``other``'s entries).  Two maps whose Choi traces sum to at
+        most ``atol`` are equal, since ``|C_xy| ≤ t``; two maps the probe
+        screen separates are not.  Only the remaining rows are compared on
+        Choi signatures.
+        """
+        traces = self.traces[rows]
+        candidate_trace = other.traces[index]
+        if bool(((traces + candidate_trace) * (1 + _ROUNDING) <= atol).any()):
+            return True
+        gaps = np.abs(self.images[rows] - other.images[index]).max(axis=1)
+        bounds = (
+            self.probe_l1 * (atol + _ROUNDING * (traces + candidate_trace))
+            + _RTOL * np.maximum(traces, candidate_trace)
+        )
+        undecided = rows[gaps <= bounds]
+        if not undecided.size:
+            return False
+        stack = np.stack([self.signature(row) for row in undecided])
+        candidate = other.signature(index)
+        return bool(np.isclose(stack, candidate, rtol=_RTOL, atol=atol).all(axis=1).any())
 
 
 def superoperator_equal(a, b, atol: float = ATOL) -> bool:
@@ -63,9 +136,9 @@ def _mixed_dimensions(maps: Sequence) -> bool:
 def deduplicate(maps: Iterable, atol: float = ATOL) -> list:
     """Return the input maps with (numerical) duplicates removed, preserving order.
 
-    Each map's Choi signature is computed exactly once; every candidate is
-    then compared against all previously kept maps in a single vectorised
-    operation.
+    Every candidate is compared against all previously kept maps at once:
+    the probe screen separates most pairs, and a Choi signature is built
+    (at most once per map) only for a map in a pair it cannot separate.
     """
     maps = list(maps)
     if len(maps) <= 1:
@@ -78,10 +151,10 @@ def deduplicate(maps: Iterable, atol: float = ATOL) -> list:
                 if not any(candidate.equals(existing, atol=atol) for existing in unique):
                     unique.append(candidate)
             return unique
-        signatures = _signatures(maps)
+        screen = _Screen(maps)
         keep: List[int] = []
         for index in range(len(maps)):
-            if keep and bool(_row_matches(signatures[keep], signatures[index], atol).any()):
+            if keep and screen.matches_any(np.array(keep), screen, index, atol):
                 continue
             keep.append(index)
         return [maps[index] for index in keep]
@@ -110,11 +183,13 @@ def _set_subset_impl(smaller: List, larger: List, atol: float) -> bool:
         )
     if smaller[0].dimension != larger[0].dimension:
         return False
-    larger_signatures = _signatures(larger)
-    for candidate in _signatures(smaller):
-        if not bool(_row_matches(larger_signatures, candidate, atol).any()):
-            return False
-    return True
+    larger_screen = _Screen(larger)
+    smaller_screen = _Screen(smaller)
+    rows = np.arange(len(larger))
+    return all(
+        larger_screen.matches_any(rows, smaller_screen, index, atol)
+        for index in range(len(smaller))
+    )
 
 
 def set_equal(a: Iterable, b: Iterable, atol: float = ATOL) -> bool:
@@ -137,15 +212,3 @@ def lub_of_chain(chain: Sequence, atol: float = 1e-6) -> object:
         if not earlier.precedes(later, atol=atol):
             raise ValueError("sequence is not a ⪯-chain")
     return chain[-1]
-
-
-def convergence_gap(chain: Sequence) -> float:
-    """Return the trace-norm gap between the last two elements of a chain.
-
-    Used to decide when the truncated loop semantics has numerically converged.
-    """
-    if len(chain) < 2:
-        return float("inf")
-    difference = chain[-1].choi() - chain[-2].choi()
-    singular_values = np.linalg.svd(difference, compute_uv=False)
-    return float(np.sum(singular_values))

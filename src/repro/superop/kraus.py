@@ -12,8 +12,10 @@ CPO order ``⪯`` of Sec. 3.2.
 The Kraus form is the representation the semantic engines compute with; the
 Choi matrix of :mod:`~repro.superop.choi` is derived from it for comparisons.
 Applying a map with ``k`` operators to a state costs ``k·d³``; the operator
-count multiplies under composition and every comparison rebuilds a
-``d²×d²`` Choi matrix.  :meth:`SuperOperator.simplified` keeps the count in
+count multiplies under composition.  :meth:`equals` and :meth:`precedes`
+build a ``d²×d²`` Choi matrix per map, while the set comparisons of
+:mod:`~repro.superop.compare` build one only to confirm a pair their probe
+screen cannot separate.  :meth:`SuperOperator.simplified` keeps the count in
 check: it eigendecomposes the ``k×k`` Gram matrix of the Kraus operators
 when ``k < d²`` and the Choi matrix otherwise, so compressing a map never
 builds a ``d²×d²`` object that is larger than its Kraus list.
@@ -154,6 +156,13 @@ class SuperOperator:
     def choi(self) -> np.ndarray:
         """Return the (unnormalised) Choi matrix of the map."""
         return choi_matrix(self._kraus)
+
+    def choi_trace(self) -> float:
+        """Return ``tr Choi(E) = Σ_i ‖E_i‖²_F``, read off the Kraus operators.
+
+        For a completely positive map this is its trace norm.
+        """
+        return float(sum(np.vdot(operator, operator).real for operator in self._kraus))
 
     # -------------------------------------------------------------- application
     def apply(self, rho: np.ndarray) -> np.ndarray:

@@ -94,7 +94,7 @@ def test_qwalk_rejects_non_power_of_two():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("qubits", [2, 3])
+@pytest.mark.parametrize("qubits", [2, 3, 4, 5, 6])
 def test_grover_layouts_denote_the_same_program(qubits):
     fused = grover_program(qubits)
     gates = grover_program(qubits, layout="gates")

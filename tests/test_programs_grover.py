@@ -57,6 +57,15 @@ class TestProgramAndFormula:
         probability = output[marked, marked].real
         assert probability == pytest.approx(grover_success_probability(num_qubits), abs=1e-9)
 
+    def test_gate_layout_7_reaches_the_analytic_success_probability(self):
+        # Each run of gates is one matrix composed once into Set0's 128 Kraus
+        # operators, so the 7-qubit circuit of 135 gates denotes in well under a second.
+        (channel,) = denotation(grover_program(7, layout="gates"), grover_register(7))
+        # [[Grover]](|0…0⟩⟨0…0|) at the marked basis state 0.
+        kraus = np.stack(channel.kraus_operators)
+        marked = float(np.sum(np.abs(kraus[:, 0, 0]) ** 2))
+        assert marked == pytest.approx(grover_success_probability(7), abs=1e-8)
+
     @pytest.mark.parametrize("num_qubits", [2, 3, 4])
     def test_formula_verifies(self, num_qubits):
         formula, register = grover_formula(num_qubits, marked=1)

@@ -1,5 +1,6 @@
 """Unit tests for the lifted denotational semantics (Fig. 2, Lemmas 3.1–3.2)."""
 
+import itertools
 import pickle
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.language.ast import (
     If,
     Init,
     MEAS_COMPUTATIONAL,
+    Seq,
     Skip,
     Unitary,
     While,
@@ -18,11 +20,16 @@ from repro.language.ast import (
     ndet,
     seq,
 )
-from repro.linalg.constants import H, P0, P1, X
+from repro.linalg.constants import CX, H, P0, P1, X
 from repro.linalg.operators import operators_close
+from repro.linalg.random import random_density_operator
 from repro.linalg.states import density, ket, maximally_mixed, minus_state, plus_state
 from repro.programs import (
     apply_noise,
+    errcorr_program,
+    errcorr_register,
+    grover_program,
+    grover_register,
     nondeterministic_rus_program,
     qwalk_program,
     qwalk_register,
@@ -34,6 +41,8 @@ from repro.semantics.denotational import (
     DenotationOptions,
     apply_denotation,
     denotation,
+    initializer_adjoint,
+    initializer_channel,
     loop_iterates,
     measurement_superoperators,
 )
@@ -113,6 +122,95 @@ class TestComposite:
         program = seq(measure(("q",)), ndet(Skip(), Abort()))
         for channel in denotation(program, q_register):
             assert channel.is_trace_nonincreasing()
+
+
+def _statementwise(program, register):
+    """``[[S0; …; Sn]]`` folded one statement at a time from ``{identity}``."""
+    if not isinstance(program, Seq):
+        return denotation(program, register)
+    current = [SuperOperator.identity(register.dimension)]
+    for statement in program.statements:
+        step = _statementwise(statement, register)
+        current = [later.compose(earlier) for earlier in current for later in step]
+    return current
+
+
+def _count_kraus_products(monkeypatch):
+    """Record ``len(self) · len(other)`` for every :meth:`SuperOperator.compose` call."""
+    products = []
+    original = SuperOperator.compose
+
+    def counting(self, other):
+        products.append(len(self.kraus_operators) * len(other.kraus_operators))
+        return original(self, other)
+
+    monkeypatch.setattr(SuperOperator, "compose", counting)
+    return products
+
+
+class TestUnitaryRuns:
+    """A run of consecutive unitaries in a ``Seq`` is one matrix, composed once."""
+
+    def test_grover_6_takes_one_product_per_initializer_operator(self, monkeypatch):
+        products = _count_kraus_products(monkeypatch)
+        maps = denotation(grover_program(6, layout="gates"), grover_register(6))
+        assert len(maps) == 1
+        # 64 Kraus operators of Set0 times the one run of 90 gates.
+        assert sum(products) <= 64
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: (grover_program(3, layout="gates"), grover_register(3)),
+            lambda: (errcorr_program(3), errcorr_register(3)),
+            lambda: (
+                seq(
+                    Unitary(("q",), "H", H),
+                    Unitary(("q",), "X", X),
+                    Unitary(("q", "r"), "CX", CX),
+                    ndet(Skip(), Unitary(("q", "r"), "CX", CX)),
+                    Unitary(("r",), "H", H),
+                    Unitary(("r",), "X", X),
+                    If(
+                        MEAS_COMPUTATIONAL,
+                        ("q",),
+                        seq(Unitary(("r",), "X", X), Unitary(("r",), "H", H)),
+                        Init(("r",)),
+                    ),
+                    Unitary(("q",), "H", H),
+                ),
+                QubitRegister(["q", "r"]),
+            ),
+        ],
+        ids=["grover-3", "errcorr-3", "mixed"],
+    )
+    def test_same_set_as_composing_statement_by_statement(self, build):
+        program, register = build()
+        assert set_equal(denotation(program, register), _statementwise(program, register))
+
+    @pytest.mark.parametrize("num_data_qubits, expected_maps", [(3, 4), (4, 5), (5, 6)])
+    def test_errcorr_builds_no_choi_matrix(self, monkeypatch, num_data_qubits, expected_maps):
+        # The probe screen separates every pair of distinct noise branches.
+        def refuse(*args, **kwargs):
+            raise AssertionError("denotation must not build a Choi matrix here")
+
+        for module in (choi_module, kraus_module):
+            monkeypatch.setattr(module, "choi_matrix", refuse)
+        maps = denotation(errcorr_program(num_data_qubits), errcorr_register(num_data_qubits))
+        assert len(maps) == expected_maps
+
+
+class TestInitializerAdjoint:
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_slice_equals_the_kraus_sum_on_every_ordered_support(self, length):
+        register = QubitRegister(["a", "b", "c", "d"])
+        supports = list(itertools.permutations(register.names, length))
+        for seed, qubits in enumerate(supports):
+            matrix = random_density_operator(register.dimension, seed=100 * length + seed)
+            expected = initializer_channel(qubits, register).apply_adjoint(matrix)
+            actual = initializer_adjoint(matrix, qubits, register)
+            assert np.allclose(actual, expected, rtol=0, atol=1e-12)
+        assert len(supports) == {1: 4, 2: 12, 3: 24, 4: 24}[length]
 
 
 class TestExample33:

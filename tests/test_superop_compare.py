@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.linalg.constants import H, I2, P0, P1, X
-from repro.linalg.random import random_density_operator
+from repro.linalg.constants import ATOL, H, I2, P0, P1, X
+from repro.linalg.random import random_density_operator, random_kraus_operators, random_unitary
 from repro.linalg.operators import loewner_le
+from repro.superop import compare as compare_module
+from repro.superop import kraus as kraus_module
 from repro.superop.compare import (
-    convergence_gap,
     deduplicate,
     lub_of_chain,
     set_equal,
@@ -80,9 +81,150 @@ class TestChains:
         with pytest.raises(ValueError):
             lub_of_chain([])
 
-    def test_convergence_gap(self):
-        chain = [SuperOperator.scalar(0.5, 2), SuperOperator.scalar(0.5, 2)]
-        assert convergence_gap(chain) == pytest.approx(0.0, abs=1e-12)
-        assert convergence_gap([SuperOperator.identity(2)]) == float("inf")
-        widening = [SuperOperator.scalar(0.0, 2), SuperOperator.scalar(1.0, 2)]
-        assert convergence_gap(widening) > 0.5
+
+
+# ---------------------------------------------------------------------------
+# Probe screen against the entrywise Choi rule
+# ---------------------------------------------------------------------------
+
+
+def _reference_signatures(maps):
+    return np.stack([channel.choi().reshape(-1) for channel in maps])
+
+
+def _reference_matches(stack, row, atol):
+    return np.isclose(stack, row, rtol=compare_module._RTOL, atol=atol).all(axis=1)
+
+
+def _reference_deduplicate(maps, atol=ATOL):
+    """The rule without a screen: every candidate's Choi matrix against every kept one."""
+    signatures = _reference_signatures(maps)
+    keep = []
+    for index in range(len(maps)):
+        if keep and _reference_matches(signatures[keep], signatures[index], atol).any():
+            continue
+        keep.append(index)
+    return keep
+
+
+def _reference_subset(smaller, larger, atol=ATOL):
+    larger_signatures = _reference_signatures(larger)
+    return all(
+        _reference_matches(larger_signatures, candidate, atol).any()
+        for candidate in _reference_signatures(smaller)
+    )
+
+
+def _kept_indices(maps, atol=ATOL):
+    kept = deduplicate(maps, atol=atol)
+    return [next(index for index, channel in enumerate(maps) if channel is map_) for map_ in kept]
+
+
+def _assert_same_as_reference(maps, atol=ATOL):
+    assert _kept_indices(maps, atol) == _reference_deduplicate(maps, atol)
+    for end in range(1, len(maps) + 1):
+        smaller, larger = maps[:end], maps[end - 1 :]
+        assert set_subset(smaller, larger, atol=atol) == _reference_subset(smaller, larger, atol)
+        assert set_subset(larger, smaller, atol=atol) == _reference_subset(larger, smaller, atol)
+
+
+def _redecomposed(channel, seed):
+    """The same map with Kraus operators mixed by a random unitary."""
+    kraus = np.stack(channel.kraus_operators)
+    mixing = random_unitary(len(kraus), seed=seed)
+    return SuperOperator(np.tensordot(mixing, kraus, axes=1), validate=False)
+
+
+@pytest.fixture
+def choi_builds(monkeypatch):
+    """Count the Choi matrices built through :meth:`SuperOperator.choi`."""
+    calls = []
+    original = kraus_module.choi_matrix
+
+    def counting(kraus):
+        calls.append(1)
+        return original(kraus)
+
+    monkeypatch.setattr(kraus_module, "choi_matrix", counting)
+    return calls
+
+
+class TestScreenAgainstChoiRule:
+    def test_equal_maps_with_different_decompositions_are_confirmed(self, choi_builds):
+        first = SuperOperator(random_kraus_operators(4, count=3, seed=1))
+        second = SuperOperator(random_kraus_operators(4, count=2, seed=2))
+        maps = [first, second, _redecomposed(first, 3), _redecomposed(second, 4), first]
+        assert _reference_deduplicate(maps) == [0, 1]
+        choi_builds.clear()
+        assert _kept_indices(maps) == [0, 1]
+        # Each duplicate pair is confirmed on Choi matrices, each built once.
+        assert 0 < len(choi_builds) <= len(maps)
+        _assert_same_as_reference(maps)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_relative_perturbation_at_the_threshold(self, inside):
+        # E = |0⟩⟨ψ|·|ψ⟩⟨0| on the probe ψ has E(σ)_00 = t, the screen's worst
+        # case: scaling E by 1 + δ moves that image entry by δ·t and every
+        # Choi entry by δ|C|, and the rule merges while δ ≤ rtol (1 + δ).
+        probe, _ = compare_module._probe(8)
+        operator = np.zeros((8, 8), dtype=complex)
+        operator[0] = probe.conj()
+        delta = compare_module._RTOL * (0.99 if inside else 1.01)
+        base = SuperOperator([operator], validate=False)
+        maps = [base, base * (1 + delta)]
+        assert _reference_deduplicate(maps) == ([0] if inside else [0, 1])
+        _assert_same_as_reference(maps)
+        _assert_same_as_reference(maps[::-1])
+
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_absolute_perturbation_at_the_threshold(self, inside):
+        # An extra Kraus operator ε·|0⟩⟨φ| with φ_i = ψ_i*/|ψ_i| adds ε² in
+        # modulus to d² Choi entries, with phases aligned to the probe ψ, so
+        # the image entry (0, 0) moves by ε²·‖σ‖_ℓ1: the screen's worst case
+        # for the atol term.  A small map keeps the rtol term out of the way.
+        probe, _ = compare_module._probe(8)
+        epsilon2 = ATOL * (0.99 if inside else 1.01)
+        extra = np.zeros((8, 8), dtype=complex)
+        extra[0] = np.sqrt(epsilon2) * probe.conj() / np.abs(probe)
+        base = 0.01 * random_unitary(8, seed=6)
+        maps = [SuperOperator([base], validate=False), SuperOperator([base, extra], validate=False)]
+        assert _reference_deduplicate(maps) == ([0] if inside else [0, 1])
+        _assert_same_as_reference(maps)
+        _assert_same_as_reference(maps[::-1])
+
+    def test_zero_maps(self, choi_builds):
+        tiny = np.zeros((4, 4), dtype=complex)
+        tiny[1, 2] = np.sqrt(0.5 * ATOL)
+        small = np.zeros((4, 4), dtype=complex)
+        small[1, 2] = np.sqrt(2 * ATOL)
+        zero_three = SuperOperator([np.zeros((4, 4), dtype=complex)] * 3, validate=False)
+        maps = [
+            SuperOperator.zero(4),
+            zero_three,
+            SuperOperator([tiny], validate=False),
+            SuperOperator([small], validate=False),
+            SuperOperator.zero(4),
+        ]
+        assert _reference_deduplicate(maps) == [0, 3]
+        choi_builds.clear()
+        assert _kept_indices(maps) == [0, 3]
+        # Pairs whose Choi traces sum below atol need no Choi matrix.
+        assert len(choi_builds) <= 2
+        _assert_same_as_reference(maps)
+
+    @pytest.mark.parametrize("dimension", [2, 4, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets(self, dimension, seed):
+        rng = np.random.default_rng(seed)
+        distinct = [
+            SuperOperator(
+                random_kraus_operators(dimension, count=int(rng.integers(1, 4)), seed=rng),
+                validate=False,
+            )
+            for _ in range(4)
+        ]
+        maps = []
+        for _ in range(8):
+            channel = distinct[int(rng.integers(len(distinct)))]
+            maps.append(_redecomposed(channel, rng) if rng.random() < 0.5 else channel)
+        _assert_same_as_reference(maps)
