@@ -143,7 +143,18 @@ class OrderRelationError(VerificationError):
 
 
 class RankingError(VerificationError):
-    """A candidate ranking assertion violates one of the conditions of Definition 4.3."""
+    """No ranking assertion (Definition 4.3) could be certified for a loop.
+
+    Attributes
+    ----------
+    witness:
+        Branch indices of the loop body, in time order, of a scheduler prefix
+        that keeps weight inside the loop (empty when none was recorded).
+    """
+
+    def __init__(self, message: str, witness=()):
+        super().__init__(message)
+        self.witness = tuple(witness)
 
 
 class AssistantError(ReproError):

@@ -18,10 +18,16 @@ Loop-free draws also check the prover's verification condition
 (:meth:`repro.logic.prover.Prover.generate`) against the semantic wlp — the
 relative-completeness equality of Sec. 5.
 
-Loop draws are only checked for engine errors.  Each engine truncates a loop
-on its own stopping rule, so on loops the two agree only up to the mass the
-truncation drops, and that residual has no certified bound yet; the loop
-comparison waits for one.
+Loop draws are not compared across engines: each engine truncates a loop on
+its own stopping rule, so on loops the two agree only up to the mass the
+truncation drops, and that residual has no certified bound yet.  Instead
+every ``while`` of a loop draw gets a termination check.  The certificate of
+:mod:`repro.logic.ranking` runs with ``Θ̂ = {I}``; when it certifies with
+residual ``r``, every cyclic scheduler of period at most 3 over the body's
+choices must leave ``λ_max(T_w†(I)) ≤ r + ATOL`` after its first ``HORIZON``
+choices ``w``, with ``T_k = E_k ∘ P¹`` folded directly from the body maps.
+A loop the certificate refuses (at the horizon or over budget) is counted in
+the report, not treated as a divergence.
 
 The process-wide result cache is cleared before every engine run, so each run
 computes every subterm itself instead of replaying entries that an earlier
@@ -34,19 +40,23 @@ source and the copy-pasteable repro line
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import product
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..assistant.verify import build_task
 from ..cache import clear_result_cache
+from ..language.ast import While
 from ..language.names import OperatorEnvironment, default_environment
 from ..linalg.constants import ATOL
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import Prover
+from ..logic.ranking import HORIZON, synthesize_ranking
 from ..predicates.assertion import QuantumAssertion
-from ..semantics.denotational import DenotationOptions, denotation
+from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
 from ..semantics.wp import WpOptions, weakest_liberal_precondition
 from .generator import FuzzProgram
 
@@ -120,8 +130,10 @@ class Divergence:
     """One observed disagreement, self-contained enough to reproduce.
 
     ``kind`` is ``"duality"`` (the wlp differs from the one the denotation
-    implies), ``"prover"`` (verification condition vs semantic wlp) or
-    ``"error"`` (an engine raised).  ``combo_a`` / ``combo_b`` name the two
+    implies), ``"prover"`` (verification condition vs semantic wlp),
+    ``"termination"`` (a cyclic scheduler keeps more weight inside a loop
+    than its termination certificate allows) or ``"error"`` (an engine
+    raised).  ``combo_a`` / ``combo_b`` name the two
     results compared; an ``"error"`` names the failing run in ``combo_a``.
     """
 
@@ -154,13 +166,18 @@ class Divergence:
 
 @dataclass
 class DifferentialReport:
-    """Aggregate outcome of a differential sweep over a batch of programs."""
+    """Aggregate outcome of a differential sweep over a batch of programs.
+
+    ``loops`` counts the termination certificates of the loops in loop
+    draws by outcome: ``"certified"``, ``"horizon"`` or ``"budget"``.
+    """
 
     seed: int
     programs_checked: int = 0
     loop_free: int = 0
     with_loops: int = 0
     prover_checked: int = 0
+    loops: Counter = field(default_factory=Counter)
     divergences: List[Divergence] = field(default_factory=list)
 
     @property
@@ -176,6 +193,7 @@ class DifferentialReport:
             "loop_free": self.loop_free,
             "with_loops": self.with_loops,
             "prover_checked": self.prover_checked,
+            "loops": dict(self.loops),
             "divergence_count": len(self.divergences),
             "divergences": [divergence.to_dict() for divergence in self.divergences],
         }
@@ -219,18 +237,63 @@ def _dual_wlp(channels, postcondition: QuantumAssertion) -> List[np.ndarray]:
     ]
 
 
-def _engine_run(program, postcondition, register, config: OracleConfig):
-    """Run denotation + wlp once, returning ``(channels, wlp)``."""
-    if config.clear_cache:
-        clear_result_cache()
-    loop_options = dict(
+def _loop_options(config: OracleConfig) -> Dict:
+    """Return the loop-truncation options both engines share."""
+    return dict(
         max_iterations=config.max_iterations,
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
     )
+
+
+def _engine_run(program, postcondition, register, config: OracleConfig):
+    """Run denotation + wlp once, returning ``(channels, wlp)``."""
+    if config.clear_cache:
+        clear_result_cache()
+    loop_options = _loop_options(config)
     channels = denotation(program, register, DenotationOptions(**loop_options))
     wlp = weakest_liberal_precondition(program, postcondition, register, WpOptions(**loop_options))
     return channels, wlp
+
+
+def _cyclic_patterns(num_choices: int) -> List[Tuple[int, ...]]:
+    """Return every scheduler pattern of period 1, 2 or 3 over ``num_choices`` branches.
+
+    A constant pattern of length 2 or 3 repeats one of period 1, so it is skipped.
+    """
+    return [
+        pattern
+        for period in (1, 2, 3)
+        for pattern in product(range(num_choices), repeat=period)
+        if period == 1 or len(set(pattern)) > 1
+    ]
+
+
+def _termination_check(loop: While, register, options: DenotationOptions, outcomes: Counter):
+    """Certify ``loop`` with ``Θ̂ = {I}`` and replay the certificate on cyclic schedulers.
+
+    Returns ``None`` when the certificate is refused or every cyclic
+    scheduler stays within its residual, otherwise the detail of the first
+    scheduler that keeps more weight inside.
+    """
+    identity = QuantumAssertion.identity(register.num_qubits)
+    certificate = synthesize_ranking(loop, identity, register, options=options)
+    outcomes[certificate.outcome] += 1
+    if not certificate.certified:
+        return None
+    body_maps = denotation(loop.body, register, options)
+    _, p1 = measurement_superoperators(loop, register)
+    for pattern in _cyclic_patterns(len(body_maps)):
+        weight = np.eye(register.dimension, dtype=complex)
+        for step in reversed(range(HORIZON)):
+            weight = p1.apply_adjoint(body_maps[pattern[step % len(pattern)]].apply_adjoint(weight))
+        top = float(np.linalg.eigvalsh(weight)[-1])
+        if top > certificate.residual + ATOL:
+            return (
+                f"cyclic scheduler {list(pattern)} keeps weight {top:.3e} inside the loop after "
+                f"{HORIZON} iterations; the certificate allows {certificate.residual:.3e}"
+            )
+    return None
 
 
 def check_program(
@@ -243,7 +306,16 @@ def check_program(
     Returns the (possibly empty) list of divergences; this is the predicate
     the shrinker re-checks after every candidate reduction.
     """
-    config = config or OracleConfig()
+    return _check(fuzz_program, config or OracleConfig(), environment, Counter())
+
+
+def _check(
+    fuzz_program: FuzzProgram,
+    config: OracleConfig,
+    environment: Optional[OperatorEnvironment],
+    outcomes: Counter,
+) -> List[Divergence]:
+    """:func:`check_program`, counting the termination certificates in ``outcomes``."""
     environment = environment or default_environment()
     source = fuzz_program.source()
 
@@ -273,6 +345,11 @@ def check_program(
         diverge("error", "denotation+wlp", "", f"{type(error).__name__}: {error}")
         return divergences
     if fuzz_program.contains_while():
+        options = DenotationOptions(**_loop_options(config))
+        for loop in (node for node in program.walk() if isinstance(node, While)):
+            detail = _termination_check(loop, register, options, outcomes)
+            if detail is not None:
+                diverge("termination", "certificate", "cyclic scheduler", detail)
         return divergences
 
     if not _matrix_sets_close(_matrices(wlp), _dual_wlp(channels, postcondition), config.atol):
@@ -315,7 +392,7 @@ def run_differential(
     seed = programs[0].seed if programs else 0
     report = DifferentialReport(seed=seed)
     for position, fuzz_program in enumerate(programs):
-        divergences = check_program(fuzz_program, config, environment)
+        divergences = _check(fuzz_program, config, environment, report.loops)
         report.programs_checked += 1
         if fuzz_program.contains_while():
             report.with_loops += 1

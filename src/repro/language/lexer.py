@@ -103,7 +103,7 @@ def _scan(source: str) -> Iterator[Token]:
         if char == '"':
             end = source.find('"', index + 1)
             if end == -1:
-                raise ParseError("unterminated string literal", line, column)
+                raise ParseError("unterminated string literal", line, column, code="QV001")
             value = source[index + 1 : end]
             yield Token("STRING", value, line, column)
             column += end - index + 1
@@ -139,6 +139,6 @@ def _scan(source: str) -> Iterator[Token]:
                 column += len(symbol)
                 break
         else:
-            raise ParseError(f"unexpected character {char!r}", line, column)
+            raise ParseError(f"unexpected character {char!r}", line, column, code="QV001")
 
     yield Token("EOF", "", line, column)

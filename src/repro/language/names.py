@@ -84,25 +84,34 @@ class OperatorEnvironment:
 
     def operator(self, name: str) -> np.ndarray:
         """Return the matrix registered under ``name``."""
-        try:
-            return self._operators[name]
-        except KeyError:
-            raise NameResolutionError(f"unknown operator {name!r}") from None
+        return self._lookup(name, "operator", "QV104")
 
     def unitary(self, name: str, num_qubits: int | None = None) -> np.ndarray:
-        """Return the unitary registered under ``name``, checking unitarity and arity."""
-        matrix = self.operator(name)
+        """Return the unitary registered under ``name``, checking unitarity and arity.
+
+        Raises :class:`~repro.exceptions.NameResolutionError` with the
+        analyzer's code: ``QV104`` (unknown), ``QV105`` (not unitary) or
+        ``QV106`` (arity).
+        """
+        matrix = self._lookup(name, "operator", "QV104")
         if not is_unitary(matrix):
-            raise NameResolutionError(f"operator {name!r} is not unitary")
-        self._check_arity(name, matrix, num_qubits)
+            raise NameResolutionError(f"operator {name!r} is not unitary", code="QV105")
+        self._check_arity(name, matrix, num_qubits, "QV106")
         return matrix
 
     def predicate(self, name: str, num_qubits: int | None = None) -> np.ndarray:
-        """Return the predicate matrix registered under ``name`` (0 ⊑ M ⊑ I)."""
-        matrix = self.operator(name)
+        """Return the predicate matrix registered under ``name`` (0 ⊑ M ⊑ I).
+
+        Raises :class:`~repro.exceptions.NameResolutionError` with the
+        analyzer's code: ``QV109`` (unknown), ``QV110`` (not a predicate) or
+        ``QV111`` (arity).
+        """
+        matrix = self._lookup(name, "predicate", "QV109")
         if not is_hermitian(matrix) or not is_predicate_matrix(matrix):
-            raise NameResolutionError(f"operator {name!r} is not a quantum predicate")
-        self._check_arity(name, matrix, num_qubits)
+            raise NameResolutionError(
+                f"operator {name!r} is not a quantum predicate", code="QV110"
+            )
+        self._check_arity(name, matrix, num_qubits, "QV111")
         return matrix
 
     def measurement(self, name: str, num_qubits: int | None = None) -> Measurement:
@@ -111,6 +120,9 @@ class OperatorEnvironment:
         A plain computational-basis measurement named ``M`` or ``M01`` is always
         available for a single qubit; projector-valued operators can also be
         promoted on the fly via :meth:`define_measurement_from_projector`.
+        Raises :class:`~repro.exceptions.NameResolutionError` with the
+        analyzer's code: ``QV107`` (unknown, or not a two-outcome
+        measurement) or ``QV108`` (arity).
         """
         if name in self._measurements:
             measurement = self._measurements[name]
@@ -119,20 +131,28 @@ class OperatorEnvironment:
             complement = np.eye(projector.shape[0], dtype=complex) - projector
             measurement = Measurement(name, projector, complement)
         else:
-            raise NameResolutionError(f"unknown measurement {name!r}")
+            raise NameResolutionError(f"unknown measurement {name!r}", code="QV107")
         if num_qubits is not None and measurement.dimension != 2 ** num_qubits:
             raise NameResolutionError(
                 f"measurement {name!r} has dimension {measurement.dimension}, "
-                f"but {num_qubits} qubit(s) were given"
+                f"but {num_qubits} qubit(s) were given",
+                code="QV108",
             )
         return measurement
 
+    def _lookup(self, name: str, kind: str, code: str) -> np.ndarray:
+        try:
+            return self._operators[name]
+        except KeyError:
+            raise NameResolutionError(f"unknown {kind} {name!r}", code=code) from None
+
     @staticmethod
-    def _check_arity(name: str, matrix: np.ndarray, num_qubits: int | None) -> None:
+    def _check_arity(name: str, matrix: np.ndarray, num_qubits: int | None, code: str) -> None:
         if num_qubits is not None and matrix.shape[0] != 2 ** num_qubits:
             raise NameResolutionError(
                 f"operator {name!r} has dimension {matrix.shape[0]}, "
-                f"but {num_qubits} qubit(s) were given"
+                f"but {num_qubits} qubit(s) were given",
+                code=code,
             )
 
     def copy(self) -> "OperatorEnvironment":

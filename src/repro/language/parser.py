@@ -19,9 +19,10 @@ a caller that parses once (the verify front end) can hand the same raw tree
 to the resolver and to the static analyzer.  Every
 :class:`~repro.exceptions.ParseError` and
 :class:`~repro.exceptions.NameResolutionError` raised here carries the
-1-based ``line:column`` of the offending token, a problem the analyzer also
-reports carries its stable ``code`` (``QV102``, ``QV103``, ``QV114``,
-``QV115``), and the resolved AST nodes carry their
+1-based ``line:column`` of the offending token and the stable ``code`` the
+analyzer reports for the same defect (``QV001`` for syntax errors, ``QV102``,
+``QV103``, ``QV114``, ``QV115`` for recorded problems, ``QV104``–``QV108``
+for names that do not resolve), and the resolved AST nodes carry their
 :class:`~repro.diagnostics.SourceSpan`.
 
 Grammar (EBNF) ::

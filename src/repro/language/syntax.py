@@ -10,7 +10,7 @@ This module separates *parsing* from *validation*:
   :class:`~repro.diagnostics.SourceSpan` of every construct and name;
 * :func:`parse_raw_program` / :func:`parse_raw_annotated` raise
   :class:`~repro.exceptions.ParseError` only for *syntax* errors (unexpected
-  tokens) and collect every tolerated semantic problem as a
+  tokens, code ``QV001``) and collect every tolerated semantic problem as a
   :class:`RawProblem` in parse order.
 
 One raw tree serves both consumers: the strict resolver of
@@ -256,6 +256,7 @@ class _RawParser:
                 f"expected {kind} but found {token.kind} ({token.value!r})",
                 token.line,
                 token.column,
+                code="QV001",
             )
         return self.advance()
 
@@ -337,6 +338,7 @@ class _RawParser:
                 f"expected ':=' or '*=' after qubit list, found {operator_token.value!r}",
                 operator_token.line,
                 operator_token.column,
+                code="QV001",
             )
         if token.kind == "LPAREN":
             self.advance()
@@ -347,7 +349,9 @@ class _RawParser:
             return self.parse_if()
         if token.kind == "WHILE":
             return self.parse_while()
-        raise ParseError(f"unexpected token {token.value!r}", token.line, token.column)
+        raise ParseError(
+            f"unexpected token {token.value!r}", token.line, token.column, code="QV001"
+        )
 
     def parse_if(self) -> RawIf:
         opening = self.expect("IF")
@@ -473,6 +477,7 @@ def parse_raw_annotated(source: str) -> RawAnnotatedProgram:
                 f"expected ';' or end of input, found {token.value!r}",
                 token.line,
                 token.column,
+                code="QV001",
             )
 
     eof = parser.expect("EOF")

@@ -10,7 +10,7 @@ from .prover import (
     assign_invariants,
     verify_formula,
 )
-from .ranking import RankingAssertion, check_ranking, synthesize_ranking
+from .ranking import RankingCertificate, check_ranking, synthesize_ranking
 from .semantic_check import SemanticCheckResult, check_formula_semantically, test_states
 
 __all__ = [
@@ -25,7 +25,7 @@ __all__ = [
     "VerificationReport",
     "assign_invariants",
     "verify_formula",
-    "RankingAssertion",
+    "RankingCertificate",
     "check_ranking",
     "synthesize_ranking",
     "SemanticCheckResult",

@@ -11,7 +11,8 @@ prover performs a backward pass that mirrors the proof systems of Fig. 3
   it checks the premise ``Θ ⊑_inf wlp.S.(P⁰(Ψ) + P¹(Θ))`` and, if it holds,
   returns ``P⁰(Ψ) + P¹(Θ)`` as the loop's precondition (rule (While));
 * in total-correctness mode the loop additionally requires a ranking assertion
-  (Definition 4.3), synthesised and checked by :mod:`repro.logic.ranking`.
+  (Definition 4.3) for every scheduler, certified by :mod:`repro.logic.ranking`
+  from the loop condition ``P⁰(Ψ) + P¹(Θ)``.
 
 The final verification condition is compared against the user's declared
 precondition with the ``⊑_inf`` decision procedure, reproducing the behaviour
@@ -37,28 +38,23 @@ from ..registers import QubitRegister
 from ..semantics.denotational import initializer_adjoint, measurement_superoperators
 from .formula import CorrectnessFormula, CorrectnessMode
 from .proof import AnnotatedStatement, ProofOutline
-from .ranking import check_ranking, synthesize_ranking
+from .ranking import check_ranking
 
 __all__ = ["ProverOptions", "VerificationReport", "Prover", "assign_invariants", "verify_formula"]
 
 
 @dataclass
 class ProverOptions:
-    """Order-decision and ranking options of the prover.
+    """Order-decision options of the prover.
 
     Attributes
     ----------
     epsilon:
-        Precision of the ``⊑_inf`` order decision procedure.
-    ranking_truncation:
-        Truncation length of synthesised ranking sequences (total correctness).
-    check_rankings:
-        Whether total-correctness loops must pass the ranking check.
+        Precision of the ``⊑_inf`` order decision procedure; it also sets the
+        residual a total-correctness termination certificate may leave.
     """
 
     epsilon: float = 1e-6
-    ranking_truncation: int = 64
-    check_rankings: bool = True
 
 
 @dataclass
@@ -370,22 +366,23 @@ class Prover:
         rule = "While"
         if self.mode is CorrectnessMode.TOTAL:
             rule = "WhileT"
-            if self.options.check_rankings:
-                ranking = synthesize_ranking(
-                    program, self.register, truncation=self.options.ranking_truncation
+            certificate = check_ranking(
+                program, loop_condition, self.register, epsilon=self.options.epsilon
+            )
+            scope = "every scheduler"
+            if program.body.contains_while():
+                scope += " (inner loops: explored schedulers only)"
+            self._record(
+                proof_event(
+                    "ranking",
+                    f"ranking assertion certified for {scope} at depth {certificate.depth} "
+                    f"(residual {certificate.residual:.2e})",
+                    rule="WhileT",
+                    subterm_digest=node_digest(program),
+                    residual=float(certificate.residual),
+                    depth=certificate.depth,
                 )
-                check_ranking(
-                    program, ranking, loop_condition, self.register, epsilon=self.options.epsilon
-                )
-                self._record(
-                    proof_event(
-                        "ranking",
-                        f"ranking assertion synthesised (residual {ranking.residual:.2e})",
-                        rule="WhileT",
-                        subterm_digest=node_digest(program),
-                        residual=float(ranking.residual),
-                    )
-                )
+            )
         return AnnotatedStatement(
             program,
             loop_condition,

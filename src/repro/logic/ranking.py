@@ -1,163 +1,262 @@
-"""Ranking assertions for total correctness of while loops (Definition 4.3).
+"""Termination certificates for total correctness of while loops (Definition 4.3).
 
-A ``Θ̂``-ranking assertion for ``while M[q̄] do S end`` is a family of predicates
-``R^η_i`` (one sequence per scheduler ``η``) such that
+Rule (WhileT) needs, besides the invariant premise, a ``Θ̂``-ranking
+assertion (Def. 4.3) for *every* scheduler of ``while M[q̄] do S end``, where
+``Θ̂ = P⁰(Ψ) + P¹(Θ)`` is the loop condition the prover builds from the
+postcondition ``Ψ`` and the invariant ``Θ``.  This module decides that
+obligation for all schedulers at once with one backward antichain pass.
 
-1. ``Θ̂ ⊑_inf R^η_0``,
-2. each sequence is ⊑-decreasing with infimum ``0``, and
-3. ``P¹ ∘ η₁†(R^{η→}_i) ⊑ R^η_{i+1}``.
+Let ``E_k`` be the maps of the body denotation ``[[S]]`` and ``T_k = E_k ∘ P¹``
+one guarded iteration that chooses branch ``k``.  For a word ``w`` of branch
+indices in time order, ``tr(M · T_w(ρ)) = tr(T_w†(M) · ρ)`` is the
+``M``-weight that is still inside the loop after ``|w|`` iterations.  Starting
+from ``X_0 = {M}`` for one ``M ∈ Θ̂``, ``X_{n+1}`` keeps the Löwner-maximal
+elements of ``{T_k†(Y) : Y ∈ X_n, k}``.  The pass accepts at the first
+``n ≤ HORIZON`` where ``r_n = max λ_max(X_n) + n·ATOL`` is at most
+``max(10ε, 1e-4)``.  Otherwise it refuses and reports the word of the
+largest surviving element as a witness scheduler.  It also refuses, and
+never accepts, when an antichain grows past ``ANTICHAIN_BUDGET`` elements.
 
-The completeness proof of Theorem 4.2 exhibits the canonical choice (Eq. (18))
+Why the certificate is sound:
 
-    R^η_k = Σ_{i ≥ k} P¹∘η₁† ∘ … ∘ P¹∘η_i† ∘ P⁰(I),
+* **Pruning.** Each ``T_k†`` is monotone for ``⊑``, so an element dominated
+  by a kept one stays dominated at every later level and cannot raise the
+  maximum.  Elements are pruned when they are dominated within ``ATOL``, and
+  ``T_k†(I) ⊑ I`` keeps that slack at ``ATOL`` per level; the ``n·ATOL`` term
+  of ``r_n`` pays for it.
+* **Monotone residual.** ``max λ_max(X_n)`` never increases: an element of
+  ``X_{n+j}`` is ``T_u†(Y)`` for a word ``u`` of length ``j`` and some
+  ``Y ⊑ λ_max(X_n)·I``, and ``T_u†(I) ⊑ I``.  So the weight left after any
+  ``m ≥ n`` iterations is bounded by the same ``r_n``.
+* **(WhileT).** The prover has already checked ``Θ ⊑_inf wp.S.(Θ̂)``.  With
+  ``f(σ) = inf_{M ∈ Θ̂} tr(Mσ)``, that premise gives, for every branch ``k``,
+  ``f(σ) ≤ inf_{N ∈ Ψ} tr(N·P⁰(σ)) + f(T_k(σ)) + ε·tr σ``.  Unrolling it
+  ``n`` times along any scheduler ``η`` and bounding ``f(T_w(ρ))`` by the
+  certified ``M`` gives ``inf_{Θ̂} tr(·ρ) ≤ tr(Ψ·[[while]]_η(ρ)) + (r_n +
+  n·ε)·tr ρ``.  That is the conclusion conditions (1)–(3) of Def. 4.3 exist
+  to reach, so they need no separate check.  When ``|Θ̂| > 1`` the infimum
+  lets one certified ``M ∈ Θ̂`` stand for the whole set.
+* **Seeding with Θ̂, not with I.** A pass seeded with ``I`` bounds the mass
+  inside the loop, so it demands almost-sure termination from every state.
+  It would refuse ``{P0} while M[q] do skip end {P0}`` with invariant
+  ``{0}``, which is totally correct: ``Θ̂ = |0⟩⟨0|`` and its weight leaves
+  the loop in one step.  Seeding with ``Θ̂`` asks only for the weight the
+  postcondition needs.
+* **Nested loops.** When the body contains a ``while``, ``[[S]]`` is itself
+  truncated and explored for sampled schedulers only, so the certificate
+  covers just the inner maps that were explored.  The prover says so in its
+  ``ranking`` event.
 
-the probability that the loop terminates after at least ``k`` further
-iterations.  This module synthesises truncations of that canonical family for a
-finite set of schedulers and checks the three conditions numerically.  The
-check is therefore a *semi-decision* relative to the explored schedulers: a
-success certifies termination against those schedulers (and, for loop bodies
-whose denotation is finite and whose canonical sequences converge uniformly,
-against all of them); a failure produces a concrete violating scheduler.
+When every level keeps ``r_n`` above the threshold, König's lemma turns the
+surviving words into one scheduler that keeps that weight in the loop, so
+the pass is also complete up to its horizon and budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import RankingError
 from ..language.ast import While
-from ..linalg.operators import loewner_le
+from ..linalg.constants import ATOL
 from ..predicates.assertion import QuantumAssertion
-from ..predicates.predicate import QuantumPredicate, clip_to_predicate
 from ..registers import QubitRegister
 from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
-from ..semantics.schedulers import Scheduler, constant_schedulers, sample_schedulers
-from ..predicates.order import leq_inf
+from ..superop.kraus import SuperOperator
 
-__all__ = ["RankingAssertion", "synthesize_ranking", "check_ranking"]
+__all__ = [
+    "HORIZON",
+    "ANTICHAIN_BUDGET",
+    "RankingCertificate",
+    "synthesize_ranking",
+    "check_ranking",
+]
+
+#: Deepest antichain level explored before the pass refuses a loop.
+HORIZON = 64
+
+#: Largest antichain the pass keeps; a larger one is refused, never accepted.
+ANTICHAIN_BUDGET = 32
 
 
-@dataclass
-class RankingAssertion:
-    """A (truncated) ranking assertion: one predicate sequence per scheduler."""
+@dataclass(frozen=True)
+class RankingCertificate:
+    """Outcome of one antichain pass over a loop.
 
-    loop: While
-    sequences: Dict[int, List[QuantumPredicate]] = field(default_factory=dict)
-    schedulers: List[Scheduler] = field(default_factory=list)
-    residual: float = float("inf")
+    Attributes
+    ----------
+    outcome:
+        ``"certified"``, ``"horizon"`` (the residual stayed above the
+        threshold for ``HORIZON`` levels) or ``"budget"`` (an antichain
+        outgrew ``ANTICHAIN_BUDGET``).
+    depth:
+        The level ``n`` the pass stopped at.
+    residual:
+        ``r_n``: a bound on the ``Θ̂``-weight still inside the loop after
+        ``n`` or more iterations, for every scheduler and unit-trace input.
+    witness:
+        Branch indices, in time order, of the largest element of the last
+        level; for a refusal, a scheduler prefix that keeps the weight inside.
+    largest_antichain:
+        Most elements any level kept.
+    """
+
+    outcome: str
+    depth: int
+    residual: float
+    witness: Tuple[int, ...]
+    largest_antichain: int
 
     @property
-    def truncation(self) -> int:
-        """Length of the synthesised sequences."""
-        if not self.sequences:
-            return 0
-        return max(len(sequence) for sequence in self.sequences.values())
+    def certified(self) -> bool:
+        """Whether the loop was certified for every scheduler."""
+        return self.outcome == "certified"
 
-    def sequence_for(self, scheduler_index: int) -> List[QuantumPredicate]:
-        """Return the ranking sequence of the ``scheduler_index``-th scheduler."""
-        return self.sequences[scheduler_index]
+
+def _iteration_stacks(body_maps: Sequence[SuperOperator], p1: SuperOperator):
+    """Return ``(left, right)`` per branch for applying ``T_k† = P¹† ∘ E_k†`` by GEMM.
+
+    With ``A_j = K_j·P¹`` over the Kraus operators ``K_j`` of ``E_k``,
+    ``T_k†(Y) = Σ_j A_j† Y A_j``.  ``right`` is ``[A_1 … A_r]`` side by side
+    and ``left`` is ``[A_1† … A_r†]``, so one batched product builds every
+    ``Y·A_j`` and a second one sums ``A_j†·(Y·A_j)``.
+    """
+    projector = p1.kraus_operators[0]
+    stacks = []
+    for channel in body_maps:
+        operators = np.stack(channel.kraus_operators) @ projector
+        count, dimension, _ = operators.shape
+        right = operators.transpose(1, 0, 2).reshape(dimension, count * dimension)
+        left = operators.conj().transpose(2, 0, 1).reshape(dimension, count * dimension)
+        stacks.append((left, right))
+    return stacks
+
+
+def _apply_adjoint(left: np.ndarray, right: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Return ``Σ_j A_j† Y A_j`` for every ``Y`` of the ``(m, d, d)`` stack ``matrices``."""
+    count, dimension, _ = matrices.shape
+    products = matrices @ right  # (m, d, r·d): the blocks Y·A_j side by side.
+    blocks = products.reshape(count, dimension, -1, dimension).transpose(0, 2, 1, 3)
+    return left @ blocks.reshape(count, -1, dimension)
+
+
+def _maximal(matrices: np.ndarray, words: List[Tuple[int, ...]]):
+    """Keep the Löwner-maximal elements of ``matrices``, pruning within ``ATOL``.
+
+    Candidates are visited by decreasing trace, so an element can only be
+    dominated by one kept before it (up to ties within ``ATOL``).  A
+    diagonal screen rules out most comparisons before any eigensolve:
+    ``C ⊑ A + ATOL·I`` needs every diagonal entry of ``C`` within ``ATOL``
+    of ``A``'s.
+    """
+    diagonals = np.einsum("kii->ki", matrices).real
+    order = np.argsort(-diagonals.sum(axis=1), kind="stable")
+    kept: List[int] = []
+    for index in order:
+        if kept:
+            screened = np.all(diagonals[index] <= diagonals[kept] + ATOL, axis=1)
+            rivals = np.asarray(kept)[screened]
+            if rivals.size:
+                gaps = np.linalg.eigvalsh(matrices[index] - matrices[rivals])[:, -1]
+                if gaps.min() <= ATOL:
+                    continue
+        kept.append(int(index))
+    return matrices[kept], [words[index] for index in kept]
+
+
+def _certify(seed: np.ndarray, stacks, threshold: float) -> RankingCertificate:
+    """Run the antichain pass from ``X_0 = {seed}``."""
+    matrices = seed[np.newaxis]
+    words: List[Tuple[int, ...]] = [()]
+    largest = 1
+    depth = 0
+    while True:
+        tops = np.linalg.eigvalsh(matrices)[:, -1]
+        worst = int(np.argmax(tops))
+        residual = float(tops[worst]) + depth * ATOL
+        if len(words) > ANTICHAIN_BUDGET:
+            outcome = "budget"
+        elif residual <= threshold:
+            outcome = "certified"
+        elif depth == HORIZON:
+            outcome = "horizon"
+        else:
+            depth += 1
+            images = np.concatenate(
+                [_apply_adjoint(left, right, matrices) for left, right in stacks]
+            )
+            labels = [(branch,) + word for branch in range(len(stacks)) for word in words]
+            matrices, words = _maximal(images, labels)
+            largest = max(largest, len(words))
+            continue
+        return RankingCertificate(outcome, depth, residual, words[worst], largest)
 
 
 def synthesize_ranking(
     loop: While,
-    register: QubitRegister | None = None,
-    schedulers: Optional[Sequence[Scheduler]] = None,
-    truncation: int = 64,
-    options: DenotationOptions | None = None,
-) -> RankingAssertion:
-    """Synthesise the canonical (truncated) ranking sequences of Eq. (18).
-
-    For every scheduler the sequence ``R^η_k``, ``0 ≤ k ≤ truncation`` is
-    computed; the ``residual`` attribute records ``max_η λ_max(R^η_truncation)``,
-    which must tend to ``0`` for an (almost-surely) terminating loop.
-    """
-    register = register or QubitRegister.for_program(loop)
-    options = options or DenotationOptions()
-    body_maps = denotation(loop.body, register, options)
-    if schedulers is None:
-        schedulers = list(constant_schedulers(len(body_maps)))
-        if len(body_maps) > 1:
-            schedulers = schedulers + sample_schedulers(2)
-    schedulers = list(schedulers)
-
-    p0, p1 = measurement_superoperators(loop, register)
-    identity = np.eye(register.dimension, dtype=complex)
-    termination_now = p0.apply_adjoint(identity)  # P⁰(I): probability of exiting immediately.
-
-    ranking = RankingAssertion(loop=loop, schedulers=schedulers)
-    worst_residual = 0.0
-    for scheduler_index, scheduler in enumerate(schedulers):
-        # terms[i] = P¹∘η₁† ∘ … ∘ P¹∘η_i† ∘ P⁰(I); term[0] = P⁰(I).
-        terms: List[np.ndarray] = [termination_now]
-        current = termination_now
-        for iteration in range(1, truncation + 1):
-            choice = scheduler.select(iteration, len(body_maps))
-            current = p1.apply_adjoint(body_maps[choice].apply_adjoint(current))
-            # NOTE: condition (3) uses the shifted scheduler, so the k-th term of
-            # R^η is built with the choices η_1 … η_k in this order (innermost last).
-            terms.append(current)
-        # R^η_k = Σ_{i ≥ k} term[i]; truncated at the synthesis horizon.
-        sequence: List[QuantumPredicate] = []
-        for k in range(truncation + 1):
-            tail = sum(terms[k:]) if k < len(terms) else np.zeros_like(identity)
-            sequence.append(QuantumPredicate(clip_to_predicate(tail), validate=False))
-        ranking.sequences[scheduler_index] = sequence
-        residual = float(np.linalg.eigvalsh(sequence[-1].matrix)[-1].real)
-        worst_residual = max(worst_residual, residual)
-    ranking.residual = worst_residual
-    return ranking
-
-
-def check_ranking(
-    loop: While,
-    ranking: RankingAssertion,
     theta_hat: QuantumAssertion,
     register: QubitRegister | None = None,
     epsilon: float = 1e-6,
     options: DenotationOptions | None = None,
-) -> None:
-    """Check Definition 4.3 for a synthesised ranking assertion.
+) -> RankingCertificate:
+    """Build the termination certificate of ``loop`` for the loop condition ``Θ̂``.
+
+    Each predicate of ``Θ̂`` seeds one antichain pass; the first that
+    certifies is returned, otherwise the refusal of the first predicate.
+    ``epsilon`` is the prover's order precision, which sets the acceptance
+    threshold ``max(10ε, 1e-4)``.
+    """
+    register = register or QubitRegister.for_program(loop)
+    body_maps = denotation(loop.body, register, options or DenotationOptions())
+    _, p1 = measurement_superoperators(loop, register)
+    stacks = _iteration_stacks(body_maps, p1)
+    threshold = max(10 * epsilon, 1e-4)
+    refusals = []
+    for matrix in theta_hat.matrices:
+        certificate = _certify(np.asarray(matrix, dtype=complex), stacks, threshold)
+        if certificate.certified:
+            return certificate
+        refusals.append(certificate)
+    return refusals[0]
+
+
+def check_ranking(
+    loop: While,
+    theta_hat: QuantumAssertion,
+    register: QubitRegister | None = None,
+    epsilon: float = 1e-6,
+    options: DenotationOptions | None = None,
+) -> RankingCertificate:
+    """Return the certificate of ``loop`` for ``Θ̂``, raising unless it certifies.
 
     Raises
     ------
     RankingError
-        When one of the three conditions fails (with an explanatory message).
+        When the pass is refused at the horizon or over budget; its
+        ``witness`` is the surviving word of branch indices, in time order.
     """
-    register = register or QubitRegister.for_program(loop)
-    options = options or DenotationOptions()
-    body_maps = denotation(loop.body, register, options)
-    p0, p1 = measurement_superoperators(loop, register)
+    certificate = synthesize_ranking(loop, theta_hat, register, epsilon, options)
+    if certificate.outcome == "horizon":
+        raise RankingError(
+            f"no ranking assertion: Θ̂-weight {certificate.residual:.3e} stays inside the loop "
+            f"after {certificate.depth} iterations under the scheduler prefix "
+            f"{_word(certificate.witness)} (the loop may not terminate)",
+            witness=certificate.witness,
+        )
+    if certificate.outcome == "budget":
+        raise RankingError(
+            f"no ranking assertion: the antichain outgrew {ANTICHAIN_BUDGET} elements at "
+            f"depth {certificate.depth} (residual {certificate.residual:.3e}, "
+            f"prefix {_word(certificate.witness)})",
+            witness=certificate.witness,
+        )
+    return certificate
 
-    for scheduler_index, scheduler in enumerate(ranking.schedulers):
-        sequence = ranking.sequences[scheduler_index]
-        # Condition (1): Θ̂ ⊑_inf R^η_0.
-        first = QuantumAssertion([sequence[0]])
-        if not leq_inf(theta_hat, first, epsilon=epsilon).holds:
-            raise RankingError(
-                f"condition (1) fails for scheduler {scheduler.describe()}: Θ̂ ⋢_inf R_0"
-            )
-        # Condition (2): decreasing sequence with infimum 0 (checked via the residual).
-        for earlier, later in zip(sequence, sequence[1:]):
-            if not loewner_le(later.matrix, earlier.matrix, atol=epsilon):
-                raise RankingError(
-                    f"condition (2) fails for scheduler {scheduler.describe()}: sequence not decreasing"
-                )
-        residual = float(np.linalg.eigvalsh(sequence[-1].matrix)[-1].real)
-        if residual > max(10 * epsilon, 1e-4):
-            raise RankingError(
-                f"condition (2) fails for scheduler {scheduler.describe()}: "
-                f"residual {residual:.3e} does not vanish (loop may not terminate)"
-            )
-        # Condition (3): P¹ ∘ η₁†(R^{η→}_i) ⊑ R^η_{i+1}; for the canonical truncated
-        # sequences the shifted-scheduler sequence is approximated by the same one.
-        for index in range(len(sequence) - 1):
-            choice = scheduler.select(1, len(body_maps))
-            shifted = sequence[index]
-            image = p1.apply_adjoint(body_maps[choice].apply_adjoint(shifted.matrix))
-            if not loewner_le(image, sequence[index + 1].matrix + max(epsilon, 1e-6) * np.eye(register.dimension), atol=1e-6):
-                raise RankingError(
-                    f"condition (3) fails for scheduler {scheduler.describe()} at index {index}"
-                )
+
+def _word(witness: Tuple[int, ...], shown: int = 8) -> str:
+    """Render the first ``shown`` branch indices of a witness word."""
+    head = ", ".join(str(choice) for choice in witness[:shown])
+    return f"[{head}{', …' if len(witness) > shown else ''}]"

@@ -17,14 +17,16 @@ von Neumann's minimax theorem gives the dual expression
 
     V(Θ, N)  =  min_{λ ∈ Δ_{|Θ|}}  λ_max( Σ_i λ_i (M_i − N) )
 
-This module computes a *certified interval* ``[lower, upper]`` around ``V``:
+When ``Θ = {M}`` is a singleton the value is exact, ``V({M}, N) = λ_max(M − N)``,
+attained by the top eigenvector, so one ``eigh`` decides it.  Otherwise this
+module computes a *certified interval* ``[lower, upper]`` around ``V``:
 
 * the **primal** side runs Frank–Wolfe over the spectraplex (each linear
   sub-problem is a top-eigenvector computation), which yields a feasible ``ρ``
   and therefore a lower bound together with a witness state;
-* the **dual** side minimises ``λ_max`` over the probability simplex (exact for
-  one or two predicates, multi-start SLSQP otherwise), each evaluation of which
-  is an upper bound on ``V``.
+* the **dual** side minimises ``λ_max`` over the probability simplex (exact
+  enough for two predicates, multi-start SLSQP otherwise), each evaluation of
+  which is an upper bound on ``V``.
 
 The two bounds bracket the true optimum, so the decision ``V ≤ ε`` can be made
 with an explicit certificate in either direction.
@@ -135,8 +137,6 @@ def _dual_minimize(
 ) -> Tuple[float, np.ndarray]:
     """Minimise the dual objective over the probability simplex."""
     count = len(differences)
-    if count == 1:
-        return _dual_value(differences, np.array([1.0])), np.array([1.0])
     if count == 2:
         # One-dimensional convex problem: golden-section search is exact enough.
         def objective(t: float) -> float:
@@ -186,6 +186,9 @@ def max_min_expectation_gap(
 ) -> GapResult:
     """Compute certified bounds on ``V(Θ, N) = max_ρ min_{M∈Θ} tr((M − N)ρ)``.
 
+    For a singleton ``Θ = {M}`` both bounds are ``λ_max(M − N)``, the witness
+    is the top-eigenvector state and the dual weights are ``[1.0]``.
+
     Parameters
     ----------
     thetas:
@@ -203,6 +206,12 @@ def max_min_expectation_gap(
         raise PredicateError("Θ must contain at least one predicate")
     psi = np.asarray(psi, dtype=complex)
     differences = [np.asarray(theta, dtype=complex) - psi for theta in thetas]
+    if len(differences) == 1:
+        hermitian = (differences[0] + dagger(differences[0])) / 2
+        eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
+        top = eigenvectors[:, -1:]
+        value = float(eigenvalues[-1])
+        return GapResult(value, value, top @ dagger(top), np.array([1.0]))
     dimension = psi.shape[0]
     rng = np.random.default_rng(seed)
 

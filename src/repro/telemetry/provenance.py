@@ -15,7 +15,7 @@ Event kinds shipped by the pipeline:
 ``invariant``
     A loop invariant validated against the loop body (old message string).
 ``ranking``
-    A ranking assertion synthesised for a total-correctness loop.
+    A total-correctness loop certified to terminate under every scheduler.
 ``order``
     The final ``⊑_inf`` comparison against the declared precondition.
 ``cache``

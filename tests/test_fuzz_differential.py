@@ -8,6 +8,8 @@ on CI; any divergence this module ever finds should be promoted to
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from repro.fuzz import (
     generate_program,
     shrink,
 )
-from repro.fuzz.differential import check_program, repro_line
+from repro.fuzz.differential import ReplayProgram, check_program, repro_line, run_differential
 from repro.fuzz.generator import FGate, FuzzProgram
+from repro.language.ast import While
 from repro.language.parser import parse_annotated_program
 from repro.linalg.constants import ATOL
 
@@ -152,7 +155,7 @@ class TestDifferentialSweep:
         assert [d.kind for d in divergences] == ["duality"]
         assert (divergences[0].combo_a, divergences[0].combo_b) == ("wlp", "denotation")
 
-    def test_loop_draws_check_engine_errors_only(self, monkeypatch):
+    def test_loop_draws_skip_duality_but_catch_engine_errors(self, monkeypatch):
         import repro.fuzz.differential as differential
 
         program = next(p for p in _chunk(0) if p.contains_while())
@@ -166,6 +169,40 @@ class TestDifferentialSweep:
         divergences = check_program(program, SWEEP_CONFIG)
         assert [d.kind for d in divergences] == ["error"]
         assert "RuntimeError: engine bug" in divergences[0].detail
+
+    def test_sweep_counts_termination_certificates(self):
+        programs = _chunk(0)
+        report = run_differential(programs, SWEEP_CONFIG)
+        assert report.ok
+        loops = sum(
+            1
+            for program in programs
+            if program.contains_while()
+            for node in build_task(program.source()).formula.program.walk()
+            if isinstance(node, While)
+        )
+        assert sum(report.loops.values()) == loops
+        assert report.loops["certified"] > 0
+        assert report.to_dict()["loops"] == dict(report.loops)
+
+    def test_optimistic_certificate_is_a_termination_divergence(self, monkeypatch):
+        # A certificate that accepts `while M[q0] do skip end` is unsound:
+        # the constant scheduler keeps |1⟩ inside forever.
+        import repro.fuzz.differential as differential
+
+        source = "[q0] := 0; { inv: I[q0] }; while M[q0] do skip end; { P0[q0] }"
+        program = ReplayProgram(source, seed=0, index=0)
+        assert check_program(program, SWEEP_CONFIG) == []
+
+        real = differential.synthesize_ranking
+
+        def optimistic(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), outcome="certified", residual=0.0)
+
+        monkeypatch.setattr(differential, "synthesize_ranking", optimistic)
+        divergences = check_program(program, SWEEP_CONFIG)
+        assert [d.kind for d in divergences] == ["termination"]
+        assert "cyclic scheduler [0]" in divergences[0].detail
 
 
 class TestShrinker:

@@ -227,8 +227,6 @@ RESULT_CHANGING_FIELDS = [
     (WpOptions, "sampled_schedulers", 3),
     (WpOptions, "convergence_tolerance", 1e-6),
     (ProverOptions, "epsilon", 1e-4),
-    (ProverOptions, "ranking_truncation", 16),
-    (ProverOptions, "check_rankings", False),
 ]
 
 

@@ -6,7 +6,10 @@ import pytest
 from repro.exceptions import PredicateError
 from repro.linalg.constants import I2, P0, P1, PPLUS
 from repro.linalg.operators import is_density_operator
+from repro.linalg.random import random_predicate_matrix
 from repro.predicates.sdp import (
+    _dual_minimize,
+    _frank_wolfe,
     lambda_max,
     max_min_expectation_gap,
     top_eigenvector_state,
@@ -40,6 +43,24 @@ class TestSingleDifference:
         assert is_density_operator(gap.witness)
         achieved = np.trace((P1 - P0) @ gap.witness).real
         assert achieved == pytest.approx(gap.lower, abs=1e-6)
+
+    @pytest.mark.parametrize("dimension", [2, 4, 8, 16])
+    def test_exact_value_lies_in_the_primal_dual_bracket(self, dimension):
+        """The one-``eigh`` value sits inside the Frank–Wolfe/dual bracket it replaces."""
+        rng = np.random.default_rng(dimension)
+        for _ in range(5):
+            theta = random_predicate_matrix(dimension, seed=rng)
+            psi = random_predicate_matrix(dimension, seed=rng)
+            gap = max_min_expectation_gap([theta], psi)
+            assert gap.lower == gap.upper
+            assert list(gap.dual_weights) == [1.0]
+            assert is_density_operator(gap.witness)
+            achieved = np.trace((theta - psi) @ gap.witness).real
+            assert achieved == pytest.approx(gap.upper, abs=1e-10)
+            differences = [theta - psi]
+            lower, _ = _frank_wolfe(differences, 200, dimension)
+            upper, _ = _dual_minimize(differences, 6, np.random.default_rng(0))
+            assert lower - 1e-9 <= gap.upper <= upper + 1e-9
 
 
 class TestMinimaxPair:

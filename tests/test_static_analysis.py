@@ -45,6 +45,7 @@ from repro.exceptions import (
     StaticAnalysisError,
 )
 from repro.language.ast import Init, Unitary, While, seq
+from repro.language.names import default_environment
 from repro.language.parser import parse_annotated_program, parse_program
 from repro.linalg.constants import H, P0, X
 from repro.predicates.assertion import QuantumAssertion
@@ -244,6 +245,25 @@ class TestPositionThreading:
             diagnostic.span.line,
             diagnostic.span.column,
         )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "[q] *= FOO; { I[q] }",
+            "[q] *= NU; { I[q] }",
+            "if FOO [q] then skip else skip end; { I[q] }",
+            "[q] *= H H; { I[q] }",
+            "[q] *= ; { I[q] }",
+        ],
+    )
+    def test_strict_resolution_error_carries_the_analyzer_code(self, source):
+        environment = default_environment()
+        environment.define("NU", P0)
+        with pytest.raises(ReproError) as excinfo:
+            parse_annotated_program(source, environment)
+        first = analyze_source(source, environment).errors[0]
+        assert excinfo.value.code == first.code
+        assert (excinfo.value.line, excinfo.value.column) == (first.span.line, first.span.column)
 
     def test_plain_parse_error_carries_its_code(self):
         with pytest.raises(ParseError) as excinfo:
@@ -496,9 +516,9 @@ class TestVerifyIntegration:
 #: What ``verify_source`` does with each malformed corpus program: either the
 #: ``(exception class, line, column, code)`` it raises, or the diagnostic codes
 #: of the report it returns.  The strict parser raises the analyzer's code for
-#: the defects the raw parser records (QV102, QV103, QV114) and for a source
-#: without statements (QV115, at the end of the input); name-resolution and
-#: syntax errors carry no code.
+#: the defects the raw parser records (QV102, QV103, QV114), for a source
+#: without statements (QV115, at the end of the input), for name-resolution
+#: errors (QV104–QV108) and for syntax errors (QV001).
 _VERIFY_ON_CORPUS = {
     "dangling_invariant.nqpv": ["QV204"],
     "dead_init_overwrite.nqpv": ["QV203"],
@@ -508,16 +528,16 @@ _VERIFY_ON_CORPUS = {
     "init_never_used.nqpv": ["QV202"],
     "init_nonzero.nqpv": ("ParseError", 1, 8, "QV103"),
     "invalid_predicate.nqpv": ("StaticAnalysisError", None, None, "QV110"),
-    "measurement_dim_mismatch.nqpv": ("NameResolutionError", 3, 7, None),
+    "measurement_dim_mismatch.nqpv": ("NameResolutionError", 3, 7, "QV108"),
     "missing_invariant.nqpv": ("StaticAnalysisError", None, None, "QV112"),
     "missing_postcondition.nqpv": ("StaticAnalysisError", None, None, "QV113"),
     "no_statement.nqpv": ("ParseError", 2, 1, "QV115"),
-    "not_unitary.nqpv": ("NameResolutionError", 2, 8, None),
-    "operator_dim_mismatch.nqpv": ("NameResolutionError", 2, 12, None),
+    "not_unitary.nqpv": ("NameResolutionError", 2, 8, "QV105"),
+    "operator_dim_mismatch.nqpv": ("NameResolutionError", 2, 12, "QV106"),
     "predicate_dim_mismatch.nqpv": ("StaticAnalysisError", None, None, "QV111"),
-    "syntax_error.nqpv": ("ParseError", 3, 1, None),
-    "unknown_measurement.nqpv": ("NameResolutionError", 2, 4, None),
-    "unknown_operator.nqpv": ("NameResolutionError", 2, 8, None),
+    "syntax_error.nqpv": ("ParseError", 3, 1, "QV001"),
+    "unknown_measurement.nqpv": ("NameResolutionError", 2, 4, "QV107"),
+    "unknown_operator.nqpv": ("NameResolutionError", 2, 8, "QV104"),
     "unknown_predicate.nqpv": ("StaticAnalysisError", None, None, "QV109"),
     "use_before_init.nqpv": ["QV201"],
 }

@@ -159,7 +159,7 @@ def main(argv=None) -> int:
                 report_failure(program, divergences, args, oracle_config)
             )
         elif program.contains_while():
-            print(f"index {args.index}: loop draw ran without engine errors")
+            print(f"index {args.index}: loop draw ran without engine errors or termination violations")
         else:
             print(f"index {args.index}: wlp matches the denotation and the prover")
         failures = payload["failures"]
@@ -178,10 +178,12 @@ def main(argv=None) -> int:
         report = run_differential(programs, oracle_config, on_program=on_program)
         payload = report.to_dict()
         payload["failures"] = failures
+        loops = report.loops
         print(
             f"checked {report.programs_checked} programs "
             f"(duality on {report.loop_free} loop-free, prover on {report.prover_checked}, "
-            f"engine errors only on {report.with_loops} with loops): "
+            f"termination on {report.with_loops} with loops: {loops['certified']} loop(s) "
+            f"certified, {loops['horizon']} refused at the horizon, {loops['budget']} over budget): "
             f"{len(failures)} divergent program(s)"
         )
 
