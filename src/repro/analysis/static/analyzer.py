@@ -22,7 +22,8 @@ diagnostic).
 
 Each run is traced under ``span("analyze")`` with one child span per pass,
 and bumps only ``analysis.*`` metrics counters, so a clean verify sees no
-cache or metrics pollution from pre-flight linting.
+metrics pollution from pre-flight linting.  It calls none of the semantic
+engines: no denotation, no wp transformer, no prover.
 """
 
 from __future__ import annotations

@@ -103,8 +103,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="print the metrics-registry snapshot (cache hit/miss counters, "
-        "order-decision latencies, proof-event counts) as JSON",
+        help="print the metrics-registry snapshot (order-decision counters and "
+        "latencies, proof-event counts) as JSON",
     )
     return parser
 

@@ -29,10 +29,6 @@ choices ``w``, with ``T_k = E_k ∘ P¹`` folded directly from the body maps.
 A loop the certificate refuses (at the horizon or over budget) is counted in
 the report, not treated as a divergence.
 
-The process-wide result cache is cleared before every engine run, so each run
-computes every subterm itself instead of replaying entries that an earlier
-draw stored for a digest-equal subterm.
-
 Any disagreement is reported as a :class:`Divergence` carrying the rendered
 source and the copy-pasteable repro line
 ``python tools/fuzz.py --seed S --index I --shrink``.
@@ -48,7 +44,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..assistant.verify import build_task
-from ..cache import clear_result_cache
 from ..language.ast import While
 from ..language.names import OperatorEnvironment, default_environment
 from ..linalg.constants import ATOL
@@ -111,10 +106,6 @@ class OracleConfig:
     check_prover:
         Whether to compare the prover's verification condition against the
         semantic wlp on loop-free draws.
-    clear_cache:
-        Clear the process-wide result cache before each engine run, so every
-        run computes each subterm itself rather than replaying an entry an
-        earlier draw stored for a digest-equal subterm.
     """
 
     atol: float = ATOL
@@ -122,7 +113,6 @@ class OracleConfig:
     convergence_tolerance: float = 1e-9
     sampled_schedulers: int = 2
     check_prover: bool = True
-    clear_cache: bool = True
 
 
 @dataclass(frozen=True)
@@ -248,8 +238,6 @@ def _loop_options(config: OracleConfig) -> Dict:
 
 def _engine_run(program, postcondition, register, config: OracleConfig):
     """Run denotation + wlp once, returning ``(channels, wlp)``."""
-    if config.clear_cache:
-        clear_result_cache()
     loop_options = _loop_options(config)
     channels = denotation(program, register, DenotationOptions(**loop_options))
     wlp = weakest_liberal_precondition(program, postcondition, register, WpOptions(**loop_options))
@@ -361,8 +349,6 @@ def _check(
             f"{len(channels)} channel(s) (atol={config.atol:g})",
         )
     if config.check_prover:
-        if config.clear_cache:
-            clear_result_cache()
         prover = Prover(register, mode=CorrectnessMode.PARTIAL, invariants=task.invariants)
         outline = prover.generate(program, postcondition)
         if not _matrix_sets_close(_matrices(outline.precondition), _matrices(wlp), config.atol):

@@ -131,7 +131,7 @@ class Program:
     Every node optionally carries a ``source_span`` — the 1-based
     :class:`~repro.diagnostics.SourceSpan` of the token that introduced it in
     ``.nqpv`` source.  The span is display-only metadata: it is excluded from
-    equality, hashing and content digests, and is ``None`` on nodes built
+    equality and hashing, and is ``None`` on nodes built
     programmatically.
     """
 

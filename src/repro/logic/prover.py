@@ -21,12 +21,13 @@ precondition with the ``⊑_inf`` decision procedure, reproducing the behaviour
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cache import MISS, RESULT_CACHE
+import numpy as np
+
 from ..exceptions import InvariantError, VerificationError
-from ..hashing import assertion_digest, node_digest, options_signature, register_signature
 from ..telemetry.metrics import METRICS
 from ..telemetry.provenance import ProofEvent, proof_event, render_events
 from ..telemetry.tracing import span
@@ -82,9 +83,10 @@ class VerificationReport:
     events:
         The full structured provenance log: one timestamped
         :class:`~repro.telemetry.provenance.ProofEvent` per rule application,
-        invariant validation, ranking synthesis, cache replay and the final
-        order decision.  Events served from the result cache carry
-        ``replayed=True``.
+        invariant validation, ranking synthesis, memo reuse and the final
+        order decision.  When the prover reuses an annotation it already
+        computed in the same run, the events of that annotation are
+        re-emitted with ``replayed=True``.
     diagnostics:
         Static-analyzer findings attached by the source-level front end
         (:func:`repro.assistant.verify.verify_source` pre-flight): a tuple of
@@ -130,126 +132,86 @@ class Prover:
         self.invariants = invariants or {}
         self.options = options or ProverOptions()
         self.events: List[ProofEvent] = []
-        # Constant components of the content-digest cache keys (see
-        # _cache_key).  ProverOptions has no uncacheable field, so the
-        # signature is always a concrete tuple.
-        self._register_signature = register_signature(register)
-        self._options_signature = options_signature(self.options)
+        # Annotations of the running generate() call: id(node) -> the
+        # (annotation, events) pairs computed for it (see _annotate).
+        self._memo: Dict[int, List[Tuple[AnnotatedStatement, Tuple[ProofEvent, ...]]]] = {}
 
     @property
     def messages(self) -> List[str]:
         """The ``info``-level provenance events rendered to the historical strings."""
         return render_events(self.events)
 
-    def _record(self, event: ProofEvent) -> ProofEvent:
-        """Append one provenance event and bump its per-kind metrics counter."""
-        self.events.append(event)
-        METRICS.counter("prover.events", kind=event.kind).inc()
-        return event
-
     # ------------------------------------------------------------------ public
     def generate(self, program: Program, postcondition: QuantumAssertion) -> ProofOutline:
         """Produce the proof outline for ``program`` against ``postcondition``.
 
-        Per-subterm annotations are memoized in the process-wide result cache
-        under content digests (region ``"prover"``), so structurally equal
-        subprograms — within one tree, across the per-predicate (Meas)+(Union)
-        expansion, or across separate ``generate`` calls — share one
-        annotation.  Content digests cannot alias across object lifetimes, so
-        no defensive clearing between runs is needed.
+        Within the call, annotations are memoized per node: when the
+        per-predicate (Meas)+(Union) expansion asks again for a node's
+        annotation against a postcondition exactly equal to one it already
+        annotated, the stored annotation is reused and its events are
+        replayed.  Structurally equal but separately built subtrees are
+        annotated separately.  The memo is dropped when the call returns, so
+        a recycled ``id()`` can never alias a node of another program.  The
+        call's events are counted into ``prover.events{kind=…}`` when it
+        returns, once per kind.
         """
         if postcondition.dimension != self.register.dimension:
             raise VerificationError(
                 "postcondition dimension does not match the register; embed the assertion first"
             )
-        with span(
-            "prover",
-            region="prover",
-            mode=self.mode.name,
-            num_qubits=self.register.num_qubits,
-        ):
-            root = self._annotate(program, postcondition)
+        first_event = len(self.events)
+        try:
+            with span(
+                "prover",
+                region="prover",
+                mode=self.mode.name,
+                num_qubits=self.register.num_qubits,
+            ):
+                root = self._annotate(program, postcondition)
+        finally:
+            self._memo.clear()
+            kinds = Counter(event.kind for event in self.events[first_event:])
+            for kind, count in kinds.items():
+                METRICS.counter("prover.events", kind=kind).inc(count)
         return ProofOutline(root=root)
 
     # ----------------------------------------------------------------- helpers
-    def _cache_key(self, program: Program, post: QuantumAssertion) -> Optional[tuple]:
-        """Build the content-digest cache key of one annotation, or ``None``.
-
-        The key must determine the annotation completely: correctness mode,
-        program digest, postcondition digest, the invariant assigned to every
-        while loop *inside* the subtree (invariants are per-``id`` user input,
-        not program content), the register and the numeric options.  A loop
-        with no assigned invariant makes the subtree uncacheable (the handler
-        raises :class:`InvariantError` anyway).
-        """
-        invariant_digests = []
-        if program.contains_while():
-            for node in program.walk():
-                if isinstance(node, While):
-                    invariant = self.invariants.get(id(node))
-                    if invariant is None:
-                        return None
-                    invariant_digests.append(assertion_digest(invariant))
-        return (
-            self.mode.name,
-            node_digest(program),
-            assertion_digest(post),
-            tuple(invariant_digests),
-            self._register_signature,
-            self._options_signature,
-        )
-
     def _annotate(self, program: Program, post: QuantumAssertion) -> AnnotatedStatement:
-        with span("cache-key", region="cache", node=type(program).__name__):
-            key = self._cache_key(program, post)
-            cached = RESULT_CACHE.lookup("prover", key)
-        if cached is not MISS:
-            # Replay the provenance events (invariant validations, ranking
-            # syntheses, rule applications) the original annotation produced:
-            # each is re-emitted as a copy tagged ``replayed=True`` with a
-            # fresh timestamp, so structured consumers see the cache hit while
-            # the rendered report stays identical to an uncached run.
-            annotated, events = cached
-            digest = key[1] if key is not None else None
-            self._record(
-                proof_event(
-                    "cache",
-                    f"annotation for {type(program).__name__} served from the result cache",
-                    subterm_digest=digest,
-                    level="debug",
-                    replayed_events=len(events),
+        entries = self._memo.get(id(program), ())
+        for annotated, events in entries:
+            if _same_predicates(annotated.postcondition, post):
+                # Re-emit the events the original annotation produced
+                # (invariant validations, ranking syntheses, rule
+                # applications) as copies tagged ``replayed=True`` with fresh
+                # timestamps: the rendered report reads as if recomputed.
+                self.events.append(
+                    proof_event(
+                        "cache",
+                        f"annotation for {type(program).__name__} reused from earlier in this run",
+                        level="debug",
+                        replayed_events=len(events),
+                    )
                 )
-            )
-            for event in events:
-                self._record(event.replay())
-            return annotated
-        handler = {
-            Skip: self._annotate_skip,
-            Abort: self._annotate_abort,
-            Init: self._annotate_init,
-            Unitary: self._annotate_unitary,
-            Seq: self._annotate_seq,
-            NDet: self._annotate_ndet,
-            If: self._annotate_if,
-            While: self._annotate_while,
-        }.get(type(program))
+                self.events.extend(event.replay() for event in events)
+                return annotated
+        handler = self._HANDLERS.get(type(program))
         if handler is None:
             raise VerificationError(f"unsupported construct {type(program).__name__}")
         event_mark = len(self.events)
         with span("annotate", region="prover", node=type(program).__name__) as annotate_span:
-            annotated = handler(program, post)
+            annotated = handler(self, program, post)
             annotate_span.set_tag("rule", annotated.rule)
-        digest = key[1] if key is not None else node_digest(program)
-        self._record(
+        self.events.append(
             proof_event(
                 "rule",
                 f"rule ({annotated.rule}) applied to {type(program).__name__}",
                 rule=annotated.rule,
-                subterm_digest=digest,
                 level="debug",
             )
         )
-        RESULT_CACHE.store("prover", key, (annotated, tuple(self.events[event_mark:])))
+        self._memo.setdefault(id(program), []).append(
+            (annotated, tuple(self.events[event_mark:]))
+        )
         return annotated
 
     def _annotate_skip(self, program: Skip, post: QuantumAssertion) -> AnnotatedStatement:
@@ -338,11 +300,7 @@ class Prover:
                 "a loop invariant is required for every while loop; none was supplied"
             )
         if invariant.dimension != self.register.dimension:
-            invariant = QuantumAssertion(
-                [predicate for predicate in invariant.predicates], name=invariant.name
-            )
-            if invariant.dimension != self.register.dimension:
-                raise InvariantError("loop invariant dimension does not match the register")
+            raise InvariantError("loop invariant dimension does not match the register")
         p0, p1 = measurement_superoperators(program, self.register)
         with span("vc-transform", region="prover", rule="While", predicates=len(post)):
             loop_condition = measured_sum(p0, post, p1, invariant)
@@ -353,12 +311,11 @@ class Prover:
                 f"The predicate '{invariant.name or 'Θ'}' is not a valid loop invariant: "
                 f"order relation not satisfied against the loop body's weakest precondition"
             )
-        self._record(
+        self.events.append(
             proof_event(
                 "invariant",
                 f"loop invariant {invariant.name or 'Θ'} validated against the loop body",
                 rule="While",
-                subterm_digest=node_digest(program),
                 invariant=invariant.name or "Θ",
                 holds=True,
             )
@@ -372,13 +329,12 @@ class Prover:
             scope = "every scheduler"
             if program.body.contains_while():
                 scope += " (inner loops: explored schedulers only)"
-            self._record(
+            self.events.append(
                 proof_event(
                     "ranking",
                     f"ranking assertion certified for {scope} at depth {certificate.depth} "
                     f"(residual {certificate.residual:.2e})",
                     rule="WhileT",
-                    subterm_digest=node_digest(program),
                     residual=float(certificate.residual),
                     depth=certificate.depth,
                 )
@@ -391,6 +347,30 @@ class Prover:
             children=[body_child],
             note=f"inv: {invariant.name or 'Θ'}",
         )
+
+    #: The annotation handler of every construct, looked up by node type.
+    _HANDLERS = {
+        Skip: _annotate_skip,
+        Abort: _annotate_abort,
+        Init: _annotate_init,
+        Unitary: _annotate_unitary,
+        Seq: _annotate_seq,
+        NDet: _annotate_ndet,
+        If: _annotate_if,
+        While: _annotate_while,
+    }
+
+
+def _same_predicates(first: QuantumAssertion, second: QuantumAssertion) -> bool:
+    """Return whether two assertions hold exactly equal predicates in the same order."""
+    if first is second:
+        return True
+    if len(first.predicates) != len(second.predicates):
+        return False
+    return all(
+        mine is theirs or np.array_equal(mine.matrix, theirs.matrix)
+        for mine, theirs in zip(first.predicates, second.predicates)
+    )
 
 
 def verify_formula(

@@ -34,9 +34,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache import MISS, RESULT_CACHE
 from ..exceptions import SemanticsError
-from ..hashing import node_digest, options_signature, register_signature
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
 from ..linalg.tensor import embed_operator
 from ..registers import QubitRegister
@@ -50,7 +48,6 @@ __all__ = [
     "denotation",
     "apply_denotation",
     "loop_iterates",
-    "loop_prefix_cache",
     "measurement_superoperators",
     "initializer_channel",
     "initializer_adjoint",
@@ -73,7 +70,9 @@ class DenotationOptions:
         it bounds the probability mass the iteration adds for any input state.
     schedulers:
         Explicit schedulers to explore for every loop.  When ``None``, all
-        constant schedulers are used plus ``sampled_schedulers`` random ones.
+        constant schedulers are used plus ``sampled_schedulers`` random ones,
+        and a deterministic loop runs the single ``ConstantScheduler(0)``
+        chain (see :func:`deterministic_loop_bypass`).
     sampled_schedulers:
         Number of additional pseudo-random schedulers to sample per loop.
     simplify_threshold:
@@ -154,14 +153,9 @@ def denotation(
     loops, one super-operator per explored scheduler is produced, each obtained
     by truncating the non-decreasing chain of Eq. (1) at numerical convergence.
 
-    Returns a list of :class:`SuperOperator` on the full register.
-
-    Results are memoized in the process-wide result cache (region
-    ``"denotation"``) under the program's content digest, the register
-    signature and the full options signature; passing explicit ``schedulers``
-    makes the call uncacheable (see
-    :func:`repro.hashing.options_signature`).  Cached channels are shared
-    objects — treat them (like all channels) as immutable.
+    Returns a list of :class:`SuperOperator` on the full register.  Nothing
+    is memoized across calls: a loop's prefix chains are shared among its
+    schedulers within the call (see :func:`loop_iterates`) and dropped with it.
     """
     register = register or QubitRegister.for_program(program)
     options = options or DenotationOptions()
@@ -174,22 +168,11 @@ def denotation(
         node=type(program).__name__,
         num_qubits=register.num_qubits,
     ) as denotation_span:
-        options_sig = options_signature(options)
-        cache_key = None
-        if options_sig is not None:
-            cache_key = (node_digest(program), register_signature(register), options_sig)
-            cached = RESULT_CACHE.lookup("denotation", cache_key)
-            if cached is not MISS:
-                denotation_span.set_tag("cache", "hit")
-                return list(cached)
-        denotation_span.set_tag("cache", "miss" if cache_key is not None else "bypass")
         result = _denote(program, register, options)
         if options.dedup:
             result = deduplicate(result)
-        if cache_key is not None:
-            RESULT_CACHE.store("denotation", cache_key, tuple(result))
         denotation_span.set_tag("set_size", len(result))
-        return list(result)
+        return result
 
 
 def apply_denotation(
@@ -305,58 +288,6 @@ def _loop_schedulers(options, num_choices: int) -> List[Scheduler]:
     return schedulers
 
 
-class _GlobalPrefixCache:
-    """Adapter exposing the ``loop_iterates`` prefix-cache dict protocol
-    (``get``/``setdefault``/``__setitem__``) over the process-wide result
-    cache, region ``"loop-prefix"``.
-
-    The base key pins down everything the prefixes depend on besides the
-    scheduler's choice sequence: the loop's content digest, the register and
-    the full options signature (``body_maps`` derive deterministically from
-    loop + options).  Loop-prefix chains are thereby shared across schedulers
-    *and* across separate denotation calls, with the LRU bound of the global
-    cache replacing the old per-call retention concern.
-    """
-
-    __slots__ = ("_base",)
-
-    def __init__(self, base_key: tuple):
-        self._base = base_key
-
-    def get(self, choices):
-        """Return the cached prefix for a choice sequence, or ``None``."""
-        value = RESULT_CACHE.lookup("loop-prefix", self._base + (choices,))
-        return None if value is MISS else value
-
-    def setdefault(self, choices, default):
-        """Return the cached prefix, inserting ``default`` atomically on a miss.
-
-        Delegates to :meth:`ResultCache.get_or_set` — one lock hold for the
-        lookup and the insertion, so each call bumps exactly one of the
-        hit/miss counters.
-        """
-        return RESULT_CACHE.get_or_set("loop-prefix", self._base + (choices,), default)
-
-    def __setitem__(self, choices, value):
-        RESULT_CACHE.store("loop-prefix", self._base + (choices,), value)
-
-
-def loop_prefix_cache(program, register, options, num_schedulers: int):
-    """Build the prefix cache :func:`loop_iterates` should use for one loop.
-
-    With cacheable options the prefixes go through the process-wide result
-    cache (see :class:`_GlobalPrefixCache`); with explicit user schedulers the
-    old behaviour is kept — a per-call dict when several schedulers can share
-    prefixes, no memoisation for a single scheduler.
-    """
-    options_sig = options_signature(options)
-    if options_sig is not None:
-        return _GlobalPrefixCache(
-            (node_digest(program), register_signature(register), options_sig)
-        )
-    return {} if num_schedulers > 1 else None
-
-
 def deterministic_loop_bypass(program, body_maps, options) -> bool:
     """Return whether loop exploration can skip scheduler enumeration entirely.
 
@@ -384,15 +315,7 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
             num_qubits=register.num_qubits,
         ) as loop_span:
             loop_span.set_tag("deterministic_bypass", True)
-            prefix_cache = loop_prefix_cache(program, register, options, 1)
-            iterates = loop_iterates(
-                program,
-                register,
-                body_maps,
-                ConstantScheduler(0),
-                options,
-                prefix_cache=prefix_cache,
-            )
+            iterates = loop_iterates(program, register, body_maps, ConstantScheduler(0), options)
             return [iterates[-1]]
     schedulers = _loop_schedulers(options, len(body_maps))
     with span(
@@ -402,7 +325,9 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
         body_maps=len(body_maps),
         num_qubits=register.num_qubits,
     ):
-        prefix_cache = loop_prefix_cache(program, register, options, len(schedulers))
+        # One prefix memo per loop and call: the schedulers share the chains
+        # of their common choice prefixes, and nothing outlives the call.
+        prefix_cache = {} if len(schedulers) > 1 else None
         results = []
         for scheduler in schedulers:
             iterates = loop_iterates(

@@ -19,13 +19,11 @@ invariants (see :mod:`repro.logic.prover`) exactly as in the paper's tool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..cache import MISS, RESULT_CACHE
 from ..exceptions import SemanticsError
-from ..hashing import node_digest, options_signature, predicate_digest, register_signature
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.predicate import QuantumPredicate, clip_to_predicate
@@ -90,9 +88,12 @@ def _transform(
         num_qubits=register.num_qubits,
         predicates=len(postcondition.predicates),
     ):
+        # Each loop body is denoted once per call, however many predicates
+        # reach its loop: keyed by the loop node, dropped when the call returns.
+        bodies: Dict[int, List] = {}
         predicates: List[QuantumPredicate] = []
         for predicate in postcondition.predicates:
-            predicates.extend(_xp_single(program, predicate, register, options, liberal))
+            predicates.extend(_xp_single(program, predicate, register, options, liberal, bodies))
         return QuantumAssertion(predicates)
 
 
@@ -102,43 +103,9 @@ def _xp_single(
     register: QubitRegister,
     options: WpOptions,
     liberal: bool,
+    bodies: Dict[int, List],
 ) -> List[QuantumPredicate]:
-    """Memoizing wrapper around the structural wp/wlp recursion.
-
-    Every (sub)term's transformer result is keyed by content digests in the
-    process-wide result cache (region ``"wp"``), so repeated subterms — and
-    repeated calls on edited programs sharing subtrees — skip their adjoint
-    applications entirely.  Explicit user schedulers make the options
-    signature ``None`` and bypass the cache.
-    """
-    options_sig = options_signature(options)
-    key = None
-    if options_sig is not None:
-        key = (
-            "wlp" if liberal else "wp",
-            node_digest(program),
-            predicate_digest(post),
-            register_signature(register),
-            options_sig,
-        )
-        cached = RESULT_CACHE.lookup("wp", key)
-        if cached is not MISS:
-            return list(cached)
-    result = _xp_single_uncached(program, post, register, options, liberal)
-    if key is not None:
-        RESULT_CACHE.store("wp", key, tuple(result))
-    return result
-
-
-def _xp_single_uncached(
-    program: Program,
-    post: QuantumPredicate,
-    register: QubitRegister,
-    options: WpOptions,
-    liberal: bool,
-) -> List[QuantumPredicate]:
-    dimension = register.dimension
-
+    """Return the wp/wlp of ``program`` against one predicate, by structural recursion."""
     if isinstance(program, Skip):
         return [post]
     if isinstance(program, Abort):
@@ -156,18 +123,18 @@ def _xp_single_uncached(
         for statement in reversed(program.statements):
             updated: List[QuantumPredicate] = []
             for predicate in current:
-                updated.extend(_xp_single(statement, predicate, register, options, liberal))
+                updated.extend(_xp_single(statement, predicate, register, options, liberal, bodies))
             current = _dedup(updated)
         return current
     if isinstance(program, NDet):
         result: List[QuantumPredicate] = []
         for branch in program.branches:
-            result.extend(_xp_single(branch, post, register, options, liberal))
+            result.extend(_xp_single(branch, post, register, options, liberal, bodies))
         return _dedup(result)
     if isinstance(program, If):
         p0, p1 = measurement_superoperators(program, register)
-        else_parts = _xp_single(program.else_branch, post, register, options, liberal)
-        then_parts = _xp_single(program.then_branch, post, register, options, liberal)
+        else_parts = _xp_single(program.else_branch, post, register, options, liberal, bodies)
+        then_parts = _xp_single(program.then_branch, post, register, options, liberal, bodies)
         combined: List[QuantumPredicate] = []
         for else_part in else_parts:
             for then_part in then_parts:
@@ -175,7 +142,7 @@ def _xp_single_uncached(
                 combined.append(QuantumPredicate(clip_to_predicate(matrix), validate=False))
         return _dedup(combined)
     if isinstance(program, While):
-        return _xp_while(program, post, register, options, liberal)
+        return _xp_while(program, post, register, options, liberal, bodies)
     raise SemanticsError(f"unknown program construct {type(program).__name__}")
 
 
@@ -185,6 +152,7 @@ def _xp_while(
     register: QubitRegister,
     options: WpOptions,
     liberal: bool,
+    bodies: Dict[int, List],
 ) -> List[QuantumPredicate]:
     """Approximate the wp/wlp of a loop by the ``n``-th element of the Fig. 5 sequence.
 
@@ -192,10 +160,14 @@ def _xp_while(
     ``M^η_n = f_{η_1}( f_{η_2}( … f_{η_n}(M^·_0) … ))`` with
     ``f_k(A) = P⁰(M) + P¹(η_k†(A))`` for wp and
     ``f_k(A) = P⁰(M) + P¹(η_k†(A) + I − η_k†(I))`` for wlp,
-    starting from ``M^·_0 = 0`` (wp) or ``I`` (wlp).
+    starting from ``M^·_0 = 0`` (wp) or ``I`` (wlp).  The body's denotations
+    come from ``bodies`` when an earlier predicate of the same call reached
+    this loop.
     """
     p0, p1 = measurement_superoperators(program, register)
-    body_choices = _body_denotations(program, register, options)
+    body_choices = bodies.get(id(program))
+    if body_choices is None:
+        body_choices = bodies[id(program)] = _body_denotations(program, register, options)
     identity = np.eye(register.dimension, dtype=complex)
 
     if deterministic_loop_bypass(program, body_choices, options):

@@ -5,7 +5,7 @@ Three zero-dependency pillars, all process-wide and safe under threads:
 * **Span tracing** (:mod:`repro.telemetry.tracing`) — nested wall-clock spans
   opened with the :func:`span` context manager, tagged with a pipeline
   ``region`` (``parse`` / ``denotation`` / ``wp`` / ``prover`` /
-  ``order-decision`` / ``loop`` / ``compare`` / ``cache`` / ``superop``) plus
+  ``order-decision`` / ``loop`` / ``compare`` / ``superop``) plus
   workload attributes (qubit count, Kraus rank, matrix bytes).
   Disabled by default; enable with ``configure_tracing(enabled=True)``,
   export with ``get_tracer().export_jsonl(path)`` or render with
@@ -13,18 +13,17 @@ Three zero-dependency pillars, all process-wide and safe under threads:
 
 * **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and latency
   histograms in the shared :data:`METRICS` registry, read via
-  :func:`metrics_snapshot`.  The result cache's per-region hit/miss/eviction
-  counters live here (``cache.hits{region=...}`` …); ``repro.cache_stats()``
-  is a view over them.
+  :func:`metrics_snapshot`: order decisions and their latencies, proof
+  events by kind, checked rules.
 
 * **Proof provenance** (:mod:`repro.telemetry.provenance`) — the prover's log
   as typed, timestamped :class:`ProofEvent` records that still render to the
-  historical strings and replay correctly (``replayed=True``) through the
-  result cache.
+  historical strings; events of an annotation the prover reuses within one
+  run are re-emitted with ``replayed=True``.
 
 The CLI exposes the tracer via ``--trace`` / ``--trace-json PATH`` /
-``--metrics``; ``benchmarks/bench_scaling.py`` and ``bench_incremental.py``
-embed :func:`region_breakdown` summaries into their ``BENCH_*.json`` outputs.
+``--metrics``; ``benchmarks/bench_scaling.py`` embeds
+:func:`region_breakdown` summaries into ``BENCH_scaling.json``.
 """
 
 from .metrics import (

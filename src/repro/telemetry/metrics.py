@@ -1,15 +1,15 @@
 """Metrics registry: counters, gauges and latency histograms with snapshots.
 
 One process-wide :class:`MetricsRegistry` (:data:`METRICS`) is shared by every
-instrumented module — the result cache's per-region hit/miss/eviction counters
-(:mod:`repro.cache`), the order-decision counters and latencies of
-:mod:`repro.predicates.order`, the prover's proof-event counters, … — and can
-be read at any time with :func:`metrics_snapshot`.
+instrumented module — the order-decision counters and latencies of
+:mod:`repro.predicates.order`, the prover's proof-event counters, the rule
+checker's per-rule counters, … — and can be read at any time with
+:func:`metrics_snapshot`.
 
 Metrics are identified by a name plus a (possibly empty) set of ``key=value``
-labels; ``registry.counter("cache.hits", region="wp")`` returns the same
+labels; ``registry.counter("prover.events", kind="rule")`` returns the same
 :class:`Counter` on every call.  Snapshots render labelled names Prometheus
-style: ``cache.hits{region=wp}``.
+style: ``prover.events{kind=rule}``.
 
 Everything is thread-safe and dependency-free; recording a metric is a lock
 plus an addition, cheap enough to stay enabled unconditionally (unlike span
@@ -142,36 +142,30 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ access
-    @staticmethod
-    def _key(name: str, labels: Dict[str, Any]) -> Tuple[str, Tuple[Tuple[str, Any], ...]]:
-        return name, tuple(sorted(labels.items()))
+    # Looking up an existing instrument is one atomic dict read; only its
+    # creation takes the lock, so two racing callers get the same object.
+
+    def _create(self, table: Dict, key: Tuple, factory):
+        with self._lock:
+            return table.setdefault(key, factory())
 
     def counter(self, name: str, **labels: Any) -> Counter:
         """Return (creating if needed) the counter ``name`` with ``labels``."""
-        key = self._key(name, labels)
-        with self._lock:
-            instrument = self._counters.get(key)
-            if instrument is None:
-                instrument = self._counters[key] = Counter()
-            return instrument
+        key = (name, tuple(sorted(labels.items())))
+        instrument = self._counters.get(key)
+        return instrument if instrument is not None else self._create(self._counters, key, Counter)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """Return (creating if needed) the gauge ``name`` with ``labels``."""
-        key = self._key(name, labels)
-        with self._lock:
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = self._gauges[key] = Gauge()
-            return instrument
+        key = (name, tuple(sorted(labels.items())))
+        instrument = self._gauges.get(key)
+        return instrument if instrument is not None else self._create(self._gauges, key, Gauge)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         """Return (creating if needed) the histogram ``name`` with ``labels``."""
-        key = self._key(name, labels)
-        with self._lock:
-            instrument = self._histograms.get(key)
-            if instrument is None:
-                instrument = self._histograms[key] = Histogram()
-            return instrument
+        key = (name, tuple(sorted(labels.items())))
+        instrument = self._histograms.get(key)
+        return instrument if instrument is not None else self._create(self._histograms, key, Histogram)
 
     # -------------------------------------------------------------- inspection
     def iter_counters(self, prefix: str = "") -> Iterator[Tuple[str, Dict[str, Any], int]]:

@@ -4,14 +4,14 @@ The prover's historical ``messages: List[str]`` carried invariant validations
 and ranking syntheses as opaque strings.  A :class:`ProofEvent` keeps the same
 human-readable rendering (``render()`` returns exactly the old string, so
 reports and the CLI output are backwards compatible) while exposing *what
-happened* as data: the event ``kind``, the proof ``rule`` involved, the
-content digest of the subterm, free-form ``data`` pairs, a wall-clock
-timestamp, and — crucially for the result cache — a ``replayed`` flag.
+happened* as data: the event ``kind``, the proof ``rule`` involved,
+free-form ``data`` pairs, a wall-clock timestamp, and a ``replayed`` flag
+for events re-emitted from the prover's per-call memo.
 
 Event kinds shipped by the pipeline:
 
 ``rule``
-    One proof rule applied to one subterm (``rule`` and ``subterm_digest`` set).
+    One proof rule applied to one subterm (``rule`` set).
 ``invariant``
     A loop invariant validated against the loop body (old message string).
 ``ranking``
@@ -19,23 +19,25 @@ Event kinds shipped by the pipeline:
 ``order``
     The final ``⊑_inf`` comparison against the declared precondition.
 ``cache``
-    A prover-annotation cache hit whose original events are being replayed.
+    A prover annotation reused from earlier in the same ``generate`` call;
+    its original events follow as replayed copies.
 ``info``
     Anything else (free-form, renders verbatim).
 
 Events are *levelled*: ``"info"``-level events are what the old string log
 contained and are what :func:`render_events` (and ``VerificationReport.messages``)
-renders; ``"debug"``-level events (per-rule applications, cache hits) are only
-visible on the structured ``events`` list.
+renders; ``"debug"``-level events (per-rule applications, memo reuses) are
+only visible on the structured ``events`` list.
 
-Replay through the result cache
--------------------------------
+Replay of reused annotations
+----------------------------
 
-Cached prover annotations store the events their original computation emitted.
-On a cache hit the stored events are **not** appended verbatim (their
-timestamps would be stale and nothing would mark them as served from cache);
-:meth:`ProofEvent.replay` re-emits a copy with ``replayed=True`` and a fresh
-timestamp.  Renderings are unchanged, so replayed reports read identically.
+Within one ``Prover.generate`` call the prover memoizes each annotation
+together with the events its computation emitted.  When it reuses one, the
+stored events are **not** appended verbatim (their timestamps would be stale
+and nothing would mark them as reused); :meth:`ProofEvent.replay` re-emits a
+copy with ``replayed=True`` and a fresh timestamp.  Renderings are unchanged,
+so reports read exactly as if every annotation had been recomputed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 __all__ = ["ProofEvent", "proof_event", "render_events"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofEvent:
     """One structured, timestamped provenance record of a verification run.
 
@@ -61,16 +63,13 @@ class ProofEvent:
         The human-readable rendering; identical to the historical log string.
     rule:
         Name of the proof rule involved, when any (``Skip``, ``Meas+Union``, …).
-    subterm_digest:
-        Content digest (:func:`repro.hashing.node_digest`) of the subterm the
-        event concerns, when any.
     level:
         ``"info"`` (rendered into ``messages``) or ``"debug"`` (structured only).
     timestamp:
         Unix time the event was emitted (or replayed).
     replayed:
-        ``True`` when the event was re-emitted from a result-cache hit rather
-        than computed fresh.
+        ``True`` when the event was re-emitted for an annotation the prover
+        reused from earlier in the same run rather than computed fresh.
     data:
         Additional ``(key, value)`` pairs, e.g. an order-decision outcome.
     """
@@ -78,7 +77,6 @@ class ProofEvent:
     kind: str
     message: str
     rule: Optional[str] = None
-    subterm_digest: Optional[str] = None
     level: str = "info"
     timestamp: float = field(default_factory=time.time)
     replayed: bool = False
@@ -98,7 +96,6 @@ class ProofEvent:
             "kind": self.kind,
             "message": self.message,
             "rule": self.rule,
-            "subterm_digest": self.subterm_digest,
             "level": self.level,
             "timestamp": self.timestamp,
             "replayed": self.replayed,
@@ -110,7 +107,6 @@ def proof_event(
     kind: str,
     message: str,
     rule: Optional[str] = None,
-    subterm_digest: Optional[str] = None,
     level: str = "info",
     **data: Any,
 ) -> ProofEvent:
@@ -119,7 +115,6 @@ def proof_event(
         kind=kind,
         message=message,
         rule=rule,
-        subterm_digest=subterm_digest,
         level=level,
         data=tuple(sorted(data.items())),
     )

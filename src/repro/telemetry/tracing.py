@@ -1,7 +1,7 @@
 """Span tracing: nested wall-clock regions with tags, JSONL export and a tree view.
 
 A *span* is one timed region of work — ``parse``, ``denotation``, ``wp``,
-``prover``, ``order-decision``, ``cache``, … — opened with the context manager
+``prover``, ``order-decision``, ``superop``, … — opened with the context manager
 :func:`span` and automatically nested under whatever span is open on the same
 thread.  The process-wide :class:`Tracer` (:data:`TRACER`) collects finished
 root spans; it is **disabled by default** and its disabled path is a shared
@@ -80,19 +80,61 @@ class Span:
         Unix timestamp of entry, and monotonic-clock entry/exit times.
     children:
         Directly nested spans, in completion order.
+
+    A span is its own context manager: :meth:`Tracer.span` creates it (its
+    clock starts then), ``__enter__`` pushes it on the tracer's open-span
+    stack of the current thread and ``__exit__`` stops the clock and files it
+    under its parent, or among the tracer's roots.  Both work on the stack
+    inline: they run for every span of a traced run.
     """
 
-    __slots__ = ("name", "tags", "span_id", "parent_id", "start_wall", "start", "end", "children")
+    __slots__ = (
+        "name", "tags", "span_id", "parent_id", "start_wall", "start", "end", "children", "_tracer"
+    )
 
-    def __init__(self, name: str, tags: Dict[str, Any], parent_id: Optional[int] = None):
+    def __init__(
+        self,
+        name: str,
+        tags: Dict[str, Any],
+        parent_id: Optional[int] = None,
+        tracer: Optional["Tracer"] = None,
+    ):
         self.name = name
         self.tags = tags
         self.span_id = next(_SPAN_IDS)
         self.parent_id = parent_id
-        self.start_wall = time.time()
-        self.start = time.perf_counter()
         self.end: Optional[float] = None
         self.children: List["Span"] = []
+        self._tracer = tracer
+        self.start_wall = time.time()
+        self.start = time.perf_counter()
+
+    def __enter__(self) -> "Span":
+        local = self._tracer._local
+        try:
+            stack = local.stack
+        except AttributeError:
+            stack = local.stack = []
+        if stack:
+            self.parent_id = stack[-1].span_id
+        stack.append(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> bool:
+        self.end = time.perf_counter()
+        stack = getattr(self._tracer._local, "stack", ())
+        # Tolerate a foreign stack top (e.g. a span leaked across a generator
+        # or closed on another thread): unwind down to this span instead of
+        # corrupting the tree.
+        while stack and stack[-1] is not self:
+            stack.pop()
+        if stack:
+            stack.pop()
+        if stack:
+            stack[-1].children.append(self)
+        else:
+            self._tracer._add_root(self)
+        return False
 
     # ------------------------------------------------------------------ timing
     @property
@@ -158,27 +200,6 @@ class _NullSpanContext:
 _NULL_CONTEXT = _NullSpanContext()
 
 
-class _SpanContext:
-    """Context manager that opens a real :class:`Span` on the tracer's stack."""
-
-    __slots__ = ("_tracer", "_name", "_tags", "_span")
-
-    def __init__(self, tracer: "Tracer", name: str, tags: Dict[str, Any]):
-        self._tracer = tracer
-        self._name = name
-        self._tags = tags
-        self._span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        self._span = self._tracer._push(self._name, self._tags)
-        return self._span
-
-    def __exit__(self, *exc_info: object) -> bool:
-        assert self._span is not None
-        self._tracer._pop(self._span)
-        return False
-
-
 class Tracer:
     """Process-wide span collector with a per-thread open-span stack.
 
@@ -220,36 +241,13 @@ class Tracer:
         """Return a context manager timing ``name`` (no-op while disabled)."""
         if not self._enabled:
             return _NULL_CONTEXT
-        return _SpanContext(self, name, tags)
+        return Span(name, tags, tracer=self)
 
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _push(self, name: str, tags: Dict[str, Any]) -> Span:
-        stack = self._stack()
-        parent_id = stack[-1].span_id if stack else None
-        opened = Span(name, tags, parent_id=parent_id)
-        stack.append(opened)
-        return opened
-
-    def _pop(self, closed: Span) -> None:
-        closed.end = time.perf_counter()
-        stack = self._stack()
-        # Tolerate a foreign stack top (e.g. a span leaked across a generator):
-        # unwind down to the span being closed instead of corrupting the tree.
-        while stack and stack[-1] is not closed:
-            stack.pop()
-        if stack:
-            stack.pop()
-        if stack:
-            stack[-1].children.append(closed)
-        else:
-            with self._lock:
-                self._roots.append(closed)
-                del self._roots[: max(0, len(self._roots) - self._max_roots)]
+    def _add_root(self, closed: Span) -> None:
+        """Retain a finished root span, evicting the oldest beyond ``max_roots``."""
+        with self._lock:
+            self._roots.append(closed)
+            del self._roots[: max(0, len(self._roots) - self._max_roots)]
 
     # ------------------------------------------------------------------ export
     def finished_roots(self) -> List[Span]:
@@ -294,9 +292,14 @@ def span(name: str, **tags: Any):
 
         with span("denotation", region="denotation", num_qubits=3) as sp:
             ...
-            sp.set_tag("cache", "hit")
+            sp.set_tag("set_size", 4)
+
+    Equivalent to ``get_tracer().span(name, **tags)``, without the second
+    call: every instrumented call site goes through here.
     """
-    return TRACER.span(name, **tags)
+    if not TRACER._enabled:
+        return _NULL_CONTEXT
+    return Span(name, tags, tracer=TRACER)
 
 
 def configure_tracing(enabled: Optional[bool] = None, max_roots: Optional[int] = None) -> None:

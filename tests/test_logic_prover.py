@@ -15,10 +15,12 @@ from repro.language.ast import (
     ndet,
     seq,
 )
-from repro.linalg.constants import H, I2, P0, P1, X
+from repro.linalg.constants import H, I2, P0, P1, X, Z
 from repro.linalg.operators import operators_close
+from repro.linalg.random import random_predicate_matrix
+from repro.logic import prover as prover_module
 from repro.logic.formula import CorrectnessFormula, CorrectnessMode
-from repro.logic.prover import ProverOptions, assign_invariants, verify_formula
+from repro.logic.prover import Prover, ProverOptions, assign_invariants, verify_formula
 from repro.logic.semantic_check import check_formula_semantically
 from repro.predicates.assertion import QuantumAssertion
 from repro.registers import QubitRegister
@@ -137,6 +139,15 @@ class TestLoops:
         assert "WhileT" in report.outline.rules_used()
         assert any("ranking" in message for message in report.messages)
 
+    def test_invariant_of_wrong_dimension_rejected(self, q_register):
+        loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "H", H))
+        formula = CorrectnessFormula(A(I2), loop, A(P0), CorrectnessMode.PARTIAL)
+        two_qubit_invariant = A(np.eye(4, dtype=complex), name="wide")
+        with pytest.raises(
+            InvariantError, match="loop invariant dimension does not match the register"
+        ):
+            verify_formula(formula, q_register, invariants=[two_qubit_invariant])
+
     def test_invalid_invariant_rejected(self, q_register):
         # Non-termination claim {I} while M[q] do skip end {0}: the invariant must be
         # supported inside the 1-outcome subspace.  P0 lives in the exit subspace and
@@ -160,6 +171,62 @@ class TestLoops:
         formula = CorrectnessFormula(A(I2), program, A(P0), CorrectnessMode.PARTIAL)
         report = verify_formula(formula, q_register, invariants=[A(I2)])
         assert report.verified
+
+
+def _nested_conditional(depth, qubits):
+    """Return a depth-``depth`` tree of ``if`` nodes with separately built subtrees."""
+    if depth == 0:
+        return seq(Unitary((qubits[0],), "H", H), Unitary((qubits[1],), "Z", Z))
+    qubit = qubits[depth % len(qubits)]
+    return If(
+        MEAS_COMPUTATIONAL,
+        (qubit,),
+        _nested_conditional(depth - 1, qubits),
+        _nested_conditional(depth - 1, qubits),
+    )
+
+
+class TestAnnotationMemo:
+    """Within one ``generate`` call each node's annotation is reused per postcondition."""
+
+    def _handler_runs(self, program, register, post):
+        prover = Prover(register)
+        outline = prover.generate(program, post)
+        runs = sum(1 for event in prover.events if event.kind == "rule" and not event.replayed)
+        return runs, outline
+
+    def test_memo_halves_the_handler_runs_of_nested_conditionals(self, monkeypatch):
+        register = QubitRegister(["q0", "q1", "q2"])
+        post = QuantumAssertion(
+            [random_predicate_matrix(register.dimension, seed=seed) for seed in (1, 2, 3)]
+        )
+        program = _nested_conditional(4, register.names)
+        memo_runs, memo_outline = self._handler_runs(program, register, post)
+        monkeypatch.setattr(prover_module, "_same_predicates", lambda first, second: False)
+        miss_runs, miss_outline = self._handler_runs(program, register, post)
+        assert memo_runs < miss_runs / 2, (memo_runs, miss_runs)
+        memo_vc, miss_vc = memo_outline.precondition, miss_outline.precondition
+        assert len(memo_vc.predicates) == len(miss_vc.predicates) == 3
+        for mine, theirs in zip(memo_vc.predicates, miss_vc.predicates):
+            assert np.array_equal(mine.matrix, theirs.matrix)
+
+    def test_one_prover_annotates_each_program_with_its_own_nodes(self):
+        register = QubitRegister(["q"])
+        prover = Prover(register)
+        post = A(P0)
+        for index in range(20):
+            # Each program dies before the next is built, so node ids recycle.
+            gate = (X, H)[index % 2]
+            program = If(
+                MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "G", gate), seq(Skip(), Skip())
+            )
+            outline = prover.generate(program, post)
+            nodes = {id(node) for node in program.walk()}
+            assert outline.root.statement is program
+            assert all(id(node.statement) in nodes for node in outline.statements())
+            then_pre = outline.root.children[0].precondition.predicates[0].matrix
+            assert operators_close(then_pre, gate.conj().T @ P0 @ gate)
+            del program, outline
 
 
 class TestProofOutlines:

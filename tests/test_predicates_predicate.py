@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DimensionMismatchError, PredicateError
-from repro.linalg.constants import H, I2, P0, P1, X
+from repro.linalg.constants import H, I2, ORDER_ATOL, P0, P1, X
 from repro.linalg.operators import is_predicate_matrix, operators_close
 from repro.linalg.states import density, ket, maximally_mixed, plus_state
 from repro.predicates.predicate import QuantumPredicate, clip_to_predicate
@@ -108,6 +108,13 @@ class TestOrderingAndEquality:
     def test_loewner_le(self):
         assert QuantumPredicate(P0).loewner_le(QuantumPredicate.identity(1))
         assert not QuantumPredicate.identity(1).loewner_le(QuantumPredicate(P0))
+
+    def test_loewner_le_honors_stricter_caller_atol(self):
+        eps = QuantumPredicate.uniform(5e-8, 1)
+        zero = QuantumPredicate.zero(1)
+        assert eps.loewner_le(zero, atol=1e-7)  # loose request: holds
+        assert not eps.loewner_le(zero, atol=1e-9)  # strict request honored, not clamped
+        assert ORDER_ATOL == pytest.approx(1e-7)
 
     def test_equality_and_hash(self):
         assert QuantumPredicate(P0) == QuantumPredicate(P0.copy())

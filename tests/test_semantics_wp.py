@@ -16,9 +16,10 @@ from repro.language.ast import (
 )
 from repro.linalg.constants import H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
-from repro.linalg.random import random_density_operator
+from repro.linalg.random import random_density_operator, random_predicate_matrix
 from repro.predicates.assertion import QuantumAssertion
 from repro.registers import QubitRegister
+from repro.semantics import denotational
 from repro.semantics.denotational import denotation
 from repro.semantics.wp import (
     WpOptions,
@@ -133,6 +134,26 @@ class TestLoops:
         wp = weakest_precondition(loop, QuantumAssertion([P0]), q_register)
         # wp only credits terminating runs: the |1⟩ component diverges.
         assert operators_close(single(wp), P0, atol=1e-6)
+
+    def test_loop_body_is_denoted_once_per_call(self, monkeypatch):
+        calls = []
+        original = denotational.denotation
+
+        def counting_denotation(program, *args, **kwargs):
+            calls.append(program)
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(denotational, "denotation", counting_denotation)
+        register = QubitRegister(["q0", "q1"])
+        body = ndet(Unitary(("q0",), "H", H), Unitary(("q1",), "X", X))
+        loop = While(MEAS_COMPUTATIONAL, ("q0",), body)
+        program = seq(Unitary(("q1",), "H", H), loop)
+        post = QuantumAssertion(
+            [random_predicate_matrix(register.dimension, seed=seed) for seed in (1, 2, 3)]
+        )
+        assert len(post) == 3
+        weakest_liberal_precondition(program, post, register)
+        assert calls == [body]
 
     def test_loop_with_nondeterministic_body_yields_multiple_predicates(self, q_register):
         body = ndet(Unitary(("q",), "H", H), seq(Unitary(("q",), "X", X), Unitary(("q",), "H", H)))

@@ -141,6 +141,12 @@ class TestOrderingAndEquality:
         assert partial.precedes(total)
         assert not total.precedes(partial)
 
+    def test_precedes_honors_stricter_caller_atol(self):
+        eps = SuperOperator.scalar(5e-8, 2)
+        zero = SuperOperator.zero(2)
+        assert eps.precedes(zero, atol=5e-7)
+        assert not eps.precedes(zero, atol=1e-9)
+
     def test_precedes_is_reflexive(self):
         channel = SuperOperator.from_unitary(H)
         assert channel.precedes(channel)

@@ -1,9 +1,9 @@
 """Tests for the observability subsystem: spans, metrics, proof provenance.
 
 Covers the three telemetry pillars (:mod:`repro.telemetry`), their wiring
-through the verification pipeline, the result-cache replay of provenance
-events, the disabled-by-default overhead guard and the no-stdout policy of
-the library code.
+through the verification pipeline, the replay of provenance events for
+annotations the prover reuses within one run, the disabled-by-default
+overhead guard and the no-stdout policy of the library code.
 """
 
 from __future__ import annotations
@@ -13,11 +13,18 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.cache import RESULT_CACHE, ResultCache
+from repro.language.ast import MEAS_COMPUTATIONAL, Abort, If, Unitary, While, seq
+from repro.linalg.constants import H, P0, X
+from repro.linalg.random import random_predicate_matrix
+from repro.logic import prover as prover_module
+from repro.logic.formula import CorrectnessFormula, CorrectnessMode
 from repro.logic.prover import Prover, verify_formula
+from repro.predicates.assertion import QuantumAssertion
 from repro.programs import grover_formula
+from repro.registers import QubitRegister
 from repro.telemetry import (
     METRICS,
     MetricsRegistry,
@@ -220,29 +227,6 @@ class TestMetrics:
         assert set(snapshot) == {"counters", "gauges", "histograms"}
 
 
-class TestCacheMetricsView:
-    def test_cache_stats_is_registry_view(self):
-        cache = ResultCache(maxsize=2)
-        cache.store("wp", ("k1",), "v1")
-        assert cache.lookup("wp", ("k1",)) == "v1"  # hit
-        cache.lookup("wp", ("missing",))  # miss
-        cache.store("wp", ("k2",), "v2")
-        cache.store("wp", ("k3",), "v3")  # evicts k1
-        stats = cache.stats()["regions"]["wp"]
-        counters = dict()
-        for name, labels, value in cache.registry.iter_counters("cache."):
-            counters[(name, labels.get("region"))] = value
-        assert stats["hits"] == counters[("cache.hits", "wp")] == 1
-        assert stats["misses"] == counters[("cache.misses", "wp")] == 1
-        assert stats["evictions"] == counters[("cache.evictions", "wp")] == 1
-
-    def test_clear_resets_counters(self):
-        cache = ResultCache()
-        cache.lookup("wp", ("nope",))
-        cache.clear()
-        assert cache.stats()["regions"] == {}
-
-
 class TestProofProvenance:
     def test_events_render_to_legacy_messages(self):
         events = [
@@ -259,26 +243,40 @@ class TestProofProvenance:
         assert replayed.timestamp >= event.timestamp
         assert dict(replayed.data) == {"holds": True}
 
-    def test_prover_events_round_trip_through_result_cache(self):
-        formula, register = grover_formula(num_qubits=2)
-        RESULT_CACHE.clear()
-        first = verify_formula(formula, register)
-        assert first.verified
-        assert first.events and not any(e.replayed for e in first.events)
-        kinds = {event.kind for event in first.events}
-        assert "rule" in kinds and "order" in kinds
-        # Second run: the whole annotation tree is served from the cache, the
-        # stored provenance events are re-emitted as replayed copies, and the
-        # rendered report is unchanged.
-        second = verify_formula(formula, register)
-        assert second.verified
-        assert second.messages == first.messages
-        assert any(event.replayed for event in second.events)
-        replayed_rules = [
-            e for e in second.events if e.kind == "rule" and e.replayed
-        ]
-        original_rules = [e for e in first.events if e.kind == "rule"]
-        assert [e.rule for e in replayed_rules] == [e.rule for e in original_rules]
+    def test_prover_events_replay_within_one_run(self, monkeypatch):
+        # Nested conditionals against a 2-predicate postcondition: the
+        # per-predicate (Meas)+(Union) expansion asks again for annotations
+        # the inner conditional already computed, including one of a loop.
+        register = QubitRegister(["q0", "q1"])
+        loop = While(MEAS_COMPUTATIONAL, ("q1",), Abort())
+        inner = If(
+            MEAS_COMPUTATIONAL,
+            ("q1",),
+            seq(Unitary(("q0",), "H", H), loop),
+            Unitary(("q0",), "X", X),
+        )
+        program = If(MEAS_COMPUTATIONAL, ("q0",), inner, Unitary(("q1",), "H", H))
+        post = QuantumAssertion(
+            [np.kron(P0, np.eye(2)), random_predicate_matrix(register.dimension, seed=5)]
+        )
+        formula = CorrectnessFormula(
+            QuantumAssertion.zero(2), program, post, CorrectnessMode.PARTIAL
+        )
+        invariants = [QuantumAssertion([np.eye(4, dtype=complex)], name="inv")]
+
+        reused = verify_formula(formula, register, invariants)
+        assert reused.verified
+        replayed = [event for event in reused.events if event.replayed]
+        assert replayed
+        assert any(event.kind == "invariant" for event in replayed)
+        assert any(event.kind == "rule" for event in replayed)
+
+        # Recompute every annotation: the rendered report must not change.
+        monkeypatch.setattr(prover_module, "_same_predicates", lambda first, second: False)
+        recomputed = verify_formula(formula, register, invariants)
+        assert recomputed.verified
+        assert not any(event.replayed for event in recomputed.events)
+        assert reused.messages == recomputed.messages
 
     def test_events_are_immutable(self):
         event = proof_event("info", "msg")
@@ -286,7 +284,7 @@ class TestProofProvenance:
             event.kind = "rule"
 
     def test_event_to_dict(self):
-        event = proof_event("rule", "applied", rule="Init", subterm_digest="abc", n=1)
+        event = proof_event("rule", "applied", rule="Init", n=1)
         record = event.to_dict()
         assert record["kind"] == "rule"
         assert record["rule"] == "Init"
@@ -296,7 +294,6 @@ class TestProofProvenance:
 class TestPipelineIntegration:
     def test_verification_produces_span_tree(self):
         formula, register = grover_formula(num_qubits=3)
-        RESULT_CACHE.clear()
         configure_tracing(enabled=True)
         get_tracer().clear()
         report = verify_formula(formula, register)
@@ -317,7 +314,6 @@ class TestPipelineIntegration:
         configure_tracing(enabled=True)
         best = 0.0
         for _ in range(2):
-            RESULT_CACHE.clear()
             get_tracer().clear()
             start = time.perf_counter()
             report = verify_formula(formula, register)
@@ -346,7 +342,6 @@ class TestPipelineIntegration:
         formula, register = grover_formula(num_qubits=3)
 
         configure_tracing(enabled=True)
-        RESULT_CACHE.clear()
         get_tracer().clear()
         verify_formula(formula, register)
         span_count = sum(
@@ -357,7 +352,6 @@ class TestPipelineIntegration:
 
         untraced = float("inf")
         for _ in range(3):
-            RESULT_CACHE.clear()
             start = time.perf_counter()
             verify_formula(formula, register)
             untraced = min(untraced, time.perf_counter() - start)
