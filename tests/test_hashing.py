@@ -5,14 +5,23 @@ The regression these guard: ``allclose``-equal objects straddling the old
 ``__hash__`` hashed rounded bytes.  ``QuantumPredicate`` and
 ``SuperOperator`` now hash through :func:`repro.hashing.tolerance_safe_hash`
 (kind and dimension only); ``Measurement`` and ``Unitary`` hash only exact
-invariants their name-insensitive ``__eq__`` preserves.
+invariants their name-insensitive ``__eq__`` preserves.  Random objects
+perturbed far below the comparison tolerance must stay equal and hash
+equal, so a dict or set holds them under one key.
 """
 
 import numpy as np
 
 from repro.hashing import tolerance_safe_hash
-from repro.language.ast import Measurement, Unitary
+from repro.language.ast import Measurement, Unitary, seq
 from repro.linalg.constants import H, P0, P1, X
+from repro.linalg.random import (
+    random_kraus_operators,
+    random_predicate_matrix,
+    random_unitary,
+    rng_from,
+)
+from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.predicate import QuantumPredicate
 from repro.superop.kraus import SuperOperator
 
@@ -22,6 +31,55 @@ from repro.superop.kraus import SuperOperator
 #: built from round-6 bytes separates them while __eq__ holds.
 _BOUNDARY_LO = 0.49999949
 _BOUNDARY_HI = 0.49999951
+
+#: Perturbation scale far below the comparison tolerance of ``__eq__``.
+_NOISE = 1e-12
+
+
+def _perturb(matrix: np.ndarray, seed: int) -> np.ndarray:
+    rng = rng_from(seed)
+    noise = rng.standard_normal(matrix.shape) + 1j * rng.standard_normal(matrix.shape)
+    hermitian_noise = (noise + noise.conj().T) / 2
+    return matrix + _NOISE * hermitian_noise
+
+
+def test_perturbed_random_predicates_are_equal_and_hash_equal():
+    for seed in range(40):
+        matrix = random_predicate_matrix(4, seed=seed)
+        a = QuantumPredicate(matrix, validate=False)
+        b = QuantumPredicate(_perturb(matrix, seed + 1000), validate=False)
+        assert not np.array_equal(a.matrix, b.matrix)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_perturbed_random_channels_are_equal_and_hash_equal():
+    for seed in range(25):
+        kraus = random_kraus_operators(4, count=3, seed=seed)
+        a = SuperOperator(kraus, validate=False)
+        b = SuperOperator([k + _NOISE for k in kraus], validate=False)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_perturbed_random_programs_are_equal_and_hash_equal():
+    for seed in range(25):
+        unitary = random_unitary(2, seed=seed)
+        perturbed = unitary + _NOISE  # stays unitary within ATOL
+        a = seq(Unitary(("q0",), "U", unitary), Unitary(("q1",), "U", unitary))
+        b = seq(Unitary(("q0",), "V", perturbed), Unitary(("q1",), "V", perturbed))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
+def test_assertion_hash_ignores_predicate_order_like_its_eq():
+    forward = QuantumAssertion([P0, P1, np.eye(2) / 2])
+    backward = QuantumAssertion([np.eye(2) / 2, P1, P0])
+    assert forward == backward
+    assert hash(forward) == hash(backward)
 
 
 def test_boundary_straddling_predicates_share_a_dict_bucket():

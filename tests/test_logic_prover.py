@@ -228,6 +228,60 @@ class TestAnnotationMemo:
             assert operators_close(then_pre, gate.conj().T @ P0 @ gate)
             del program, outline
 
+    def test_node_met_again_with_an_equal_post_is_replayed(self):
+        idle = Skip()
+        prover = Prover(QubitRegister(["q"]))
+        prover.generate(seq(idle, idle), A(P0))
+        reuses = [event for event in prover.events if event.kind == "cache"]
+        assert len(reuses) == 1
+        assert dict(reuses[0].data) == {"replayed_events": 1}
+        assert [event.rule for event in prover.events if event.replayed] == ["Skip"]
+
+    def test_node_met_again_with_another_post_is_annotated_again(self):
+        gate = Unitary(("q",), "H", H)
+        prover = Prover(QubitRegister(["q"]))
+        outline = prover.generate(seq(gate, gate), A(P0))
+        assert not any(event.replayed for event in prover.events)
+        unit_runs = [event for event in prover.events if event.rule == "Unit"]
+        assert len(unit_runs) == 2
+        # H·H = I, so the precondition is the postcondition again.
+        assert operators_close(outline.precondition.predicates[0].matrix, P0)
+
+    def test_separately_built_equal_subtrees_are_annotated_separately(self):
+        register = QubitRegister(["q0", "q1"])
+        first = seq(Unitary(("q0",), "H", H), Unitary(("q1",), "X", X))
+        second = seq(Unitary(("q0",), "H", H.copy()), Unitary(("q1",), "X", X.copy()))
+        assert first == second
+        prover = Prover(register)
+        outline = prover.generate(
+            ndet(first, second), A(random_predicate_matrix(register.dimension, seed=4))
+        )
+        assert not any(event.replayed for event in prover.events)
+        left, right = outline.root.children
+        assert left is not right
+        assert np.array_equal(
+            left.precondition.predicates[0].matrix, right.precondition.predicates[0].matrix
+        )
+
+    def test_memo_is_dropped_when_generate_returns_or_raises(self):
+        prover = Prover(QubitRegister(["q"]))
+        prover.generate(seq(Skip(), Unitary(("q",), "H", H)), A(P0))
+        assert prover._memo == {}
+        loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "H", H))
+        with pytest.raises(InvariantError, match="a loop invariant is required"):
+            prover.generate(seq(Skip(), loop), A(P0))
+        assert prover._memo == {}
+
+    def test_only_exactly_equal_postconditions_match(self):
+        same = prover_module._same_predicates
+        post = A(P0)
+        assert same(post, post)
+        assert same(post, A(P0.copy()))
+        nudged = A(P0 * (1 - 1e-12))
+        assert nudged.predicates[0].close_to(post.predicates[0])
+        assert not same(post, nudged)
+        assert not same(post, A(P0, P1))
+
 
 class TestProofOutlines:
     def test_outline_structure_and_rendering(self, q_register):

@@ -3,14 +3,23 @@
 Two runs of ``denotation``, wp/wlp and the prover on the same input return
 identical results in identical order: the same number of maps or predicates,
 each equal to its counterpart at ``ATOL``, and the same rendered messages.
-The sweep covers the case-study families at 2–4 qubits, with loops.
+The sweep covers the case-study families at 1–4 qubits, with loops.
+
+The memos local to one call must not change a result either.  Against a
+three-predicate postcondition, the prover's reuse of annotations gives the
+verification condition and messages of a run that recomputes every node,
+and one wp/wlp call over the whole assertion, which denotes each loop body
+once, gives the per-predicate calls in order.
 """
 
 import numpy as np
 import pytest
 
 from repro.linalg.constants import ATOL
+from repro.logic import prover as prover_module
+from repro.logic.formula import CorrectnessFormula
 from repro.logic.prover import ProverOptions, verify_formula
+from repro.predicates.assertion import QuantumAssertion
 from repro.programs.deutsch import deutsch_formula
 from repro.programs.errcorr import errcorr_formula
 from repro.programs.grover import grover_formula
@@ -88,3 +97,69 @@ def test_prover_runs_are_reproducible(name, formula, register, invariants):
         [p.matrix for p in second.verification_condition.predicates],
         name,
     )
+
+
+def _three_predicate_post(formula, register):
+    """``{P, (P + I)/2, I}`` for the case's postcondition ``{P}``.
+
+    Each case still verifies against it, and a loop invariant that holds for
+    ``P`` holds for the larger predicates too.
+    """
+    (target,) = formula.postcondition.predicates
+    identity = np.eye(register.dimension, dtype=complex)
+    return QuantumAssertion([target.matrix, (target.matrix + identity) / 2, identity])
+
+
+@pytest.mark.parametrize(
+    "name,formula,register,invariants",
+    _REPRODUCIBILITY_CASES,
+    ids=[case[0] for case in _REPRODUCIBILITY_CASES],
+)
+def test_prover_memo_gives_the_recomputed_result(
+    monkeypatch, name, formula, register, invariants
+):
+    widened = CorrectnessFormula(
+        formula.precondition,
+        formula.program,
+        _three_predicate_post(formula, register),
+        formula.mode,
+    )
+    reused = verify_formula(widened, register, invariants or None)
+    monkeypatch.setattr(prover_module, "_same_predicates", lambda first, second: False)
+    recomputed = verify_formula(widened, register, invariants or None)
+    assert reused.verified and recomputed.verified, name
+    assert not any(event.replayed for event in recomputed.events)
+    assert reused.messages == recomputed.messages
+    _assert_same_matrices_in_order(
+        [p.matrix for p in recomputed.verification_condition.predicates],
+        [p.matrix for p in reused.verification_condition.predicates],
+        name,
+    )
+
+
+@pytest.mark.parametrize(
+    "name,formula,register,invariants",
+    _REPRODUCIBILITY_CASES,
+    ids=[case[0] for case in _REPRODUCIBILITY_CASES],
+)
+def test_one_call_over_the_assertion_gives_the_per_predicate_calls(
+    name, formula, register, invariants
+):
+    post = _three_predicate_post(formula, register)
+    options = WpOptions()
+    for label, transform in (("wp", weakest_precondition), ("wlp", weakest_liberal_precondition)):
+        whole = transform(formula.program, post, register, options)
+        per_predicate = QuantumAssertion(
+            [
+                part
+                for predicate in post.predicates
+                for part in transform(
+                    formula.program, QuantumAssertion([predicate]), register, options
+                ).predicates
+            ]
+        )
+        _assert_same_matrices_in_order(
+            [p.matrix for p in per_predicate.predicates],
+            [p.matrix for p in whole.predicates],
+            (name, label),
+        )

@@ -37,6 +37,7 @@ from repro.programs import (
     rus_register,
 )
 from repro.registers import QubitRegister
+from repro.semantics import denotational
 from repro.semantics.denotational import (
     DenotationOptions,
     apply_denotation,
@@ -426,6 +427,54 @@ class TestLoopPrefixCache:
                 np.array_equal(x, y) for x, y in zip(b.kraus_operators, c.kraus_operators)
             )
             assert a.equals(b, atol=1e-10)
+
+    @pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
+    def test_shared_prefixes_give_the_unshared_chains(self, name):
+        runs = _loop_runs(name)
+        alone = _loop_chains(runs)
+        memos = {}
+        for key, arguments in runs.items():
+            memo = memos.setdefault(key[0], {})
+            shared = loop_iterates(*arguments, prefix_cache=memo)
+            assert len(shared) == len(alone[key]), key
+            for position, (mine, theirs) in enumerate(zip(shared, alone[key])):
+                assert mine.equals(theirs, atol=1e-12), (key, position)
+        assert all(() in memo for memo in memos.values())
+
+    def _record_prefix_memos(self, monkeypatch):
+        memos = []
+        original = denotational.loop_iterates
+
+        def recording(*args, prefix_cache=None, **kwargs):
+            memos.append(prefix_cache)
+            return original(*args, prefix_cache=prefix_cache, **kwargs)
+
+        monkeypatch.setattr(denotational, "loop_iterates", recording)
+        return memos
+
+    def test_one_call_shares_one_memo_across_the_schedulers(self, monkeypatch):
+        memos = self._record_prefix_memos(monkeypatch)
+        register = QubitRegister(["q"])
+        loop = While(
+            MEAS_COMPUTATIONAL, ("q",), ndet(Unitary(("q",), "H", H), Unitary(("q",), "X", X))
+        )
+        denotation(loop, register)
+        first_call = list(memos)
+        assert len(first_call) > 1
+        assert isinstance(first_call[0], dict) and () in first_call[0]
+        assert all(memo is first_call[0] for memo in first_call)
+        memos.clear()
+        denotation(loop, register)
+        assert memos and memos[0] is not first_call[0]
+
+    def test_a_single_scheduler_keeps_no_memo(self, monkeypatch):
+        memos = self._record_prefix_memos(monkeypatch)
+        loop = While(
+            MEAS_COMPUTATIONAL, ("q",), ndet(Unitary(("q",), "H", H), Unitary(("q",), "X", X))
+        )
+        options = DenotationOptions(schedulers=[ConstantScheduler(1)])
+        denotation(loop, QubitRegister(["q"]), options)
+        assert memos == [None]
 
 
 def test_denotation_options_pickle_roundtrip():

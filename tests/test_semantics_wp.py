@@ -155,6 +155,45 @@ class TestLoops:
         weakest_liberal_precondition(program, post, register)
         assert calls == [body]
 
+    @pytest.mark.parametrize(
+        "transformer",
+        [weakest_precondition, weakest_liberal_precondition],
+        ids=["wp", "wlp"],
+    )
+    @pytest.mark.parametrize("shape", ["consecutive", "nested"])
+    def test_each_call_denotes_each_reached_loop_body_once(self, monkeypatch, transformer, shape):
+        calls = []
+        original = denotational.denotation
+
+        def counting_denotation(program, *args, **kwargs):
+            calls.append(id(program))
+            return original(program, *args, **kwargs)
+
+        monkeypatch.setattr(denotational, "denotation", counting_denotation)
+        register = QubitRegister(["q0", "q1"])
+        inner = While(
+            MEAS_COMPUTATIONAL, ("q1",), ndet(Unitary(("q1",), "H", H), Unitary(("q0",), "X", X))
+        )
+        if shape == "consecutive":
+            first = While(MEAS_COMPUTATIONAL, ("q0",), Unitary(("q0",), "H", H))
+            program = seq(first, Unitary(("q1",), "H", H), inner)
+            # The transformer runs backwards: the last loop is reached first.
+            expected = [id(inner.body), id(first.body)]
+        else:
+            outer = While(MEAS_COMPUTATIONAL, ("q0",), seq(Unitary(("q0",), "H", H), inner))
+            program = outer
+            # The outer body's denotation already covers the inner loop, and
+            # the backward chain applies it without revisiting the syntax.
+            expected = [id(outer.body)]
+        post = QuantumAssertion(
+            [random_predicate_matrix(register.dimension, seed=seed) for seed in (1, 2, 3)]
+        )
+        transformer(program, post, register)
+        assert calls == expected
+        # The memo belongs to one call: the next call denotes the bodies again.
+        transformer(program, post, register)
+        assert calls == expected + expected
+
     def test_loop_with_nondeterministic_body_yields_multiple_predicates(self, q_register):
         body = ndet(Unitary(("q",), "H", H), seq(Unitary(("q",), "X", X), Unitary(("q",), "H", H)))
         loop = While(MEAS_COMPUTATIONAL, ("q",), body)
