@@ -1,24 +1,24 @@
-"""Entry points of the static analyzer: ``analyze_source``, ``analyze_raw``, ``analyze_program``.
+"""Entry points of the static analyzer: ``analyze_source``, ``analyze_resolution``, ``analyze_program``.
 
 The analyzer is the non-throwing front half of the verification pipeline
-(ROADMAP service spine).  It runs three passes and returns an
-:class:`AnalysisResult` holding every :class:`~repro.diagnostics.Diagnostic`
-plus the :class:`~repro.analysis.static.profile.ProgramProfile`:
+(ROADMAP service spine).  It returns an :class:`AnalysisResult` holding
+every :class:`~repro.diagnostics.Diagnostic` plus the
+:class:`~repro.analysis.static.profile.ProgramProfile`:
 
-* well-formedness runs on the tolerant raw tree of
-  :mod:`repro.language.syntax`, the only tree that can hold a statement that
-  does not resolve, so every ``QV1xx`` error of a source shows in one run;
+* the well-formedness findings (every ``QV1xx`` error and the ``QV204``
+  warning) come from the front end's checked walk,
+  :func:`~repro.language.parser.resolve_annotated`, which visits each raw
+  statement once; the analyzer walks no raw tree of its own;
 * qubit-usage dataflow and the structure profile run on the typed AST that
-  :func:`~repro.language.parser.resolve_annotated` builds from that raw
-  tree.  They run exactly when the strict parser accepts the text; otherwise
-  the result has no ``QV2xx`` warning and ``profile`` is ``None``.
+  walk builds.  They run exactly when the strict parser accepts the text;
+  otherwise the result has no ``QV201``–``QV203`` warning and ``profile`` is
+  ``None``.
 
-:func:`analyze_source` parses the text itself; :func:`analyze_raw` takes a
-raw tree and its resolved program, so the verify front end parses once and
-hands both to it.  The analyzer never constructs a super-operator, never
-touches numerics beyond read-only operator-property checks, and never raises
-for malformed input (a syntax error becomes the single ``QV001``
-diagnostic).
+:func:`analyze_source` parses and resolves the text itself;
+:func:`analyze_resolution` takes a :class:`~repro.language.parser.Resolution`,
+so the verify front end parses and resolves once and hands the result to it.
+The analyzer never constructs a super-operator and never raises for
+malformed input (a syntax error becomes the single ``QV001`` diagnostic).
 
 Each run is traced under ``span("analyze")`` with one child span per pass,
 and bumps only ``analysis.*`` metrics counters, so a clean verify sees no
@@ -31,26 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
-from ...diagnostics import Diagnostic, Severity, SourceSpan, make_diagnostic
-from ...exceptions import ParseError, ReproError
+from ...diagnostics import Diagnostic, Severity, SourceSpan, make_diagnostic, source_order
+from ...exceptions import ParseError
 from ...language.ast import Program
 from ...language.names import OperatorEnvironment, default_environment
-from ...language.parser import resolve_annotated
-from ...language.syntax import RawAnnotatedProgram, parse_raw_annotated
+from ...language.parser import Resolution, resolve_annotated
+from ...language.syntax import parse_raw_annotated
 from ...telemetry.metrics import METRICS
 from ...telemetry.tracing import span
 from .profile import ProgramProfile, program_profile
 from .usage import check_usage
-from .wellformed import check_wellformed
 
-__all__ = ["AnalysisResult", "analyze_source", "analyze_raw", "analyze_program"]
-
-
-def _sort_key(diagnostic: Diagnostic):
-    """Order diagnostics by source position, then by code (spanless last)."""
-    if diagnostic.span is None:
-        return (1, 0, 0, diagnostic.code)
-    return (0, diagnostic.span.line, diagnostic.span.column, diagnostic.code)
+__all__ = ["AnalysisResult", "analyze_source", "analyze_resolution", "analyze_program"]
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ class AnalysisResult:
 
 def _finish(diagnostics, profile, filename) -> AnalysisResult:
     """Sort, count and wrap the diagnostics of one run."""
-    ordered = tuple(sorted(diagnostics, key=_sort_key))
+    ordered = tuple(sorted(diagnostics, key=source_order))
     for diagnostic in ordered:
         METRICS.counter(
             "analysis.diagnostics", code=diagnostic.code, severity=diagnostic.severity.value
@@ -131,11 +123,11 @@ def analyze_source(
 ) -> AnalysisResult:
     """Analyze annotated surface-language source without raising.
 
-    Parses tolerantly, tries the strict resolver on the raw tree, and hands
-    both to :func:`analyze_raw`; a syntax error short-circuits into a single
-    ``QV001`` diagnostic carrying the parser's position.  Operator names are
-    resolved read-only against ``environment`` (the default NQPV environment
-    when omitted).
+    Parses tolerantly, resolves the raw tree and hands the
+    :class:`~repro.language.parser.Resolution` to :func:`analyze_resolution`;
+    a syntax error short-circuits into a single ``QV001`` diagnostic carrying
+    the parser's position.  Operator names are resolved read-only against
+    ``environment`` (the default NQPV environment when omitted).
     """
     environment = environment or default_environment()
     try:
@@ -145,42 +137,31 @@ def analyze_source(
         with span("analyze", region="analyze", syntax_error=True):
             METRICS.counter("analysis.runs").inc()
         return _finish([make_diagnostic("QV001", error.message, position)], None, filename)
-    try:
-        program = resolve_annotated(raw, environment).program
-    except ReproError:
-        program = None
-    return analyze_raw(raw, environment, program, filename)
+    return analyze_resolution(resolve_annotated(raw, environment), filename)
 
 
-def analyze_raw(
-    raw: RawAnnotatedProgram,
-    environment: OperatorEnvironment,
-    program: Optional[Program],
-    filename: Optional[str] = None,
+def analyze_resolution(
+    resolution: Resolution, filename: Optional[str] = None
 ) -> AnalysisResult:
-    """Analyze a tolerant raw tree and, when it resolved, its typed program.
+    """Analyze what :func:`~repro.language.parser.resolve_annotated` found.
 
-    ``program`` is what :func:`~repro.language.parser.resolve_annotated`
-    returned for ``raw``, or ``None`` when it raised.  The well-formedness
-    pass always runs on ``raw``; the usage and profile passes run on
-    ``program`` and are skipped without it.  Qubits named in annotations
-    count as external uses for ``QV202``.
+    The resolution's diagnostics are the well-formedness findings.  When it
+    holds a typed program, the usage and profile passes run on it; qubits
+    named in annotations count as external uses for ``QV202``.
     """
     with span("analyze", region="analyze") as analyze_span:
         METRICS.counter("analysis.runs").inc()
-        with span("wellformed", region="analyze"):
-            diagnostics = check_wellformed(raw, environment)
-            METRICS.counter("analysis.pass", stage="wellformed").inc()
-
+        diagnostics = list(resolution.diagnostics)
         profile = None
-        if program is not None:
+        annotated = resolution.annotated
+        if annotated is not None:
             external_uses = {
-                name.value
-                for annotation in raw.annotations
+                qubit
+                for annotation in annotated.annotations
                 for term in annotation.terms
-                for name in term.qubits.names
+                for qubit in term.qubits
             }
-            warnings, profile = _program_passes(program, external_uses)
+            warnings, profile = _program_passes(annotated.program, external_uses)
             diagnostics.extend(warnings)
             analyze_span.set_tag("deterministic", profile.is_deterministic)
         analyze_span.set_tag("diagnostics", len(diagnostics))

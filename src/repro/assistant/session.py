@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,9 +92,15 @@ class Session:
 
     def verify_proof(self, name: str, register_qubits, source: str) -> ProofTerm:
         """Verify a proof body over the declared register and store it under ``name``."""
+        return self._prove(name, register_qubits, source, source)
+
+    def _prove(
+        self, name: str, register_qubits, body: Union[str, Sequence[Token]], source: str
+    ) -> ProofTerm:
+        """Verify ``body`` (text, or tokens ending with ``EOF``); ``source`` is its text."""
         register = QubitRegister(register_qubits)
         report = verify_source(
-            source, self.environment, register=register, mode=self.mode, options=self.options
+            body, self.environment, register=register, mode=self.mode, options=self.options
         )
         term = ProofTerm(name=name, register=register, source=source, report=report)
         self.proofs[name] = term
@@ -154,8 +160,10 @@ class Session:
                     advance()
                     register_qubits = self._parse_register(expect, peek, advance)
                     expect("COLON")
-                    body_source, index = self._collect_proof_body(tokens, index)
-                    term = self.verify_proof(name_token.value, register_qubits, body_source)
+                    body, index = self._collect_proof_body(tokens, index)
+                    term = self._prove(
+                        name_token.value, register_qubits, body, _text(script, body)
+                    )
                     outputs.append(
                         f"proof {name_token.value}: "
                         + ("verified" if term.verified else "not verified")
@@ -186,10 +194,11 @@ class Session:
 
     @staticmethod
     def _collect_proof_body(tokens: List[Token], index: int):
-        """Collect the raw proof-body tokens up to the matching top-level ``end``.
+        """Collect the proof-body tokens up to the matching top-level ``end``.
 
         Nested ``if``/``while`` blocks contribute their own ``end`` keywords, so a
-        depth counter tracks block structure.
+        depth counter tracks block structure.  The body ends with an ``EOF``
+        token at the position of its closing ``end``.
         """
         depth = 0
         collected: List[Token] = []
@@ -199,6 +208,7 @@ class Session:
                 depth += 1
             elif token.kind == "END":
                 if depth == 0:
+                    collected.append(Token("EOF", "", token.line, token.column))
                     index += 1
                     break
                 depth -= 1
@@ -206,19 +216,16 @@ class Session:
                 raise ParseError("unterminated proof definition", token.line, token.column)
             collected.append(token)
             index += 1
-        source = _tokens_to_source(collected)
-        return source, index
+        return collected, index
 
 
-def _tokens_to_source(tokens: List[Token]) -> str:
-    """Re-serialise a token slice into parseable source text."""
-    parts: List[str] = []
-    keywords = {"IF", "THEN", "ELSE", "END", "WHILE", "DO", "SKIP", "ABORT", "INV"}
-    for token in tokens:
-        if token.kind == "STRING":
-            parts.append(f'"{token.value}"')
-        elif token.kind in keywords:
-            parts.append(token.value)
-        else:
-            parts.append(token.value)
-    return " ".join(parts)
+def _text(script: str, body: List[Token]) -> str:
+    """Return the script text a token slice covers, from its first token to its ``EOF``."""
+    line_starts = [0]
+    for line in script.split("\n"):
+        line_starts.append(line_starts[-1] + len(line) + 1)
+
+    def offset(token: Token) -> int:
+        return line_starts[token.line - 1] + token.column - 1
+
+    return script[offset(body[0]) : offset(body[-1])].strip()

@@ -9,12 +9,13 @@ resolved against an :class:`~repro.language.names.OperatorEnvironment`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from ..analysis.static.analyzer import AnalysisResult, analyze_raw
+from ..analysis.static.analyzer import AnalysisResult, analyze_resolution
 from ..exceptions import StaticAnalysisError
+from ..language.lexer import Token
 from ..language.names import OperatorEnvironment, default_environment
 from ..language.parser import AnnotatedProgram, AssertionSpec, resolve_annotated
 from ..language.syntax import parse_raw_annotated
@@ -54,40 +55,46 @@ def resolve_assertion(
     """Turn a syntactic assertion (set of ``NAME[q …]`` terms) into a :class:`QuantumAssertion`.
 
     Every predicate is embedded from its declared qubits into the full
-    ``register`` (the cylinder-extension convention of Sec. 2).
+    ``register`` (the cylinder-extension convention of Sec. 2).  A term the
+    resolver checked carries its matrix; any other term is looked up, and
+    checked, in ``environment``.
     """
     predicates = []
     for term in spec.terms:
-        matrix = environment.predicate(term.name, num_qubits=len(term.qubits))
-        predicate = QuantumPredicate(matrix, name=term.name)
+        matrix = term.matrix
+        if matrix is None:
+            matrix = environment.predicate(term.name, num_qubits=len(term.qubits))
+        predicate = QuantumPredicate(matrix, name=term.name, validate=False)
         predicates.append(predicate.embed(term.qubits, register))
     label = name or " ".join(str(term) for term in spec.terms)
     return QuantumAssertion(predicates, name=label)
 
 
 def build_task(
-    source: str,
+    source: Union[str, Sequence[Token]],
     environment: Optional[OperatorEnvironment] = None,
     register: Optional[QubitRegister | Sequence[str]] = None,
     mode: CorrectnessMode = CorrectnessMode.PARTIAL,
 ) -> VerificationTask:
-    """Parse and resolve an annotated source text into a :class:`VerificationTask`.
+    """Parse and resolve an annotated source into a :class:`VerificationTask`.
 
-    The source is parsed once: the strict resolver and the static analyzer
-    both work from the same tolerant raw tree.
+    ``source`` is text, or its tokens ending with ``EOF``.  It is parsed
+    once and its raw statements are walked once: the resolver's one
+    :class:`~repro.language.parser.Resolution` gives the strict error, the
+    analyzer's findings and the checked predicates of the annotations.
     """
     environment = environment or default_environment()
-    with span("parse", region="parse", source_bytes=len(source)):
-        raw = parse_raw_annotated(source)
-        annotated = resolve_annotated(raw, environment)
+    source_bytes = len(source) if isinstance(source, str) else None
+    with span("parse", region="parse", source_bytes=source_bytes):
+        resolution = resolve_annotated(parse_raw_annotated(source), environment)
+        annotated = resolution.strict()
     program = annotated.program
 
     # Mandatory pre-flight: reject ill-formed inputs before any assertion is
-    # resolved or super-operator constructed.  The strict resolution above
-    # already raised on syntax/name errors, so the analyzer errors caught here
-    # are the purely semantic ones (missing postcondition/invariant, bad
-    # predicates).
-    analysis = analyze_raw(raw, environment, program)
+    # resolved or super-operator constructed.  The strict errors were raised
+    # above, so the errors caught here are the specification's (missing
+    # postcondition/invariant, bad predicates).
+    analysis = analyze_resolution(resolution)
     if analysis.errors:
         first = analysis.errors[0]
         raise StaticAnalysisError(
@@ -131,13 +138,13 @@ def build_task(
 
 
 def verify_source(
-    source: str,
+    source: Union[str, Sequence[Token]],
     environment: Optional[OperatorEnvironment] = None,
     register: Optional[QubitRegister | Sequence[str]] = None,
     mode: CorrectnessMode = CorrectnessMode.PARTIAL,
     options: Optional[ProverOptions] = None,
 ) -> VerificationReport:
-    """Verify an annotated source text and return the full report.
+    """Verify an annotated source (text, or tokens ending with ``EOF``) and return the report.
 
     The whole run is traced under one root span (``region="verify"``) with
     ``parse``, ``prover`` and ``order-decision`` children when the process-wide

@@ -14,8 +14,8 @@ Codes never change meaning once shipped; tools (CI golden files, editors,
 the ``--diagnostics-json`` output) key on them.  The ranges are:
 
 * ``QV0xx`` — syntax errors surfaced by the tolerant parser;
-* ``QV1xx`` — well-formedness errors (the analyzer's pass 1);
-* ``QV2xx`` — qubit-usage / structure warnings (pass 2);
+* ``QV1xx`` — well-formedness errors (the resolver's checked walk);
+* ``QV2xx`` — qubit-usage / structure warnings;
 * ``QV3xx`` — informational notes (reserved).
 
 The AST constructors of :mod:`repro.language.ast` raise exceptions carrying
@@ -38,6 +38,7 @@ __all__ = [
     "code_severity",
     "code_description",
     "make_diagnostic",
+    "source_order",
 ]
 
 
@@ -167,3 +168,10 @@ def make_diagnostic(
     return Diagnostic(
         code=code, severity=code_severity(code), message=message, span=span, hint=hint
     )
+
+
+def source_order(diagnostic: Diagnostic) -> Tuple[int, int, int, str]:
+    """Sort key of diagnostics: by source position, then by code (spanless last)."""
+    if diagnostic.span is None:
+        return (1, 0, 0, diagnostic.code)
+    return (0, diagnostic.span.line, diagnostic.span.column, diagnostic.code)

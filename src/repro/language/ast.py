@@ -41,6 +41,7 @@ __all__ = [
     "ndet",
     "measure",
     "if_then",
+    "check_qubits",
     "MEAS_COMPUTATIONAL",
     "MEAS_PLUS_MINUS",
 ]
@@ -201,10 +202,7 @@ class Init(Program):
     def __post_init__(self):
         qubits = tuple(self.qubits)
         object.__setattr__(self, "qubits", qubits)
-        if not qubits:
-            raise SemanticsError("initialisation needs at least one qubit", code="QV102")
-        if len(set(qubits)) != len(qubits):
-            raise SemanticsError(f"duplicate qubits in initialisation: {qubits}", code="QV101")
+        check_qubits(qubits, "initialisation")
 
     def quantum_variables(self) -> frozenset:
         return frozenset(self.qubits)
@@ -228,17 +226,13 @@ class Unitary(Program):
         matrix = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "qubits", qubits)
         object.__setattr__(self, "matrix", matrix)
-        if not qubits:
-            raise SemanticsError("a unitary statement needs at least one qubit", code="QV102")
-        if len(set(qubits)) != len(qubits):
-            raise SemanticsError(
-                f"duplicate qubits in unitary statement: {qubits}", code="QV101"
-            )
+        check_qubits(qubits, "unitary statement")
         if not is_unitary(matrix):
             raise LinalgError(f"operator {self.name!r} is not unitary", code="QV105")
         if matrix.shape[0] != 2 ** len(qubits):
             raise LinalgError(
-                f"operator {self.name!r} has dimension {matrix.shape[0]} but acts on {len(qubits)} qubit(s)",
+                f"operator {self.name!r} has dimension {matrix.shape[0]} "
+                f"but is applied to {len(qubits)} qubit(s)",
                 code="QV106",
             )
 
@@ -371,17 +365,32 @@ class While(Program):
         return True
 
 
-def _check_measurement_arity(measurement: Measurement, qubits: Sequence[str]) -> None:
+def check_qubits(qubits: Tuple[str, ...], context: str) -> None:
+    """Reject an empty qubit list (``QV102``) or a repeated qubit (``QV101``).
+
+    ``context`` names the construct in the message (``"initialisation"``,
+    ``"assertion term"``, ...).  Every qubit list of a program or annotation
+    is checked here, so each of the two codes has one message.
+    """
     if not qubits:
-        raise SemanticsError("a measurement needs at least one qubit", code="QV102")
-    if len(set(qubits)) != len(qubits):
-        raise SemanticsError(f"duplicate qubits in measurement: {qubits}", code="QV101")
-    if measurement.dimension != 2 ** len(qubits):
+        raise SemanticsError("empty qubit list", code="QV102")
+    seen = set()
+    for qubit in qubits:
+        if qubit in seen:
+            raise SemanticsError(f"duplicate qubit {qubit!r} in {context}", code="QV101")
+        seen.add(qubit)
+
+
+def _check_measurement_arity(measurement: Measurement, qubits: Sequence[str]) -> None:
+    # The measurement's name precedes its qubit list in the source, so its
+    # arity is checked first; an empty list is QV102, not an arity error.
+    if qubits and measurement.dimension != 2 ** len(qubits):
         raise LinalgError(
             f"measurement {measurement.name!r} has dimension {measurement.dimension} "
             f"but is applied to {len(qubits)} qubit(s)",
             code="QV108",
         )
+    check_qubits(qubits, "measurement")
 
 
 # ---------------------------------------------------------------------------

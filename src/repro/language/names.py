@@ -17,7 +17,7 @@ import numpy as np
 
 from ..exceptions import NameResolutionError
 from ..linalg import constants
-from ..linalg.operators import is_hermitian, is_predicate_matrix, is_projector, is_unitary
+from ..linalg.operators import is_predicate_matrix, is_projector
 from .ast import MEAS_COMPUTATIONAL, MEAS_PLUS_MINUS, Measurement
 
 __all__ = ["OperatorEnvironment", "default_environment"]
@@ -86,74 +86,56 @@ class OperatorEnvironment:
         """Return the matrix registered under ``name``."""
         return self._lookup(name, "operator", "QV104")
 
-    def unitary(self, name: str, num_qubits: int | None = None) -> np.ndarray:
-        """Return the unitary registered under ``name``, checking unitarity and arity.
-
-        Raises :class:`~repro.exceptions.NameResolutionError` with the
-        analyzer's code: ``QV104`` (unknown), ``QV105`` (not unitary) or
-        ``QV106`` (arity).
-        """
-        matrix = self._lookup(name, "operator", "QV104")
-        if not is_unitary(matrix):
-            raise NameResolutionError(f"operator {name!r} is not unitary", code="QV105")
-        self._check_arity(name, matrix, num_qubits, "QV106")
-        return matrix
-
     def predicate(self, name: str, num_qubits: int | None = None) -> np.ndarray:
         """Return the predicate matrix registered under ``name`` (0 ⊑ M ⊑ I).
 
         Raises :class:`~repro.exceptions.NameResolutionError` with the
         analyzer's code: ``QV109`` (unknown), ``QV110`` (not a predicate) or
-        ``QV111`` (arity).
+        ``QV111`` (dimension other than ``2 ** num_qubits``).  This is the one
+        check of an annotation's predicate.
         """
         matrix = self._lookup(name, "predicate", "QV109")
-        if not is_hermitian(matrix) or not is_predicate_matrix(matrix):
+        if not is_predicate_matrix(matrix):
             raise NameResolutionError(
-                f"operator {name!r} is not a quantum predicate", code="QV110"
+                f"operator {name!r} is not a valid quantum predicate "
+                "(must be hermitian with 0 ⊑ M ⊑ I)",
+                code="QV110",
             )
-        self._check_arity(name, matrix, num_qubits, "QV111")
+        if num_qubits is not None and matrix.shape[0] != 2 ** num_qubits:
+            raise NameResolutionError(
+                f"predicate {name!r} has dimension {matrix.shape[0]} "
+                f"but is applied to {num_qubits} qubit(s)",
+                code="QV111",
+            )
         return matrix
 
-    def measurement(self, name: str, num_qubits: int | None = None) -> Measurement:
+    def measurement(self, name: str) -> Measurement:
         """Return the measurement registered under ``name``.
 
         A plain computational-basis measurement named ``M`` or ``M01`` is always
         available for a single qubit; projector-valued operators can also be
         promoted on the fly via :meth:`define_measurement_from_projector`.
         Raises :class:`~repro.exceptions.NameResolutionError` with the
-        analyzer's code: ``QV107`` (unknown, or not a two-outcome
-        measurement) or ``QV108`` (arity).
+        analyzer's code ``QV107`` when ``name`` is neither a measurement nor a
+        projector; the arity check (``QV108``) belongs to the
+        :class:`~repro.language.ast.If`/:class:`~repro.language.ast.While`
+        constructors.
         """
         if name in self._measurements:
-            measurement = self._measurements[name]
-        elif name in self._operators and is_projector(self._operators[name]):
+            return self._measurements[name]
+        if name in self._operators and is_projector(self._operators[name]):
             projector = self._operators[name]
             complement = np.eye(projector.shape[0], dtype=complex) - projector
-            measurement = Measurement(name, projector, complement)
-        else:
-            raise NameResolutionError(f"unknown measurement {name!r}", code="QV107")
-        if num_qubits is not None and measurement.dimension != 2 ** num_qubits:
-            raise NameResolutionError(
-                f"measurement {name!r} has dimension {measurement.dimension}, "
-                f"but {num_qubits} qubit(s) were given",
-                code="QV108",
-            )
-        return measurement
+            return Measurement(name, projector, complement)
+        raise NameResolutionError(
+            f"{name!r} does not resolve to a two-outcome measurement", code="QV107"
+        )
 
     def _lookup(self, name: str, kind: str, code: str) -> np.ndarray:
         try:
             return self._operators[name]
         except KeyError:
             raise NameResolutionError(f"unknown {kind} {name!r}", code=code) from None
-
-    @staticmethod
-    def _check_arity(name: str, matrix: np.ndarray, num_qubits: int | None, code: str) -> None:
-        if num_qubits is not None and matrix.shape[0] != 2 ** num_qubits:
-            raise NameResolutionError(
-                f"operator {name!r} has dimension {matrix.shape[0]}, "
-                f"but {num_qubits} qubit(s) were given",
-                code=code,
-            )
 
     def copy(self) -> "OperatorEnvironment":
         """Return an independent copy of the environment."""

@@ -1,32 +1,28 @@
 """Span-carrying raw syntax trees and the tolerant parser behind the front end.
 
-The strict parser of :mod:`repro.language.parser` stops at the first problem,
-which is the right behaviour for the proof assistant but useless for a linter.
-This module separates *parsing* from *validation*:
+The raw tree (:class:`RawInit`, :class:`RawWhile`, …) records exactly what
+was written, including constructs the language rejects (empty or repeated
+qubit lists, ``:= 1`` initialisations, empty annotations), together with the
+1-based :class:`~repro.diagnostics.SourceSpan` of every construct and name.
+:func:`parse_raw_program` / :func:`parse_raw_annotated` raise
+:class:`~repro.exceptions.ParseError` only for *syntax* errors (unexpected
+tokens, code ``QV001``); the two defects only the text shows — an
+initialisation to a value other than 0 (``QV103``) and an empty annotation
+(``QV114``) — are recorded as :class:`~repro.diagnostics.Diagnostic`
+records in parse order.
 
-* the raw tree (:class:`RawInit`, :class:`RawWhile`, …) records exactly what
-  was written, including constructs the language rejects (empty qubit lists,
-  ``:= 1`` initialisations, empty annotations), together with the 1-based
-  :class:`~repro.diagnostics.SourceSpan` of every construct and name;
-* :func:`parse_raw_program` / :func:`parse_raw_annotated` raise
-  :class:`~repro.exceptions.ParseError` only for *syntax* errors (unexpected
-  tokens, code ``QV001``) and collect every tolerated semantic problem as a
-  :class:`RawProblem` in parse order.
-
-One raw tree serves both consumers: the strict resolver of
-:mod:`repro.language.parser` re-raises the first recorded problem, while the
-well-formedness pass of :mod:`repro.analysis.static` converts all of them
-into diagnostics and keeps going.  The raw tree is the only tree that can
-hold a statement that does not resolve; the analyzer's other passes walk the
-typed AST the resolver builds from it.
+Everything else is checked by the resolver of :mod:`repro.language.parser`,
+the front end's one well-formedness pass: it walks this tree once, builds
+the typed AST and reports every defect it meets at its token's span, so the
+strict parser and the static analyzer read their errors from the same walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-from ..diagnostics import SourceSpan
+from ..diagnostics import Diagnostic, SourceSpan, make_diagnostic
 from .lexer import Token, tokenize
 
 __all__ = [
@@ -34,7 +30,6 @@ __all__ = [
     "RawQubitList",
     "RawPredicateTerm",
     "RawAssertion",
-    "RawProblem",
     "RawSkip",
     "RawAbort",
     "RawInit",
@@ -72,7 +67,7 @@ class RawQubitList:
     """A bracketed qubit list ``[q1 q2 …]`` (possibly empty — validated later).
 
     ``span`` covers the opening bracket; ``close_span`` the closing bracket
-    (the anchor the strict parser uses for the "empty qubit list" error).
+    (the anchor of the "empty qubit list" error).
     """
 
     names: Tuple[RawName, ...]
@@ -100,20 +95,6 @@ class RawAssertion:
     is_invariant: bool
     span: SourceSpan
     close_span: SourceSpan
-
-
-@dataclass(frozen=True)
-class RawProblem:
-    """A semantic problem tolerated by the raw parser, in parse order.
-
-    ``code`` is the stable diagnostic code of the analyzer registry; the
-    strict parser instead raises a :class:`~repro.exceptions.ParseError` with
-    ``message`` at ``span`` for the first recorded problem.
-    """
-
-    code: str
-    message: str
-    span: SourceSpan
 
 
 @dataclass(frozen=True)
@@ -198,7 +179,7 @@ class RawProgram:
     """Result of :func:`parse_raw_program`: the raw tree plus its recorded problems."""
 
     root: RawStatement
-    problems: Tuple[RawProblem, ...]
+    problems: Tuple[Diagnostic, ...]
 
 
 @dataclass(frozen=True)
@@ -216,7 +197,7 @@ class RawAnnotatedProgram:
     postcondition: Optional[RawAssertion]
     annotations: Tuple[RawAssertion, ...]
     dangling_invariants: Tuple[RawAssertion, ...]
-    problems: Tuple[RawProblem, ...]
+    problems: Tuple[Diagnostic, ...]
     end_span: SourceSpan
 
 
@@ -232,7 +213,7 @@ class _RawParser:
         self._tokens = list(tokens)
         self._position = 0
         self.annotations: List[RawAssertion] = []
-        self.problems: List[RawProblem] = []
+        self.problems: List[Diagnostic] = []
         self.dangling_invariants: List[RawAssertion] = []
         self._pending_invariant: Optional[RawAssertion] = None
 
@@ -264,7 +245,7 @@ class _RawParser:
         return self.peek().kind == kind
 
     def problem(self, code: str, message: str, span: SourceSpan) -> None:
-        self.problems.append(RawProblem(code, message, span))
+        self.problems.append(make_diagnostic(code, message, span))
 
     # ------------------------------------------------------------- components
     def parse_qubit_list(self) -> RawQubitList:
@@ -276,10 +257,9 @@ class _RawParser:
             if self.at("COMMA"):
                 self.advance()
         closing = self.expect("RBRACKET")
-        close_span = SourceSpan.from_token(closing)
-        if not names:
-            self.problem("QV102", "empty qubit list", close_span)
-        return RawQubitList(tuple(names), SourceSpan.from_token(opening), close_span)
+        return RawQubitList(
+            tuple(names), SourceSpan.from_token(opening), SourceSpan.from_token(closing)
+        )
 
     def parse_annotation(self) -> RawAssertion:
         opening = self.expect("LBRACE")
@@ -441,7 +421,7 @@ def parse_raw_program(source: str) -> RawProgram:
     return RawProgram(root=root, problems=tuple(parser.problems))
 
 
-def parse_raw_annotated(source: str) -> RawAnnotatedProgram:
+def parse_raw_annotated(source: Union[str, Sequence[Token]]) -> RawAnnotatedProgram:
     """Parse an annotated program (the proof-assistant input format) into raw form.
 
     Mirrors :func:`repro.language.parser.parse_annotated_program`: the first
@@ -449,10 +429,12 @@ def parse_raw_annotated(source: str) -> RawAnnotatedProgram:
     postcondition, and every ``inv:`` annotation attaches to the innermost
     while loop that finishes parsing after it.  Only syntax errors raise; a
     missing program or empty annotations are recorded, not raised.
+    ``source`` is text, or tokens that end with an ``EOF`` token (a proof
+    body cut from a session script keeps the script's positions).
     """
     from ..exceptions import ParseError
 
-    parser = _RawParser(tokenize(source))
+    parser = _RawParser(tokenize(source) if isinstance(source, str) else source)
     precondition: Optional[RawAssertion] = None
     postcondition: Optional[RawAssertion] = None
     statements: List[RawStatement] = []

@@ -1,16 +1,22 @@
 """Tests for the NQPV-style proof-assistant front end (Sec. 6)."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.assistant.cli import main as cli_main
 from repro.assistant.session import Session
 from repro.assistant.verify import build_task, resolve_assertion, verify, verify_source
-from repro.exceptions import AssistantError, InvariantError
+from repro.exceptions import AssistantError, InvariantError, NameResolutionError, StaticAnalysisError
+from repro.language.ast import Unitary
 from repro.language.names import default_environment
-from repro.language.parser import AssertionSpec, PredicateTerm
+from repro.language.parser import AssertionSpec, PredicateTerm, parse_annotated_program
+from repro.language.printer import format_program, format_qubits
+from repro.linalg import operators
 from repro.linalg.constants import I2, P0
 from repro.logic.formula import CorrectnessMode
+from repro.programs.grover import grover_formula
 from repro.programs.qwalk import qwalk_invariant
 from repro.registers import QubitRegister
 
@@ -142,6 +148,108 @@ class TestSession:
         outputs = session.run_script(script)
         assert any("verified" in output for output in outputs)
         assert session.proofs["pf"].verified
+
+
+class TestScriptPositions:
+    """A proof body is parsed once, from the script's own tokens."""
+
+    SCRIPT = (
+        "def pf := proof [ q ] :\n"
+        "    { P1[q] };\n"
+        "    [q] := 0;\n"
+        "    while M [q] do [q] *= X end;\n"
+        "    [q] *= NoSuchGate;\n"
+        "    { P0[q] }\n"
+        "end\n"
+    )
+
+    def test_name_error_points_into_the_script(self):
+        with pytest.raises(NameResolutionError) as excinfo:
+            Session().run_script(self.SCRIPT)
+        assert excinfo.value.code == "QV104"
+        assert (excinfo.value.line, excinfo.value.column) == (5, 12)
+
+    def test_missing_invariant_points_into_the_script(self):
+        script = self.SCRIPT.replace("NoSuchGate", "H")
+        with pytest.raises(StaticAnalysisError) as excinfo:
+            Session().run_script(script)
+        (missing,) = [d for d in excinfo.value.diagnostics if d.code == "QV112"]
+        assert (missing.span.line, missing.span.column) == (4, 5)
+
+    def test_body_is_not_tokenized_again(self, monkeypatch):
+        from repro.language import syntax
+
+        calls = []
+        tokenize = syntax.tokenize
+
+        def counting_tokenize(source):
+            calls.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(syntax, "tokenize", counting_tokenize)
+        session = Session()
+        script = self.SCRIPT.replace("NoSuchGate", "H").replace(
+            "    while M [q] do [q] *= X end;\n", ""
+        )
+        assert session.run_script(script) == ["proof pf: not verified"]
+        assert calls == []
+        assert session.proofs["pf"].source == (
+            "{ P1[q] };\n    [q] := 0;\n    [q] *= H;\n    { P0[q] }"
+        )
+
+
+def _count_checks(monkeypatch):
+    """Count ``is_unitary``/``is_predicate_matrix`` calls at every import site."""
+    counts = {"is_unitary": 0, "is_predicate_matrix": 0}
+    modules = [
+        module
+        for name, module in list(sys.modules.items())
+        if module is not None and (name == "repro" or name.startswith("repro."))
+    ]
+    for name in counts:
+        original = getattr(operators, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _grover_gates_source():
+    formula, register = grover_formula(3, layout="gates")
+    environment = default_environment()
+    environment.define("Pre", formula.precondition.predicates[0].matrix)
+    environment.define("Post", formula.postcondition.predicates[0].matrix)
+    for node in formula.program.walk():
+        if isinstance(node, Unitary) and node.name not in environment:
+            environment.define(node.name, node.matrix)
+    qubits = format_qubits(register.names)
+    source = f"{{ Pre{qubits} }};\n{format_program(formula.program)};\n{{ Post{qubits} }}\n"
+    return source, environment
+
+
+def _qwalk_source():
+    environment = default_environment()
+    environment.define("invN", qwalk_invariant().predicates[0].matrix)
+    return QWALK_SOURCE, environment
+
+
+class TestChecksRunOnce:
+    """One ``verify_source`` checks each gate and each annotation predicate once."""
+
+    @pytest.mark.parametrize("make_source", [_grover_gates_source, _qwalk_source])
+    def test_one_check_per_statement_and_term(self, make_source, monkeypatch):
+        source, environment = make_source()
+        annotated = parse_annotated_program(source, environment)
+        gates = sum(isinstance(node, Unitary) for node in annotated.program.walk())
+        terms = sum(len(spec.terms) for spec in annotated.annotations)
+        counts = _count_checks(monkeypatch)
+        assert verify_source(source, environment).verified
+        assert counts == {"is_unitary": gates, "is_predicate_matrix": terms}
 
 
 class TestCli:

@@ -21,11 +21,15 @@ class TestOperatorEnvironment:
         assert "nope" not in environment
 
     def test_unitary_lookup(self, environment):
-        assert np.allclose(environment.unitary("H"), H)
-        with pytest.raises(NameResolutionError):
-            environment.unitary("Zero")
-        with pytest.raises(NameResolutionError):
-            environment.unitary("H", num_qubits=2)
+        # Unitarity and arity belong to the Unitary node; the parser reports
+        # them as name-resolution errors at the operator.
+        assert np.allclose(parse_program("[q] *= H", environment).matrix, H)
+        with pytest.raises(NameResolutionError) as excinfo:
+            parse_program("[q] *= Zero", environment)
+        assert excinfo.value.code == "QV105"
+        with pytest.raises(NameResolutionError) as excinfo:
+            parse_program("[q1 q2] *= H", environment)
+        assert excinfo.value.code == "QV106"
 
     def test_predicate_lookup(self, environment):
         assert np.allclose(environment.predicate("P0"), P0)
@@ -33,16 +37,18 @@ class TestOperatorEnvironment:
             environment.predicate("W1")  # unitary but not a predicate
 
     def test_measurement_lookup(self, environment):
-        measurement = environment.measurement("MQWalk", num_qubits=2)
+        measurement = environment.measurement("MQWalk")
         assert measurement.dimension == 4
-        with pytest.raises(NameResolutionError):
-            environment.measurement("MQWalk", num_qubits=1)
+        with pytest.raises(NameResolutionError) as excinfo:
+            parse_program("while MQWalk [q] do skip end", environment)
+        assert excinfo.value.code == "QV108"
         with pytest.raises(NameResolutionError):
             environment.measurement("H")
 
     def test_projector_promoted_to_measurement(self, environment):
-        measurement = environment.measurement("P0", num_qubits=1)
+        measurement = environment.measurement("P0")
         assert np.allclose(measurement.p0, P0)
+        assert parse_program("if P0 [q] then skip end", environment).measurement == measurement
 
     def test_define_and_copy(self, environment):
         environment.define("MyOp", X)
@@ -65,7 +71,7 @@ class TestOperatorEnvironment:
         path = tmp_path / "op.npy"
         np.save(path, W1)
         environment.load("LoadedW1", path)
-        assert np.allclose(environment.unitary("LoadedW1"), W1)
+        assert np.allclose(environment.operator("LoadedW1"), W1)
 
     def test_unknown_operator(self, environment):
         with pytest.raises(NameResolutionError):

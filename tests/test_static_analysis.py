@@ -142,6 +142,18 @@ _CODE_CASES = {
 }
 
 
+#: The ``_CODE_CASES`` the strict parser rejects.
+_STRICT_CODE_CASES = [
+    "QV001", "QV101", "QV102", "QV103", "QV104", "QV105", "QV106", "QV107", "QV108",
+    "QV114", "QV115",
+]
+
+#: Codes of the specification that ``parse_annotated_program`` leaves to the
+#: verify pre-flight (a source without statements has ``QV113`` and
+#: ``QV115`` at the same position, and the strict parser raises ``QV115``).
+_SPECIFICATION_CODES = {"QV109", "QV110", "QV111", "QV112", "QV113"}
+
+
 class TestDiagnosticsPerCode:
     @pytest.mark.parametrize("code", sorted(_CODE_CASES))
     def test_malformed_source_produces_code(self, code):
@@ -245,6 +257,15 @@ class TestPositionThreading:
             diagnostic.span.column,
         )
 
+    def test_strict_parser_rejects_exactly_the_strict_code_cases(self):
+        rejected = []
+        for code, (malformed, _) in sorted(_CODE_CASES.items()):
+            try:
+                parse_annotated_program(malformed)
+            except ReproError:
+                rejected.append(code)
+        assert rejected == _STRICT_CODE_CASES
+
     @pytest.mark.parametrize(
         "source",
         [
@@ -253,16 +274,27 @@ class TestPositionThreading:
             "if FOO [q] then skip else skip end; { I[q] }",
             "[q] *= H H; { I[q] }",
             "[q] *= ; { I[q] }",
-        ],
+            # The first error in source order, one message per code, and a
+            # position for the duplicate qubit the AST reports.
+            (CORPUS_DIR / "duplicate_qubit.nqpv").read_text(),
+            "if FOO [] then skip end; { P0[q] }",
+            "[q] *= H; if M [q q] then skip end; { P0[q] }",
+        ]
+        + [_CODE_CASES[code][0] for code in _STRICT_CODE_CASES],
     )
     def test_strict_resolution_error_carries_the_analyzer_code(self, source):
         environment = default_environment()
         environment.define("NU", P0)
         with pytest.raises(ReproError) as excinfo:
             parse_annotated_program(source, environment)
-        first = analyze_source(source, environment).errors[0]
+        first = next(
+            diagnostic
+            for diagnostic in analyze_source(source, environment).errors
+            if diagnostic.code not in _SPECIFICATION_CODES
+        )
         assert excinfo.value.code == first.code
         assert (excinfo.value.line, excinfo.value.column) == (first.span.line, first.span.column)
+        assert excinfo.value.message == first.message
 
     def test_plain_parse_error_carries_its_code(self):
         with pytest.raises(ParseError) as excinfo:
@@ -517,14 +549,15 @@ class TestVerifyIntegration:
 
 #: What ``verify_source`` does with each malformed corpus program: either the
 #: ``(exception class, line, column, code)`` it raises, or the diagnostic codes
-#: of the report it returns.  The strict parser raises the analyzer's code for
-#: the defects the raw parser records (QV102, QV103, QV114), for a source
-#: without statements (QV115, at the end of the input), for name-resolution
-#: errors (QV104–QV108) and for syntax errors (QV001).
+#: of the report it returns.  The strict parser raises the analyzer's code at
+#: the analyzer's position for qubit-list defects (QV101, QV102), the defects
+#: the raw parser records (QV103, QV114), a source without statements (QV115,
+#: at the end of the input), name-resolution errors (QV104–QV108) and syntax
+#: errors (QV001).
 _VERIFY_ON_CORPUS = {
     "dangling_invariant.nqpv": ["QV204"],
     "dead_init_overwrite.nqpv": ["QV203"],
-    "duplicate_qubit.nqpv": ("SemanticsError", None, None, "QV101"),
+    "duplicate_qubit.nqpv": ("ParseError", 1, 4, "QV101"),
     "empty_assertion.nqpv": ("ParseError", 3, 3, "QV114"),
     "empty_qubit_list.nqpv": ("ParseError", 1, 2, "QV102"),
     "init_never_used.nqpv": ["QV202"],
@@ -622,10 +655,27 @@ class TestCorpusGolden:
 
     def test_error_code_coverage(self):
         golden = json.loads((CORPUS_DIR / "expected.json").read_text())
-        covered = {code for entry in golden.values() for code in entry}
+        covered = {pinned.split("@")[0] for entry in golden.values() for pinned in entry}
         assert covered == set(DIAGNOSTIC_CODES), (
             "corpus must exercise every registered diagnostic code"
         )
+
+    def test_golden_pins_every_position(self, tmp_path, monkeypatch):
+        golden = json.loads((CORPUS_DIR / "expected.json").read_text())
+        for entry in golden.values():
+            for pinned in entry:
+                code, _, position = pinned.partition("@")
+                line, _, column = position.partition(":")
+                assert code in DIAGNOSTIC_CODES and line.isdigit() and column.isdigit(), pinned
+        # A diagnostic that moves by one column fails the gate.
+        golden["unknown_operator.nqpv"] = ["QV104@2:9"]
+        moved = tmp_path / "expected.json"
+        moved.write_text(json.dumps(golden))
+        monkeypatch.setattr(check_lint_corpus, "GOLDEN_FILE", moved)
+        report = check_lint_corpus.run_corpus()
+        assert report["failures"] == [
+            "examples/lint/unknown_operator.nqpv: expected ['QV104@2:9'], got ['QV104@2:8']"
+        ]
 
 
 class TestPreflightOverhead:

@@ -314,6 +314,9 @@ class TestPipelineIntegration:
         configure_tracing(enabled=True)
         best = 0.0
         for _ in range(2):
+            # Free the previous run's report before the timer starts: its
+            # predicate matrices are released outside every span.
+            report = None
             get_tracer().clear()
             start = time.perf_counter()
             report = verify_formula(formula, register)

@@ -4,9 +4,10 @@ Two checks, mirroring the CI lint step:
 
 * every ``examples/*.nqpv`` program must be strict-clean — zero diagnostics
   from the static analyzer (``analyze_source``);
-* every ``examples/lint/*.nqpv`` program must produce exactly the diagnostic
-  codes recorded in the ``examples/lint/expected.json`` golden file (and every
-  golden entry must still have its corpus file).
+* every ``examples/lint/*.nqpv`` program must produce exactly the
+  diagnostics recorded in the ``examples/lint/expected.json`` golden file,
+  each pinned as ``CODE@line:column`` (and every golden entry must still
+  have its corpus file).
 
 The aggregate analyzer output (per-file diagnostics with spans, plus the
 pass/fail verdicts) is written as JSON — by default ``LINT_diagnostics.json``
@@ -38,6 +39,11 @@ def _analyze(path: Path):
     return analyze_source(path.read_text(), filename=path.name)
 
 
+def pinned(diagnostic) -> str:
+    """Return the golden form of one diagnostic: ``CODE@line:column``."""
+    return f"{diagnostic.code}@{diagnostic.span}"
+
+
 def run_corpus() -> Dict[str, Any]:
     """Run both corpus checks and return the aggregate report.
 
@@ -60,7 +66,7 @@ def run_corpus() -> Dict[str, Any]:
     for path in corpus_files:
         analysis = _analyze(path)
         files[f"examples/lint/{path.name}"] = analysis.to_dict()
-        actual = [diagnostic.code for diagnostic in analysis.diagnostics]
+        actual = [pinned(diagnostic) for diagnostic in analysis.diagnostics]
         expected = golden.get(path.name)
         if expected is None:
             failures.append(f"examples/lint/{path.name}: not in {GOLDEN_FILE.name} golden")
