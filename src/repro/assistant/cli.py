@@ -11,17 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 
-from ..exceptions import ReproError
+from ..exceptions import NameResolutionError, ParseError, ReproError, StaticAnalysisError
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import ProverOptions
 from ..telemetry import configure_tracing, get_tracer, metrics_snapshot
 from .session import Session
-from .verify import verify_source
+from .verify import build_task, verify_source
 
 __all__ = ["build_arg_parser", "main"]
 
@@ -188,10 +189,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit_telemetry(arguments)
             return 1 if failed else 0
 
+        # With --strict or --diagnostics-json the task is built first and
+        # its analysis read before the prover runs.
+        source = source_text
         if arguments.strict or arguments.diagnostics_json:
-            from ..analysis.static.analyzer import analyze_source
+            rejection = None
+            try:
+                source = build_task(source_text, session.environment, mode=session.mode)
+                analysis = replace(source.analysis, filename=str(source_path))
+            except (ParseError, NameResolutionError, StaticAnalysisError) as error:
+                # The error names the first finding of a rejected source; the
+                # analysis lists all of them.
+                from ..analysis.static.analyzer import analyze_source
 
-            analysis = analyze_source(source_text, session.environment, str(source_path))
+                rejection = error
+                analysis = analyze_source(source_text, session.environment, str(source_path))
             if arguments.diagnostics_json:
                 _write_diagnostics_json(arguments.diagnostics_json, analysis)
             if arguments.strict and not analysis.ok(strict=True):
@@ -199,9 +211,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("verification: FAILED")
                 _emit_telemetry(arguments)
                 return 1
+            if rejection is not None:
+                raise rejection
 
         report = verify_source(
-            source_text,
+            source,
             session.environment,
             mode=session.mode,
             options=session.options,

@@ -32,6 +32,7 @@ import numpy as np
 from ..exceptions import AssistantError, ParseError
 from ..language.lexer import Token, tokenize
 from ..language.names import OperatorEnvironment, default_environment
+from ..language.syntax import _RawParser
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import ProverOptions, VerificationReport
 from ..registers import QubitRegister
@@ -119,48 +120,30 @@ class Session:
 
     # --------------------------------------------------------- command script
     def run_script(self, script: str) -> List[str]:
-        """Execute a command script (``def``/``show`` commands) and return the outputs."""
-        tokens = tokenize(script)
+        """Execute a command script (``def``/``show`` commands) and return the outputs.
+
+        The command layer is read with the token cursor of the program
+        parser, so every syntax error in it is a ``ParseError`` with code
+        ``QV001`` at the offending token, as in a proof body.
+        """
+        parser = _RawParser(tokenize(script))
         outputs: List[str] = []
-        index = 0
-
-        def peek(offset: int = 0) -> Token:
-            return tokens[min(index + offset, len(tokens) - 1)]
-
-        def advance() -> Token:
-            nonlocal index
-            token = tokens[index]
-            if token.kind != "EOF":
-                index += 1
-            return token
-
-        def expect(kind: str) -> Token:
-            token = peek()
-            if token.kind != kind:
-                raise ParseError(
-                    f"expected {kind} but found {token.kind} ({token.value!r})",
-                    token.line,
-                    token.column,
-                )
-            return advance()
-
-        while peek().kind != "EOF":
-            token = peek()
+        while not parser.at("EOF"):
+            token = parser.advance()
             if token.kind == "DEF":
-                advance()
-                name_token = expect("ID")
-                expect("ASSIGN")
-                if peek().kind == "LOAD":
-                    advance()
-                    path_token = expect("STRING")
-                    expect("END")
+                name_token = parser.expect("ID")
+                parser.expect("ASSIGN")
+                if parser.at("LOAD"):
+                    parser.advance()
+                    path_token = parser.expect("STRING")
+                    parser.expect("END")
                     self.load(name_token.value, path_token.value)
                     outputs.append(f"loaded {name_token.value}")
-                elif peek().kind == "PROOF":
-                    advance()
-                    register_qubits = self._parse_register(expect, peek, advance)
-                    expect("COLON")
-                    body, index = self._collect_proof_body(tokens, index)
+                elif parser.at("PROOF"):
+                    parser.advance()
+                    register_qubits = parser.parse_qubit_list().values()
+                    parser.expect("COLON")
+                    body = self._collect_proof_body(parser)
                     term = self._prove(
                         name_token.value, register_qubits, body, _text(script, body)
                     )
@@ -169,31 +152,28 @@ class Session:
                         + ("verified" if term.verified else "not verified")
                     )
                 else:
-                    raise AssistantError("a definition must use 'load' or 'proof'")
+                    found = parser.peek()
+                    raise ParseError(
+                        f"expected LOAD or PROOF but found {found.kind} ({found.value!r})",
+                        found.line,
+                        found.column,
+                        code="QV001",
+                    )
             elif token.kind == "SHOW":
-                advance()
-                name_token = expect("ID")
-                expect("END")
+                name_token = parser.expect("ID")
+                parser.expect("END")
                 outputs.append(self.show(name_token.value))
             else:
                 raise ParseError(
-                    f"unexpected command token {token.value!r}", token.line, token.column
+                    f"unexpected command token {token.value!r}",
+                    token.line,
+                    token.column,
+                    code="QV001",
                 )
         return outputs
 
     @staticmethod
-    def _parse_register(expect, peek, advance) -> List[str]:
-        expect("LBRACKET")
-        names: List[str] = []
-        while peek().kind != "RBRACKET":
-            names.append(expect("ID").value)
-            if peek().kind == "COMMA":
-                advance()
-        expect("RBRACKET")
-        return names
-
-    @staticmethod
-    def _collect_proof_body(tokens: List[Token], index: int):
+    def _collect_proof_body(parser: _RawParser) -> List[Token]:
         """Collect the proof-body tokens up to the matching top-level ``end``.
 
         Nested ``if``/``while`` blocks contribute their own ``end`` keywords, so a
@@ -202,21 +182,20 @@ class Session:
         """
         depth = 0
         collected: List[Token] = []
-        while index < len(tokens):
-            token = tokens[index]
+        while True:
+            token = parser.advance()
             if token.kind in {"IF", "WHILE"}:
                 depth += 1
             elif token.kind == "END":
                 if depth == 0:
                     collected.append(Token("EOF", "", token.line, token.column))
-                    index += 1
-                    break
+                    return collected
                 depth -= 1
             elif token.kind == "EOF":
-                raise ParseError("unterminated proof definition", token.line, token.column)
+                raise ParseError(
+                    "unterminated proof definition", token.line, token.column, code="QV001"
+                )
             collected.append(token)
-            index += 1
-        return collected, index
 
 
 def _text(script: str, body: List[Token]) -> str:

@@ -138,20 +138,26 @@ def build_task(
 
 
 def verify_source(
-    source: Union[str, Sequence[Token]],
+    source: Union[str, Sequence[Token], VerificationTask],
     environment: Optional[OperatorEnvironment] = None,
     register: Optional[QubitRegister | Sequence[str]] = None,
     mode: CorrectnessMode = CorrectnessMode.PARTIAL,
     options: Optional[ProverOptions] = None,
 ) -> VerificationReport:
-    """Verify an annotated source (text, or tokens ending with ``EOF``) and return the report.
+    """Verify an annotated source and return the report.
 
-    The whole run is traced under one root span (``region="verify"``) with
-    ``parse``, ``prover`` and ``order-decision`` children when the process-wide
-    tracer is enabled (see :mod:`repro.telemetry`).
+    ``source`` is text, tokens ending with ``EOF``, or the task
+    :func:`build_task` already built from them; a task is proved as it is,
+    so ``environment``, ``register`` and ``mode`` then play no part.  The
+    whole run is traced under one root span (``region="verify"``) with
+    ``parse``, ``prover`` and ``order-decision`` children when the
+    process-wide tracer is enabled (see :mod:`repro.telemetry`).
     """
     with span("verify", region="verify", mode=mode.name) as verify_span:
-        task = build_task(source, environment, register, mode)
+        if isinstance(source, VerificationTask):
+            task = source
+        else:
+            task = build_task(source, environment, register, mode)
         report = verify_formula(task.formula, task.register, task.invariants, options)
         if task.analysis is not None:
             report.diagnostics = task.analysis.diagnostics

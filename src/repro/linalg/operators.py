@@ -3,7 +3,9 @@
 This module implements the operator-level notions of Sec. 2 of the paper:
 hermitian, unitary, positive operators, projectors, the Löwner partial order,
 and spectral decompositions.  Everything is numerical with a configurable
-absolute tolerance.
+absolute tolerance.  It also holds the two kernels of Kraus-form maps that
+are not specific to super-operators: the gram ``Σ_i E_i†E_i`` of an operator
+stack and the pivoted Cholesky factor of a positive semidefinite matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import zpstrf
 
 from ..exceptions import DimensionMismatchError, LinalgError
 from .constants import ATOL, ORDER_ATOL
@@ -33,7 +36,9 @@ __all__ = [
     "eigenvalue_bounds",
     "outer",
     "commutator",
+    "operator_stack",
     "kraus_gram",
+    "psd_factor",
     "num_qubits_of",
     "trace_inner",
 ]
@@ -198,20 +203,66 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+def operator_stack(operators: Iterable[np.ndarray]) -> np.ndarray:
+    """Return equally shaped square operators as one ``(k, d, d)`` complex array.
+
+    A complex ``(k, d, d)`` array is returned as it is, without a copy; a
+    sequence or iterator of matrices is stacked.  An empty input gives an
+    empty array.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the operators differ in shape or are not square matrices.
+    """
+    if not isinstance(operators, np.ndarray):
+        operators = [np.asarray(operator, dtype=complex) for operator in operators]
+        if not operators:
+            return np.zeros((0, 0, 0), dtype=complex)
+        if len({operator.shape for operator in operators}) > 1:
+            raise DimensionMismatchError(
+                f"operators of different shapes: {sorted({o.shape for o in operators})}"
+            )
+    stack = np.asarray(operators, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionMismatchError(f"expected square matrices, got a stack of shape {stack.shape}")
+    return stack
+
+
 def kraus_gram(operators: Iterable[np.ndarray]) -> np.ndarray:
-    """Return the gram ``Σ_i E_i†E_i`` of a non-empty Kraus operator list.
+    """Return the gram ``Σ_i E_i†E_i`` of a non-empty Kraus operator stack.
 
     The gram decides trace preservation (``= I``), the trace non-increasing
     side condition (``⊑ I``) and the maximal success probability
-    (``λ_max``) of a Kraus-form super-operator.
+    (``λ_max``) of a Kraus-form super-operator.  Stacking the rows of every
+    ``E_i`` into one ``(k·d) × d`` matrix ``R`` gives ``Σ_i E_i†E_i = R†R``,
+    one matrix product.
     """
-    operators = [np.asarray(operator, dtype=complex) for operator in operators]
-    if not operators:
+    stack = operator_stack(operators)
+    if not len(stack):
         raise LinalgError("kraus_gram requires at least one operator")
-    gram = np.zeros_like(operators[0])
-    for operator in operators:
-        gram = gram + dagger(operator) @ operator
-    return gram
+    rows = stack.reshape(-1, stack.shape[2])
+    return rows.conj().T @ rows
+
+
+def psd_factor(matrix: np.ndarray, atol: float) -> np.ndarray:
+    """Return ``W`` (``m × r``) with ``matrix ≈ W W†``, for a positive semidefinite ``matrix``.
+
+    LAPACK's pivoted Cholesky ``zpstrf`` reads the lower triangle of
+    ``matrix`` and factors ``Pᵀ · matrix · P = L L†``.  At each step it
+    pivots on the largest diagonal entry of the remaining Schur complement,
+    and it stops once that entry is ``≤ atol``.  ``W = P L`` keeps the ``r``
+    columns it computed, un-permuted.  In exact arithmetic the part left
+    out, ``matrix − W W†``, is a positive semidefinite Schur complement
+    whose diagonal entries are all ``≤ atol``, so its trace is at most
+    ``(m − r) · atol``.  ``r`` is 0 when no diagonal entry exceeds ``atol``.
+    """
+    factor, pivots, rank, info = zpstrf(matrix, tol=atol, lower=1)
+    if info < 0:
+        raise LinalgError(f"zpstrf rejected argument {-info}")
+    result = np.empty((matrix.shape[0], rank), dtype=complex)
+    result[pivots - 1] = np.tril(factor[:, :rank])
+    return result
 
 
 def num_qubits_of(matrix: np.ndarray) -> int:

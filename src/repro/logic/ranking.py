@@ -127,7 +127,7 @@ def _iteration_stacks(body_maps: Sequence[SuperOperator], p1: SuperOperator):
     projector = p1.kraus_operators[0]
     stacks = []
     for channel in body_maps:
-        operators = np.stack(channel.kraus_operators) @ projector
+        operators = channel.kraus_operators @ projector
         count, dimension, _ = operators.shape
         right = operators.transpose(1, 0, 2).reshape(dimension, count * dimension)
         left = operators.conj().transpose(2, 0, 1).reshape(dimension, count * dimension)

@@ -359,8 +359,10 @@ def loop_iterates(
     has trace norm ``Σ_i ‖K_i‖²_F < convergence_tolerance`` (that iterate is
     still included), or once the success probability bound of the loop
     prefix drops below it.  The norm is read off the increment's Kraus
-    operators, so no Choi matrix is built.  The final element approximates
-    the least upper bound, i.e. the loop's semantics under the scheduler.
+    operators, so no Choi matrix is built; the prefix's bound is bracketed
+    by its trace first, so most iterations need no eigensolve.  The final
+    element approximates the least upper bound, i.e. the loop's semantics
+    under the scheduler.
 
     ``body_maps`` are the loop body's denotations.
 
@@ -408,10 +410,26 @@ def loop_iterates(
                 break
             # Once the prefix itself is (numerically) zero the loop can never
             # produce further contributions, e.g. for almost-surely terminating loops.
-            if prefix.probability_bound() < options.convergence_tolerance:
+            if _probability_bound_below(prefix, options.convergence_tolerance):
                 break
         chain_span.set_tag("iterations", len(iterates))
     return iterates
+
+
+def _probability_bound_below(prefix: SuperOperator, tolerance: float) -> bool:
+    """Return ``prefix.probability_bound() < tolerance``, eigensolving only when needed.
+
+    The gram ``G = Σ K_i†K_i`` is positive semidefinite with trace
+    ``t = Σ_i ‖K_i‖²_F``, so ``t/d ≤ λ_max(G) ≤ t``: ``t < tolerance``
+    decides yes and ``t ≥ d · tolerance`` decides no.  Only a trace in
+    between needs ``λ_max`` itself.
+    """
+    trace = prefix.choi_trace()
+    if trace < tolerance:
+        return True
+    if trace >= prefix.dimension * tolerance:
+        return False
+    return prefix.probability_bound() < tolerance
 
 
 def _maybe_simplify(channel: SuperOperator, options: DenotationOptions) -> SuperOperator:

@@ -3,15 +3,16 @@
 Two interoperable representations of a completely positive map are provided:
 
 * **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}`` on the full
-  register; the form the semantic engines compute with, as in the paper's
-  presentation.  A statement on a few qubits enters as its cylinder
-  extension (:meth:`~repro.superop.kraus.SuperOperator.embed`).
+  register, stored as one ``(k, d, d)`` array; the form the semantic
+  engines compute with, as in the paper's presentation.  A statement on a
+  few qubits enters as its cylinder extension
+  (:meth:`~repro.superop.kraus.SuperOperator.embed`).
 * **Choi** (:mod:`.choi`) — the ``d²×d²`` positive matrix ``Σ vec(E_i)vec(E_i)†``;
   best for order/positivity questions (Lemma 3.1) and for recovering minimal
   Kraus decompositions.
 
 Conversions are lossless: Kraus→Choi is one matrix product and Choi→Kraus
-is an eigendecomposition.
+is a pivoted Cholesky factorisation.
 """
 
 from .channels import (

@@ -9,26 +9,28 @@ matrices.
 
 Within :mod:`repro.superop` the Choi matrix is the *order* representation:
 positivity of a map and the ``⪯`` comparison are spectral properties of the
-Choi matrix, and a minimal Kraus decomposition falls out of its
-eigendecomposition (:func:`kraus_from_choi`).
+Choi matrix, and a minimal Kraus decomposition falls out of its pivoted
+Cholesky factorisation (:func:`kraus_from_choi`), which needs no
+eigensolve.
 
 Stacking the row-vectorised Kraus operators as the rows of a ``k × d²``
 matrix ``V`` gives ``Choi = Vᵀ V̄``: :func:`choi_matrix` builds it with one
-matrix product, and its ``d⁴ · 16`` bytes are the largest object the
-library allocates.  :meth:`~repro.superop.kraus.SuperOperator.simplified`
-avoids it when ``k < d²`` by working with the ``k × k`` Gram matrix
-``V̄ Vᵀ`` instead, which has the same non-zero spectrum.
+matrix product on the ``(k, d, d)`` operator array, and its ``d⁴ · 16``
+bytes are the largest object the library allocates.
+:meth:`~repro.superop.kraus.SuperOperator.simplified` avoids it when
+``k < d²`` by factoring the ``k × k`` Gram matrix ``V̄ Vᵀ`` instead, which
+has the same non-zero spectrum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 import numpy as np
 
 from ..exceptions import LinalgError
-from ..linalg.constants import ATOL, ORDER_ATOL
-from ..linalg.operators import dagger, is_positive, loewner_le
+from ..linalg.constants import ORDER_ATOL
+from ..linalg.operators import is_positive, loewner_le, operator_stack, psd_factor
 from ..telemetry.tracing import span
 
 __all__ = [
@@ -48,12 +50,13 @@ def choi_matrix(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
     ``vec`` stacks matrix rows, so the Choi matrix equals
     ``Σ_{jk} |j⟩⟨k| ⊗ E(|j⟩⟨k|)`` up to the chosen vectorisation convention.
     The sum is one matrix product ``Vᵀ V̄``, where row ``i`` of ``V`` is
-    ``vec(E_i)``.
+    ``vec(E_i)``: a ``(k, d, d)`` array is reshaped in place, a sequence of
+    matrices is stacked first.
     """
-    kraus = [np.asarray(operator, dtype=complex) for operator in kraus_operators]
-    if not kraus:
+    kraus = operator_stack(kraus_operators)
+    if not len(kraus):
         raise LinalgError("a Choi matrix needs at least one Kraus operator")
-    dimension = kraus[0].shape[0]
+    dimension = kraus.shape[1]
     side = dimension * dimension
     with span(
         "choi",
@@ -62,7 +65,7 @@ def choi_matrix(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
         kraus_rank=len(kraus),
         bytes=side * side * 16,
     ):
-        vectors = np.stack(kraus).reshape(len(kraus), side)
+        vectors = kraus.reshape(len(kraus), side)
         return vectors.T @ vectors.conj()
 
 
@@ -85,25 +88,26 @@ def choi_from_apply(apply_map, dimension: int) -> np.ndarray:
     return tensor.reshape(dimension * dimension, dimension * dimension)
 
 
-def kraus_from_choi(choi: np.ndarray, atol: float = 1e-10) -> List[np.ndarray]:
-    """Recover a minimal Kraus decomposition from a Choi matrix.
+def kraus_from_choi(choi: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """Recover a minimal Kraus decomposition from a Choi matrix, as a ``(r, d, d)`` array.
 
-    Every eigenpair ``(λ, w)`` with ``λ > atol`` gives the Kraus operator
-    ``√λ · w`` (un-vectorised), so the count is the numerical rank of the
-    Choi matrix.  A Choi matrix with no such eigenvalue gives the single
-    zero operator.
+    The pivoted Cholesky factor ``W`` of :func:`~repro.linalg.operators.psd_factor`
+    has ``Choi ≈ W W†``, so its ``r`` columns, un-vectorised, are Kraus
+    operators of the map.  Pivoting stops once the largest remaining Schur
+    diagonal is ``≤ atol``, so ``r`` is the numerical rank of the Choi
+    matrix and the part left out has trace at most ``(d² − r) · atol``.  A
+    Choi matrix with no diagonal entry above ``atol`` gives the single zero
+    operator.
     """
     choi = np.asarray(choi, dtype=complex)
     side = choi.shape[0]
     dimension = int(round(np.sqrt(side)))
     if dimension * dimension != side:
         raise LinalgError("Choi matrix side length must be a perfect square")
-    eigenvalues, eigenvectors = np.linalg.eigh((choi + dagger(choi)) / 2)
-    keep = eigenvalues > atol
-    if not keep.any():
-        return [np.zeros((dimension, dimension), dtype=complex)]
-    scaled = eigenvectors[:, keep] * np.sqrt(eigenvalues[keep])
-    return list(scaled.T.reshape(-1, dimension, dimension))
+    factor = psd_factor(choi, atol)
+    if not factor.shape[1]:
+        return np.zeros((1, dimension, dimension), dtype=complex)
+    return factor.T.reshape(-1, dimension, dimension)
 
 
 def is_cp_choi(choi: np.ndarray, atol: float = ORDER_ATOL) -> bool:

@@ -79,7 +79,7 @@ class _Screen:
         probe, self.probe_l1 = _probe(maps[0].dimension)
         images = []
         for channel in maps:
-            columns = np.stack([operator @ probe for operator in channel.kraus_operators])
+            columns = channel.kraus_operators @ probe  # row i is E_i ψ
             images.append((columns.T @ columns.conj()).reshape(-1))
         self.images = np.stack(images)
         self.traces = np.array([channel.choi_trace() for channel in maps])

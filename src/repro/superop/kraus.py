@@ -11,26 +11,39 @@ CPO order ``⪯`` of Sec. 3.2.
 
 The Kraus form is the representation the semantic engines compute with; the
 Choi matrix of :mod:`~repro.superop.choi` is derived from it for comparisons.
-Applying a map with ``k`` operators to a state costs ``k·d³``; the operator
-count multiplies under composition.  :meth:`equals` and :meth:`precedes`
-build a ``d²×d²`` Choi matrix per map, while the set comparisons of
-:mod:`~repro.superop.compare` build one only to confirm a pair their probe
-screen cannot separate.  :meth:`SuperOperator.simplified` keeps the count in
-check: it eigendecomposes the ``k×k`` Gram matrix of the Kraus operators
-when ``k < d²`` and the Choi matrix otherwise, so compressing a map never
-builds a ``d²×d²`` object that is larger than its Kraus list.
+The ``k`` operators are stored as one read-only ``(k, d, d)`` complex array,
+so every operation of the algebra is one batched numpy call on it:
+composition is one broadcast ``matmul`` of ``k·l`` products, addition one
+``concatenate``, and the gram ``Σ_i E_i†E_i`` one matrix product.  Applying
+a map to a state costs ``k·d³``; the operator count multiplies under
+composition.  :meth:`equals` and :meth:`precedes` build a ``d²×d²`` Choi
+matrix per map, while the set comparisons of :mod:`~repro.superop.compare`
+build one only to confirm a pair their probe screen cannot separate.
+:meth:`SuperOperator.simplified` keeps the count in check with a pivoted
+Cholesky factorisation of the ``k×k`` Gram matrix of the Kraus operators
+when ``k < d²`` and of the Choi matrix otherwise, so compressing a map never
+builds a ``d²×d²`` object that is larger than its Kraus list and never
+eigensolves.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..exceptions import DimensionMismatchError, SuperOperatorError
 from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
-from ..linalg.operators import dagger, is_positive, is_unitary, kraus_gram, loewner_le, num_qubits_of
+from ..linalg.operators import (
+    is_positive,
+    is_unitary,
+    kraus_gram,
+    loewner_le,
+    num_qubits_of,
+    operator_stack,
+    psd_factor,
+)
 from ..telemetry.tracing import span
 from .choi import choi_matrix, kraus_from_choi
 
@@ -43,7 +56,8 @@ class SuperOperator:
     Parameters
     ----------
     kraus_operators:
-        Non-empty sequence of equally-shaped square matrices.
+        Non-empty sequence of equally-shaped square matrices, or one
+        ``(k, d, d)`` array.  The map keeps its own read-only copy.
     validate:
         When ``True`` (default) the constructor checks that the map is trace
         non-increasing (``Σ E_i†E_i ⊑ I``), as assumed throughout the paper.
@@ -52,30 +66,43 @@ class SuperOperator:
     __slots__ = ("_kraus", "_dimension")
 
     def __init__(self, kraus_operators: Iterable[np.ndarray], validate: bool = True):
-        kraus = [np.asarray(operator, dtype=complex) for operator in kraus_operators]
-        if not kraus:
+        kraus = operator_stack(kraus_operators)
+        if not len(kraus):
             raise SuperOperatorError("a super-operator needs at least one Kraus operator")
-        dimension = kraus[0].shape[0]
-        for operator in kraus:
-            if operator.ndim != 2 or operator.shape != (dimension, dimension):
-                raise DimensionMismatchError(
-                    f"all Kraus operators must be {dimension}x{dimension} square matrices"
-                )
-        self._kraus: Tuple[np.ndarray, ...] = tuple(kraus)
-        self._dimension = dimension
+        if kraus is kraus_operators:
+            kraus = kraus.copy()  # freeze a copy, never the caller's array
+        self._set(kraus)
         if validate and not self.is_trace_nonincreasing():
             raise SuperOperatorError("super-operator is not trace non-increasing")
+
+    def _set(self, kraus: np.ndarray) -> None:
+        """Store ``kraus`` as the map's C-contiguous, read-only ``(k, d, d)`` array."""
+        kraus = np.ascontiguousarray(kraus)
+        kraus.setflags(write=False)
+        self._kraus = kraus
+        self._dimension = kraus.shape[1]
+
+    @classmethod
+    def _of(cls, kraus: np.ndarray) -> "SuperOperator":
+        """Wrap a ``(k, d, d)`` complex array this module just computed, unchecked."""
+        channel = cls.__new__(cls)
+        channel._set(kraus)
+        return channel
+
+    def __reduce__(self):
+        # Unpickling goes through the constructor, so the array stays read-only.
+        return SuperOperator, (self._kraus, False)
 
     # ------------------------------------------------------------ constructors
     @classmethod
     def identity(cls, dimension: int) -> "SuperOperator":
         """Return the identity super-operator on a ``dimension``-dimensional space."""
-        return cls([np.eye(dimension, dtype=complex)], validate=False)
+        return cls._of(np.eye(dimension, dtype=complex)[np.newaxis])
 
     @classmethod
     def zero(cls, dimension: int) -> "SuperOperator":
         """Return the zero super-operator (the semantics of ``abort``)."""
-        return cls([np.zeros((dimension, dimension), dtype=complex)], validate=False)
+        return cls._of(np.zeros((1, dimension, dimension), dtype=complex))
 
     @classmethod
     def from_unitary(cls, unitary: np.ndarray) -> "SuperOperator":
@@ -100,12 +127,12 @@ class SuperOperator:
         """
         if not -ATOL <= value <= 1.0 + ATOL:
             raise SuperOperatorError("a scalar super-operator must have a value in [0, 1]")
-        return cls([np.sqrt(max(value, 0.0)) * np.eye(dimension, dtype=complex)], validate=False)
+        return cls._of(np.sqrt(max(value, 0.0)) * np.eye(dimension, dtype=complex)[np.newaxis])
 
     @classmethod
     def from_projectors(cls, projectors: Iterable[np.ndarray]) -> "SuperOperator":
         """Return the measurement channel ``ρ ↦ Σ_i P_i ρ P_i``."""
-        return cls(list(projectors))
+        return cls(projectors)
 
     @classmethod
     def initializer(cls, num_qubits: int) -> "SuperOperator":
@@ -114,20 +141,18 @@ class SuperOperator:
         Kraus operators are ``|0⟩⟨i|`` for each basis vector ``|i⟩`` (Fig. 2).
         """
         dimension = 2 ** num_qubits
-        kraus = []
-        for index in range(dimension):
-            operator = np.zeros((dimension, dimension), dtype=complex)
-            operator[0, index] = 1.0
-            kraus.append(operator)
-        return cls(kraus, validate=False)
+        kraus = np.zeros((dimension, dimension, dimension), dtype=complex)
+        kraus[:, 0, :] = np.eye(dimension)
+        return cls._of(kraus)
 
     # ------------------------------------------------------------- properties
     @property
-    def kraus_operators(self) -> Tuple[np.ndarray, ...]:
-        """The Kraus operators, as a tuple so the channel cannot be mutated in place.
+    def kraus_operators(self) -> np.ndarray:
+        """The Kraus operators as one read-only ``(k, d, d)`` array.
 
-        The individual arrays are shared (not copied) for performance; treat
-        them as read-only as well.
+        It is the map's own storage, not a copy: writing into it raises.
+        ``len``, indexing, iteration and ``np.stack`` treat it as the
+        sequence of the ``k`` operators.
         """
         return self._kraus
 
@@ -162,7 +187,7 @@ class SuperOperator:
 
         For a completely positive map this is its trace norm.
         """
-        return float(sum(np.vdot(operator, operator).real for operator in self._kraus))
+        return float(np.vdot(self._kraus, self._kraus).real)
 
     # -------------------------------------------------------------- application
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -172,10 +197,11 @@ class SuperOperator:
             raise DimensionMismatchError(
                 f"state of shape {rho.shape} incompatible with dimension {self._dimension}"
             )
-        result = np.zeros_like(rho)
-        for operator in self._kraus:
-            result = result + operator @ rho @ dagger(operator)
-        return result
+        # [E_1ρ … E_kρ] side by side times [E_1†; …; E_k†] stacked: one
+        # product sums the k terms.
+        dimension = self._dimension
+        images = (self._kraus @ rho).transpose(1, 0, 2).reshape(dimension, -1)
+        return images @ self._kraus.conj().transpose(0, 2, 1).reshape(-1, dimension)
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         return self.apply(rho)
@@ -187,10 +213,11 @@ class SuperOperator:
             raise DimensionMismatchError(
                 f"observable of shape {observable.shape} incompatible with dimension {self._dimension}"
             )
-        result = np.zeros_like(observable)
-        for operator in self._kraus:
-            result = result + dagger(operator) @ observable @ operator
-        return result
+        # [E_1† … E_k†] side by side times [M E_1; …; M E_k] stacked: one
+        # product sums the k terms.
+        dimension = self._dimension
+        adjoints = self._kraus.conj().transpose(2, 0, 1).reshape(dimension, -1)
+        return adjoints @ (observable @ self._kraus).reshape(-1, dimension)
 
     def adjoint(self) -> "SuperOperator":
         """Return ``E†`` as a super-operator (Kraus operators ``E_i†``).
@@ -198,14 +225,17 @@ class SuperOperator:
         Note the adjoint of a trace non-increasing map is generally *not* trace
         non-increasing, so no validation is performed.
         """
-        return SuperOperator([dagger(operator) for operator in self._kraus], validate=False)
+        return SuperOperator._of(self._kraus.conj().transpose(0, 2, 1))
 
     # ------------------------------------------------------------------ algebra
     def compose(self, other: "SuperOperator") -> "SuperOperator":
-        """Return ``self ∘ other`` (first ``other``, then ``self``)."""
+        """Return ``self ∘ other`` (first ``other``, then ``self``).
+
+        The ``k·l`` products ``E_i F_j`` come out in the order ``i``-major.
+        """
         self._check_dimension(other)
-        kraus = [a @ b for a in self._kraus for b in other._kraus]
-        return SuperOperator(kraus, validate=False)
+        products = self._kraus[:, np.newaxis] @ other._kraus[np.newaxis]
+        return SuperOperator._of(products.reshape(-1, self._dimension, self._dimension))
 
     def then(self, other: "SuperOperator") -> "SuperOperator":
         """Return ``other ∘ self`` (first ``self``, then ``other``)."""
@@ -217,25 +247,25 @@ class SuperOperator:
     def __add__(self, other: "SuperOperator") -> "SuperOperator":
         """Return the pointwise sum (Kraus lists concatenated)."""
         self._check_dimension(other)
-        return SuperOperator(self._kraus + other._kraus, validate=False)
+        return SuperOperator._of(np.concatenate([self._kraus, other._kraus]))
 
     def __mul__(self, scalar: float) -> "SuperOperator":
         if scalar < -ATOL:
             raise SuperOperatorError("super-operators can only be scaled by non-negative factors")
-        factor = np.sqrt(max(scalar, 0.0))
-        return SuperOperator([factor * operator for operator in self._kraus], validate=False)
+        return SuperOperator._of(np.sqrt(max(scalar, 0.0)) * self._kraus)
 
     __rmul__ = __mul__
 
     def tensor(self, other: "SuperOperator") -> "SuperOperator":
-        """Return the tensor product ``self ⊗ other``."""
-        kraus = [np.kron(a, b) for a in self._kraus for b in other._kraus]
-        return SuperOperator(kraus, validate=False)
+        """Return the tensor product ``self ⊗ other`` (operators ``E_i ⊗ F_j``, ``i``-major)."""
+        dimension = self._dimension * other._dimension
+        products = np.einsum("aij,bkl->abikjl", self._kraus, other._kraus)
+        return SuperOperator._of(products.reshape(-1, dimension, dimension))
 
     def embed(self, qubits: Sequence[str], register) -> "SuperOperator":
         """Return the cylinder extension of the map onto a full :class:`QubitRegister`."""
-        kraus = [register.embed(operator, qubits) for operator in self._kraus]
-        return SuperOperator(kraus, validate=False)
+        embedded = [register.embed(operator, qubits) for operator in self._kraus]
+        return SuperOperator._of(np.stack(embedded))
 
     # ----------------------------------------------------------------- ordering
     def equals(self, other: "SuperOperator", atol: float = ATOL) -> bool:
@@ -272,20 +302,23 @@ class SuperOperator:
 
         With row ``i`` of the ``k × d²`` matrix ``V`` equal to ``vec(E_i)``,
         the Choi matrix ``Vᵀ V̄`` (``d² × d²``) and the Gram matrix ``V̄ Vᵀ``
-        (``k × k``) have the same non-zero eigenvalues, and the smaller one
-        is eigendecomposed:
+        (``k × k``) have the same non-zero spectrum, and the smaller one is
+        factored by pivoted Cholesky (:func:`~repro.linalg.operators.psd_factor`)
+        as ``W W†`` with ``r`` columns:
 
-        * ``k < d²`` — the Gram side: for ``V̄ Vᵀ = U Λ U†`` the operators
-          ``U[:, λ > atol]ᵀ V`` (un-vectorised) are a minimal decomposition,
-          and no ``d² × d²`` object is built;
+        * ``k < d²`` — the Gram side: ``W`` spans the range of ``V̄``, so for
+          the thin QR ``W̄ = QR`` the ``r`` operators ``Q† V`` (un-vectorised)
+          describe the same map, and no ``d² × d²`` object is built;
         * ``k ≥ d²`` — the Choi side: :func:`~repro.superop.choi.kraus_from_choi`
-          on the Choi matrix.
+          on the Choi matrix, whose factor columns are the new ``vec(F_m)``.
 
-        Either way eigenvalues ``≤ atol`` are dropped, so the result has as
-        many operators as the numerical rank of the Choi matrix; the zero map
-        gives :meth:`zero`.  This keeps the number of Kraus operators from
-        exploding when composing many maps (loop fixpoints, the Grover
-        performance experiment).
+        Either way pivoting stops once the largest remaining Schur diagonal
+        of the ``m × m`` factored matrix is ``≤ atol``, so the result has as
+        many operators as its numerical rank and the map left out has trace
+        norm at most ``(m − r) · atol``; the zero map gives :meth:`zero`.
+        The ``simplify`` span records that trace as ``dropped``.  This keeps
+        the number of Kraus operators from exploding when composing many maps
+        (loop fixpoints, the Grover performance experiment).
         """
         rank_in = len(self._kraus)
         dimension = self._dimension
@@ -299,16 +332,18 @@ class SuperOperator:
             side="gram" if gram_side else "choi",
         ) as simplify_span:
             if gram_side:
-                vectors = np.stack(self._kraus).reshape(rank_in, side)
-                gram = vectors.conj() @ vectors.T
-                eigenvalues, eigenvectors = np.linalg.eigh((gram + dagger(gram)) / 2)
-                keep = eigenvalues > atol
-                combined = eigenvectors[:, keep].T @ vectors
-                kraus = list(combined.reshape(-1, dimension, dimension))
+                vectors = self._kraus.reshape(rank_in, side)
+                factor = psd_factor(vectors.conj() @ vectors.T, atol)
+                if factor.shape[1]:
+                    basis, _ = np.linalg.qr(factor.conj())
+                    kraus = (basis.conj().T @ vectors).reshape(-1, dimension, dimension)
+                    result = SuperOperator._of(kraus)
+                else:
+                    result = SuperOperator.zero(dimension)
             else:
-                kraus = kraus_from_choi(self.choi(), atol=atol)
-            result = SuperOperator(kraus, validate=False) if kraus else SuperOperator.zero(dimension)
+                result = SuperOperator._of(kraus_from_choi(self.choi(), atol=atol))
             simplify_span.set_tag("rank_out", len(result._kraus))
+            simplify_span.set_tag("dropped", self.choi_trace() - result.choi_trace())
         return result
 
     def probability_bound(self) -> float:

@@ -8,7 +8,13 @@ import pytest
 from repro.assistant.cli import main as cli_main
 from repro.assistant.session import Session
 from repro.assistant.verify import build_task, resolve_assertion, verify, verify_source
-from repro.exceptions import AssistantError, InvariantError, NameResolutionError, StaticAnalysisError
+from repro.exceptions import (
+    AssistantError,
+    InvariantError,
+    NameResolutionError,
+    ParseError,
+    StaticAnalysisError,
+)
 from repro.language.ast import Unitary
 from repro.language.names import default_environment
 from repro.language.parser import AssertionSpec, PredicateTerm, parse_annotated_program
@@ -195,6 +201,33 @@ class TestScriptPositions:
         assert calls == []
         assert session.proofs["pf"].source == (
             "{ P1[q] };\n    [q] := 0;\n    [q] *= H;\n    { P0[q] }"
+        )
+
+
+class TestCommandLayerSyntaxErrors:
+    """A syntax error in the command layer is a ``QV001`` ParseError at its token."""
+
+    # (script, message, line, column)
+    CASES = [
+        ('def := load "x" end', "expected ID but found ASSIGN (':=')", 1, 5),
+        ("def x := foo end", "expected LOAD or PROOF but found ID ('foo')", 1, 10),
+        ("frob", "unexpected command token 'frob'", 1, 1),
+        ("show pf", "expected END but found EOF ('')", 1, 8),
+        ("def pf := proof [q : skip end", "expected ID but found COLON (':')", 1, 20),
+        ("def pf := proof [q] :\n  { I[q] }; skip; { I[q] }", "unterminated proof definition",
+         2, 27),
+    ]
+
+    @pytest.mark.parametrize("script, message, line, column", CASES)
+    def test_error_carries_qv001_and_position(self, script, message, line, column):
+        with pytest.raises(ParseError) as excinfo:
+            Session().run_script(script)
+        error = excinfo.value
+        assert (error.code, error.message, error.line, error.column) == (
+            "QV001",
+            message,
+            line,
+            column,
         )
 
 

@@ -338,6 +338,35 @@ class TestLoopConvergence:
         chains = _loop_chains(runs)
         assert chains and all(len(chain) >= 2 for chain in chains.values())
 
+    @pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
+    def test_trace_bracket_gives_the_chains_of_the_eigensolve_rule(self, monkeypatch, name):
+        # The prefix stop rule decides λ_max(Σ K†K) < tol from tr/d ≤ λ_max ≤ tr
+        # first; the reference rule eigensolves at every iteration.
+        calls = {"eigensolves": 0}
+        bound = kraus_module.SuperOperator.probability_bound
+
+        def counting_bound(channel):
+            calls["eigensolves"] += 1
+            return bound(channel)
+
+        monkeypatch.setattr(kraus_module.SuperOperator, "probability_bound", counting_bound)
+        runs = _loop_runs(name)
+        bracketed = _loop_chains(runs)
+        bracketed_calls = calls["eigensolves"]
+        monkeypatch.setattr(
+            denotational,
+            "_probability_bound_below",
+            lambda prefix, tolerance: prefix.probability_bound() < tolerance,
+        )
+        calls["eigensolves"] = 0
+        reference = _loop_chains(runs)
+        assert bracketed.keys() == reference.keys()
+        for key, chain in bracketed.items():
+            assert len(chain) == len(reference[key]), key
+            for mine, theirs in zip(chain, reference[key]):
+                assert np.array_equal(mine.kraus_operators, theirs.kraus_operators)
+        assert bracketed_calls <= calls["eigensolves"]
+
     #: cos²θ of the rotation ``Ry(θ)`` in the closed-form loop below.
     COS2 = 0.9
 

@@ -641,6 +641,64 @@ class TestCliLint:
         assert "verification: FAILED" in capsys.readouterr().out
 
 
+class TestCliBuildsTheTaskOnce:
+    """``--strict`` and ``--diagnostics-json`` reuse the analysis of the one task built."""
+
+    #: (source, accepted by ``build_task``): the accepted ones are tokenized once.
+    SOURCES = [
+        (EXAMPLES_DIR / "bitflip.nqpv", True),
+        (CORPUS_DIR / "use_before_init.nqpv", True),
+        (CORPUS_DIR / "unknown_operator.nqpv", False),
+        (CORPUS_DIR / "missing_invariant.nqpv", False),
+        (CORPUS_DIR / "syntax_error.nqpv", False),
+    ]
+
+    @staticmethod
+    def run(capsys, monkeypatch, arguments):
+        from repro.language import syntax
+
+        calls = []
+        tokenize = syntax.tokenize
+
+        def counting_tokenize(source):
+            calls.append(source)
+            return tokenize(source)
+
+        monkeypatch.setattr(syntax, "tokenize", counting_tokenize)
+        code = cli_main(arguments)
+        monkeypatch.setattr(syntax, "tokenize", tokenize)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, len(calls)
+
+    @pytest.mark.parametrize("path, accepted", SOURCES, ids=[path.name for path, _ in SOURCES])
+    def test_strict_output_and_exit_code(self, capsys, monkeypatch, path, accepted):
+        plain = self.run(capsys, monkeypatch, [str(path)])
+        code, out, err, tokenized = self.run(capsys, monkeypatch, [str(path), "--strict"])
+        analysis = analyze_source(path.read_text(), filename=str(path))
+        if analysis.ok(strict=True):
+            assert (code, out, err) == plain[:3]
+        else:
+            assert (code, out, err) == (1, analysis.render() + "\nverification: FAILED\n", "")
+        if accepted:
+            assert tokenized == 1
+
+    @pytest.mark.parametrize("path, accepted", SOURCES, ids=[path.name for path, _ in SOURCES])
+    def test_diagnostics_json_output_and_exit_code(
+        self, tmp_path, capsys, monkeypatch, path, accepted
+    ):
+        target = tmp_path / "diagnostics.json"
+        plain = self.run(capsys, monkeypatch, [str(path)])
+        code, out, err, tokenized = self.run(
+            capsys, monkeypatch, [str(path), "--diagnostics-json", str(target)]
+        )
+        assert (code, out, err) == plain[:3]
+        assert json.loads(target.read_text()) == json.loads(
+            json.dumps(analyze_source(path.read_text(), filename=str(path)).to_dict())
+        )
+        if accepted:
+            assert tokenized == 1
+
+
 class TestCorpusGolden:
     def test_corpus_matches_golden(self):
         report = check_lint_corpus.run_corpus()

@@ -34,10 +34,51 @@ class TestConstruction:
     def test_empty_kraus_rejected(self):
         with pytest.raises(SuperOperatorError):
             SuperOperator([])
+        with pytest.raises(SuperOperatorError):
+            SuperOperator(np.zeros((0, 2, 2), dtype=complex))
 
     def test_mismatched_kraus_shapes_rejected(self):
         with pytest.raises(DimensionMismatchError):
             SuperOperator([I2, CX])
+        with pytest.raises(DimensionMismatchError):
+            SuperOperator([np.zeros((2, 3))])
+        with pytest.raises(DimensionMismatchError):
+            SuperOperator(np.zeros((2, 2, 3)))
+
+    def test_list_and_array_give_the_same_stack(self):
+        kraus = random_kraus_operators(4, count=3, seed=5)
+        from_list = SuperOperator(kraus)
+        from_array = SuperOperator(np.stack(kraus))
+        from_iterator = SuperOperator(operator for operator in kraus)
+        for channel in (from_list, from_array, from_iterator):
+            assert channel.kraus_operators.shape == (3, 4, 4)
+            assert channel.kraus_operators.dtype == complex
+            assert np.array_equal(channel.kraus_operators, np.stack(kraus))
+
+    def test_kraus_operators_are_read_only(self):
+        channel = SuperOperator.initializer(2)
+        with pytest.raises(ValueError):
+            channel.kraus_operators[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            channel.kraus_operators[1][:] = 0.0
+        restored = pickle.loads(pickle.dumps(channel))
+        with pytest.raises(ValueError):
+            restored.kraus_operators[0, 0, 0] = 5.0
+
+    def test_constructor_copies_the_callers_array(self):
+        kraus = np.stack([P0, P1]).astype(complex)
+        channel = SuperOperator(kraus)
+        kraus[0] = X
+        assert kraus.flags.writeable
+        assert np.array_equal(channel.kraus_operators, np.stack([P0, P1]))
+
+    def test_kraus_operators_behave_as_a_sequence(self):
+        channel = SuperOperator([P0, X @ P1])
+        operators = channel.kraus_operators
+        assert len(operators) == 2
+        assert np.array_equal(operators[1], X @ P1)
+        assert [np.array_equal(a, b) for a, b in zip(operators, [P0, X @ P1])] == [True, True]
+        assert np.array_equal(np.stack(operators), np.stack([P0, X @ P1]))
 
     def test_scalar(self):
         half = SuperOperator.scalar(0.5, 2)
@@ -163,6 +204,79 @@ class TestOrderingAndEquality:
         assert SuperOperator.zero(2).probability_bound() == pytest.approx(0.0)
 
 
+def random_map(dimension, count, seed):
+    return SuperOperator(
+        random_kraus_operators(dimension, count=count, trace_preserving=False, seed=seed),
+        validate=False,
+    )
+
+
+class TestBatchedAlgebraAgainstPerOperatorReference:
+    """Each batched kernel equals the loop over single operators it replaced."""
+
+    TOLERANCE = 1e-13
+
+    @pytest.fixture(params=[2, 4, 8])
+    def pair(self, request):
+        dimension = request.param
+        first = random_map(dimension, 3, seed=dimension)
+        return first, random_map(dimension, 2, seed=dimension + 1)
+
+    def close(self, left, right):
+        return np.allclose(left, right, rtol=0, atol=self.TOLERANCE)
+
+    def test_compose(self, pair):
+        a, b = pair
+        reference = [x @ y for x in a.kraus_operators for y in b.kraus_operators]
+        assert self.close(a.compose(b).kraus_operators, np.stack(reference))
+
+    def test_add(self, pair):
+        a, b = pair
+        reference = list(a.kraus_operators) + list(b.kraus_operators)
+        assert self.close((a + b).kraus_operators, np.stack(reference))
+
+    def test_scaling(self, pair):
+        a, _ = pair
+        reference = [np.sqrt(0.3) * operator for operator in a.kraus_operators]
+        assert self.close((0.3 * a).kraus_operators, np.stack(reference))
+
+    def test_adjoint(self, pair):
+        a, _ = pair
+        reference = [operator.conj().T for operator in a.kraus_operators]
+        assert self.close(a.adjoint().kraus_operators, np.stack(reference))
+
+    def test_tensor(self, pair):
+        a, b = pair
+        reference = [np.kron(x, y) for x in a.kraus_operators for y in b.kraus_operators]
+        assert self.close(a.tensor(b).kraus_operators, np.stack(reference))
+
+    def test_apply_and_apply_adjoint(self, pair):
+        a, _ = pair
+        rng = np.random.default_rng(a.dimension)
+        matrix = rng.normal(size=(a.dimension,) * 2) + 1j * rng.normal(size=(a.dimension,) * 2)
+        forward = sum(operator @ matrix @ operator.conj().T for operator in a.kraus_operators)
+        backward = sum(operator.conj().T @ matrix @ operator for operator in a.kraus_operators)
+        assert self.close(a.apply(matrix), forward)
+        assert self.close(a.apply_adjoint(matrix), backward)
+
+    def test_kraus_gram_and_choi_trace(self, pair):
+        a, _ = pair
+        gram = sum(operator.conj().T @ operator for operator in a.kraus_operators)
+        assert self.close(a.kraus_gram(), gram)
+        assert a.choi_trace() == pytest.approx(np.trace(gram).real, rel=1e-14)
+
+    def test_initializer(self):
+        for num_qubits in (1, 2, 3):
+            dimension = 2 ** num_qubits
+            reference = []
+            for index in range(dimension):
+                operator = np.zeros((dimension, dimension), dtype=complex)
+                operator[0, index] = 1.0
+                reference.append(operator)
+            channel = SuperOperator.initializer(num_qubits)
+            assert np.array_equal(channel.kraus_operators, np.stack(reference))
+
+
 def redundant_kraus(dimension, rank, count, seed):
     """Return ``count`` Kraus operators of a random rank-``rank`` channel.
 
@@ -177,7 +291,7 @@ def redundant_kraus(dimension, rank, count, seed):
 
 
 def choi_rank(channel, atol=1e-10):
-    """Numerical rank of the Choi matrix, at the threshold ``simplified`` drops at."""
+    """Numerical rank of the Choi matrix: its eigenvalues above ``atol``."""
     return int(np.sum(np.linalg.eigvalsh(channel.choi()) > atol))
 
 
@@ -196,7 +310,7 @@ def traced_simplify(channel):
 
 
 class TestSimplifiedKernel:
-    """Gram side for ``k < d²``, Choi side for ``k ≥ d²``; both minimal and exact."""
+    """Gram side for ``k < d²``, Choi side for ``k ≥ d²``; both minimal, neither eigensolves."""
 
     # (dimension, rank, Kraus count, expected side)
     CASES = [
@@ -217,6 +331,7 @@ class TestSimplifiedKernel:
         result, tags = traced_simplify(channel)
         assert result.equals(channel)
         assert len(result.kraus_operators) == choi_rank(channel) == rank
+        dropped = tags.pop("dropped")
         assert tags == {
             "region": "superop",
             "dimension": dimension,
@@ -224,6 +339,50 @@ class TestSimplifiedKernel:
             "rank_out": rank,
             "side": side,
         }
+        assert dropped == channel.choi_trace() - result.choi_trace()
+        # The bound of the factorisation, with 1e-12 of rounding slack either way.
+        assert -1e-12 <= dropped <= (min(count, dimension ** 2) - rank) * 1e-10 + 1e-12
+
+    # (dimension, Kraus count, Choi eigenvalues): some above atol = 1e-10, some below.
+    STRADDLING = [
+        (4, 6, [0.4, 0.2, 1e-9, 2e-10, 5e-11, 2e-11]),
+        (2, 5, [0.5, 3e-10, 8e-11, 1e-11]),
+        (4, 20, [0.3, 0.1, 0.05, 4e-10, 1.5e-10, 9e-11, 6e-11, 1e-11, 1e-12]),
+    ]
+
+    @pytest.mark.parametrize("dimension, count, eigenvalues", STRADDLING)
+    def test_dropped_trace_is_bounded_when_eigenvalues_straddle_atol(
+        self, dimension, count, eigenvalues
+    ):
+        # Orthogonal vectors with norms √λ give a Choi spectrum of exactly ``eigenvalues``.
+        rng = np.random.default_rng(count)
+        side = dimension * dimension
+        basis, _ = np.linalg.qr(rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side)))
+        support = len(eigenvalues)
+        vectors = basis[:, :support].T * np.sqrt(eigenvalues)[:, np.newaxis]
+        mixing, _ = np.linalg.qr(
+            rng.normal(size=(count, support)) + 1j * rng.normal(size=(count, support))
+        )
+        kraus = (mixing @ vectors).reshape(count, dimension, dimension)
+        channel = SuperOperator(kraus, validate=False)
+        result, tags = traced_simplify(channel)
+        rank = tags["rank_out"]
+        bound = (min(count, side) - rank) * 1e-10
+        assert tags["dropped"] == channel.choi_trace() - result.choi_trace()
+        assert -1e-12 <= tags["dropped"] <= bound + 1e-12
+        assert np.abs(result.choi() - channel.choi()).max() <= bound + 1e-12
+        assert sum(value > bound for value in eigenvalues) <= rank <= support
+
+    @pytest.mark.parametrize("dimension, rank, count, side", CASES)
+    def test_simplified_never_eigensolves(self, monkeypatch, dimension, rank, count, side):
+        channel = SuperOperator(redundant_kraus(dimension, rank, count, seed=count))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simplified must not eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert len(channel.simplified().kraus_operators) == rank
 
     @pytest.mark.parametrize("count", [1, 3, 4, 6])
     def test_zero_map_gives_zero(self, count):
