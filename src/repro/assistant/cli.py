@@ -31,7 +31,7 @@ __all__ = ["build_arg_parser", "main"]
 _EPILOG = """\
 performance:
   The semantic engines compute with Kraus-form super-operators on the full
-  register: every statement enters as its cylinder extension (np.kron).
+  register: a gate is applied by contracting only its own qubits.
   See README "Scaling guide" for measured numbers and --trace for where one
   run spends its time.
 """

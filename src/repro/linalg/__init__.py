@@ -83,6 +83,7 @@ from .states import (
     w_state,
 )
 from .tensor import (
+    apply_to_qubits,
     embed_operator,
     expand_to_register,
     kron_all,

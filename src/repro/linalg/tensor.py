@@ -1,11 +1,15 @@
-"""Tensor-product utilities: embedding, qubit permutation and partial trace.
+"""Tensor-product utilities: the gate kernel, embedding, qubit permutation and partial trace.
 
 These functions are the workhorse of the register machinery: an operator given
-on a few named qubits must be promoted ("cylinder extension" in the paper's
-terminology) to the full program register before it can be composed with other
-operators.  :func:`embed_operator` / :func:`expand_to_register` materialise the
-cylinder extension ``A ⊗ I`` as a full ``2^n × 2^n`` matrix, which is the one
-way statements reach the register in the semantics engines.
+on a few named qubits acts on the full program register as its cylinder
+extension ``A ⊗ I`` (the paper's terminology).  :func:`apply_to_qubits` is
+the one way an operator meets a register matrix: it multiplies a
+``2^n × m`` matrix by the extension without building it, contracting only
+the target qubits' axes (``2^k · 2^n · m`` products for a ``k``-qubit
+operator, against ``4^n · m`` for the dense extension).
+:func:`embed_operator` / :func:`expand_to_register` return the extension
+itself as a ``2^n × 2^n`` matrix, which is the kernel applied to the
+identity.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .operators import num_qubits_of
 
 __all__ = [
     "kron_all",
+    "apply_to_qubits",
     "embed_operator",
     "permute_qubits",
     "partial_trace",
@@ -58,17 +63,25 @@ def permute_qubits(operator: np.ndarray, permutation: Sequence[int]) -> np.ndarr
     return tensor.reshape(2 ** n, 2 ** n)
 
 
-def embed_operator(
-    operator: np.ndarray, positions: Sequence[int], total_qubits: int
+def apply_to_qubits(
+    operator: np.ndarray, positions: Sequence[int], matrix: np.ndarray, total_qubits: int
 ) -> np.ndarray:
-    """Promote ``operator`` (acting on ``len(positions)`` qubits) to ``total_qubits`` qubits.
+    """Return ``(operator ⊗ I)·matrix`` with ``operator`` on the qubits at ``positions``.
 
-    ``positions`` lists, in order, the indices of the target qubits inside the
-    full register (position 0 being the most significant factor).  The result is
-    the cylinder extension ``operator ⊗ I`` followed by the permutation that puts
-    each factor in its requested slot.
+    ``operator`` acts on ``k = len(positions)`` qubits; ``positions`` lists,
+    in its factor order, their indices inside the ``total_qubits``-qubit
+    register (0 being the most significant factor), as for
+    :func:`embed_operator`.  ``matrix`` is ``2^n × m``: its row index is read
+    as ``n`` binary factors and only the ``k`` target factors are
+    contracted, so the extension is never built.  Ascending adjacent
+    positions ``p … p+k−1`` take the ``(2^p, 2^k, rest)`` view of ``matrix``
+    and one batched ``matmul``; any other order moves the target axes to the
+    front, multiplies once and moves them back.  Right products and
+    conjugations go through transposes:
+    ``matrix·(operator ⊗ I) = ((operatorᵀ ⊗ I)·matrixᵀ)ᵀ``.
     """
     operator = np.asarray(operator, dtype=complex)
+    matrix = np.asarray(matrix, dtype=complex)
     k = num_qubits_of(operator)
     if len(positions) != k:
         raise DimensionMismatchError(
@@ -78,17 +91,37 @@ def embed_operator(
         raise LinalgError(f"duplicate qubit positions in {positions}")
     if any(not 0 <= p < total_qubits for p in positions):
         raise LinalgError(f"positions {positions} out of range for {total_qubits} qubit(s)")
-    if total_qubits == k and list(positions) == list(range(k)):
-        return operator
+    if matrix.ndim != 2 or matrix.shape[0] != 2 ** total_qubits:
+        raise DimensionMismatchError(
+            f"a matrix of shape {matrix.shape} has no row per basis state of "
+            f"{total_qubits} qubit(s)"
+        )
+    rows, columns = matrix.shape
+    first = positions[0] if k else 0
+    if all(position == first + offset for offset, position in enumerate(positions)):
+        view = matrix.reshape(2 ** first, 2 ** k, 2 ** (total_qubits - first - k) * columns)
+        return np.matmul(operator, view).reshape(rows, columns)
+    targets = list(positions)
+    front = np.moveaxis(matrix.reshape((2,) * total_qubits + (columns,)), targets, range(k))
+    product = (operator @ front.reshape(2 ** k, -1)).reshape(front.shape)
+    return np.moveaxis(product, range(k), targets).reshape(rows, columns)
 
-    identity_count = total_qubits - k
-    extended = np.kron(operator, np.eye(2 ** identity_count, dtype=complex))
-    # The extended operator acts on qubits ordered as: positions[0..k-1] then the rest.
-    remaining = [index for index in range(total_qubits) if index not in positions]
-    current_order = list(positions) + remaining
-    # permutation[i] = index inside current_order of the qubit that must sit at slot i.
-    permutation = [current_order.index(i) for i in range(total_qubits)]
-    return permute_qubits(extended, permutation)
+
+def embed_operator(
+    operator: np.ndarray, positions: Sequence[int], total_qubits: int
+) -> np.ndarray:
+    """Promote ``operator`` (acting on ``len(positions)`` qubits) to ``total_qubits`` qubits.
+
+    ``positions`` lists, in order, the indices of the target qubits inside the
+    full register (position 0 being the most significant factor).  The result is
+    the cylinder extension ``operator ⊗ I`` with each factor in its requested
+    slot: :func:`apply_to_qubits` applied to the identity.
+    """
+    operator = np.asarray(operator, dtype=complex)
+    if operator.shape[0] == 2 ** total_qubits and list(positions) == list(range(total_qubits)):
+        return operator
+    identity = np.eye(2 ** total_qubits, dtype=complex)
+    return apply_to_qubits(operator, positions, identity, total_qubits)
 
 
 def expand_to_register(

@@ -236,9 +236,12 @@ class Prover:
         return AnnotatedStatement(program, pre, post, rule="Init")
 
     def _annotate_unitary(self, program: Unitary, post: QuantumAssertion) -> AnnotatedStatement:
+        def conjugate(predicate: QuantumPredicate) -> QuantumPredicate:
+            image = self.register.conjugate(predicate.matrix, program.matrix, program.qubits)
+            return QuantumPredicate(image, validate=False)
+
         with span("vc-transform", region="prover", rule="Unit", predicates=len(post)):
-            embedded = self.register.embed(program.matrix, program.qubits)
-            pre = post.conjugate_by(embedded)
+            pre = post.map(conjugate)
         return AnnotatedStatement(program, pre, post, rule="Unit")
 
     def _annotate_seq(self, program: Seq, post: QuantumAssertion) -> AnnotatedStatement:

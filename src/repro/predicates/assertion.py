@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Sequence
 import numpy as np
 
 from ..exceptions import AssertionFormatError, DimensionMismatchError
-from .predicate import QuantumPredicate, clip_to_predicate
+from .predicate import QuantumPredicate, clip_to_predicate, distinct_predicates
 
 __all__ = ["QuantumAssertion", "measured_sum"]
 
@@ -45,11 +45,7 @@ class QuantumAssertion:
                     "all predicates of an assertion must act on the same Hilbert space"
                 )
         if deduplicate:
-            unique: List[QuantumPredicate] = []
-            for predicate in items:
-                if not any(predicate.close_to(existing) for existing in unique):
-                    unique.append(predicate)
-            items = unique
+            items = distinct_predicates(items)
         self._predicates = tuple(items)
         self.name = name
 

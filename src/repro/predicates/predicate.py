@@ -6,7 +6,7 @@ degree to which the state ``ρ`` satisfies the property described by ``M``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from ..linalg.operators import (
     operators_close,
 )
 
-__all__ = ["QuantumPredicate"]
+__all__ = ["QuantumPredicate", "distinct_predicates"]
 
 
 class QuantumPredicate:
@@ -177,6 +177,37 @@ class QuantumPredicate:
     def __repr__(self) -> str:
         label = self.name or "QuantumPredicate"
         return f"{label}(dim={self.dimension})"
+
+
+def distinct_predicates(
+    predicates: Sequence[QuantumPredicate], atol: float = ORDER_ATOL
+) -> List[QuantumPredicate]:
+    """Return ``predicates`` without those close to an earlier kept one, in order.
+
+    ``a`` is dropped when some kept ``b`` has ``|a − b| ≤ atol + 1e-5·|b|``
+    in every entry: the test of ``np.allclose(a, b, atol=atol)`` on finite
+    entries, which :meth:`QuantumPredicate.close_to` runs.  So the kept list
+    is exactly the one of the pairwise ``close_to`` loop, but each predicate
+    is compared with the stack of kept matrices in one numpy expression.
+    The predicates must share one dimension.
+    """
+    if len(predicates) < 2:
+        return list(predicates)
+    shape = (len(predicates),) + predicates[0].matrix.shape
+    kept_matrices = np.empty(shape, dtype=complex)
+    kept_bounds = np.empty(shape)
+    kept: List[QuantumPredicate] = []
+    for predicate in predicates:
+        matrix = predicate.matrix
+        count = len(kept)
+        if count:
+            within = np.abs(matrix - kept_matrices[:count]) <= kept_bounds[:count]
+            if within.all(axis=(1, 2)).any():
+                continue
+        kept_matrices[count] = matrix
+        kept_bounds[count] = atol + 1e-5 * np.abs(matrix)
+        kept.append(predicate)
+    return kept
 
 
 def clip_to_predicate(matrix: np.ndarray, atol: float = 1e-9) -> np.ndarray:

@@ -4,7 +4,10 @@ A :class:`QubitRegister` fixes an ordered list of qubit names and provides the
 mapping between named sub-systems and tensor-factor positions.  Programs,
 assertions and super-operators are always interpreted over a register, which
 implements the paper's convention that operators are silently identified with
-their cylinder extensions on larger Hilbert spaces.
+their cylinder extensions on larger Hilbert spaces.  A gate meets a register
+matrix through :meth:`QubitRegister.apply` and :meth:`QubitRegister.conjugate`,
+which contract only the gate's qubits (:func:`~repro.linalg.tensor.apply_to_qubits`);
+:meth:`QubitRegister.embed` builds the extension itself with the same kernel.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Iterable, Iterator, Sequence, Tuple
 import numpy as np
 
 from .exceptions import RegisterError
-from .linalg.tensor import embed_operator, partial_trace
+from .linalg.tensor import apply_to_qubits, embed_operator, partial_trace
 
 __all__ = ["QubitRegister"]
 
@@ -100,6 +103,27 @@ class QubitRegister:
         """Promote ``operator`` (given on the named ``qubits``) to the full register."""
         self.check_contains(qubits)
         return embed_operator(operator, self.positions(qubits), self.num_qubits)
+
+    def apply(self, operator: np.ndarray, qubits: Sequence[str], matrix: np.ndarray) -> np.ndarray:
+        """Return ``(operator ⊗ I)·matrix`` for ``operator`` on the named ``qubits``.
+
+        ``matrix`` has one row per basis state of the register and any number
+        of columns; the extension is never built.
+        """
+        self.check_contains(qubits)
+        return apply_to_qubits(operator, self.positions(qubits), matrix, self.num_qubits)
+
+    def conjugate(self, matrix: np.ndarray, operator: np.ndarray, qubits: Sequence[str]) -> np.ndarray:
+        """Return ``U†MU`` for ``U = operator ⊗ I`` on the named ``qubits``.
+
+        Two kernel calls: ``MU = ((Uᵀ ⊗ I)·Mᵀ)ᵀ``, then ``U†·(MU)``.  ``M``
+        need not be hermitian.
+        """
+        self.check_contains(qubits)
+        positions = self.positions(qubits)
+        operator = np.asarray(operator, dtype=complex)
+        right = apply_to_qubits(operator.T, positions, np.asarray(matrix).T, self.num_qubits).T
+        return apply_to_qubits(operator.conj().T, positions, right, self.num_qubits)
 
     def reduce(self, rho: np.ndarray, keep: Sequence[str]) -> np.ndarray:
         """Return the reduced state of ``rho`` on the named qubits ``keep``."""

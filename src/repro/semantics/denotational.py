@@ -21,9 +21,11 @@ For loop-free programs the computed set is exact (up to floating point); for
 programs with loops the caller controls which schedulers are explored.
 
 Maps are :class:`~repro.superop.kraus.SuperOperator` in Kraus form, as in the
-paper's presentation.  Every gate, measurement and initialisation reaches the
-full program register as its ``2^n × 2^n`` cylinder extension (Sec. 2), built
-with ``np.kron`` before any product is taken, as in the paper's prototype.
+paper's presentation, on the full program register.  A gate meets the register
+through :func:`~repro.linalg.tensor.apply_to_qubits`, which multiplies by its
+cylinder extension (Sec. 2) contracting only the gate's qubits; measurement
+projectors and initialisation channels enter as their ``2^n × 2^n``
+extensions, built by the same kernel on the identity.
 """
 
 from __future__ import annotations
@@ -251,20 +253,21 @@ def _seq_steps(
     """Yield ``(statement type, maps)`` for each step of a sequential composition.
 
     A maximal run of consecutive :class:`Unitary` statements is one step: the
-    product ``U_k ⋯ U_1`` of their embedded matrices, as one rank-one map, so
-    the maps composed so far meet the run once instead of once per gate.
-    Composition is associative, so the denoted set is unchanged.  Every other
-    statement is a step of its own denotation.
+    product ``U_k ⋯ U_1`` of their extensions, as one rank-one map, so the
+    maps composed so far meet the run once instead of once per gate.  Each
+    gate is folded into the running product by
+    :meth:`~repro.registers.QubitRegister.apply`, which contracts only its
+    own qubits.  Composition is associative, so the denoted set is
+    unchanged.  Every other statement is a step of its own denotation.
     """
     for is_run, group in groupby(statements, key=lambda statement: isinstance(statement, Unitary)):
         if not is_run:
             for statement in group:
                 yield type(statement).__name__, _denote(statement, register, options)
             continue
-        product = None
+        product = register.identity()
         for statement in group:
-            embedded = register.embed(statement.matrix, statement.qubits)
-            product = embedded if product is None else embedded @ product
+            product = register.apply(statement.matrix, statement.qubits, product)
         yield "Unitary", [SuperOperator([product], validate=False)]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from ..exceptions import SemanticsError
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
 from ..predicates.assertion import QuantumAssertion
-from ..predicates.predicate import QuantumPredicate, clip_to_predicate
+from ..predicates.predicate import QuantumPredicate, clip_to_predicate, distinct_predicates
 from ..registers import QubitRegister
 from ..telemetry.tracing import span
 from .denotational import (
@@ -116,21 +116,21 @@ def _xp_single(
         image = initializer_adjoint(post.matrix, program.qubits, register)
         return [QuantumPredicate(clip_to_predicate(image), validate=False)]
     if isinstance(program, Unitary):
-        embedded = register.embed(program.matrix, program.qubits)
-        return [post.conjugate_by(embedded)]
+        image = register.conjugate(post.matrix, program.matrix, program.qubits)
+        return [QuantumPredicate(image, validate=False)]
     if isinstance(program, Seq):
         current = [post]
         for statement in reversed(program.statements):
             updated: List[QuantumPredicate] = []
             for predicate in current:
                 updated.extend(_xp_single(statement, predicate, register, options, liberal, bodies))
-            current = _dedup(updated)
+            current = distinct_predicates(updated)
         return current
     if isinstance(program, NDet):
         result: List[QuantumPredicate] = []
         for branch in program.branches:
             result.extend(_xp_single(branch, post, register, options, liberal, bodies))
-        return _dedup(result)
+        return distinct_predicates(result)
     if isinstance(program, If):
         p0, p1 = measurement_superoperators(program, register)
         else_parts = _xp_single(program.else_branch, post, register, options, liberal, bodies)
@@ -140,7 +140,7 @@ def _xp_single(
             for then_part in then_parts:
                 matrix = p0.apply(else_part.matrix) + p1.apply(then_part.matrix)
                 combined.append(QuantumPredicate(clip_to_predicate(matrix), validate=False))
-        return _dedup(combined)
+        return distinct_predicates(combined)
     if isinstance(program, While):
         return _xp_while(program, post, register, options, liberal, bodies)
     raise SemanticsError(f"unknown program construct {type(program).__name__}")
@@ -197,7 +197,7 @@ def _xp_while(
             )
             for scheduler in schedulers
         ]
-    return _dedup(results)
+    return distinct_predicates(results)
 
 
 def _xp_while_scheduler(
@@ -212,11 +212,19 @@ def _xp_while_scheduler(
     scheduler: Scheduler,
     identity: np.ndarray,
 ) -> QuantumPredicate:
-    """Evaluate the backward Fig. 5 sequence of one loop under one scheduler."""
+    """Evaluate the backward Fig. 5 sequence of one loop under one scheduler.
+
+    Under a :class:`ConstantScheduler` every step applies the same map, so the
+    evaluation stops once two consecutive values agree within
+    ``convergence_tolerance``.  Any other scheduler runs all
+    ``max_iterations`` steps: agreeing values there say nothing about the
+    outer choices ``η_1 … η_k`` still to be applied.
+    """
     if liberal:
         current = identity.copy()
     else:
         current = np.zeros_like(identity)
+    constant = isinstance(scheduler, ConstantScheduler)
     previous = None
     for backward_index in range(options.max_iterations, 0, -1):
         choice = scheduler.select(backward_index, len(body_choices))
@@ -225,9 +233,13 @@ def _xp_while_scheduler(
         if liberal:
             inner = inner + identity - body_channel.apply_adjoint(identity)
         current = p0.apply(post.matrix) + p1.apply(inner)
-        if previous is not None and np.abs(current - previous).max() < options.convergence_tolerance:
+        if (
+            constant
+            and previous is not None
+            and np.abs(current - previous).max() < options.convergence_tolerance
+        ):
             break
-        previous = current.copy()
+        previous = current
     return QuantumPredicate(clip_to_predicate(current), validate=False)
 
 
@@ -241,11 +253,3 @@ def _body_denotations(program: While, register: QubitRegister, options: WpOption
         sampled_schedulers=options.sampled_schedulers,
     )
     return denotation(program.body, register, body_options)
-
-
-def _dedup(predicates: List[QuantumPredicate]) -> List[QuantumPredicate]:
-    unique: List[QuantumPredicate] = []
-    for predicate in predicates:
-        if not any(predicate.close_to(existing) for existing in unique):
-            unique.append(predicate)
-    return unique

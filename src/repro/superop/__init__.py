@@ -4,9 +4,11 @@ Two interoperable representations of a completely positive map are provided:
 
 * **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}`` on the full
   register, stored as one ``(k, d, d)`` array; the form the semantic
-  engines compute with, as in the paper's presentation.  A statement on a
-  few qubits enters as its cylinder extension
-  (:meth:`~repro.superop.kraus.SuperOperator.embed`).
+  engines compute with, as in the paper's presentation.  A channel on a
+  few qubits (an initialisation or a noise channel) enters as its cylinder
+  extension (:meth:`~repro.superop.kraus.SuperOperator.embed`); gates are
+  applied by the register's gate kernel
+  (:func:`~repro.linalg.tensor.apply_to_qubits`).
 * **Choi** (:mod:`.choi`) — the ``d²×d²`` positive matrix ``Σ vec(E_i)vec(E_i)†``;
   best for order/positivity questions (Lemma 3.1) and for recovering minimal
   Kraus decompositions.

@@ -1,4 +1,4 @@
-"""Unit tests for tensor utilities: embedding, permutation, partial trace."""
+"""Unit tests for tensor utilities: the gate kernel, embedding, permutation, partial trace."""
 
 import itertools
 import string
@@ -16,6 +16,7 @@ from repro.linalg.random import (
 )
 from repro.linalg.states import bell_state, density, ket, maximally_mixed
 from repro.linalg.tensor import (
+    apply_to_qubits,
     embed_operator,
     expand_to_register,
     kron_all,
@@ -23,7 +24,11 @@ from repro.linalg.tensor import (
     permute_qubits,
     reduced_state,
 )
+from repro.logic.prover import verify_formula
+from repro.programs import errcorr_formula, grover_formula
 from repro.registers import QubitRegister
+from repro.semantics.denotational import denotation
+from repro.semantics.wp import weakest_liberal_precondition
 from repro.superop.kraus import SuperOperator
 
 
@@ -198,3 +203,101 @@ class TestCylinderExtension:
         if rest:
             # No signalling: the qubits the statement does not name keep their state.
             assert np.allclose(REGISTER.reduce(image, rest), REGISTER.reduce(rho, rest))
+
+
+# ---------------------------------------------------------------------------
+# The gate kernel against the Kronecker product and an axis permutation
+# ---------------------------------------------------------------------------
+
+
+def _kron_extension(operator, positions, total_qubits):
+    """Return ``operator ⊗ I`` built with ``np.kron``, its factors moved to ``positions``."""
+    extended = np.kron(operator, np.eye(2 ** (total_qubits - len(positions))))
+    # Factor i of ``extended`` belongs to register position order[i].
+    order = list(positions) + [q for q in range(total_qubits) if q not in positions]
+    axes = [order.index(position) for position in range(total_qubits)]
+    tensor = extended.reshape((2,) * (2 * total_qubits))
+    tensor = tensor.transpose(axes + [total_qubits + axis for axis in axes])
+    return tensor.reshape(2 ** total_qubits, 2 ** total_qubits)
+
+
+def _kernel_cases():
+    """``(total_qubits, positions)`` for registers of 1–7 qubits and gates of arity 1–3.
+
+    Each arity gets adjacent ascending supports at the front, middle and end;
+    from arity 2 on also an evenly spread (non-adjacent unless the gate
+    covers the register) support, that support reversed, and the last
+    qubits reversed.  Gates on 1–3 qubit registers cover the whole register.
+    """
+    cases = []
+    for n in range(1, 8):
+        for k in range(1, min(3, n) + 1):
+            supports = {tuple(range(p, p + k)) for p in (0, (n - k) // 2, n - k)}
+            if k > 1:
+                spread = tuple(round(i * (n - 1) / (k - 1)) for i in range(k))
+                supports.update({spread, spread[::-1], tuple(range(n - k, n))[::-1]})
+            cases.extend((n, support) for support in sorted(supports))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+KERNEL_IDS = [f"n{n}-" + "-".join(map(str, support)) for n, support in KERNEL_CASES]
+
+
+def _complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestGateKernel:
+    """``apply_to_qubits`` equals the product with the ``np.kron`` extension."""
+
+    @pytest.mark.parametrize("n, positions", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_matches_kron_extension_on_rectangular_inputs(self, n, positions):
+        rng = np.random.default_rng(KERNEL_CASES.index((n, positions)))
+        operator = _complex(rng, 2 ** len(positions), 2 ** len(positions))
+        extension = _kron_extension(operator, positions, n)
+        for columns in (1, 3, 2 ** n):
+            matrix = _complex(rng, 2 ** n, columns)
+            result = apply_to_qubits(operator, positions, matrix, n)
+            assert result.shape == (2 ** n, columns)
+            assert np.allclose(result, extension @ matrix, rtol=0, atol=1e-12)
+        assert np.allclose(embed_operator(operator, positions, n), extension, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, positions", KERNEL_CASES, ids=KERNEL_IDS)
+    def test_register_conjugates_non_hermitian_matrices(self, n, positions):
+        rng = np.random.default_rng(100 + KERNEL_CASES.index((n, positions)))
+        register = QubitRegister([f"r{index}" for index in range(n)])
+        qubits = [register.names[position] for position in positions]
+        operator = _complex(rng, 2 ** len(positions), 2 ** len(positions))
+        matrix = _complex(rng, 2 ** n, 2 ** n)
+        assert not np.allclose(matrix, matrix.conj().T)
+        extension = _kron_extension(operator, positions, n)
+        expected = extension.conj().T @ matrix @ extension
+        assert np.allclose(register.conjugate(matrix, operator, qubits), expected, rtol=0, atol=1e-11)
+        assert np.allclose(register.apply(operator, qubits, matrix), extension @ matrix, rtol=0, atol=1e-12)
+
+    def test_rejects_mismatched_inputs(self):
+        with pytest.raises(DimensionMismatchError):
+            apply_to_qubits(CX, [0], np.eye(4), 2)
+        with pytest.raises(DimensionMismatchError):
+            apply_to_qubits(X, [0], np.eye(8), 2)
+        with pytest.raises(LinalgError):
+            apply_to_qubits(CX, [1, 1], np.eye(4), 2)
+        with pytest.raises(LinalgError):
+            apply_to_qubits(X, [2], np.eye(4), 2)
+
+
+class TestGatePathsUseTheKernel:
+    """No gate reaches the register through ``np.kron``."""
+
+    def test_verify_wlp_and_denotation_never_call_kron(self, monkeypatch):
+        inputs = [grover_formula(4, layout="gates"), errcorr_formula(num_data_qubits=3)]
+
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron called on a gate path")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        for formula, register in inputs:
+            assert verify_formula(formula, register).verified
+            weakest_liberal_precondition(formula.program, formula.postcondition, register)
+            assert denotation(formula.program, register)

@@ -7,7 +7,9 @@ from repro.exceptions import DimensionMismatchError, PredicateError
 from repro.linalg.constants import H, I2, ORDER_ATOL, P0, P1, X
 from repro.linalg.operators import is_predicate_matrix, operators_close
 from repro.linalg.states import density, ket, maximally_mixed, plus_state
-from repro.predicates.predicate import QuantumPredicate, clip_to_predicate
+from repro.linalg.random import random_predicate_matrix
+from repro.predicates.assertion import QuantumAssertion
+from repro.predicates.predicate import QuantumPredicate, clip_to_predicate, distinct_predicates
 from repro.registers import QubitRegister
 from repro.superop.kraus import SuperOperator
 
@@ -135,3 +137,65 @@ class TestClipping:
         slightly_off = (1.0 + 1e-12) * P0 - 1e-13 * P1
         clipped = clip_to_predicate(slightly_off)
         assert is_predicate_matrix(clipped)
+
+
+def _pairwise_kept(predicates):
+    """Indices the pairwise ``close_to`` loop keeps: each against every kept one."""
+    kept = []
+    for index, predicate in enumerate(predicates):
+        if not any(predicate.close_to(predicates[other]) for other in kept):
+            kept.append(index)
+    return kept
+
+
+def _nudged(base, entry, scale, phase):
+    """``base`` with one entry moved by ``scale`` times its closeness bound ``atol + rtol·|b|``."""
+    matrix = base.copy()
+    matrix[entry] += scale * (ORDER_ATOL + 1e-5 * abs(base[entry])) * np.exp(1j * phase)
+    return QuantumPredicate(matrix, validate=False)
+
+
+class TestDistinctPredicates:
+    """The batched dedup keeps exactly the predicates the pairwise loop keeps."""
+
+    def _assert_same_as_pairwise(self, predicates):
+        kept = distinct_predicates(predicates)
+        assert [id(p) for p in kept] == [id(predicates[i]) for i in _pairwise_kept(predicates)]
+        assert [id(p) for p in QuantumAssertion(predicates).predicates] == [id(p) for p in kept]
+        return kept
+
+    def test_entries_on_both_sides_of_the_bound(self):
+        base = random_predicate_matrix(4, seed=3)
+        predicates = [QuantumPredicate(base, validate=False)]
+        for entry in [(0, 0), (1, 2), (3, 3)]:
+            for scale in (0.5, 0.999999, 1.000001, 2.0):
+                predicates.append(_nudged(base, entry, scale, phase=entry[1] + scale))
+        kept = self._assert_same_as_pairwise(predicates)
+        # Inside the bound a copy is dropped; just outside it is kept.
+        assert len(kept) == 1 + 3 * 2
+
+    def test_the_bound_is_taken_from_the_kept_predicate(self):
+        small = np.diag([0.1, 0.2]).astype(complex)
+        bound = ORDER_ATOL + 1e-5 * 0.1
+        large = small.copy()
+        large[0, 0] += bound * (1 + 5e-6)
+        first, second = QuantumPredicate(small, validate=False), QuantumPredicate(large, validate=False)
+        # |large − small| exceeds small's bound but not large's own.
+        assert len(self._assert_same_as_pairwise([first, second])) == 2
+        assert len(self._assert_same_as_pairwise([second, first])) == 1
+
+    def test_random_batches_near_the_bound(self):
+        rng = np.random.default_rng(11)
+        bases = [random_predicate_matrix(8, seed=seed) for seed in range(3)]
+        predicates = []
+        for _ in range(40):
+            base = bases[rng.integers(len(bases))]
+            entry = tuple(rng.integers(8, size=2))
+            predicates.append(_nudged(base, entry, rng.uniform(0.9, 1.1), rng.uniform(0, 2 * np.pi)))
+        kept = self._assert_same_as_pairwise(predicates)
+        assert 3 < len(kept) < len(predicates)
+
+    def test_short_inputs(self):
+        one = QuantumPredicate(P0, validate=False)
+        assert distinct_predicates([]) == []
+        assert distinct_predicates([one]) == [one]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.assistant.verify import build_task
 from repro.language.ast import (
     Abort,
     If,
@@ -21,11 +22,39 @@ from repro.predicates.assertion import QuantumAssertion
 from repro.registers import QubitRegister
 from repro.semantics import denotational
 from repro.semantics.denotational import denotation
+from repro.semantics.schedulers import RandomScheduler
 from repro.semantics.wp import (
     WpOptions,
     weakest_liberal_precondition,
     weakest_precondition,
 )
+
+
+#: Fuzz draw ``tools/fuzz.py --seed 2023 --index 193``.
+DRAW_2023_193 = """
+[q0 q1] := 0;
+{ inv: I[q0] };
+while MQWalk [q0 q1] do
+    if M [q0] then
+        [q0] *= H;
+        [q1] *= S
+    end;
+    (
+        [q0] *= S
+        #
+        [q1] := 0;
+        [q0] *= Y
+    );
+    if MQWalk [q0 q1] then
+        [q0] *= Y;
+        [q0 q1] *= CX;
+        [q1] *= H;
+        [q0] := 0
+    end
+end;
+[q0] := 0;
+{ P1[q0] }
+"""
 
 
 @pytest.fixture
@@ -193,6 +222,23 @@ class TestLoops:
         # The memo belongs to one call: the next call denotes the bodies again.
         transformer(program, post, register)
         assert calls == expected + expected
+
+    def test_random_scheduler_makes_every_backward_choice(self):
+        """Fuzz draw (2023, 193): agreeing backward values do not end a random scheduler's chain.
+
+        From ``|00⟩`` the loop exits almost surely under ``RandomScheduler(0)``,
+        and ``[q0] := 0`` then falsifies ``P1[q0]``, so the wlp is ``{0}``.  An
+        evaluation that stopped once two consecutive backward values agreed
+        skipped the outermost choices and returned ``{I}``.
+        """
+        task = build_task(DRAW_2023_193)
+        wlp = weakest_liberal_precondition(
+            task.formula.program,
+            task.formula.postcondition,
+            task.register,
+            WpOptions(schedulers=[RandomScheduler(0)]),
+        )
+        assert operators_close(single(wlp), np.zeros((4, 4)), atol=1e-6)
 
     def test_loop_with_nondeterministic_body_yields_multiple_predicates(self, q_register):
         body = ndet(Unitary(("q",), "H", H), seq(Unitary(("q",), "X", X), Unitary(("q",), "H", H)))
