@@ -75,10 +75,10 @@ def apply_to_qubits(
     as ``n`` binary factors and only the ``k`` target factors are
     contracted, so the extension is never built.  Ascending adjacent
     positions ``p … p+k−1`` take the ``(2^p, 2^k, rest)`` view of ``matrix``
-    and one batched ``matmul``; any other order moves the target axes to the
-    front, multiplies once and moves them back.  Right products and
-    conjugations go through transposes:
-    ``matrix·(operator ⊗ I) = ((operatorᵀ ⊗ I)·matrixᵀ)ᵀ``.
+    and one batched ``matmul``, which copies nothing; any other order moves
+    the target axes to the front (a copy), multiplies once and moves them
+    back (a second copy).  Right products and conjugations go through
+    transposes: ``matrix·(operator ⊗ I) = ((operatorᵀ ⊗ I)·matrixᵀ)ᵀ``.
     """
     operator = np.asarray(operator, dtype=complex)
     matrix = np.asarray(matrix, dtype=complex)

@@ -179,33 +179,28 @@ class QuantumPredicate:
         return f"{label}(dim={self.dimension})"
 
 
-def distinct_predicates(
-    predicates: Sequence[QuantumPredicate], atol: float = ORDER_ATOL
-) -> List[QuantumPredicate]:
+def distinct_predicates(predicates: Sequence[QuantumPredicate]) -> List[QuantumPredicate]:
     """Return ``predicates`` without those close to an earlier kept one, in order.
 
-    ``a`` is dropped when some kept ``b`` has ``|a − b| ≤ atol + 1e-5·|b|``
-    in every entry: the test of ``np.allclose(a, b, atol=atol)`` on finite
-    entries, which :meth:`QuantumPredicate.close_to` runs.  So the kept list
-    is exactly the one of the pairwise ``close_to`` loop, but each predicate
-    is compared with the stack of kept matrices in one numpy expression.
-    The predicates must share one dimension.
+    ``a`` is dropped when ``np.isclose(a, b, atol=ORDER_ATOL)`` holds in
+    every entry for some kept ``b``: the test :meth:`QuantumPredicate.close_to`
+    runs (``np.allclose``, with the tolerance scaled by ``b``).  So the kept
+    list is exactly the one of the pairwise ``close_to`` loop, but each
+    predicate is compared with the stack of kept matrices in one numpy
+    expression.  The predicates must share one dimension.
     """
     if len(predicates) < 2:
         return list(predicates)
-    shape = (len(predicates),) + predicates[0].matrix.shape
-    kept_matrices = np.empty(shape, dtype=complex)
-    kept_bounds = np.empty(shape)
     kept: List[QuantumPredicate] = []
+    stack = np.empty((1,) + predicates[0].matrix.shape, dtype=complex)
     for predicate in predicates:
         matrix = predicate.matrix
         count = len(kept)
-        if count:
-            within = np.abs(matrix - kept_matrices[:count]) <= kept_bounds[:count]
-            if within.all(axis=(1, 2)).any():
-                continue
-        kept_matrices[count] = matrix
-        kept_bounds[count] = atol + 1e-5 * np.abs(matrix)
+        if count and np.isclose(matrix, stack[:count], atol=ORDER_ATOL).all(axis=(1, 2)).any():
+            continue
+        if count == len(stack):
+            stack = np.concatenate([stack, np.empty_like(stack)])
+        stack[count] = matrix
         kept.append(predicate)
     return kept
 
