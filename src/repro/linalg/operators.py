@@ -5,7 +5,10 @@ hermitian, unitary, positive operators, projectors, the Löwner partial order,
 and spectral decompositions.  Everything is numerical with a configurable
 absolute tolerance.  It also holds the two kernels of Kraus-form maps that
 are not specific to super-operators: the gram ``Σ_i E_i†E_i`` of an operator
-stack and the pivoted Cholesky factor of a positive semidefinite matrix.
+stack and the pivoted Cholesky factor of a positive semidefinite matrix.  The
+factor is LAPACK's ``zpstrf``, which :func:`psd_factor` imports from
+``scipy.linalg.lapack`` when it runs, so importing this module loads numpy
+only and a process pays for ``scipy.linalg`` on its first Kraus compression.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from typing import Iterable, List, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import zpstrf
 
 from ..exceptions import DimensionMismatchError, LinalgError
 from .constants import ATOL, ORDER_ATOL
@@ -83,12 +85,18 @@ def is_hermitian(matrix: np.ndarray, atol: float = ATOL) -> bool:
 
 
 def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
-    """Return ``True`` when ``matrix`` is unitary (``U†U = I``) up to ``atol``."""
+    """Return ``True`` when ``matrix`` is unitary (``U†U = I``) up to ``atol``.
+
+    This is ``np.allclose(U†U, I, atol=atol)`` written out against the
+    identity: ``|U†U − I| ≤ atol + 1e-5·I`` entrywise, ``1e-5`` being
+    ``allclose``'s relative tolerance on ``|I|``.  NaN and infinite entries
+    fail it, as they fail ``allclose`` against a finite ``I``.
+    """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
     identity = np.eye(matrix.shape[0])
-    return bool(np.allclose(dagger(matrix) @ matrix, identity, atol=atol))
+    return bool((np.abs(dagger(matrix) @ matrix - identity) <= atol + 1e-5 * identity).all())
 
 
 def is_positive(matrix: np.ndarray, atol: float = ATOL) -> bool:
@@ -257,6 +265,8 @@ def psd_factor(matrix: np.ndarray, atol: float) -> np.ndarray:
     whose diagonal entries are all ``≤ atol``, so its trace is at most
     ``(m − r) · atol``.  ``r`` is 0 when no diagonal entry exceeds ``atol``.
     """
+    from scipy.linalg.lapack import zpstrf
+
     factor, pivots, rank, info = zpstrf(matrix, tol=atol, lower=1)
     if info < 0:
         raise LinalgError(f"zpstrf rejected argument {-info}")

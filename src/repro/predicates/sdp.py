@@ -30,6 +30,10 @@ module computes a *certified interval* ``[lower, upper]`` around ``V``:
 
 The two bounds bracket the true optimum, so the decision ``V ≤ ε`` can be made
 with an explicit certificate in either direction.
+
+Only the dual side uses scipy: :func:`_dual_minimize` imports ``scipy.optimize``
+inside the function, so importing this module, and every singleton gap, loads
+numpy only.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from ..exceptions import PredicateError
 from ..linalg.operators import dagger
@@ -136,6 +139,8 @@ def _dual_minimize(
     differences: Sequence[np.ndarray], restarts: int, rng: np.random.Generator
 ) -> Tuple[float, np.ndarray]:
     """Minimise the dual objective over the probability simplex."""
+    from scipy import optimize
+
     count = len(differences)
     if count == 2:
         # One-dimensional convex problem: golden-section search is exact enough.

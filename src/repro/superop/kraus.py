@@ -263,7 +263,17 @@ class SuperOperator:
         return SuperOperator._of(products.reshape(-1, dimension, dimension))
 
     def embed(self, qubits: Sequence[str], register) -> "SuperOperator":
-        """Return the cylinder extension of the map onto a full :class:`QubitRegister`."""
+        """Return the cylinder extension of the map onto a full :class:`QubitRegister`.
+
+        The map itself is the extension when ``qubits`` is the whole register
+        in order.
+        """
+        register.check_contains(qubits)
+        if (
+            self._dimension == register.dimension
+            and register.positions(qubits) == tuple(range(register.num_qubits))
+        ):
+            return self
         embedded = [register.embed(operator, qubits) for operator in self._kraus]
         return SuperOperator._of(np.stack(embedded))
 

@@ -1,6 +1,10 @@
 """Miscellaneous coverage: gate constants, exception hierarchy, public API surface,
 printer round-trips of the library programs and proof-outline rendering."""
 
+import importlib
+import tomllib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +109,13 @@ class TestPublicApi:
         assert repro.__version__
         for name in repro.__all__:
             assert hasattr(repro, name), f"missing public name {name}"
+
+    def test_project_metadata_matches_the_package(self):
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text())["project"]
+        assert project["version"] == repro.__version__
+        module, _, function = project["scripts"]["nqpv-verify"].partition(":")
+        assert callable(getattr(importlib.import_module(module), function))
 
     def test_environment_exposes_reserved_names(self):
         environment = default_environment()

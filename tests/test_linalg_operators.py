@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import DimensionMismatchError, LinalgError
 from repro.linalg import constants
+from repro.linalg.constants import ATOL
 from repro.linalg.operators import (
     as_operator,
     commutator,
@@ -25,6 +26,7 @@ from repro.linalg.operators import (
     spectral_decomposition,
     trace_inner,
 )
+from repro.linalg.random import random_unitary
 
 
 class TestStructuralChecks:
@@ -69,6 +71,59 @@ class TestStructuralChecks:
         assert not is_unitary(rectangular)
         with pytest.raises(LinalgError):
             as_operator(rectangular)
+
+
+class TestIsUnitaryMatchesAllclose:
+    """``is_unitary`` gives ``np.allclose(U†U, I, atol=ATOL)``'s answer on every square input."""
+
+    # ``allclose``'s bound on a diagonal entry of ``U†U − I`` (``rtol = 1e-5`` times ``|I|``).
+    DIAGONAL_BOUND = ATOL + 1e-5
+
+    @staticmethod
+    def reference(matrix):
+        matrix = np.asarray(matrix, dtype=complex)
+        return bool(np.allclose(dagger(matrix) @ matrix, np.eye(len(matrix)), atol=ATOL))
+
+    @pytest.mark.parametrize("dimension", [2, 4, 8])
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_scaled_unitary_on_both_sides_of_the_diagonal_bound(self, dimension, factor, sign):
+        # ``((1 ± δ)U)†((1 ± δ)U) = (1 ± δ)² I``: its diagonal is off by about ``2δ``.
+        delta = factor * self.DIAGONAL_BOUND / 2
+        matrix = (1 + sign * delta) * random_unitary(dimension, seed=dimension)
+        expected = self.reference(matrix)
+        assert expected == (factor < 1)
+        assert is_unitary(matrix) == expected
+
+    @pytest.mark.parametrize("dimension", [2, 4, 8])
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+    def test_off_diagonal_perturbation_on_both_sides_of_atol(self, dimension, factor):
+        # ``U(I + εN)`` with ``N = |0⟩⟨1|`` gives ``U†U = I + ε(N + N†) + ε²N†N``:
+        # off-diagonal entries ``ε``, far below the diagonal bound.
+        epsilon = factor * ATOL
+        nudge = np.eye(dimension, dtype=complex)
+        nudge[0, 1] = epsilon
+        matrix = random_unitary(dimension, seed=dimension) @ nudge
+        expected = self.reference(matrix)
+        assert expected == (factor < 1)
+        assert is_unitary(matrix) == expected
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf), complex(np.nan, 0)])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_and_inf_entries(self, value, entry):
+        matrix = np.array(constants.H, dtype=complex)
+        matrix[entry] = value
+        with np.errstate(invalid="ignore"):
+            assert self.reference(matrix) is False
+            assert is_unitary(matrix) is False
+
+    def test_non_square_input_is_not_unitary(self):
+        # An isometry passes ``allclose(V†V, I)``; it is still not a unitary.
+        isometry = random_unitary(4, seed=1)[:, :2]
+        assert np.allclose(dagger(isometry) @ isometry, np.eye(2), atol=ATOL)
+        assert not is_unitary(isometry)
+        assert not is_unitary(np.ones(2))
+        assert not is_unitary(np.stack([constants.H, constants.H]))
 
 
 class TestLoewnerOrder:

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionMismatchError, SuperOperatorError
+from repro.exceptions import DimensionMismatchError, RegisterError, SuperOperatorError
 from repro.linalg.constants import CX, H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.random import random_kraus_operators
@@ -160,6 +160,27 @@ class TestAlgebra:
         register = QubitRegister(["a", "b"])
         embedded = SuperOperator.from_unitary(X).embed(["b"], register)
         assert operators_close(embedded.apply(density(ket("00"))), density(ket("01")))
+
+    def test_embed_onto_the_whole_register_in_order_returns_the_map(self):
+        register = QubitRegister(["a", "b"])
+        channel = SuperOperator(random_kraus_operators(4, count=3, seed=7))
+        assert channel.embed(["a", "b"], register) is channel
+
+    def test_embed_onto_the_whole_register_reversed_permutes_each_operator(self):
+        register = QubitRegister(["a", "b"])
+        channel = SuperOperator(random_kraus_operators(4, count=3, seed=7))
+        embedded = channel.embed(["b", "a"], register)
+        expected = np.stack([register.embed(operator, ["b", "a"]) for operator in channel.kraus_operators])
+        assert embedded is not channel
+        assert np.array_equal(embedded.kraus_operators, expected)
+        assert not np.allclose(embedded.kraus_operators, channel.kraus_operators)
+
+    @pytest.mark.parametrize("qubits", [["a", "c"], ["c"], ["a", "a"]])
+    def test_embed_rejects_unknown_or_repeated_qubits(self, qubits):
+        register = QubitRegister(["a", "b"])
+        channel = SuperOperator.identity(2 ** len(qubits))
+        with pytest.raises(RegisterError):
+            channel.embed(qubits, register)
 
     def test_dimension_mismatch_in_algebra(self):
         with pytest.raises(DimensionMismatchError):
