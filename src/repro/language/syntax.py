@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 from ..diagnostics import Diagnostic, SourceSpan, make_diagnostic
+from ..exceptions import ParseError
 from .lexer import Token, tokenize
 
 __all__ = [
@@ -212,6 +213,9 @@ class _RawParser:
     def __init__(self, tokens):
         self._tokens = list(tokens)
         self._position = 0
+        # The token under the cursor.  The list ends with EOF, which advance()
+        # never passes, so reading it needs no bounds clamp.
+        self.token: Token = self._tokens[0]
         self.annotations: List[RawAssertion] = []
         self.problems: List[Diagnostic] = []
         self.dangling_invariants: List[RawAssertion] = []
@@ -223,15 +227,14 @@ class _RawParser:
         return self._tokens[index]
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self.token
         if token.kind != "EOF":
             self._position += 1
+            self.token = self._tokens[self._position]
         return token
 
     def expect(self, kind: str) -> Token:
-        from ..exceptions import ParseError
-
-        token = self.peek()
+        token = self.token
         if token.kind != kind:
             raise ParseError(
                 f"expected {kind} but found {token.kind} ({token.value!r})",
@@ -242,7 +245,7 @@ class _RawParser:
         return self.advance()
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.token.kind == kind
 
     def problem(self, code: str, message: str, span: SourceSpan) -> None:
         self.problems.append(make_diagnostic(code, message, span))
@@ -289,9 +292,7 @@ class _RawParser:
 
     # -------------------------------------------------------------- statements
     def parse_statement(self) -> RawStatement:
-        from ..exceptions import ParseError
-
-        token = self.peek()
+        token = self.token
         span = SourceSpan.from_token(token)
         if token.kind == "SKIP":
             self.advance()
@@ -301,7 +302,7 @@ class _RawParser:
             return RawAbort(span)
         if token.kind == "LBRACKET":
             qubits = self.parse_qubit_list()
-            operator_token = self.peek()
+            operator_token = self.token
             if operator_token.kind == "ASSIGN":
                 self.advance()
                 number = self.expect("NUMBER")
@@ -366,11 +367,11 @@ class _RawParser:
     # --------------------------------------------------------------- sequences
     def parse_sequence(self, stop: set) -> RawStatement:
         """Parse ``item (';' item)*`` until a stop keyword, EOF or closing token."""
-        start = SourceSpan.from_token(self.peek())
+        start = SourceSpan.from_token(self.token)
         items: List[RawStatement] = []
         stop = set(stop) | {"EOF", "RPAREN"}
         while True:
-            if self.peek().kind in stop:
+            if self.token.kind in stop:
                 break
             if self.at("LBRACE"):
                 self.parse_annotation()
@@ -385,7 +386,7 @@ class _RawParser:
         return RawSequence(tuple(items), items[0].span if items else start)
 
     def parse_choice(self) -> RawStatement:
-        start = SourceSpan.from_token(self.peek())
+        start = SourceSpan.from_token(self.token)
         branches = [self.parse_sequence(stop={"HASH"})]
         while self.at("HASH"):
             self.advance()
@@ -432,8 +433,6 @@ def parse_raw_annotated(source: Union[str, Sequence[Token]]) -> RawAnnotatedProg
     ``source`` is text, or tokens that end with an ``EOF`` token (a proof
     body cut from a session script keeps the script's positions).
     """
-    from ..exceptions import ParseError
-
     parser = _RawParser(tokenize(source) if isinstance(source, str) else source)
     precondition: Optional[RawAssertion] = None
     postcondition: Optional[RawAssertion] = None
@@ -454,7 +453,7 @@ def parse_raw_annotated(source: Union[str, Sequence[Token]]) -> RawAnnotatedProg
         if parser.at("SEMICOLON"):
             parser.advance()
         elif not parser.at("EOF"):
-            token = parser.peek()
+            token = parser.token
             raise ParseError(
                 f"expected ';' or end of input, found {token.value!r}",
                 token.line,

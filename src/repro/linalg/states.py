@@ -191,14 +191,18 @@ def purity(rho: np.ndarray) -> float:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Return the Uhlmann fidelity ``F(ρ, σ) = (tr√(√ρ σ √ρ))²``."""
-    from scipy.linalg import sqrtm
+    """Return the Uhlmann fidelity ``F(ρ, σ) = (tr√(√ρ σ √ρ))²``.
 
+    Both square roots are of positive semidefinite operators, taken on their
+    eigendecomposition with round-off below zero clipped, so a rank-deficient
+    state (every pure one) needs no special case; ``tr√A`` is ``Σ √λ_i``.
+    """
     rho = density(np.asarray(rho, dtype=complex))
     sigma = density(np.asarray(sigma, dtype=complex))
-    sqrt_rho = sqrtm(rho)
-    inner = sqrtm(sqrt_rho @ sigma @ sqrt_rho)
-    value = float(np.real(np.trace(inner))) ** 2
+    eigenvalues, eigenvectors = np.linalg.eigh(rho)
+    sqrt_rho = (eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ dagger(eigenvectors)
+    inner = np.linalg.eigvalsh(sqrt_rho @ sigma @ sqrt_rho)
+    value = float(np.sum(np.sqrt(np.clip(inner, 0.0, None)))) ** 2
     return max(0.0, min(1.0, value))
 
 

@@ -210,12 +210,14 @@ def clip_to_predicate(matrix: np.ndarray, atol: float = 1e-9) -> np.ndarray:
 
     Adjoints of trace non-increasing maps keep predicates inside ``[0, I]``
     mathematically, but floating-point round-off can push eigenvalues slightly
-    outside the interval; this helper projects them back.
+    outside the interval; this helper projects them back.  The eigenvalues
+    decide, so the eigenvectors are computed only for a matrix that is
+    actually clipped.
     """
     matrix = np.asarray(matrix, dtype=complex)
     hermitian = (matrix + dagger(matrix)) / 2
-    eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
-    clipped = np.clip(eigenvalues, 0.0, 1.0)
-    if np.allclose(clipped, eigenvalues, atol=atol):
+    eigenvalues = np.linalg.eigvalsh(hermitian)
+    if np.allclose(np.clip(eigenvalues, 0.0, 1.0), eigenvalues, atol=atol):
         return hermitian
-    return (eigenvectors * clipped) @ dagger(eigenvectors)
+    eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
+    return (eigenvectors * np.clip(eigenvalues, 0.0, 1.0)) @ dagger(eigenvectors)

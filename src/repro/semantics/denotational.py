@@ -24,8 +24,12 @@ Maps are :class:`~repro.superop.kraus.SuperOperator` in Kraus form, as in the
 paper's presentation, on the full program register.  A gate meets the register
 through :func:`~repro.linalg.tensor.apply_to_qubits`, which multiplies by its
 cylinder extension (Sec. 2) contracting only the gate's qubits; measurement
-projectors and initialisation channels enter as their ``2^n × 2^n``
-extensions, built by the same kernel on the identity.
+projectors enter as their ``2^n × 2^n`` extensions, built by the same kernel
+on the identity.  ``Set0``, whose Kraus operators ``|0⟩⟨i| ⊗ I`` only move
+entries, is never multiplied:
+:meth:`~repro.superop.kraus.SuperOperator.compose_reset` copies the rows or
+columns of the maps it meets, and the bare channel is that copy of the
+identity.
 """
 
 from __future__ import annotations
@@ -109,11 +113,15 @@ def measurement_superoperators(
 def initializer_channel(qubits: Sequence[str], register: QubitRegister) -> SuperOperator:
     """Return the ``Set0`` channel on the named ``qubits``, extended to the register.
 
-    The rule checker replays the (Init) rule on its Kraus sum; the backward
-    engines use :func:`initializer_adjoint` instead.
+    It is :meth:`~repro.superop.kraus.SuperOperator.compose_reset` on the
+    identity, the one construction of ``Set0`` on a register.  The rule
+    checker replays the (Init) rule on its Kraus sum; the backward engines
+    use :func:`initializer_adjoint` instead.
     """
+    register.check_contains(qubits)
     with span("initializer", region="denotation"):
-        return SuperOperator.initializer(len(qubits)).embed(qubits, register)
+        identity = SuperOperator.identity(register.dimension)
+        return identity.compose_reset(register.positions(qubits), "rows")
 
 
 def initializer_adjoint(
@@ -202,31 +210,12 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
     if isinstance(program, Abort):
         return [SuperOperator.zero(dimension)]
     if isinstance(program, Init):
-        channel = SuperOperator.initializer(len(program.qubits)).embed(program.qubits, register)
-        return [channel]
+        return [initializer_channel(program.qubits, register)]
     if isinstance(program, Unitary):
         embedded = register.embed(program.matrix, program.qubits)
         return [SuperOperator([embedded], validate=False)]
     if isinstance(program, Seq):
-        steps = _seq_steps(program.statements, register, options)
-        _, current = next(steps)
-        if options.dedup and len(current) > 1:
-            current = deduplicate(current)
-        for statement, step in steps:
-            with span(
-                "seq-compose",
-                region="denotation",
-                statement=statement,
-                set_size=len(current) * len(step),
-            ):
-                current = [
-                    _maybe_simplify(later.compose(earlier), options)
-                    for earlier in current
-                    for later in step
-                ]
-                if options.dedup and len(current) > 1:
-                    current = deduplicate(current)
-        return current
+        return _denote_seq(program.statements, register, options)
     if isinstance(program, NDet):
         maps: List[SuperOperator] = []
         for branch in program.branches:
@@ -247,10 +236,67 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
     raise SemanticsError(f"unknown program construct {type(program).__name__}")
 
 
+def _denote_seq(
+    statements: Sequence[Program], register: QubitRegister, options: DenotationOptions
+) -> List[SuperOperator]:
+    """Fold ``[[S_k]] ∘ ⋯ ∘ [[S_1]]`` over the steps of a sequential composition.
+
+    ``Set0`` is never multiplied:
+    :meth:`~repro.superop.kraus.SuperOperator.compose_reset` copies the rows
+    of the maps composed so far for every ``Init`` step, and for an opening
+    ``Init`` it copies the columns of the next step's maps, so
+    ``q̄ := 0; U…`` costs one copy of ``U``'s columns instead of ``2^|q̄|``
+    matrix products.  Every other step is composed with
+    :meth:`~repro.superop.kraus.SuperOperator.compose`; both give the same
+    operators in the same order.
+    """
+    steps = _seq_steps(statements, register, options)
+    statement, current = next(steps)
+    if isinstance(statement, Init):
+        positions = register.positions(statement.qubits)
+        statement, step = next(steps)  # a sequence has a second step after an Init
+        if step is None:
+            step = [initializer_channel(statement.qubits, register)]
+        with span(
+            "seq-compose",
+            region="denotation",
+            statement=type(statement).__name__,
+            set_size=len(step),
+        ):
+            current = [
+                _maybe_simplify(later.compose_reset(positions, "columns"), options)
+                for later in step
+            ]
+    if options.dedup and len(current) > 1:
+        current = deduplicate(current)
+    for statement, step in steps:
+        with span(
+            "seq-compose",
+            region="denotation",
+            statement=type(statement).__name__,
+            set_size=len(current) * (len(step) if step is not None else 1),
+        ):
+            if step is None:
+                positions = register.positions(statement.qubits)
+                current = [
+                    _maybe_simplify(earlier.compose_reset(positions, "rows"), options)
+                    for earlier in current
+                ]
+            else:
+                current = [
+                    _maybe_simplify(later.compose(earlier), options)
+                    for earlier in current
+                    for later in step
+                ]
+            if options.dedup and len(current) > 1:
+                current = deduplicate(current)
+    return current
+
+
 def _seq_steps(
     statements: Sequence[Program], register: QubitRegister, options: DenotationOptions
-) -> Iterator[Tuple[str, List[SuperOperator]]]:
-    """Yield ``(statement type, maps)`` for each step of a sequential composition.
+) -> Iterator[Tuple[Program, Optional[List[SuperOperator]]]]:
+    """Yield ``(statement, maps)`` for each step of a sequential composition.
 
     A maximal run of consecutive :class:`Unitary` statements is one step: the
     product ``U_k ⋯ U_1`` of their extensions, as one rank-one map, so the
@@ -258,17 +304,20 @@ def _seq_steps(
     gate is folded into the running product by
     :meth:`~repro.registers.QubitRegister.apply`, which contracts only its
     own qubits.  Composition is associative, so the denoted set is
-    unchanged.  Every other statement is a step of its own denotation.
+    unchanged; the run is reported by its last statement.  An :class:`Init`
+    comes with no maps, since :func:`_denote_seq` applies it by copying.
+    Every other statement is a step of its own denotation.
     """
     for is_run, group in groupby(statements, key=lambda statement: isinstance(statement, Unitary)):
         if not is_run:
             for statement in group:
-                yield type(statement).__name__, _denote(statement, register, options)
+                maps = None if isinstance(statement, Init) else _denote(statement, register, options)
+                yield statement, maps
             continue
         product = register.identity()
         for statement in group:
             product = register.apply(statement.matrix, statement.qubits, product)
-        yield "Unitary", [SuperOperator([product], validate=False)]
+        yield statement, [SuperOperator([product], validate=False)]
 
 
 # ---------------------------------------------------------------------------

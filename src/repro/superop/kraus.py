@@ -14,7 +14,9 @@ Choi matrix of :mod:`~repro.superop.choi` is derived from it for comparisons.
 The ``k`` operators are stored as one read-only ``(k, d, d)`` complex array,
 so every operation of the algebra is one batched numpy call on it:
 composition is one broadcast ``matmul`` of ``k·l`` products, addition one
-``concatenate``, and the gram ``Σ_i E_i†E_i`` one matrix product.  Applying
+``concatenate``, and the gram ``Σ_i E_i†E_i`` one matrix product.
+Composing with the reset ``Set0`` (:meth:`SuperOperator.compose_reset`)
+forms no product at all: it copies rows or columns.  Applying
 a map to a state costs ``k·d³``; the operator count multiplies under
 composition.  :meth:`equals` and :meth:`precedes` build a ``d²×d²`` Choi
 matrix per map, while the set comparisons of :mod:`~repro.superop.compare`
@@ -138,12 +140,10 @@ class SuperOperator:
     def initializer(cls, num_qubits: int) -> "SuperOperator":
         """Return the ``Set0`` channel that resets ``num_qubits`` qubits to ``|0…0⟩``.
 
-        Kraus operators are ``|0⟩⟨i|`` for each basis vector ``|i⟩`` (Fig. 2).
+        Kraus operators are ``|0⟩⟨i|`` for each basis vector ``|i⟩`` (Fig. 2):
+        :meth:`compose_reset` on the identity.
         """
-        dimension = 2 ** num_qubits
-        kraus = np.zeros((dimension, dimension, dimension), dtype=complex)
-        kraus[:, 0, :] = np.eye(dimension)
-        return cls._of(kraus)
+        return cls.identity(2 ** num_qubits).compose_reset(range(num_qubits), "rows")
 
     # ------------------------------------------------------------- properties
     @property
@@ -236,6 +236,49 @@ class SuperOperator:
         self._check_dimension(other)
         products = self._kraus[:, np.newaxis] @ other._kraus[np.newaxis]
         return SuperOperator._of(products.reshape(-1, self._dimension, self._dimension))
+
+    def compose_reset(self, positions: Sequence[int], side: str) -> "SuperOperator":
+        """Return ``Set0 ∘ self`` (``side="rows"``) or ``self ∘ Set0`` (``side="columns"``).
+
+        ``Set0`` resets the qubits at ``positions`` (their factor order, 0
+        the most significant qubit of the map's space) to ``|0…0⟩``.  Its
+        ``m = 2^|positions|`` Kraus operators ``|0⟩⟨i| ⊗ I`` only move
+        entries, so the result is copied, not multiplied:
+
+        * operator ``(i, j)`` of ``Set0 ∘ self`` holds ``E_j``'s rows whose
+          index on those qubits is ``i``, moved to index 0;
+        * operator ``(j, i)`` of ``self ∘ Set0`` holds ``E_j``'s columns
+          whose index on those qubits is 0, moved to index ``i``;
+
+        every other entry is zero.  The operators come out in the order
+        :meth:`compose` gives with the materialised ``Set0`` and, for finite
+        entries, equal its products bit for bit: a product with a 0/1 matrix
+        adds only exact zeros.
+        """
+        kraus = self._kraus
+        count, dimension = kraus.shape[:2]
+        num_qubits = num_qubits_of(kraus[0])
+        positions = list(positions)
+        if len(set(positions)) != len(positions) or any(
+            not 0 <= position < num_qubits for position in positions
+        ):
+            raise SuperOperatorError(
+                f"invalid reset positions {positions} for {num_qubits} qubit(s)"
+            )
+        # lines[i, r]: the basis index reading i on the reset qubits and r on the rest.
+        rest = [position for position in range(num_qubits) if position not in positions]
+        lines = np.arange(dimension).reshape((2,) * num_qubits).transpose(positions + rest)
+        lines = lines.reshape(2 ** len(positions), -1)
+        if side == "rows":
+            result = np.zeros((len(lines), count, dimension, dimension), dtype=complex)
+            result[:, :, lines[0], :] = kraus[:, lines, :].swapaxes(0, 1)
+        elif side == "columns":
+            result = np.zeros((count, len(lines), dimension, dimension), dtype=complex)
+            resets = np.arange(len(lines))[:, np.newaxis]
+            result.swapaxes(2, 3)[:, resets, lines, :] = kraus.swapaxes(1, 2)[:, np.newaxis, lines[0], :]
+        else:
+            raise SuperOperatorError(f"side must be 'rows' or 'columns', not {side!r}")
+        return SuperOperator._of(result.reshape(-1, dimension, dimension))
 
     def then(self, other: "SuperOperator") -> "SuperOperator":
         """Return ``other ∘ self`` (first ``self``, then ``other``)."""

@@ -1,11 +1,14 @@
 """Unit tests for state constructors in :mod:`repro.linalg.states`."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.exceptions import LinalgError
 from repro.linalg.constants import I2
 from repro.linalg.operators import is_density_operator, operators_close
+from repro.linalg.random import random_density_operator, random_state_vector
 from repro.linalg.states import (
     basis_state,
     bell_state,
@@ -118,6 +121,37 @@ class TestDensityOperators:
         assert fidelity(ket("0"), ket("0")) == pytest.approx(1.0)
         assert fidelity(ket("0"), ket("1")) == pytest.approx(0.0, abs=1e-9)
         assert fidelity(ket("0"), plus_state()) == pytest.approx(0.5, abs=1e-9)
+
+    # A square root turns the ~1e-16 round-off eigenvalues of a rank-deficient
+    # state into ~1e-8, so the Uhlmann formula is good to about 1e-8.
+    FIDELITY_ATOL = 1e-7
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fidelity_of_pure_states_is_their_overlap(self, seed):
+        psi, phi = (random_state_vector(8, seed=2 * seed + offset) for offset in (0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = fidelity(psi, phi)
+        assert value == pytest.approx(abs(np.vdot(psi, phi)) ** 2, abs=self.FIDELITY_ATOL)
+
+    @pytest.mark.parametrize("rank", [1, 2, 8])
+    def test_fidelity_of_pure_and_mixed_state_is_an_expectation(self, rank):
+        psi = random_state_vector(8, seed=rank)
+        sigma = random_density_operator(8, rank=rank, seed=10 + rank)
+        expected = float(np.real(np.vdot(psi, sigma @ psi)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fidelity(psi, sigma) == pytest.approx(expected, abs=self.FIDELITY_ATOL)
+            assert fidelity(sigma, psi) == pytest.approx(expected, abs=self.FIDELITY_ATOL)
+
+    def test_fidelity_of_orthogonal_states_is_zero(self):
+        low = mixed_state([(0.5, ket("00")), (0.5, ket("01"))])
+        high = mixed_state([(0.25, ket("10")), (0.75, ket("11"))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fidelity(low, high) == pytest.approx(0.0, abs=1e-12)
+            assert fidelity(ket("01"), high) == pytest.approx(0.0, abs=1e-12)
+            assert fidelity(low, low) == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_norm(self):
         assert trace_norm(I2) == pytest.approx(2.0)

@@ -30,11 +30,14 @@ from repro.programs import (
     errcorr_register,
     grover_program,
     grover_register,
+    noisy_grover_formula,
     nondeterministic_rus_program,
     qwalk_program,
     qwalk_register,
     rus_program,
     rus_register,
+    teleport_program,
+    teleport_register,
 )
 from repro.registers import QubitRegister
 from repro.semantics import denotational
@@ -55,7 +58,7 @@ from repro.semantics.schedulers import (
 )
 from repro.superop import choi as choi_module
 from repro.superop import kraus as kraus_module
-from repro.superop.compare import set_equal
+from repro.superop.compare import deduplicate, set_equal
 from repro.superop.kraus import SuperOperator
 
 
@@ -152,12 +155,14 @@ def _count_kraus_products(monkeypatch):
 class TestUnitaryRuns:
     """A run of consecutive unitaries in a ``Seq`` is one matrix, composed once."""
 
-    def test_grover_6_takes_one_product_per_initializer_operator(self, monkeypatch):
+    def test_grover_6_multiplies_no_initializer_operator(self, monkeypatch):
         products = _count_kraus_products(monkeypatch)
         maps = denotation(grover_program(6, layout="gates"), grover_register(6))
         assert len(maps) == 1
-        # 64 Kraus operators of Set0 times the one run of 90 gates.
-        assert sum(products) <= 64
+        # The one run of 90 gates is U; U ∘ Set0 copies U's columns into
+        # Set0's 64 operators, so no Kraus product is formed.
+        assert products == []
+        assert len(maps[0].kraus_operators) == 64
 
     @pytest.mark.parametrize(
         "build",
@@ -199,6 +204,73 @@ class TestUnitaryRuns:
             monkeypatch.setattr(module, "choi_matrix", refuse)
         maps = denotation(errcorr_program(num_data_qubits), errcorr_register(num_data_qubits))
         assert len(maps) == expected_maps
+
+
+def _materialised_set0(qubits, register):
+    """Fig. 2's ``Set0`` on ``qubits``: the operators ``|0⟩⟨i| ⊗ I``, built one by one."""
+    size = 2 ** len(qubits)
+    operators = []
+    for index in range(size):
+        local = np.zeros((size, size), dtype=complex)
+        local[0, index] = 1.0
+        operators.append(register.embed(local, qubits))
+    return SuperOperator(operators, validate=False)
+
+
+def _materialised_fold(statements, register, options):
+    """The sequence fold that composes every step, ``Set0`` included, as Kraus products."""
+    current = None
+    for statement, step in denotational._seq_steps(statements, register, options):
+        if step is None:
+            step = [_materialised_set0(statement.qubits, register)]
+        if current is None:
+            current = step
+        else:
+            current = [
+                denotational._maybe_simplify(later.compose(earlier), options)
+                for earlier in current
+                for later in step
+            ]
+        if options.dedup and len(current) > 1:
+            current = deduplicate(current)
+    return current
+
+
+def _damped(program, register):
+    noisy, ancillas = apply_noise(program, "amplitude_damping", 0.05)
+    return noisy, register.union(ancillas)
+
+
+def _noisy_grover():
+    formula, register = noisy_grover_formula(2, strength=0.05, layout="gates")
+    return formula.program, register
+
+
+class TestResetByCopying:
+    """``Set0`` copies rows or columns; the maps equal those of composing its operators."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: (grover_program(6, layout="gates"), grover_register(6)),
+            lambda: (errcorr_program(4), errcorr_register(4)),
+            lambda: (qwalk_program(16), qwalk_register(16)),
+            lambda: _damped(nondeterministic_rus_program(), rus_register()),
+            _noisy_grover,
+            lambda: _damped(teleport_program(), teleport_register()),
+        ],
+        ids=["grover-6", "errcorr-4", "qwalk-16", "noisy-rus-ndet", "noisy-grover-2", "noisy-teleport"],
+    )
+    def test_benchmark_programs_equal_the_materialised_fold(self, monkeypatch, build):
+        program, register = build()
+        maps = denotation(program, register)
+        monkeypatch.setattr(denotational, "_denote_seq", _materialised_fold)
+        monkeypatch.setattr(denotational, "initializer_channel", _materialised_set0)
+        reference = denotation(program, register)
+        assert len(maps) == len(reference)
+        for channel, expected in zip(maps, reference):
+            assert channel.kraus_operators.shape == expected.kraus_operators.shape
+            assert np.array_equal(channel.kraus_operators, expected.kraus_operators)
 
 
 class TestInitializerAdjoint:

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.exceptions import DimensionMismatchError, RegisterError, SuperOperatorError
 from repro.linalg.constants import CX, H, I2, P0, P1, X
@@ -296,6 +297,48 @@ class TestBatchedAlgebraAgainstPerOperatorReference:
                 reference.append(operator)
             channel = SuperOperator.initializer(num_qubits)
             assert np.array_equal(channel.kraus_operators, np.stack(reference))
+
+
+@st.composite
+def reset_cases(draw):
+    """A register size, the ordered positions of a reset, an operator count and a seed."""
+    num_qubits = draw(st.integers(min_value=1, max_value=5))
+    order = draw(st.permutations(range(num_qubits)))
+    size = draw(st.integers(min_value=1, max_value=num_qubits))
+    count = draw(st.integers(min_value=1, max_value=3))
+    return num_qubits, tuple(order[:size]), count, draw(st.integers(0, 2**32 - 1))
+
+
+class TestComposeReset:
+    """``compose_reset`` equals a product with the materialised ``Set0``, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=reset_cases())
+    @example(case=(5, (0, 1, 2, 3, 4), 2, 0))  # the whole register, in order
+    @example(case=(5, (4, 3, 2, 1, 0), 2, 1))  # the whole register, reversed
+    @example(case=(4, (3, 1), 3, 2))  # non-adjacent, reversed
+    @example(case=(3, (0, 2), 1, 3))  # non-adjacent, in order
+    def test_equals_composing_with_the_embedded_initializer(self, case):
+        num_qubits, positions, count, seed = case
+        register = QubitRegister([f"q{index}" for index in range(num_qubits)])
+        qubits = [register.names[position] for position in positions]
+        dimension = register.dimension
+        rng = np.random.default_rng(seed)
+        shape = (count, dimension, dimension)
+        channel = SuperOperator(rng.normal(size=shape) + 1j * rng.normal(size=shape), validate=False)
+        set0 = SuperOperator.initializer(len(qubits)).embed(qubits, register)
+        for side, expected in (("rows", set0.compose(channel)), ("columns", channel.compose(set0))):
+            result = channel.compose_reset(positions, side).kraus_operators
+            assert result.shape == expected.kraus_operators.shape
+            assert np.array_equal(result, expected.kraus_operators)
+
+    def test_rejects_bad_positions_and_sides(self):
+        channel = SuperOperator.identity(4)
+        for positions in ([0, 0], [2], [-1]):
+            with pytest.raises(SuperOperatorError):
+                channel.compose_reset(positions, "rows")
+        with pytest.raises(SuperOperatorError):
+            channel.compose_reset([0], "left")
 
 
 def redundant_kraus(dimension, rank, count, seed):
