@@ -2,9 +2,10 @@
 
 The paper's prototype reduces the assertion order to Löwner checks (singleton
 case) and SDP feasibility (general case).  This benchmark measures the cost of
-the reproduction's substitute — Löwner eigenvalue checks plus the certified
-Frank–Wolfe / dual-eigenvalue pair — across Hilbert-space dimensions and
-assertion sizes, and asserts its correctness on the paper's worked cases.
+the reproduction's substitute — Löwner eigenvalue checks plus the barrier
+method that closes a certified interval around the worst-case gap — across
+Hilbert-space dimensions and assertion sizes, and asserts its correctness on
+the paper's worked cases.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ def test_singleton_loewner_check_scaling(benchmark, dimension):
 @pytest.mark.parametrize("theta_size", [2, 3, 4])
 @pytest.mark.parametrize("dimension", [2, 4, 8])
 def test_general_sdp_substitute_scaling(benchmark, dimension, theta_size):
-    """General Θ: primal/dual bracketing of the worst-case expectation gap."""
+    """General Θ: the certified interval around the worst-case expectation gap."""
     rng = np.random.default_rng(dimension * 10 + theta_size)
     predicates = [random_predicate_matrix(dimension, seed=rng) for _ in range(theta_size)]
     theta = QuantumAssertion(predicates)

@@ -16,7 +16,10 @@ up to ``ATOL`` on the predicate matrices.  This is the partial-correctness
 reading of Def. 4.2 and it is exact for loop-free programs (Lemma A.1).
 Loop-free draws also check the prover's verification condition
 (:meth:`repro.logic.prover.Prover.generate`) against the semantic wlp — the
-relative-completeness equality of Sec. 5.
+relative-completeness equality of Sec. 5 — and decide ``VC ⊑_inf wlp`` and
+``wlp ⊑_inf VC`` with :func:`repro.predicates.order.leq_inf` at its default
+precision.  Both must hold; a false verdict, or an interval the order
+decision cannot place on one side of ``ε``, is a divergence.
 
 Loop draws are not compared across engines: each engine truncates a loop on
 its own stopping rule, so on loops the two agree only up to the mass the
@@ -51,6 +54,7 @@ from ..logic.formula import CorrectnessMode
 from ..logic.prover import Prover
 from ..logic.ranking import HORIZON, synthesize_ranking
 from ..predicates.assertion import QuantumAssertion
+from ..predicates.order import leq_inf
 from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
 from ..semantics.wp import WpOptions, weakest_liberal_precondition
 from .generator import FuzzProgram
@@ -121,9 +125,10 @@ class Divergence:
 
     ``kind`` is ``"duality"`` (the wlp differs from the one the denotation
     implies), ``"prover"`` (verification condition vs semantic wlp),
-    ``"termination"`` (a cyclic scheduler keeps more weight inside a loop
-    than its termination certificate allows) or ``"error"`` (an engine
-    raised).  ``combo_a`` / ``combo_b`` name the two
+    ``"order"`` (``VC ⊑_inf wlp`` or ``wlp ⊑_inf VC`` is refused, or its
+    decision raised), ``"termination"`` (a cyclic scheduler keeps more
+    weight inside a loop than its termination certificate allows) or
+    ``"error"`` (an engine raised).  ``combo_a`` / ``combo_b`` name the two
     results compared; an ``"error"`` names the failing run in ``combo_a``.
     """
 
@@ -160,6 +165,8 @@ class DifferentialReport:
 
     ``loops`` counts the termination certificates of the loops in loop
     draws by outcome: ``"certified"``, ``"horizon"`` or ``"budget"``.
+    ``order_decisions`` counts the ``⊑_inf`` decisions between verification
+    conditions and wlps: two per loop-free draw when the prover is checked.
     """
 
     seed: int
@@ -167,6 +174,7 @@ class DifferentialReport:
     loop_free: int = 0
     with_loops: int = 0
     prover_checked: int = 0
+    order_decisions: int = 0
     loops: Counter = field(default_factory=Counter)
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -183,6 +191,7 @@ class DifferentialReport:
             "loop_free": self.loop_free,
             "with_loops": self.with_loops,
             "prover_checked": self.prover_checked,
+            "order_decisions": self.order_decisions,
             "loops": dict(self.loops),
             "divergence_count": len(self.divergences),
             "divergences": [divergence.to_dict() for divergence in self.divergences],
@@ -294,16 +303,17 @@ def check_program(
     Returns the (possibly empty) list of divergences; this is the predicate
     the shrinker re-checks after every candidate reduction.
     """
-    return _check(fuzz_program, config or OracleConfig(), environment, Counter())
+    report = DifferentialReport(seed=fuzz_program.seed)
+    return _check(fuzz_program, config or OracleConfig(), environment, report)
 
 
 def _check(
     fuzz_program: FuzzProgram,
     config: OracleConfig,
     environment: Optional[OperatorEnvironment],
-    outcomes: Counter,
+    report: DifferentialReport,
 ) -> List[Divergence]:
-    """:func:`check_program`, counting the termination certificates in ``outcomes``."""
+    """:func:`check_program`, counting certificates and order decisions in ``report``."""
     environment = environment or default_environment()
     source = fuzz_program.source()
 
@@ -335,7 +345,7 @@ def _check(
     if fuzz_program.contains_while():
         options = DenotationOptions(**_loop_options(config))
         for loop in (node for node in program.walk() if isinstance(node, While)):
-            detail = _termination_check(loop, register, options, outcomes)
+            detail = _termination_check(loop, register, options, report.loops)
             if detail is not None:
                 diverge("termination", "certificate", "cyclic scheduler", detail)
         return divergences
@@ -358,6 +368,19 @@ def _check(
                 "wlp",
                 "prover verification condition differs from semantic wlp",
             )
+        vc = outline.precondition
+        for name_a, lower, name_b, upper in (
+            ("prover", vc, "wlp", wlp),
+            ("wlp", wlp, "prover", vc),
+        ):
+            report.order_decisions += 1
+            try:
+                holds = leq_inf(lower, upper).holds
+            except Exception as error:  # an undecided interval or a solver bug
+                diverge("order", name_a, name_b, f"{type(error).__name__}: {error}")
+                continue
+            if not holds:
+                diverge("order", name_a, name_b, f"{name_a} ⊑_inf {name_b} does not hold")
     return divergences
 
 
@@ -378,7 +401,7 @@ def run_differential(
     seed = programs[0].seed if programs else 0
     report = DifferentialReport(seed=seed)
     for position, fuzz_program in enumerate(programs):
-        divergences = _check(fuzz_program, config, environment, report.loops)
+        divergences = _check(fuzz_program, config, environment, report)
         report.programs_checked += 1
         if fuzz_program.contains_while():
             report.with_loops += 1

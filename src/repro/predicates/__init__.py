@@ -3,7 +3,7 @@
 from .assertion import QuantumAssertion, measured_sum
 from .order import OrderCheckResult, assert_leq_inf, expectation_gap, leq_inf
 from .predicate import QuantumPredicate, clip_to_predicate
-from .sdp import GapResult, lambda_max, max_min_expectation_gap, top_eigenvector_state
+from .sdp import GapResult, max_min_expectation_gap
 
 __all__ = [
     "QuantumAssertion",
@@ -15,7 +15,5 @@ __all__ = [
     "expectation_gap",
     "leq_inf",
     "GapResult",
-    "lambda_max",
     "max_min_expectation_gap",
-    "top_eigenvector_state",
 ]

@@ -7,8 +7,11 @@ min_{N∈Ψ} tr(Nρ)``.  By Lemma 6.1 this is equivalent to checking, for each
 
 * when ``Θ`` is a singleton ``{M}``, this is exactly the Löwner comparison
   ``M ⊑ N``, decided by an eigenvalue computation;
-* otherwise the optimal gap ``V(Θ, N)`` is bracketed by the primal/dual pair of
-  :mod:`repro.predicates.sdp` and compared against ``ε``.
+* otherwise the barrier method of :mod:`repro.predicates.sdp` closes a
+  certified interval around the optimal gap ``V(Θ, N)``: the relation holds
+  for ``N`` when its upper end is at most ``ε`` and fails when its lower end
+  exceeds ``ε``.  An interval that still contains ``ε`` decides nothing, and
+  :class:`~repro.exceptions.VerificationError` reports it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..exceptions import VerificationError
 from ..linalg.constants import NUMERIC_TOL
 from ..linalg.operators import loewner_le
 from ..telemetry.metrics import METRICS
@@ -59,25 +63,28 @@ class OrderCheckResult:
         return self.holds
 
 
-def expectation_gap(
-    theta: QuantumAssertion, psi_predicate: QuantumPredicate, **solver_options
-) -> GapResult:
+def expectation_gap(theta: QuantumAssertion, psi_predicate: QuantumPredicate) -> GapResult:
     """Return certified bounds on ``max_ρ (min_{M∈Θ} tr(Mρ) − tr(Nρ))``."""
-    return max_min_expectation_gap(theta.matrices, psi_predicate.matrix, **solver_options)
+    return max_min_expectation_gap(theta.matrices, psi_predicate.matrix)
 
 
 def leq_inf(
     theta: QuantumAssertion,
     psi: QuantumAssertion,
     epsilon: float = NUMERIC_TOL,
-    **solver_options,
 ) -> OrderCheckResult:
     """Decide whether ``Θ ⊑_inf Ψ`` up to the precision ``epsilon``.
 
     The check follows the algorithm of Sec. 6.3: each ``N ∈ Ψ`` is examined
     independently.  The singleton case is decided exactly by a Löwner
-    comparison; the general case by the certified primal/dual bounds on the
+    comparison; the general case by the certified interval around the
     worst-case expectation gap.
+
+    Raises
+    ------
+    VerificationError
+        When that interval still contains ``epsilon`` after the solver's
+        Newton steps, so that neither verdict is certified.
 
     Every decision is telemetered: a span tagged ``region="order-decision"``
     times the call, and the ``order.decisions{holds=...}`` counter plus the
@@ -93,24 +100,21 @@ def leq_inf(
         psi_predicates=len(psi.predicates),
         singleton=theta.is_singleton(),
     ) as decision_span:
-        result = _leq_inf_impl(theta, psi, epsilon, **solver_options)
+        result = _leq_inf_impl(theta, psi, epsilon)
         decision_span.set_tag("holds", result.holds)
     METRICS.counter("order.decisions", holds=result.holds).inc()
     METRICS.histogram("order.latency_seconds").observe(time.perf_counter() - start)
     return result
 
 
-def _timed_gap(theta: QuantumAssertion, psi_predicate: QuantumPredicate, **solver_options) -> GapResult:
+def _timed_gap(theta: QuantumAssertion, psi_predicate: QuantumPredicate) -> GapResult:
     """Run one certified SDP gap computation under an ``order-decision`` span."""
     with span("sdp-gap", region="order-decision", predicates=len(theta.predicates)):
-        return max_min_expectation_gap(theta.matrices, psi_predicate.matrix, **solver_options)
+        return max_min_expectation_gap(theta.matrices, psi_predicate.matrix)
 
 
 def _leq_inf_impl(
-    theta: QuantumAssertion,
-    psi: QuantumAssertion,
-    epsilon: float,
-    **solver_options,
+    theta: QuantumAssertion, psi: QuantumAssertion, epsilon: float
 ) -> OrderCheckResult:
     """The undecorated decision procedure behind :func:`leq_inf`."""
     details: List[str] = []
@@ -120,7 +124,7 @@ def _leq_inf_impl(
             if loewner_le(theta_predicate.matrix, psi_predicate.matrix, atol=epsilon):
                 details.append(f"N_{index}: Löwner comparison holds")
                 continue
-            gap = _timed_gap(theta, psi_predicate, **solver_options)
+            gap = _timed_gap(theta, psi_predicate)
             return OrderCheckResult(
                 holds=False,
                 violating_index=index,
@@ -129,7 +133,7 @@ def _leq_inf_impl(
                 details=details + [f"N_{index}: Löwner comparison fails (gap ≈ {gap.upper:.3e})"],
             )
 
-        gap = _timed_gap(theta, psi_predicate, **solver_options)
+        gap = _timed_gap(theta, psi_predicate)
         if gap.upper <= epsilon:
             details.append(f"N_{index}: dual certificate {gap.upper:.3e} ≤ ε")
             continue
@@ -141,20 +145,9 @@ def _leq_inf_impl(
                 gap=gap,
                 details=details + [f"N_{index}: primal witness with gap {gap.lower:.3e} > ε"],
             )
-        # The certified interval straddles ε.  Following the paper (which accepts a
-        # small one-sided error governed by the user precision), the decision is
-        # made on the dual estimate, which can only over-approximate the true gap.
-        if gap.upper <= 10 * epsilon:
-            details.append(
-                f"N_{index}: inconclusive interval [{gap.lower:.3e}, {gap.upper:.3e}], accepted within 10ε"
-            )
-            continue
-        return OrderCheckResult(
-            holds=False,
-            violating_index=index,
-            witness=gap.witness,
-            gap=gap,
-            details=details + [f"N_{index}: inconclusive interval [{gap.lower:.3e}, {gap.upper:.3e}]"],
+        raise VerificationError(
+            f"⊑_inf undecided for N_{index}: the certified gap interval "
+            f"[{gap.lower:.9e}, {gap.upper:.9e}] contains ε = {epsilon:g}"
         )
     return OrderCheckResult(holds=True, details=details)
 

@@ -206,18 +206,20 @@ def distinct_predicates(predicates: Sequence[QuantumPredicate]) -> List[QuantumP
 
 
 def clip_to_predicate(matrix: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    """Clip tiny numerical excursions so ``matrix`` satisfies ``0 ⊑ M ⊑ I`` exactly.
+    """Clip numerical excursions so ``matrix`` satisfies ``0 ⊑ M ⊑ I``.
 
     Adjoints of trace non-increasing maps keep predicates inside ``[0, I]``
     mathematically, but floating-point round-off can push eigenvalues slightly
-    outside the interval; this helper projects them back.  The eigenvalues
-    decide, so the eigenvectors are computed only for a matrix that is
-    actually clipped.
+    outside the interval; this helper projects them back.  The hermitian part
+    is returned as it is when every eigenvalue lies in ``[−atol, 1 + atol]``
+    (an absolute tolerance, with no relative term); otherwise its eigenvalues
+    are clipped to ``[0, 1]``.  The eigenvalues decide, so the eigenvectors
+    are computed only for a matrix that is actually clipped.
     """
     matrix = np.asarray(matrix, dtype=complex)
     hermitian = (matrix + dagger(matrix)) / 2
     eigenvalues = np.linalg.eigvalsh(hermitian)
-    if np.allclose(np.clip(eigenvalues, 0.0, 1.0), eigenvalues, atol=atol):
+    if eigenvalues[0] >= -atol and eigenvalues[-1] <= 1.0 + atol:
         return hermitian
     eigenvalues, eigenvectors = np.linalg.eigh(hermitian)
     return (eigenvectors * np.clip(eigenvalues, 0.0, 1.0)) @ dagger(eigenvectors)

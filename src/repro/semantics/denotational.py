@@ -47,7 +47,7 @@ from ..registers import QubitRegister
 from ..superop.compare import deduplicate
 from ..superop.kraus import SuperOperator
 from ..telemetry.tracing import span
-from .schedulers import ConstantScheduler, Scheduler, constant_schedulers, sample_schedulers
+from .schedulers import Scheduler, constant_schedulers, sample_schedulers
 
 __all__ = [
     "DenotationOptions",
@@ -76,9 +76,8 @@ class DenotationOptions:
         it bounds the probability mass the iteration adds for any input state.
     schedulers:
         Explicit schedulers to explore for every loop.  When ``None``, all
-        constant schedulers are used plus ``sampled_schedulers`` random ones,
-        and a deterministic loop runs the single ``ConstantScheduler(0)``
-        chain (see :func:`deterministic_loop_bypass`).
+        constant schedulers are used plus ``sampled_schedulers`` random ones;
+        a body with a single map gets ``ConstantScheduler(0)`` alone.
     sampled_schedulers:
         Number of additional pseudo-random schedulers to sample per loop.
     simplify_threshold:
@@ -340,35 +339,8 @@ def _loop_schedulers(options, num_choices: int) -> List[Scheduler]:
     return schedulers
 
 
-def deterministic_loop_bypass(program, body_maps, options) -> bool:
-    """Return whether loop exploration can skip scheduler enumeration entirely.
-
-    The fast path applies when the caller left the scheduler policy at its
-    default (``options.schedulers is None``) and the loop is deterministic
-    (:meth:`~repro.language.ast.Program.is_deterministic`: no
-    nondeterministic choice anywhere, which also manifests as a single body
-    denotation).  Every scheduler then resolves to the same chain, so the
-    single ``ConstantScheduler(0)`` run is the whole semantics and sampling
-    and fan-out are pure overhead.
-    """
-    if options.schedulers is not None or len(body_maps) != 1:
-        return False
-    return program.is_deterministic()
-
-
 def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List[SuperOperator]:
     """Run :func:`loop_iterates` for every scheduler and collect the chain limits."""
-    if deterministic_loop_bypass(program, body_maps, options):
-        with span(
-            "loop",
-            region="loop",
-            schedulers=1,
-            body_maps=len(body_maps),
-            num_qubits=register.num_qubits,
-        ) as loop_span:
-            loop_span.set_tag("deterministic_bypass", True)
-            iterates = loop_iterates(program, register, body_maps, ConstantScheduler(0), options)
-            return [iterates[-1]]
     schedulers = _loop_schedulers(options, len(body_maps))
     with span(
         "loop",

@@ -31,7 +31,6 @@ from ..registers import QubitRegister
 from ..telemetry.tracing import span
 from .denotational import (
     _loop_schedulers,
-    deterministic_loop_bypass,
     initializer_adjoint,
     measurement_superoperators,
 )
@@ -170,25 +169,6 @@ def _xp_while(
         body_choices = bodies[id(program)] = _body_denotations(program, register, options)
     identity = np.eye(register.dimension, dtype=complex)
 
-    if deterministic_loop_bypass(program, body_choices, options):
-        # Statically deterministic loop: every scheduler resolves to the same
-        # backward chain, so evaluate it once and skip sampling.
-        with span("wp-loop", region="wp", schedulers=1, liberal=liberal) as wp_span:
-            wp_span.set_tag("deterministic_bypass", True)
-            return [
-                _xp_while_scheduler(
-                    program,
-                    post,
-                    register,
-                    options,
-                    liberal,
-                    p0,
-                    p1,
-                    body_choices,
-                    ConstantScheduler(0),
-                    identity,
-                )
-            ]
     schedulers = _loop_schedulers(options, len(body_choices))
     with span("wp-loop", region="wp", schedulers=len(schedulers), liberal=liberal):
         results = [

@@ -204,6 +204,37 @@ class TestDifferentialSweep:
         assert [d.kind for d in divergences] == ["termination"]
         assert "cyclic scheduler [0]" in divergences[0].detail
 
+    def test_sweep_counts_order_decisions(self):
+        programs = [program for program in _chunk(0) if not program.contains_while()][:4]
+        report = run_differential(programs, SWEEP_CONFIG)
+        assert report.ok and report.prover_checked == len(programs) == 4
+        assert report.order_decisions == 2 * len(programs)
+        assert report.to_dict()["order_decisions"] == report.order_decisions
+        unproven = run_differential(programs, OracleConfig(max_iterations=16, check_prover=False))
+        assert unproven.order_decisions == 0
+
+    def test_refused_or_undecided_order_is_an_order_divergence(self, monkeypatch):
+        import repro.fuzz.differential as differential
+        from repro.exceptions import VerificationError
+        from repro.predicates.order import OrderCheckResult
+
+        program = _first_loop_free()
+        monkeypatch.setattr(differential, "leq_inf", lambda *a, **k: OrderCheckResult(holds=False))
+        divergences = check_program(program, SWEEP_CONFIG)
+        assert [(d.kind, d.combo_a, d.combo_b) for d in divergences] == [
+            ("order", "prover", "wlp"),
+            ("order", "wlp", "prover"),
+        ]
+        assert divergences[0].detail == "prover ⊑_inf wlp does not hold"
+
+        def undecided(*args, **kwargs):
+            raise VerificationError("the certified gap interval contains ε")
+
+        monkeypatch.setattr(differential, "leq_inf", undecided)
+        divergences = check_program(program, SWEEP_CONFIG)
+        assert [d.kind for d in divergences] == ["order", "order"]
+        assert divergences[0].detail.startswith("VerificationError: the certified gap interval")
+
 
 class TestShrinker:
     """The delta-debugging loop is deterministic, size-reducing and idempotent."""

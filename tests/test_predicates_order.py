@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import OrderRelationError
+from repro.exceptions import OrderRelationError, VerificationError
 from repro.linalg.constants import I2, P0, P1, PMINUS, PPLUS
 from repro.linalg.random import random_predicate_matrix
+from repro.predicates import sdp
 from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.order import assert_leq_inf, expectation_gap, leq_inf
 from repro.predicates.predicate import QuantumPredicate
@@ -117,3 +118,32 @@ class TestHelpers:
 
     def test_assert_leq_inf_passes_silently(self):
         assert_leq_inf(QuantumAssertion([P0]), QuantumAssertion([I2]))
+
+
+class TestCertifiedDecision:
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    @pytest.mark.parametrize("dimension", [2, 4, 8, 16, 32])
+    def test_mean_of_theta_is_a_certified_holds(self, dimension, count):
+        """With N the mean of Θ, V(Θ, N) ≤ 0: the dual certificate decides at ε = 1e-6."""
+        rng = np.random.default_rng(100 * dimension + count)
+        thetas = [random_predicate_matrix(dimension, seed=rng) for _ in range(count)]
+        theta = QuantumAssertion(thetas)
+        mean = QuantumPredicate(sum(thetas) / count)
+        result = leq_inf(theta, QuantumAssertion([mean]), epsilon=1e-6)
+        assert result.holds
+        assert len(result.details) == 1 and result.details[0].startswith("N_0: dual certificate")
+        gap = expectation_gap(theta, mean)
+        assert gap.upper <= 1e-6
+        assert gap.upper - gap.lower <= sdp.GAP_WIDTH
+
+    def test_interval_containing_epsilon_raises(self, monkeypatch):
+        """With no Newton step the seeds leave [0, 1] for {P0, P1} against 0; ε = 1/4 lies inside."""
+        monkeypatch.setattr(sdp, "NEWTON_STEPS", 0)
+        theta = QuantumAssertion([P0, P1])
+        psi = QuantumAssertion([np.zeros((2, 2))])
+        with pytest.raises(VerificationError) as excinfo:
+            leq_inf(theta, psi, epsilon=0.25)
+        message = str(excinfo.value)
+        assert "[0.000000000e+00, 1.000000000e+00]" in message
+        assert "ε = 0.25" in message
+        assert not isinstance(excinfo.value, OrderRelationError)

@@ -138,6 +138,18 @@ class TestClipping:
         clipped = clip_to_predicate(slightly_off)
         assert is_predicate_matrix(clipped)
 
+    def test_clip_has_no_relative_tolerance(self):
+        """An eigenvalue 5e-6 above 1 is clipped: only ``atol`` excursions pass."""
+        clipped = clip_to_predicate(np.diag([1 + 5e-6, 0.5, -5e-10]))
+        eigenvalues = np.linalg.eigvalsh(clipped)
+        assert eigenvalues[-1] == pytest.approx(1.0, abs=1e-15)
+        assert eigenvalues[0] >= 0.0
+        assert eigenvalues[1] == pytest.approx(0.5, abs=1e-15)
+
+    def test_clip_keeps_excursions_within_atol(self):
+        matrix = np.diag([1 + 5e-10, 0.5, -5e-10]).astype(complex)
+        assert np.array_equal(clip_to_predicate(matrix), matrix)
+
 
 def _pairwise_kept(predicates):
     """Indices the pairwise ``close_to`` loop keeps: each against every kept one."""

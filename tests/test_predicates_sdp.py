@@ -1,30 +1,27 @@
-"""Unit tests for the Frank–Wolfe / dual-eigenvalue SDP substitute."""
+"""Unit tests for the certified ``⊑_inf`` gap: one ``eigh`` or the barrier method."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.exceptions import PredicateError
 from repro.linalg.constants import I2, P0, P1, PPLUS
 from repro.linalg.operators import is_density_operator
 from repro.linalg.random import random_predicate_matrix
-from repro.predicates.sdp import (
-    _dual_minimize,
-    _frank_wolfe,
-    lambda_max,
-    max_min_expectation_gap,
-    top_eigenvector_state,
-)
+from repro.predicates import sdp
+from repro.predicates.sdp import GAP_WIDTH, _barrier, max_min_expectation_gap
 
 
-class TestEigenHelpers:
-    def test_lambda_max(self):
-        assert lambda_max(P0) == pytest.approx(1.0)
-        assert lambda_max(np.diag([-2.0, 3.0])) == pytest.approx(3.0)
-
-    def test_top_eigenvector_state(self):
-        state = top_eigenvector_state(np.diag([0.1, 0.9]))
-        assert is_density_operator(state)
-        assert state[1, 1].real == pytest.approx(1.0)
+def assert_certified(thetas, psi, gap):
+    """Check both certificates of ``gap`` directly against ``A_i = M_i − N``."""
+    differences = [np.asarray(theta, dtype=complex) - psi for theta in thetas]
+    assert is_density_operator(gap.witness)
+    achieved = min(np.trace(a @ gap.witness).real for a in differences)
+    assert achieved == pytest.approx(gap.lower, abs=1e-12)
+    weights = gap.dual_weights
+    assert (weights >= 0).all() and weights.sum() == pytest.approx(1.0, abs=1e-12)
+    combined = sum(weight * a for weight, a in zip(weights, differences))
+    assert np.linalg.eigvalsh(combined)[-1] == pytest.approx(gap.upper, abs=1e-12)
 
 
 class TestSingleDifference:
@@ -45,8 +42,8 @@ class TestSingleDifference:
         assert achieved == pytest.approx(gap.lower, abs=1e-6)
 
     @pytest.mark.parametrize("dimension", [2, 4, 8, 16])
-    def test_exact_value_lies_in_the_primal_dual_bracket(self, dimension):
-        """The one-``eigh`` value sits inside the Frank–Wolfe/dual bracket it replaces."""
+    def test_exact_value_lies_in_the_barrier_bracket(self, dimension):
+        """The one-``eigh`` value sits inside the barrier method's bracket on the same difference."""
         rng = np.random.default_rng(dimension)
         for _ in range(5):
             theta = random_predicate_matrix(dimension, seed=rng)
@@ -57,10 +54,10 @@ class TestSingleDifference:
             assert is_density_operator(gap.witness)
             achieved = np.trace((theta - psi) @ gap.witness).real
             assert achieved == pytest.approx(gap.upper, abs=1e-10)
-            differences = [theta - psi]
-            lower, _ = _frank_wolfe(differences, 200, dimension)
-            upper, _ = _dual_minimize(differences, 6, np.random.default_rng(0))
-            assert lower - 1e-9 <= gap.upper <= upper + 1e-9
+            difference = theta - psi
+            bracket = _barrier(np.stack([(difference + difference.conj().T) / 2]))
+            assert bracket.upper - bracket.lower <= GAP_WIDTH
+            assert bracket.lower - 1e-12 <= gap.upper <= bracket.upper + 1e-12
 
 
 class TestMinimaxPair:
@@ -72,27 +69,68 @@ class TestMinimaxPair:
     def test_two_projector_game_value(self):
         """max_ρ min(tr(P0ρ), tr(P1ρ)) = 1/2, so against N = 0 the gap is 1/2."""
         gap = max_min_expectation_gap([P0, P1], np.zeros((2, 2)))
-        assert gap.upper == pytest.approx(0.5, abs=1e-3)
-        assert gap.lower == pytest.approx(0.5, abs=1e-3)
+        assert gap.upper == pytest.approx(0.5, abs=1e-9)
+        assert gap.lower == pytest.approx(0.5, abs=1e-9)
+        assert_certified([P0, P1], np.zeros((2, 2)), gap)
 
     def test_three_predicates(self):
-        """With three predicates the dual uses the SLSQP path; value stays bracketed."""
+        """Adding P+ to {P0, P1} keeps the value at 1/2: |+⟩ gives 1/2, 1/2 and 1."""
         thetas = [P0, P1, PPLUS]
-        gap = max_min_expectation_gap(thetas, np.zeros((2, 2)), restarts=8)
-        # The optimal value of max_ρ min over the three projectors is ≤ 1/2
-        # (P0/P1 alone already cap it) and ≥ 1/3 (maximally mixed state).
-        assert gap.lower >= 1.0 / 3.0 - 1e-3
-        assert gap.upper <= 0.5 + 1e-3
-        assert gap.lower <= gap.upper + 1e-9
+        gap = max_min_expectation_gap(thetas, np.zeros((2, 2)))
+        assert gap.upper == pytest.approx(0.5, abs=1e-9)
+        assert gap.lower == pytest.approx(0.5, abs=1e-9)
+        assert_certified(thetas, np.zeros((2, 2)), gap)
 
     def test_dual_weights_form_distribution(self):
         gap = max_min_expectation_gap([P0, P1], 0.25 * I2)
         assert gap.dual_weights.sum() == pytest.approx(1.0, abs=1e-6)
         assert (gap.dual_weights >= -1e-9).all()
 
-    def test_midpoint_between_bounds(self):
-        gap = max_min_expectation_gap([P0, P1], 0.25 * I2)
-        assert gap.lower - 1e-12 <= gap.midpoint <= gap.upper + 1e-12
+    def test_dominated_predicate_closes_at_a_vertex(self):
+        """When M_1 ⊑ M_2 the optimum is λ = e_1, and the seeds alone are exact."""
+        theta = random_predicate_matrix(4, seed=3)
+        thetas = [0.5 * theta, 0.5 * theta + 0.5 * np.eye(4)]
+        psi = random_predicate_matrix(4, seed=4)
+        gap = max_min_expectation_gap(thetas, psi)
+        exact = np.linalg.eigvalsh(0.5 * theta - psi)[-1]
+        assert gap.lower == pytest.approx(exact, abs=1e-12)
+        assert gap.upper == pytest.approx(exact, abs=1e-12)
+        assert list(gap.dual_weights) == [1.0, 0.0]
+
+
+@st.composite
+def gap_instances(draw):
+    """``(Θ, N)`` with ``d = 2…8``, ``|Θ| = 2…4`` and a random predicate ``N``."""
+    dimension = draw(st.integers(min_value=2, max_value=8))
+    count = draw(st.integers(min_value=2, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    thetas = [random_predicate_matrix(dimension, seed=rng) for _ in range(count)]
+    return thetas, random_predicate_matrix(dimension, seed=rng)
+
+
+class TestBarrierCertificates:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(instance=gap_instances())
+    def test_both_ends_are_certified_and_the_interval_closes(self, instance):
+        thetas, psi = instance
+        gap = max_min_expectation_gap(thetas, psi)
+        assert_certified(thetas, psi, gap)
+        assert gap.upper - gap.lower <= GAP_WIDTH
+        assert gap.lower <= gap.upper + 1e-12
+
+
+class TestWorkingPrecision:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_width_it_cannot_reach_still_returns_certificates(self, monkeypatch, seed):
+        """With a target width of 0 the method runs until rounding stops it, without raising."""
+        monkeypatch.setattr(sdp, "GAP_WIDTH", 0.0)
+        rng = np.random.default_rng(seed)
+        dimension, count = 2 + seed, 2 + seed % 3
+        thetas = [random_predicate_matrix(dimension, seed=rng) for _ in range(count)]
+        psi = random_predicate_matrix(dimension, seed=rng) if seed % 2 else sum(thetas) / count
+        gap = max_min_expectation_gap(thetas, psi)
+        assert_certified(thetas, psi, gap)
+        assert -1e-12 <= gap.upper - gap.lower <= 1e-10
 
 
 class TestValidation:
@@ -100,8 +138,9 @@ class TestValidation:
         with pytest.raises(PredicateError):
             max_min_expectation_gap([], P0)
 
-    def test_deterministic_given_seed(self):
-        first = max_min_expectation_gap([P0, P1, PPLUS], 0.1 * I2, seed=5)
-        second = max_min_expectation_gap([P0, P1, PPLUS], 0.1 * I2, seed=5)
-        assert first.upper == pytest.approx(second.upper)
-        assert first.lower == pytest.approx(second.lower)
+    def test_repeated_calls_agree_bit_for_bit(self):
+        first = max_min_expectation_gap([P0, P1, PPLUS], 0.1 * I2)
+        second = max_min_expectation_gap([P0, P1, PPLUS], 0.1 * I2)
+        assert (first.lower, first.upper) == (second.lower, second.upper)
+        assert np.array_equal(first.witness, second.witness)
+        assert np.array_equal(first.dual_weights, second.dual_weights)

@@ -53,7 +53,6 @@ from repro.registers import QubitRegister
 from repro.semantics.denotational import DenotationOptions, denotation
 from repro.semantics.schedulers import ConstantScheduler
 from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
-from repro.telemetry import configure_tracing, get_tracer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO_ROOT / "examples"
@@ -451,6 +450,8 @@ class TestZeroFalsePositives:
 
 
 class TestDeterministicBypass:
+    """A deterministic loop under the default scheduler policy is its one constant chain."""
+
     def _loop_program(self):
         return parse_program("[q] := 0; while M [q] do [q] *= X end")
 
@@ -476,35 +477,6 @@ class TestDeterministicBypass:
             slow = transformer(program, post, register, explicit)
             assert len(fast.predicates) == len(slow.predicates) == 1
             assert np.allclose(fast.predicates[0].matrix, slow.predicates[0].matrix)
-
-    def _bypass_tags(self, run):
-        configure_tracing(enabled=True)
-        tracer = get_tracer()
-        tracer.clear()
-        try:
-            run()
-            return [
-                node.tags.get("deterministic_bypass")
-                for root in tracer.finished_roots()
-                for node in root.walk()
-                if node.name in ("loop", "wp-loop")
-            ]
-        finally:
-            configure_tracing(enabled=False)
-
-    def test_bypass_fires_for_deterministic_loop(self):
-        program = self._loop_program()
-        register = QubitRegister(["q"])
-        tags = self._bypass_tags(lambda: denotation(program, register, DenotationOptions()))
-        assert tags and all(tags)
-
-    def test_bypass_skipped_for_nondeterministic_body(self):
-        program = parse_program(
-            "[q] := 0; while M [q] do ( [q] *= X # skip ) end"
-        )
-        register = QubitRegister(["q"])
-        tags = self._bypass_tags(lambda: denotation(program, register, DenotationOptions()))
-        assert tags and not any(tags)
 
 
 class TestVerifyIntegration:

@@ -161,7 +161,10 @@ def main(argv=None) -> int:
         elif program.contains_while():
             print(f"index {args.index}: loop draw ran without engine errors or termination violations")
         else:
-            print(f"index {args.index}: wlp matches the denotation and the prover")
+            print(
+                f"index {args.index}: wlp matches the denotation and the prover, "
+                "and VC and wlp are ⊑_inf-equivalent"
+            )
         failures = payload["failures"]
     else:
         programs = [
@@ -182,6 +185,7 @@ def main(argv=None) -> int:
         print(
             f"checked {report.programs_checked} programs "
             f"(duality on {report.loop_free} loop-free, prover on {report.prover_checked}, "
+            f"{report.order_decisions} order decision(s) between VC and wlp, "
             f"termination on {report.with_loops} with loops: {loops['certified']} loop(s) "
             f"certified, {loops['horizon']} refused at the horizon, {loops['budget']} over budget): "
             f"{len(failures)} divergent program(s)"
