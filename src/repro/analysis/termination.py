@@ -4,24 +4,32 @@ The paper positions itself as going beyond the termination analyses of
 [Li, Yu & Ying 2014; Li & Ying 2017]; this module provides the quantitative
 counterpart used to cross-check the case studies:
 
-* the termination probability of a program on an input state under a given
-  scheduler (the trace of the output state), and
-* lower/upper bounds over families of schedulers, which certify statements
-  such as "the quantum walk never terminates under any explored scheduler"
-  or "the repeat-until-success loop terminates almost surely".
+* the termination probability of a program on an input state, per explored
+  branch of the denotation or along one scheduler's chain, and
+* the demonic and angelic termination probabilities over every scheduler,
+  ``Exp(ρ ⊨ wp.S.{I})`` and ``1 − Exp(ρ ⊨ wlp.S.{0})`` (Def. 4.1), exact up
+  to the residual of the transformers' loop pass (:mod:`repro.semantics.wp`).
+  They certify statements such as "the quantum walk never terminates under
+  any scheduler" or "the repeat-until-success loop terminates almost surely".
+
+An exact never-termination test is still open (ROADMAP.md, items 1 and 5):
+the smallest subspace that contains ``supp ρ`` and is closed under every
+Kraus operator of every ``E_k ∘ P¹`` meets ``P⁰`` only in 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..language.ast import Program, While
+from ..predicates.assertion import QuantumAssertion
 from ..registers import QubitRegister
 from ..semantics.denotational import DenotationOptions, denotation, loop_iterates
-from ..semantics.schedulers import Scheduler, constant_schedulers, sample_schedulers
+from ..semantics.schedulers import Scheduler, constant_schedulers
+from ..semantics.wp import weakest_liberal_precondition, weakest_precondition
 
 __all__ = [
     "TerminationReport",
@@ -33,27 +41,17 @@ __all__ = [
 
 @dataclass
 class TerminationReport:
-    """Termination probabilities of a program on one input, per explored branch."""
+    """Demonic (``minimum``) and angelic (``maximum``) termination probabilities."""
 
-    probabilities: List[float]
-    scheduler_descriptions: List[str]
-
-    @property
-    def minimum(self) -> float:
-        """Worst-case (demonic) termination probability over the explored branches."""
-        return min(self.probabilities)
-
-    @property
-    def maximum(self) -> float:
-        """Best-case (angelic) termination probability over the explored branches."""
-        return max(self.probabilities)
+    minimum: float
+    maximum: float
 
     def always_terminates(self, tolerance: float = 1e-6) -> bool:
-        """Return ``True`` when every explored branch terminates almost surely."""
+        """Return ``True`` when every scheduler terminates almost surely."""
         return self.minimum >= 1.0 - tolerance
 
     def never_terminates(self, tolerance: float = 1e-6) -> bool:
-        """Return ``True`` when no explored branch produces any terminating mass."""
+        """Return ``True`` when no scheduler produces any terminating mass."""
         return self.maximum <= tolerance
 
 
@@ -73,15 +71,15 @@ def termination_report(
     program: Program,
     rho: np.ndarray,
     register: Optional[QubitRegister] = None,
-    options: Optional[DenotationOptions] = None,
 ) -> TerminationReport:
-    """Return a :class:`TerminationReport` for the program on input ``rho``."""
+    """Return the demonic and angelic termination probabilities of ``program`` on ``rho``."""
     register = register or QubitRegister.for_program(program)
-    options = options or DenotationOptions()
-    maps = denotation(program, register, options)
-    probabilities = [float(np.real(np.trace(channel.apply(rho)))) for channel in maps]
-    descriptions = [f"branch {index}" for index in range(len(maps))]
-    return TerminationReport(probabilities=probabilities, scheduler_descriptions=descriptions)
+    identity = QuantumAssertion.identity(register.num_qubits)
+    zero = QuantumAssertion.zero(register.num_qubits)
+    return TerminationReport(
+        minimum=weakest_precondition(program, identity, register).expectation(rho),
+        maximum=1.0 - weakest_liberal_precondition(program, zero, register).expectation(rho),
+    )
 
 
 def loop_termination_curve(

@@ -21,16 +21,23 @@ relative-completeness equality of Sec. 5 — and decide ``VC ⊑_inf wlp`` and
 precision.  Both must hold; a false verdict, or an interval the order
 decision cannot place on one side of ``ε``, is a divergence.
 
-Loop draws are not compared across engines: each engine truncates a loop on
-its own stopping rule, so on loops the two agree only up to the mass the
-truncation drops, and that residual has no certified bound yet.  Instead
-every ``while`` of a loop draw gets a termination check.  The certificate of
-:mod:`repro.logic.ranking` runs with ``Θ̂ = {I}``; when it certifies with
+Every ``while`` of a loop draw gets a termination check.  The certificate
+of :mod:`repro.logic.ranking` runs with ``Θ̂ = {I}``; when it certifies with
 residual ``r``, every cyclic scheduler of period at most 3 over the body's
 choices must leave ``λ_max(T_w†(I)) ≤ r + ATOL`` after its first ``HORIZON``
 choices ``w``, with ``T_k = E_k ∘ P¹`` folded directly from the body maps.
 A loop the certificate refuses (at the horizon or over budget) is counted in
 the report, not treated as a divergence.
+
+Loop draws are compared too when every top-level loop (one not inside
+another loop's body) is certified.  The wlp is the infimum over every
+scheduler, so the check is one-sided: for each dual ``D = E†(Q) + I − E†(I)``
+of the sampled denotation some wlp element ``M`` must have
+``λ_max(M − D) ≤ slack``, the sum of each top-level loop's certified residual
+plus ``HORIZON·ATOL``, plus ``atol``.  Truncating a chain only raises its dual
+(``D_n = I − E_n†(I − Q)`` falls as ``E_n`` grows), so the oracle's truncation
+needs no slack; a wlp pass that its antichain budget stops short of the
+certificate's depth is not covered.
 
 Any disagreement is reported as a :class:`Divergence` carrying the rendered
 source and the copy-pasteable repro line
@@ -56,7 +63,7 @@ from ..logic.ranking import HORIZON, synthesize_ranking
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.order import leq_inf
 from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
-from ..semantics.wp import WpOptions, weakest_liberal_precondition
+from ..semantics.wp import weakest_liberal_precondition
 from .generator import FuzzProgram
 
 __all__ = [
@@ -89,7 +96,7 @@ class ReplayProgram:
         return self.text
 
     def contains_while(self) -> bool:
-        """Whether the stored program has a loop (loop draws skip the duality and prover checks)."""
+        """Whether the stored program has a loop (loop draws skip the prover check)."""
         return "while " in self.text
 
 
@@ -102,11 +109,12 @@ class OracleConfig:
     atol:
         Agreement tolerance of the duality and prover checks, entrywise on
         predicate matrices.  Both checks are exact on loop-free draws, so
-        the library tolerance ``ATOL`` is all the slack they get.
+        the library tolerance ``ATOL`` is all the slack they get; on loop
+        draws the one-sided duality check adds the certified residuals.
     max_iterations / convergence_tolerance / sampled_schedulers:
-        Forwarded to :class:`DenotationOptions` / :class:`WpOptions`;
-        ``max_iterations`` defaults below the engine's 64 to keep a
-        200-program sweep fast.
+        Forwarded to :class:`DenotationOptions` (the wlp covers every
+        scheduler and takes none); ``max_iterations`` defaults below the
+        engine's 64 to keep a 200-program sweep fast.
     check_prover:
         Whether to compare the prover's verification condition against the
         semantic wlp on loop-free draws.
@@ -165,6 +173,8 @@ class DifferentialReport:
 
     ``loops`` counts the termination certificates of the loops in loop
     draws by outcome: ``"certified"``, ``"horizon"`` or ``"budget"``.
+    ``loop_draws_compared`` counts the loop draws whose wlp was compared
+    with the denotation: those whose top-level loops were all certified.
     ``order_decisions`` counts the ``⊑_inf`` decisions between verification
     conditions and wlps: two per loop-free draw when the prover is checked.
     """
@@ -173,6 +183,7 @@ class DifferentialReport:
     programs_checked: int = 0
     loop_free: int = 0
     with_loops: int = 0
+    loop_draws_compared: int = 0
     prover_checked: int = 0
     order_decisions: int = 0
     loops: Counter = field(default_factory=Counter)
@@ -190,6 +201,7 @@ class DifferentialReport:
             "programs_checked": self.programs_checked,
             "loop_free": self.loop_free,
             "with_loops": self.with_loops,
+            "loop_draws_compared": self.loop_draws_compared,
             "prover_checked": self.prover_checked,
             "order_decisions": self.order_decisions,
             "loops": dict(self.loops),
@@ -236,9 +248,9 @@ def _dual_wlp(channels, postcondition: QuantumAssertion) -> List[np.ndarray]:
     ]
 
 
-def _loop_options(config: OracleConfig) -> Dict:
-    """Return the loop-truncation options both engines share."""
-    return dict(
+def _denotation_options(config: OracleConfig) -> DenotationOptions:
+    """Return the loop-truncation options of the oracle's denotations."""
+    return DenotationOptions(
         max_iterations=config.max_iterations,
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
@@ -247,10 +259,15 @@ def _loop_options(config: OracleConfig) -> Dict:
 
 def _engine_run(program, postcondition, register, config: OracleConfig):
     """Run denotation + wlp once, returning ``(channels, wlp)``."""
-    loop_options = _loop_options(config)
-    channels = denotation(program, register, DenotationOptions(**loop_options))
-    wlp = weakest_liberal_precondition(program, postcondition, register, WpOptions(**loop_options))
+    channels = denotation(program, register, _denotation_options(config))
+    wlp = weakest_liberal_precondition(program, postcondition, register)
     return channels, wlp
+
+
+def _duality_excess(wlp: QuantumAssertion, duals: List[np.ndarray]) -> float:
+    """Return ``max_D min_M λ_max(M − D)`` over the duals ``D`` and wlp elements ``M``."""
+    elements = np.stack(_matrices(wlp))
+    return max(float(np.linalg.eigvalsh(elements - dual)[:, -1].min()) for dual in duals)
 
 
 def _cyclic_patterns(num_choices: int) -> List[Tuple[int, ...]]:
@@ -269,7 +286,7 @@ def _cyclic_patterns(num_choices: int) -> List[Tuple[int, ...]]:
 def _termination_check(loop: While, register, options: DenotationOptions, outcomes: Counter):
     """Certify ``loop`` with ``Θ̂ = {I}`` and replay the certificate on cyclic schedulers.
 
-    Returns ``None`` when the certificate is refused or every cyclic
+    Returns the certificate and ``None`` when it is refused or every cyclic
     scheduler stays within its residual, otherwise the detail of the first
     scheduler that keeps more weight inside.
     """
@@ -277,7 +294,7 @@ def _termination_check(loop: While, register, options: DenotationOptions, outcom
     certificate = synthesize_ranking(loop, identity, register, options=options)
     outcomes[certificate.outcome] += 1
     if not certificate.certified:
-        return None
+        return certificate, None
     body_maps = denotation(loop.body, register, options)
     _, p1 = measurement_superoperators(loop, register)
     for pattern in _cyclic_patterns(len(body_maps)):
@@ -286,11 +303,11 @@ def _termination_check(loop: While, register, options: DenotationOptions, outcom
             weight = p1.apply_adjoint(body_maps[pattern[step % len(pattern)]].apply_adjoint(weight))
         top = float(np.linalg.eigvalsh(weight)[-1])
         if top > certificate.residual + ATOL:
-            return (
+            return certificate, (
                 f"cyclic scheduler {list(pattern)} keeps weight {top:.3e} inside the loop after "
                 f"{HORIZON} iterations; the certificate allows {certificate.residual:.3e}"
             )
-    return None
+    return certificate, None
 
 
 def check_program(
@@ -343,11 +360,28 @@ def _check(
         diverge("error", "denotation+wlp", "", f"{type(error).__name__}: {error}")
         return divergences
     if fuzz_program.contains_while():
-        options = DenotationOptions(**_loop_options(config))
-        for loop in (node for node in program.walk() if isinstance(node, While)):
-            detail = _termination_check(loop, register, options, report.loops)
+        options = _denotation_options(config)
+        loops = [node for node in program.walk() if isinstance(node, While)]
+        inner = {id(node) for loop in loops for node in loop.body.walk() if isinstance(node, While)}
+        slack = config.atol
+        for loop in loops:
+            certificate, detail = _termination_check(loop, register, options, report.loops)
             if detail is not None:
                 diverge("termination", "certificate", "cyclic scheduler", detail)
+            if id(loop) not in inner:
+                # A refused top-level loop leaves the draw uncompared.
+                slack += certificate.residual + HORIZON * ATOL if certificate.certified else np.inf
+        if slack < np.inf:
+            report.loop_draws_compared += 1
+            excess = _duality_excess(wlp, _dual_wlp(channels, postcondition))
+            if excess > slack:
+                diverge(
+                    "duality",
+                    "wlp",
+                    "denotation",
+                    f"a dual E†(Q) + I − E†(I) of [[S]] is below every wlp element M: "
+                    f"min λ_max(M − D) = {excess:.3e} exceeds the certified slack {slack:.3e}",
+                )
         return divergences
 
     if not _matrix_sets_close(_matrices(wlp), _dual_wlp(channels, postcondition), config.atol):

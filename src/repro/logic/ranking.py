@@ -16,6 +16,10 @@ elements of ``{T_k†(Y) : Y ∈ X_n, k}``.  The pass accepts at the first
 ``max(10ε, 1e-4)``.  Otherwise it refuses and reports the word of the
 largest surviving element as a witness scheduler.  It also refuses, and
 never accepts, when an antichain grows past ``ANTICHAIN_BUDGET`` elements.
+The level step (``T_k†`` by GEMM, then the pruning) lives in
+:mod:`repro.semantics.wp`, whose loop transformers run the same pass over
+every scheduler; ``HORIZON`` and ``ANTICHAIN_BUDGET`` are defined there and
+re-exported here.
 
 Why the certificate is sound:
 
@@ -55,7 +59,7 @@ the pass is also complete up to its horizon and budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -65,7 +69,7 @@ from ..linalg.constants import ATOL
 from ..predicates.assertion import QuantumAssertion
 from ..registers import QubitRegister
 from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
-from ..superop.kraus import SuperOperator
+from ..semantics.wp import ANTICHAIN_BUDGET, HORIZON, _antichain_level, _iteration_stacks
 
 __all__ = [
     "HORIZON",
@@ -74,13 +78,6 @@ __all__ = [
     "synthesize_ranking",
     "check_ranking",
 ]
-
-#: Deepest antichain level explored before the pass refuses a loop.
-HORIZON = 64
-
-#: Largest antichain the pass keeps; a larger one is refused, never accepted.
-ANTICHAIN_BUDGET = 32
-
 
 @dataclass(frozen=True)
 class RankingCertificate:
@@ -116,57 +113,6 @@ class RankingCertificate:
         return self.outcome == "certified"
 
 
-def _iteration_stacks(body_maps: Sequence[SuperOperator], p1: SuperOperator):
-    """Return ``(left, right)`` per branch for applying ``T_k† = P¹† ∘ E_k†`` by GEMM.
-
-    With ``A_j = K_j·P¹`` over the Kraus operators ``K_j`` of ``E_k``,
-    ``T_k†(Y) = Σ_j A_j† Y A_j``.  ``right`` is ``[A_1 … A_r]`` side by side
-    and ``left`` is ``[A_1† … A_r†]``, so one batched product builds every
-    ``Y·A_j`` and a second one sums ``A_j†·(Y·A_j)``.
-    """
-    projector = p1.kraus_operators[0]
-    stacks = []
-    for channel in body_maps:
-        operators = channel.kraus_operators @ projector
-        count, dimension, _ = operators.shape
-        right = operators.transpose(1, 0, 2).reshape(dimension, count * dimension)
-        left = operators.conj().transpose(2, 0, 1).reshape(dimension, count * dimension)
-        stacks.append((left, right))
-    return stacks
-
-
-def _apply_adjoint(left: np.ndarray, right: np.ndarray, matrices: np.ndarray) -> np.ndarray:
-    """Return ``Σ_j A_j† Y A_j`` for every ``Y`` of the ``(m, d, d)`` stack ``matrices``."""
-    count, dimension, _ = matrices.shape
-    products = matrices @ right  # (m, d, r·d): the blocks Y·A_j side by side.
-    blocks = products.reshape(count, dimension, -1, dimension).transpose(0, 2, 1, 3)
-    return left @ blocks.reshape(count, -1, dimension)
-
-
-def _maximal(matrices: np.ndarray, words: List[Tuple[int, ...]]):
-    """Keep the Löwner-maximal elements of ``matrices``, pruning within ``ATOL``.
-
-    Candidates are visited by decreasing trace, so an element can only be
-    dominated by one kept before it (up to ties within ``ATOL``).  A
-    diagonal screen rules out most comparisons before any eigensolve:
-    ``C ⊑ A + ATOL·I`` needs every diagonal entry of ``C`` within ``ATOL``
-    of ``A``'s.
-    """
-    diagonals = np.einsum("kii->ki", matrices).real
-    order = np.argsort(-diagonals.sum(axis=1), kind="stable")
-    kept: List[int] = []
-    for index in order:
-        if kept:
-            screened = np.all(diagonals[index] <= diagonals[kept] + ATOL, axis=1)
-            rivals = np.asarray(kept)[screened]
-            if rivals.size:
-                gaps = np.linalg.eigvalsh(matrices[index] - matrices[rivals])[:, -1]
-                if gaps.min() <= ATOL:
-                    continue
-        kept.append(int(index))
-    return matrices[kept], [words[index] for index in kept]
-
-
 def _certify(seed: np.ndarray, stacks, threshold: float) -> RankingCertificate:
     """Run the antichain pass from ``X_0 = {seed}``."""
     matrices = seed[np.newaxis]
@@ -185,11 +131,7 @@ def _certify(seed: np.ndarray, stacks, threshold: float) -> RankingCertificate:
             outcome = "horizon"
         else:
             depth += 1
-            images = np.concatenate(
-                [_apply_adjoint(left, right, matrices) for left, right in stacks]
-            )
-            labels = [(branch,) + word for branch in range(len(stacks)) for word in words]
-            matrices, words = _maximal(images, labels)
+            matrices, words = _antichain_level(stacks, matrices, words)
             largest = max(largest, len(words))
             continue
         return RankingCertificate(outcome, depth, residual, words[worst], largest)

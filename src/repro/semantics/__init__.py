@@ -37,6 +37,6 @@ from .schedulers import (
     constant_schedulers,
     sample_schedulers,
 )
-from .wp import WpOptions, weakest_liberal_precondition, weakest_precondition
+from .wp import weakest_liberal_precondition, weakest_precondition
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -59,6 +59,11 @@ __all__ = [
     "initializer_adjoint",
 ]
 
+#: Maps with more Kraus operators than this are re-canonicalised
+#: (:meth:`~repro.superop.kraus.SuperOperator.simplified`) to keep
+#: compositions tractable.
+SIMPLIFY_THRESHOLD = 64
+
 
 @dataclass
 class DenotationOptions:
@@ -80,10 +85,6 @@ class DenotationOptions:
         a body with a single map gets ``ConstantScheduler(0)`` alone.
     sampled_schedulers:
         Number of additional pseudo-random schedulers to sample per loop.
-    simplify_threshold:
-        Kraus decompositions larger than this are re-canonicalised
-        (:meth:`~repro.superop.kraus.SuperOperator.simplified`) to keep
-        compositions tractable.
     dedup:
         Whether to remove duplicate super-operators from denotation sets.
     """
@@ -92,7 +93,6 @@ class DenotationOptions:
     convergence_tolerance: float = 1e-9
     schedulers: Optional[Sequence[Scheduler]] = None
     sampled_schedulers: int = 2
-    simplify_threshold: int = 64
     dedup: bool = True
 
 
@@ -228,7 +228,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
         for else_map in else_maps:
             for then_map in then_maps:
                 total = else_map.compose(p0) + then_map.compose(p1)
-                combined.append(_maybe_simplify(total, options))
+                combined.append(_maybe_simplify(total))
         return combined
     if isinstance(program, While):
         return _denote_while(program, register, options)
@@ -263,7 +263,7 @@ def _denote_seq(
             set_size=len(step),
         ):
             current = [
-                _maybe_simplify(later.compose_reset(positions, "columns"), options)
+                _maybe_simplify(later.compose_reset(positions, "columns"))
                 for later in step
             ]
     if options.dedup and len(current) > 1:
@@ -278,12 +278,12 @@ def _denote_seq(
             if step is None:
                 positions = register.positions(statement.qubits)
                 current = [
-                    _maybe_simplify(earlier.compose_reset(positions, "rows"), options)
+                    _maybe_simplify(earlier.compose_reset(positions, "rows"))
                     for earlier in current
                 ]
             else:
                 current = [
-                    _maybe_simplify(later.compose(earlier), options)
+                    _maybe_simplify(later.compose(earlier))
                     for earlier in current
                     for later in step
                 ]
@@ -324,24 +324,14 @@ def _seq_steps(
 # ---------------------------------------------------------------------------
 
 
-def _loop_schedulers(options, num_choices: int) -> List[Scheduler]:
-    """Build the scheduler list for a loop from ``DenotationOptions`` or ``WpOptions``.
-
-    Both option types expose ``schedulers`` and ``sampled_schedulers``; this is
-    the single place the default exploration policy (one constant scheduler
-    per branch plus sampled random ones) is defined.
-    """
-    schedulers = list(options.schedulers) if options.schedulers is not None else None
-    if schedulers is None:
-        schedulers = list(constant_schedulers(num_choices))
-        if num_choices > 1 and options.sampled_schedulers > 0:
-            schedulers.extend(sample_schedulers(options.sampled_schedulers))
-    return schedulers
-
-
 def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List[SuperOperator]:
-    """Run :func:`loop_iterates` for every scheduler and collect the chain limits."""
-    schedulers = _loop_schedulers(options, len(body_maps))
+    """Run :func:`loop_iterates` for every scheduler of ``options`` and collect the chain limits."""
+    if options.schedulers is not None:
+        schedulers = list(options.schedulers)
+    else:
+        schedulers = list(constant_schedulers(len(body_maps)))
+        if len(body_maps) > 1:
+            schedulers.extend(sample_schedulers(options.sampled_schedulers))
     with span(
         "loop",
         region="loop",
@@ -423,12 +413,12 @@ def loop_iterates(
                 step = steps.get(choice)
                 if step is None:
                     step = steps.setdefault(choice, body_maps[choice].compose(p1))
-                cached = _maybe_simplify(step.compose(prefix), options)
+                cached = _maybe_simplify(step.compose(prefix))
                 if prefix_cache is not None:
                     prefix_cache[choices] = cached
             prefix = cached
             increment = p0.compose(prefix)
-            total = _maybe_simplify(total + increment, options)
+            total = _maybe_simplify(total + increment)
             iterates.append(total)
             if increment.choi_trace() < options.convergence_tolerance:
                 break
@@ -456,8 +446,8 @@ def _probability_bound_below(prefix: SuperOperator, tolerance: float) -> bool:
     return prefix.probability_bound() < tolerance
 
 
-def _maybe_simplify(channel: SuperOperator, options: DenotationOptions) -> SuperOperator:
-    """Re-canonicalise a map whose Kraus operator count exploded."""
-    if len(channel.kraus_operators) > options.simplify_threshold:
+def _maybe_simplify(channel: SuperOperator) -> SuperOperator:
+    """Re-canonicalise a map that carries more than ``SIMPLIFY_THRESHOLD`` Kraus operators."""
+    if len(channel.kraus_operators) > SIMPLIFY_THRESHOLD:
         return channel.simplified()
     return channel

@@ -7,73 +7,83 @@ For every program ``S`` and quantum assertion ``Θ`` the transformers
 
 are sets of predicates obtained structurally.  For loop-free programs the
 computation below is exact and yields the genuinely weakest preconditions
-(Lemma A.1), which is what makes the proof systems relatively complete.  For
-while loops the transformer is parameterised by schedulers and an iteration
-bound: the returned predicates are the ``n``-th elements ``M^η_n`` of the
-monotone approximation sequences of Fig. 5, so they *over*-approximate the true
-``wlp`` (an infimum) and *under*-approximate the true ``wp`` (a supremum).
-The exact treatment of loops in verification goes through user-supplied
-invariants (see :mod:`repro.logic.prover`) exactly as in the paper's tool.
+(Lemma A.1), which is what makes the proof systems relatively complete.
+
+A loop's wp/wlp ranges over every scheduler; only its Löwner-minimal
+elements matter for ``⊑_inf``.  With ``T_k = E_k ∘ P¹`` over the body's maps
+``E_k``, level ``n`` of a backward *antichain pass* keeps the minimal values
+``f_{w_1}(… f_{w_n}(0) …)`` over the words ``w`` of ``n`` branch indices, with
+``f_k(A) = P⁰(N) + T_k†(A)`` for wp and ``f_k(B) = P⁰(N − I) + T_k†(B)`` for
+wlp (predicates ``I + B``).  The same pass seeded with ``I`` bounds the mass
+left in the loop under every scheduler and fixes the depth once per loop and
+call: the first level whose largest eigenvalue is at most ``SETTLED``
+(``settled``), else ``HORIZON`` (``horizon``); an antichain that would
+outgrow ``ANTICHAIN_BUDGET`` stops at its last level within it (``budget``).
+At depth ``n`` every word's value is within ``r = λ_max + n·ATOL`` of its
+limit, so the result is within ``r`` (plus ``n·ATOL`` of pruning) of the set
+over every scheduler.  The ``wp-loop`` span tags ``outcome``, ``depth``,
+``residual`` (``r``) and ``antichain`` (its size).  Inner loops of a body are
+explored by the denotation's schedulers; rule (WhileT)'s certificate
+(:mod:`repro.logic.ranking`) runs the same level step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..exceptions import SemanticsError
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
+from ..linalg.constants import ATOL
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.predicate import QuantumPredicate, clip_to_predicate, distinct_predicates
 from ..registers import QubitRegister
+from ..superop.kraus import SuperOperator
 from ..telemetry.tracing import span
-from .denotational import (
-    _loop_schedulers,
-    initializer_adjoint,
-    measurement_superoperators,
-)
-from .schedulers import ConstantScheduler, Scheduler
+from . import denotational
+from .denotational import initializer_adjoint, measurement_superoperators
 
-__all__ = ["WpOptions", "weakest_precondition", "weakest_liberal_precondition"]
+__all__ = [
+    "HORIZON",
+    "ANTICHAIN_BUDGET",
+    "SETTLED",
+    "weakest_precondition",
+    "weakest_liberal_precondition",
+]
 
+#: Deepest level of the antichain pass.
+HORIZON = 64
 
-@dataclass
-class WpOptions:
-    """Options controlling the loop approximation of the wp/wlp transformers."""
+#: Largest antichain a level may keep.
+ANTICHAIN_BUDGET = 32
 
-    max_iterations: int = 64
-    schedulers: Optional[Sequence[Scheduler]] = None
-    sampled_schedulers: int = 2
-    convergence_tolerance: float = 1e-9
+#: A loop has settled once the mass inside it is at most this for every scheduler.
+SETTLED = 1e-9
 
 
 def weakest_precondition(
     program: Program,
     postcondition: QuantumAssertion,
     register: QubitRegister | None = None,
-    options: WpOptions | None = None,
 ) -> QuantumAssertion:
     """Return ``wp.S.Θ`` (total-correctness transformer)."""
-    return _transform(program, postcondition, register, options or WpOptions(), liberal=False)
+    return _transform(program, postcondition, register, liberal=False)
 
 
 def weakest_liberal_precondition(
     program: Program,
     postcondition: QuantumAssertion,
     register: QubitRegister | None = None,
-    options: WpOptions | None = None,
 ) -> QuantumAssertion:
     """Return ``wlp.S.Θ`` (partial-correctness transformer)."""
-    return _transform(program, postcondition, register, options or WpOptions(), liberal=True)
+    return _transform(program, postcondition, register, liberal=True)
 
 
 def _transform(
     program: Program,
     postcondition: QuantumAssertion,
     register: QubitRegister | None,
-    options: WpOptions,
     liberal: bool,
 ) -> QuantumAssertion:
     register = register or QubitRegister.for_program(program)
@@ -87,12 +97,12 @@ def _transform(
         num_qubits=register.num_qubits,
         predicates=len(postcondition.predicates),
     ):
-        # Each loop body is denoted once per call, however many predicates
-        # reach its loop: keyed by the loop node, dropped when the call returns.
-        bodies: Dict[int, List] = {}
+        # Each loop's body and depth are computed once per call, however many
+        # predicates reach it: keyed by the loop node, dropped on return.
+        loops: Dict[int, tuple] = {}
         predicates: List[QuantumPredicate] = []
         for predicate in postcondition.predicates:
-            predicates.extend(_xp_single(program, predicate, register, options, liberal, bodies))
+            predicates.extend(_xp_single(program, predicate, register, liberal, loops))
         return QuantumAssertion(predicates)
 
 
@@ -100,9 +110,8 @@ def _xp_single(
     program: Program,
     post: QuantumPredicate,
     register: QubitRegister,
-    options: WpOptions,
     liberal: bool,
-    bodies: Dict[int, List],
+    loops: Dict[int, tuple],
 ) -> List[QuantumPredicate]:
     """Return the wp/wlp of ``program`` against one predicate, by structural recursion."""
     if isinstance(program, Skip):
@@ -122,18 +131,18 @@ def _xp_single(
         for statement in reversed(program.statements):
             updated: List[QuantumPredicate] = []
             for predicate in current:
-                updated.extend(_xp_single(statement, predicate, register, options, liberal, bodies))
+                updated.extend(_xp_single(statement, predicate, register, liberal, loops))
             current = distinct_predicates(updated)
         return current
     if isinstance(program, NDet):
         result: List[QuantumPredicate] = []
         for branch in program.branches:
-            result.extend(_xp_single(branch, post, register, options, liberal, bodies))
+            result.extend(_xp_single(branch, post, register, liberal, loops))
         return distinct_predicates(result)
     if isinstance(program, If):
         p0, p1 = measurement_superoperators(program, register)
-        else_parts = _xp_single(program.else_branch, post, register, options, liberal, bodies)
-        then_parts = _xp_single(program.then_branch, post, register, options, liberal, bodies)
+        else_parts = _xp_single(program.else_branch, post, register, liberal, loops)
+        then_parts = _xp_single(program.then_branch, post, register, liberal, loops)
         combined: List[QuantumPredicate] = []
         for else_part in else_parts:
             for then_part in then_parts:
@@ -141,7 +150,7 @@ def _xp_single(
                 combined.append(QuantumPredicate(clip_to_predicate(matrix), validate=False))
         return distinct_predicates(combined)
     if isinstance(program, While):
-        return _xp_while(program, post, register, options, liberal, bodies)
+        return _xp_while(program, post, register, liberal, loops)
     raise SemanticsError(f"unknown program construct {type(program).__name__}")
 
 
@@ -149,87 +158,113 @@ def _xp_while(
     program: While,
     post: QuantumPredicate,
     register: QubitRegister,
-    options: WpOptions,
     liberal: bool,
-    bodies: Dict[int, List],
+    loops: Dict[int, tuple],
 ) -> List[QuantumPredicate]:
-    """Approximate the wp/wlp of a loop by the ``n``-th element of the Fig. 5 sequence.
+    """Return the Löwner-minimal wp/wlp values of a loop over every branch word.
 
-    For a fixed scheduler ``η`` the sequence is evaluated backwards:
-    ``M^η_n = f_{η_1}( f_{η_2}( … f_{η_n}(M^·_0) … ))`` with
-    ``f_k(A) = P⁰(M) + P¹(η_k†(A))`` for wp and
-    ``f_k(A) = P⁰(M) + P¹(η_k†(A) + I − η_k†(I))`` for wlp,
-    starting from ``M^·_0 = 0`` (wp) or ``I`` (wlp).  The body's denotations
-    come from ``bodies`` when an earlier predicate of the same call reached
-    this loop.
+    The pass keeps the maximal negated values, ``−A`` or ``−B``, under the
+    offset ``−P⁰(N)`` (wp) or ``P⁰(I − N)`` (wlp).
+    """
+    with span("wp-loop", region="wp", liberal=liberal) as loop_span:
+        if id(program) not in loops:
+            loops[id(program)] = _settle(program, register)
+        p0, stacks, residuals, outcome = loops[id(program)]
+        identity = np.eye(register.dimension, dtype=complex)
+        offset = p0.apply(identity - post.matrix) if liberal else -p0.apply(post.matrix)
+        matrices, words, depth = np.zeros((1,) + identity.shape, dtype=complex), [()], 0
+        while depth < len(residuals) - 1:
+            images, labels = _antichain_level(stacks, matrices, words, offset)
+            if len(labels) > ANTICHAIN_BUDGET:
+                outcome = "budget"
+                break
+            matrices, words, depth = images, labels, depth + 1
+        loop_span.set_tag("outcome", outcome)
+        loop_span.set_tag("depth", depth)
+        loop_span.set_tag("residual", residuals[depth])
+        loop_span.set_tag("antichain", len(words))
+    base = identity if liberal else 0.0
+    return [QuantumPredicate(clip_to_predicate(base - item), validate=False) for item in matrices]
+
+
+def _settle(program: While, register: QubitRegister):
+    """Denote the body and run the ``I``-seeded pass: ``(P⁰, stacks, residuals, outcome)``.
+
+    ``residuals[n] = λ_max(X_n) + n·ATOL`` up to the depth, its last index.
     """
     p0, p1 = measurement_superoperators(program, register)
-    body_choices = bodies.get(id(program))
-    if body_choices is None:
-        body_choices = bodies[id(program)] = _body_denotations(program, register, options)
-    identity = np.eye(register.dimension, dtype=complex)
-
-    schedulers = _loop_schedulers(options, len(body_choices))
-    with span("wp-loop", region="wp", schedulers=len(schedulers), liberal=liberal):
-        results = [
-            _xp_while_scheduler(
-                program, post, register, options, liberal, p0, p1, body_choices, scheduler, identity
-            )
-            for scheduler in schedulers
-        ]
-    return distinct_predicates(results)
+    stacks = _iteration_stacks(denotational.denotation(program.body, register), p1)
+    matrices, words, residuals = np.eye(register.dimension, dtype=complex)[np.newaxis], [()], []
+    while True:
+        top = float(np.linalg.eigvalsh(matrices)[:, -1].max())
+        residuals.append(top + len(residuals) * ATOL)
+        if top <= SETTLED:
+            return p0, stacks, residuals, "settled"
+        if len(residuals) > HORIZON:
+            return p0, stacks, residuals, "horizon"
+        matrices, words = _antichain_level(stacks, matrices, words)
+        if len(words) > ANTICHAIN_BUDGET:
+            return p0, stacks, residuals, "budget"
 
 
-def _xp_while_scheduler(
-    program: While,
-    post: QuantumPredicate,
-    register: QubitRegister,
-    options: WpOptions,
-    liberal: bool,
-    p0,
-    p1,
-    body_choices: List,
-    scheduler: Scheduler,
-    identity: np.ndarray,
-) -> QuantumPredicate:
-    """Evaluate the backward Fig. 5 sequence of one loop under one scheduler.
+def _iteration_stacks(body_maps: Sequence[SuperOperator], p1: SuperOperator):
+    """Return ``(left, right)`` per branch for applying ``T_k† = P¹† ∘ E_k†`` by GEMM.
 
-    Under a :class:`ConstantScheduler` every step applies the same map, so the
-    evaluation stops once two consecutive values agree within
-    ``convergence_tolerance``.  Any other scheduler runs all
-    ``max_iterations`` steps: agreeing values there say nothing about the
-    outer choices ``η_1 … η_k`` still to be applied.
+    With ``A_j = K_j·P¹`` over the Kraus operators ``K_j`` of ``E_k``,
+    ``T_k†(Y) = Σ_j A_j† Y A_j``.  ``right`` is ``[A_1 … A_r]`` side by side
+    and ``left`` is ``[A_1† … A_r†]``, so one batched product builds every
+    ``Y·A_j`` and a second one sums ``A_j†·(Y·A_j)``.
     """
-    if liberal:
-        current = identity.copy()
-    else:
-        current = np.zeros_like(identity)
-    constant = isinstance(scheduler, ConstantScheduler)
-    previous = None
-    for backward_index in range(options.max_iterations, 0, -1):
-        choice = scheduler.select(backward_index, len(body_choices))
-        body_channel = body_choices[choice]
-        inner = body_channel.apply_adjoint(current)
-        if liberal:
-            inner = inner + identity - body_channel.apply_adjoint(identity)
-        current = p0.apply(post.matrix) + p1.apply(inner)
-        if (
-            constant
-            and previous is not None
-            and np.abs(current - previous).max() < options.convergence_tolerance
-        ):
-            break
-        previous = current
-    return QuantumPredicate(clip_to_predicate(current), validate=False)
+    projector = p1.kraus_operators[0]
+    stacks = []
+    for channel in body_maps:
+        operators = channel.kraus_operators @ projector
+        count, dimension, _ = operators.shape
+        right = operators.transpose(1, 0, 2).reshape(dimension, count * dimension)
+        left = operators.conj().transpose(2, 0, 1).reshape(dimension, count * dimension)
+        stacks.append((left, right))
+    return stacks
 
 
-def _body_denotations(program: While, register: QubitRegister, options: WpOptions) -> List:
-    from .denotational import DenotationOptions, denotation
+def _maximal(matrices: np.ndarray, words: List[Tuple[int, ...]]):
+    """Keep the Löwner-maximal elements of ``matrices``, pruning within ``ATOL``.
 
-    body_options = DenotationOptions(
-        max_iterations=options.max_iterations,
-        convergence_tolerance=options.convergence_tolerance,
-        schedulers=options.schedulers,
-        sampled_schedulers=options.sampled_schedulers,
-    )
-    return denotation(program.body, register, body_options)
+    Candidates are visited by decreasing trace, so an element can only be
+    dominated by one kept before it (up to ties within ``ATOL``).  A
+    diagonal screen rules out most comparisons before any eigensolve:
+    ``C ⊑ A + ATOL·I`` needs every diagonal entry of ``C`` within ``ATOL``
+    of ``A``'s.
+    """
+    diagonals = np.einsum("kii->ki", matrices).real
+    order = np.argsort(-diagonals.sum(axis=1), kind="stable")
+    kept: List[int] = []
+    for index in order:
+        if kept:
+            screened = np.all(diagonals[index] <= diagonals[kept] + ATOL, axis=1)
+            rivals = np.asarray(kept)[screened]
+            if rivals.size:
+                gaps = np.linalg.eigvalsh(matrices[index] - matrices[rivals])[:, -1]
+                if gaps.min() <= ATOL:
+                    continue
+        kept.append(int(index))
+    return matrices[kept], [words[index] for index in kept]
+
+
+def _antichain_level(stacks, matrices: np.ndarray, words: List[Tuple[int, ...]], offset=None):
+    """Return the next level ``(matrices, words)``: the maximal ``T_k†(Y) + offset``.
+
+    Every branch ``k`` of ``stacks`` (:func:`_iteration_stacks`) maps every
+    ``Y`` of the ``(m, d, d)`` level, and ``k`` is put in front of ``Y``'s
+    word: the new choice is the first iteration's.  ``offset`` defaults to 0.
+    """
+    count, dimension, _ = matrices.shape
+    images = []
+    for left, right in stacks:
+        products = matrices @ right  # (m, d, r·d): the blocks Y·A_j side by side.
+        blocks = products.reshape(count, dimension, -1, dimension).transpose(0, 2, 1, 3)
+        images.append(left @ blocks.reshape(count, -1, dimension))
+    images = np.concatenate(images)
+    if offset is not None:
+        images += offset
+    labels = [(branch,) + word for branch in range(len(stacks)) for word in words]
+    return _maximal(images, labels)

@@ -46,13 +46,13 @@ def _first_loop_free():
     return next(p for p in generate_batch(SWEEP_SEED, SWEEP_COUNT) if not p.contains_while())
 
 
-def _halve_denotation(monkeypatch):
-    """Make the oracle's denotation engine return every channel scaled by ½."""
+def _scale_denotation(monkeypatch, factor):
+    """Make the oracle's denotation engine return every channel scaled by ``factor``."""
     import repro.fuzz.differential as differential
 
     real = differential.denotation
     monkeypatch.setattr(
-        differential, "denotation", lambda *a, **k: [0.5 * e for e in real(*a, **k)]
+        differential, "denotation", lambda *a, **k: [factor * e for e in real(*a, **k)]
     )
 
 
@@ -149,18 +149,28 @@ class TestDifferentialSweep:
     def test_halved_denotation_breaks_duality(self, monkeypatch):
         # A denotation engine that loses half of every channel's mass must be
         # caught on a loop-free draw, even though every other check passes.
-        _halve_denotation(monkeypatch)
+        _scale_denotation(monkeypatch, 0.5)
         program = _first_loop_free()
         divergences = check_program(program, SWEEP_CONFIG)
         assert [d.kind for d in divergences] == ["duality"]
         assert (divergences[0].combo_a, divergences[0].combo_b) == ("wlp", "denotation")
 
-    def test_loop_draws_skip_duality_but_catch_engine_errors(self, monkeypatch):
+    def test_loop_draws_check_duality_and_catch_engine_errors(self, monkeypatch):
         import repro.fuzz.differential as differential
 
-        program = next(p for p in _chunk(0) if p.contains_while())
-        _halve_denotation(monkeypatch)
-        assert check_program(program, SWEEP_CONFIG) == []
+        # Draw 3 is a loop draw whose top-level loop is certified, so its wlp
+        # is compared with the denotation; a doubled denotation lowers the
+        # duals below every wlp element.
+        program = _chunk(0)[3]
+        assert program.contains_while()
+        report = run_differential([program], SWEEP_CONFIG)
+        assert report.ok and report.loop_draws_compared == 1
+        assert report.to_dict()["loop_draws_compared"] == 1
+        with monkeypatch.context() as patch:
+            _scale_denotation(patch, 2.0)
+            divergences = check_program(program, SWEEP_CONFIG)
+        assert [d.kind for d in divergences] == ["duality"]
+        assert (divergences[0].combo_a, divergences[0].combo_b) == ("wlp", "denotation")
 
         def broken(*args, **kwargs):
             raise RuntimeError("engine bug")

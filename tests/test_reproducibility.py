@@ -26,7 +26,7 @@ from repro.programs.grover import grover_formula
 from repro.programs.qwalk import qwalk_formula, qwalk_invariant
 from repro.programs.rus import rus_formula, rus_invariant
 from repro.semantics.denotational import DenotationOptions, denotation
-from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
+from repro.semantics.wp import weakest_liberal_precondition, weakest_precondition
 
 
 def _reproducibility_cases():
@@ -73,10 +73,9 @@ def test_denotation_runs_are_reproducible(name, formula, register, invariants):
 )
 def test_wp_and_wlp_runs_are_reproducible(name, formula, register, invariants):
     program, post = formula.program, formula.postcondition
-    options = WpOptions()
     for label, transform in (("wp", weakest_precondition), ("wlp", weakest_liberal_precondition)):
         first, second = (
-            [p.matrix for p in transform(program, post, register, options).predicates]
+            [p.matrix for p in transform(program, post, register).predicates]
             for _ in range(2)
         )
         _assert_same_matrices_in_order(first, second, (name, label))
@@ -146,15 +145,14 @@ def test_one_call_over_the_assertion_gives_the_per_predicate_calls(
     name, formula, register, invariants
 ):
     post = _three_predicate_post(formula, register)
-    options = WpOptions()
     for label, transform in (("wp", weakest_precondition), ("wlp", weakest_liberal_precondition)):
-        whole = transform(formula.program, post, register, options)
+        whole = transform(formula.program, post, register)
         per_predicate = QuantumAssertion(
             [
                 part
                 for predicate in post.predicates
                 for part in transform(
-                    formula.program, QuantumAssertion([predicate]), register, options
+                    formula.program, QuantumAssertion([predicate]), register
                 ).predicates
             ]
         )

@@ -227,7 +227,7 @@ def _materialised_fold(statements, register, options):
             current = step
         else:
             current = [
-                denotational._maybe_simplify(later.compose(earlier), options)
+                denotational._maybe_simplify(later.compose(earlier))
                 for earlier in current
                 for later in step
             ]

@@ -15,19 +15,23 @@ from repro.language.ast import (
     ndet,
     seq,
 )
-from repro.linalg.constants import H, I2, P0, P1, X
+from repro.linalg.constants import ATOL, H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.random import random_density_operator, random_predicate_matrix
 from repro.predicates.assertion import QuantumAssertion
+from repro.predicates.order import leq_inf
+from repro.programs import qwalk_program, qwalk_register, rus_program, rus_register
 from repro.registers import QubitRegister
 from repro.semantics import denotational
-from repro.semantics.denotational import denotation
-from repro.semantics.schedulers import RandomScheduler
+from repro.semantics.denotational import DenotationOptions, denotation
+from repro.semantics.schedulers import CyclicScheduler
 from repro.semantics.wp import (
-    WpOptions,
+    HORIZON,
     weakest_liberal_precondition,
     weakest_precondition,
 )
+from repro.telemetry.tracing import configure_tracing, get_tracer
+from test_semantics_denotational import LOOP_PROGRAMS
 
 
 #: Fuzz draw ``tools/fuzz.py --seed 2023 --index 193``.
@@ -55,6 +59,74 @@ end;
 [q0] := 0;
 { P1[q0] }
 """
+
+
+#: The loop of fuzz draw ``tools/fuzz.py --seed 2023 --index 168``, against its postcondition.
+DRAW_2023_168_LOOP = """
+{ inv: P1[q1] };
+while Mpm [q0] do
+    if Mpm [q0] then
+        [q1] *= H;
+        [q0 q1] *= C0X
+    else
+        [q0 q1] *= SWAP;
+        [q0] *= X;
+        [q0 q1] *= C0X
+    end;
+    if M [q0] then
+        [q0 q1] *= W2;
+        [q1] *= Y;
+        [q0 q1] *= W2
+    end;
+    if Mpm [q0] then
+        [q0] *= X;
+        [q0 q1] *= CX;
+        [q1] *= T;
+        [q0 q1] *= C0X
+    else
+        [q0 q1] *= W1;
+        [q0] *= X
+    end;
+    (
+        [q0] := 0;
+        [q1] *= Y;
+        [q1] *= T;
+        [q0] *= H
+        #
+        [q0 q1] *= CZ;
+        [q1] *= Y;
+        [q0 q1] *= CZ;
+        [q0] *= X
+        #
+        abort;
+        [q0] *= H
+    )
+end;
+{ Pp[q1] }
+"""
+
+
+def traced_loop_tags(transformer, program, post, register):
+    """Run ``transformer`` under tracing; return its result and every ``wp-loop`` span's tags."""
+    configure_tracing(enabled=True)
+    get_tracer().clear()
+    try:
+        result = transformer(program, post, register)
+    finally:
+        configure_tracing(enabled=False)
+    roots = get_tracer().finished_roots()
+    get_tracer().clear()
+    tags = [node.tags for root in roots for node in root.walk() if node.name == "wp-loop"]
+    return result, tags
+
+
+def dual(channel, matrix, liberal):
+    """``E†(N)`` for wp, ``E†(N) + I − E†(I)`` for wlp."""
+    image = channel.apply_adjoint(matrix)
+    if liberal:
+        identity = np.eye(len(matrix), dtype=complex)
+        image = image + identity - channel.apply_adjoint(identity)
+    return image
 
 
 @pytest.fixture
@@ -152,7 +224,7 @@ class TestLoops:
     def test_terminating_loop_wp_is_identity(self, q_register):
         """For the repeat-until-success loop, wp.while.[|0⟩] = I (see Sec. programs.rus)."""
         loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "H", H))
-        pre = weakest_precondition(loop, QuantumAssertion([P0]), q_register, WpOptions(max_iterations=80))
+        pre = weakest_precondition(loop, QuantumAssertion([P0]), q_register)
         assert operators_close(single(pre), I2, atol=1e-5)
 
     def test_nonterminating_loop_wlp_is_identity_wp_is_partial(self, q_register):
@@ -224,19 +296,18 @@ class TestLoops:
         assert calls == expected + expected
 
     def test_random_scheduler_makes_every_backward_choice(self):
-        """Fuzz draw (2023, 193): agreeing backward values do not end a random scheduler's chain.
+        """Fuzz draw (2023, 193): the wlp covers ``RandomScheduler(0)``'s every choice.
 
         From ``|00⟩`` the loop exits almost surely under ``RandomScheduler(0)``,
         and ``[q0] := 0`` then falsifies ``P1[q0]``, so the wlp is ``{0}``.  An
-        evaluation that stopped once two consecutive backward values agreed
-        skipped the outermost choices and returned ``{I}``.
+        evaluation of that scheduler that stopped once two consecutive backward
+        values agreed skipped the outermost choices and returned ``{I}``.
         """
         task = build_task(DRAW_2023_193)
         wlp = weakest_liberal_precondition(
             task.formula.program,
             task.formula.postcondition,
             task.register,
-            WpOptions(schedulers=[RandomScheduler(0)]),
         )
         assert operators_close(single(wlp), np.zeros((4, 4)), atol=1e-6)
 
@@ -247,3 +318,45 @@ class TestLoops:
         assert len(wlp) >= 1
         for predicate in wlp:
             assert predicate.dimension == 2
+
+
+class TestLoopsOverEveryScheduler:
+    """A loop's wp/wlp is the antichain of Löwner-minimal values over every branch word."""
+
+    @pytest.mark.parametrize("pattern", [[1, 0], [0, 1]])
+    def test_wlp_lies_below_an_alternating_scheduler(self, pattern):
+        """Fuzz draw (2023, 168): sampled schedulers missed ``[1, 0]`` by a certified 0.0257."""
+        task = build_task(DRAW_2023_168_LOOP)
+        loop, post, register = task.formula.program, task.formula.postcondition, task.register
+        wlp = weakest_liberal_precondition(loop, post, register)
+        options = DenotationOptions(schedulers=[CyclicScheduler(pattern)])
+        (channel,) = denotation(loop, register, options)
+        duals = QuantumAssertion([dual(channel, q.matrix, True) for q in post.predicates])
+        assert leq_inf(wlp, duals).holds
+
+    @pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
+    @pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
+    def test_every_sampled_dual_lies_above_the_antichain(self, name, liberal):
+        program, register = LOOP_PROGRAMS[name]()
+        post = QuantumAssertion([random_predicate_matrix(register.dimension, seed=5)])
+        (observable,) = [predicate.matrix for predicate in post.predicates]
+        transformer = weakest_liberal_precondition if liberal else weakest_precondition
+        for loop in (node for node in program.walk() if isinstance(node, While)):
+            pre, (tags,) = traced_loop_tags(transformer, loop, post, register)
+            elements = np.stack([predicate.matrix for predicate in pre.predicates])
+            assert len(elements) == tags["antichain"]
+            for channel in denotation(loop, register):
+                gaps = np.linalg.eigvalsh(elements - dual(channel, observable, liberal))[:, -1]
+                assert gaps.min() <= tags["residual"], (name, tags)
+
+    def test_loop_span_tags_the_stop(self):
+        rus_post = QuantumAssertion([P0])
+        _, (rus,) = traced_loop_tags(
+            weakest_liberal_precondition, rus_program(), rus_post, rus_register()
+        )
+        assert (rus["outcome"], rus["antichain"]) == ("settled", 1)
+        assert rus["residual"] == pytest.approx(rus["depth"] * ATOL, abs=1e-9)
+        register = qwalk_register(4)
+        walk_post = QuantumAssertion([random_predicate_matrix(register.dimension, seed=5)])
+        _, (walk,) = traced_loop_tags(weakest_precondition, qwalk_program(4), walk_post, register)
+        assert (walk["outcome"], walk["depth"]) == ("horizon", HORIZON)

@@ -47,12 +47,9 @@ from repro.language.ast import Init, Unitary, While, seq
 from repro.language.names import default_environment
 from repro.language.parser import parse_annotated_program, parse_program
 from repro.linalg.constants import H, P0, X
-from repro.predicates.assertion import QuantumAssertion
-from repro.predicates.predicate import QuantumPredicate
 from repro.registers import QubitRegister
 from repro.semantics.denotational import DenotationOptions, denotation
 from repro.semantics.schedulers import ConstantScheduler
-from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES_DIR = REPO_ROOT / "examples"
@@ -464,19 +461,6 @@ class TestDeterministicBypass:
         )
         assert len(fast) == len(slow) == 1
         assert fast[0].equals(slow[0])
-
-    def test_wp_matches_explicit_scheduler(self):
-        program = self._loop_program()
-        register = QubitRegister(["q"])
-        post = QuantumAssertion(
-            [QuantumPredicate(P0, name="P0").embed(["q"], register)]
-        )
-        explicit = WpOptions(schedulers=[ConstantScheduler(0)])
-        for transformer in (weakest_precondition, weakest_liberal_precondition):
-            fast = transformer(program, post, register, WpOptions())
-            slow = transformer(program, post, register, explicit)
-            assert len(fast.predicates) == len(slow.predicates) == 1
-            assert np.allclose(fast.predicates[0].matrix, slow.predicates[0].matrix)
 
 
 class TestVerifyIntegration:

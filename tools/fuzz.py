@@ -159,7 +159,10 @@ def main(argv=None) -> int:
                 report_failure(program, divergences, args, oracle_config)
             )
         elif program.contains_while():
-            print(f"index {args.index}: loop draw ran without engine errors or termination violations")
+            print(
+                f"index {args.index}: loop draw ran without engine errors, termination "
+                "violations or duality violations on certified loops"
+            )
         else:
             print(
                 f"index {args.index}: wlp matches the denotation and the prover, "
@@ -184,7 +187,8 @@ def main(argv=None) -> int:
         loops = report.loops
         print(
             f"checked {report.programs_checked} programs "
-            f"(duality on {report.loop_free} loop-free, prover on {report.prover_checked}, "
+            f"(duality on {report.loop_free} loop-free and {report.loop_draws_compared} loop "
+            f"draw(s), prover on {report.prover_checked}, "
             f"{report.order_decisions} order decision(s) between VC and wlp, "
             f"termination on {report.with_loops} with loops: {loops['certified']} loop(s) "
             f"certified, {loops['horizon']} refused at the horizon, {loops['budget']} over budget): "
