@@ -1,8 +1,8 @@
 """Program analyses: termination, refinement (S14) and static semantic analysis.
 
 The :mod:`repro.analysis.static` subpackage is the non-throwing lint layer:
-multi-pass diagnostics (well-formedness on the raw tree, qubit-usage
-dataflow on the typed AST) plus the
+multi-pass diagnostics (well-formedness from the parser's one walk,
+qubit-usage dataflow on the typed AST) plus the
 :class:`~repro.analysis.static.profile.ProgramProfile` structure summary
 reported by the verify pre-flight and ``--diagnostics-json``.
 """

@@ -3,9 +3,8 @@
 Public surface:
 
 * :func:`~repro.analysis.static.analyzer.analyze_source` — lint annotated
-  surface text: tolerant parse, the front end's checked walk for the
-  well-formedness findings, and usage dataflow plus profile on the typed
-  AST when the text resolves;
+  surface text: the parser's one walk for the well-formedness findings,
+  and usage dataflow plus profile on the typed AST when the text resolves;
 * :func:`~repro.analysis.static.analyzer.analyze_resolution` — the same
   result from a :class:`~repro.language.parser.Resolution` the caller
   already holds (the verify pre-flight);
@@ -16,10 +15,9 @@ Public surface:
   :func:`~repro.analysis.static.profile.program_profile` — the structured
   results, consumed by the verify pre-flight and the CLI ``--lint`` surface.
 
-The passes here walk only the typed AST of :mod:`repro.language.ast`; the
-raw tree of :mod:`repro.language.syntax` is walked once, by the resolver of
-:mod:`repro.language.parser`.  The diagnostic primitives
-(:class:`~repro.diagnostics.Diagnostic`,
+The passes here walk only the typed AST of :mod:`repro.language.ast`, which
+:mod:`repro.language.parser` builds as it reads the tokens.  The diagnostic
+primitives (:class:`~repro.diagnostics.Diagnostic`,
 :class:`~repro.diagnostics.SourceSpan`, the code registry) live in the
 dependency-free :mod:`repro.diagnostics` so the language layer can share
 them without import cycles.

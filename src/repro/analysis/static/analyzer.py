@@ -6,17 +6,18 @@ every :class:`~repro.diagnostics.Diagnostic` plus the
 :class:`~repro.analysis.static.profile.ProgramProfile`:
 
 * the well-formedness findings (every ``QV1xx`` error and the ``QV204``
-  warning) come from the front end's checked walk,
-  :func:`~repro.language.parser.resolve_annotated`, which visits each raw
-  statement once; the analyzer walks no raw tree of its own;
+  warning) come from the parser's one walk over the tokens,
+  :func:`~repro.language.parser.resolve_annotated`, which records each at
+  its token as it builds the typed AST; the analyzer parses nothing of its
+  own;
 * qubit-usage dataflow and the structure profile run on the typed AST that
   walk builds.  They run exactly when the strict parser accepts the text;
   otherwise the result has no ``QV201``–``QV203`` warning and ``profile`` is
   ``None``.
 
-:func:`analyze_source` parses and resolves the text itself;
-:func:`analyze_resolution` takes a :class:`~repro.language.parser.Resolution`,
-so the verify front end parses and resolves once and hands the result to it.
+:func:`analyze_source` parses the text itself; :func:`analyze_resolution`
+takes a :class:`~repro.language.parser.Resolution`, so the verify front end
+parses once and hands the result to it.
 The analyzer never constructs a super-operator and never raises for
 malformed input (a syntax error becomes the single ``QV001`` diagnostic).
 
@@ -36,7 +37,6 @@ from ...exceptions import ParseError
 from ...language.ast import Program
 from ...language.names import OperatorEnvironment, default_environment
 from ...language.parser import Resolution, resolve_annotated
-from ...language.syntax import parse_raw_annotated
 from ...telemetry.metrics import METRICS
 from ...telemetry.tracing import span
 from .profile import ProgramProfile, program_profile
@@ -123,21 +123,22 @@ def analyze_source(
 ) -> AnalysisResult:
     """Analyze annotated surface-language source without raising.
 
-    Parses tolerantly, resolves the raw tree and hands the
-    :class:`~repro.language.parser.Resolution` to :func:`analyze_resolution`;
-    a syntax error short-circuits into a single ``QV001`` diagnostic carrying
-    the parser's position.  Operator names are resolved read-only against
-    ``environment`` (the default NQPV environment when omitted).
+    Parses the text in one walk (:func:`~repro.language.parser.resolve_annotated`)
+    and hands the :class:`~repro.language.parser.Resolution` to
+    :func:`analyze_resolution`; a syntax error short-circuits into a single
+    ``QV001`` diagnostic carrying the parser's position.  Operator names are
+    resolved read-only against ``environment`` (the default NQPV environment
+    when omitted).
     """
     environment = environment or default_environment()
     try:
-        raw = parse_raw_annotated(source)
+        resolution = resolve_annotated(source, environment)
     except ParseError as error:
         position = SourceSpan(error.line, error.column or 1) if error.line is not None else None
         with span("analyze", region="analyze", syntax_error=True):
             METRICS.counter("analysis.runs").inc()
         return _finish([make_diagnostic("QV001", error.message, position)], None, filename)
-    return analyze_resolution(resolve_annotated(raw, environment), filename)
+    return analyze_resolution(resolution, filename)
 
 
 def analyze_resolution(

@@ -32,7 +32,7 @@ import numpy as np
 from ..exceptions import AssistantError, ParseError
 from ..language.lexer import Token, tokenize
 from ..language.names import OperatorEnvironment, default_environment
-from ..language.syntax import _RawParser
+from ..language.parser import _Parser
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import ProverOptions, VerificationReport
 from ..registers import QubitRegister
@@ -126,7 +126,7 @@ class Session:
         parser, so every syntax error in it is a ``ParseError`` with code
         ``QV001`` at the offending token, as in a proof body.
         """
-        parser = _RawParser(tokenize(script))
+        parser = _Parser(tokenize(script), self.environment)
         outputs: List[str] = []
         while not parser.at("EOF"):
             token = parser.advance()
@@ -141,7 +141,7 @@ class Session:
                     outputs.append(f"loaded {name_token.value}")
                 elif parser.at("PROOF"):
                     parser.advance()
-                    register_qubits = parser.parse_qubit_list().values()
+                    register_qubits, _ = parser.parse_qubit_list()
                     parser.expect("COLON")
                     body = self._collect_proof_body(parser)
                     term = self._prove(
@@ -152,7 +152,7 @@ class Session:
                         + ("verified" if term.verified else "not verified")
                     )
                 else:
-                    found = parser.peek()
+                    found = parser.token
                     raise ParseError(
                         f"expected LOAD or PROOF but found {found.kind} ({found.value!r})",
                         found.line,
@@ -173,7 +173,7 @@ class Session:
         return outputs
 
     @staticmethod
-    def _collect_proof_body(parser: _RawParser) -> List[Token]:
+    def _collect_proof_body(parser: _Parser) -> List[Token]:
         """Collect the proof-body tokens up to the matching top-level ``end``.
 
         Nested ``if``/``while`` blocks contribute their own ``end`` keywords, so a

@@ -18,7 +18,6 @@ from ..exceptions import StaticAnalysisError
 from ..language.lexer import Token
 from ..language.names import OperatorEnvironment, default_environment
 from ..language.parser import AnnotatedProgram, AssertionSpec, resolve_annotated
-from ..language.syntax import parse_raw_annotated
 from ..logic.formula import CorrectnessFormula, CorrectnessMode
 from ..logic.prover import ProverOptions, VerificationReport, verify_formula
 from ..predicates.assertion import QuantumAssertion
@@ -56,7 +55,7 @@ def resolve_assertion(
 
     Every predicate is embedded from its declared qubits into the full
     ``register`` (the cylinder-extension convention of Sec. 2).  A term the
-    resolver checked carries its matrix; any other term is looked up, and
+    parser checked carries its matrix; any other term is looked up, and
     checked, in ``environment``.
     """
     predicates = []
@@ -78,15 +77,15 @@ def build_task(
 ) -> VerificationTask:
     """Parse and resolve an annotated source into a :class:`VerificationTask`.
 
-    ``source`` is text, or its tokens ending with ``EOF``.  It is parsed
-    once and its raw statements are walked once: the resolver's one
+    ``source`` is text, or its tokens ending with ``EOF``.  It is read once,
+    by :func:`~repro.language.parser.resolve_annotated`: that one walk's
     :class:`~repro.language.parser.Resolution` gives the strict error, the
     analyzer's findings and the checked predicates of the annotations.
     """
     environment = environment or default_environment()
     source_bytes = len(source) if isinstance(source, str) else None
     with span("parse", region="parse", source_bytes=source_bytes):
-        resolution = resolve_annotated(parse_raw_annotated(source), environment)
+        resolution = resolve_annotated(source, environment)
         annotated = resolution.strict()
     program = annotated.program
 

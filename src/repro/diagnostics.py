@@ -13,8 +13,8 @@ Stable codes
 Codes never change meaning once shipped; tools (CI golden files, editors,
 the ``--diagnostics-json`` output) key on them.  The ranges are:
 
-* ``QV0xx`` — syntax errors surfaced by the tolerant parser;
-* ``QV1xx`` — well-formedness errors (the resolver's checked walk);
+* ``QV0xx`` — syntax errors, raised by the parser at their token;
+* ``QV1xx`` — well-formedness errors, recorded by the parser's one walk;
 * ``QV2xx`` — qubit-usage / structure warnings;
 * ``QV3xx`` — informational notes (reserved).
 

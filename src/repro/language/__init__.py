@@ -29,6 +29,5 @@ from .parser import (
     parse_program,
 )
 from .printer import format_program, format_qubits, program_to_source
-from .syntax import parse_raw_annotated, parse_raw_program
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,8 +8,7 @@ proof assistant (``def``, ``proof``, ``load``, ``show``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from ..exceptions import ParseError
 
@@ -49,8 +48,7 @@ _SYMBOLS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with its 1-based source position."""
 
     kind: str

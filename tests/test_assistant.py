@@ -183,16 +183,16 @@ class TestScriptPositions:
         assert (missing.span.line, missing.span.column) == (4, 5)
 
     def test_body_is_not_tokenized_again(self, monkeypatch):
-        from repro.language import syntax
+        from repro.language import parser
 
         calls = []
-        tokenize = syntax.tokenize
+        tokenize = parser.tokenize
 
         def counting_tokenize(source):
             calls.append(source)
             return tokenize(source)
 
-        monkeypatch.setattr(syntax, "tokenize", counting_tokenize)
+        monkeypatch.setattr(parser, "tokenize", counting_tokenize)
         session = Session()
         script = self.SCRIPT.replace("NoSuchGate", "H").replace(
             "    while M [q] do [q] *= X end;\n", ""

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.analysis.static import analyze_source
+from repro.assistant.verify import verify_source
 from repro.exceptions import NameResolutionError, ParseError
 from repro.language.ast import If, Init, NDet, Seq, Skip, Unitary, While
 from repro.language.names import default_environment
 from repro.language.parser import parse_annotated_program, parse_program
 from repro.language.printer import format_program
 from repro.linalg.constants import CX, H, X
+from repro.logic.formula import CorrectnessMode
 
 
 class TestPlainPrograms:
@@ -114,6 +117,23 @@ class TestParseErrors:
             parse_program("[q] skip")
 
 
+class TestPlainProgramAnnotations:
+    """A plain program's annotations take no part in it, but their qubit lists are checked."""
+
+    @pytest.mark.parametrize(
+        "source, code, column",
+        [("{ P0[] }; [q] := 0", "QV102", 6), ("{ }; [q] := 0", "QV114", 3)],
+    )
+    def test_malformed_annotation_raises(self, source, code, column):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(source)
+        error = excinfo.value
+        assert (error.code, error.line, error.column) == (code, 1, column)
+
+    def test_predicate_findings_are_left_to_the_analyzer(self):
+        assert parse_program("{ X[q] }; [q] := 0") == Init(("q",))
+
+
 class TestAnnotatedPrograms:
     def test_pre_and_postcondition(self):
         annotated = parse_annotated_program(
@@ -173,3 +193,40 @@ class TestAnnotatedPrograms:
         loops = [node for node in annotated.program.walk() if isinstance(node, While)]
         assert len(loops) == 1
         assert isinstance(loops[0].body, NDet)
+
+
+class TestNestedLoopInvariants:
+    """Each loop takes the ``inv:`` annotation pending when its ``while`` is read."""
+
+    SOURCE = """
+    { I[q] };
+    [q q1] := 0;
+    [q] *= H;
+    { inv: I4[q q1] };
+    while M [q] do
+        [q1] *= H;
+        { inv: I[q1] };
+        while M [q1] do [q1] *= X end;
+        [q] *= X
+    end;
+    { P0[q] }
+    """
+
+    def test_each_loop_takes_the_invariant_written_before_it(self):
+        annotated = parse_annotated_program(self.SOURCE)
+        outer, inner = [node for node in annotated.program.walk() if isinstance(node, While)]
+        assert str(annotated.loop_invariants[id(outer)]) == "{ inv: I4[q q1] }"
+        assert str(annotated.loop_invariants[id(inner)]) == "{ inv: I[q1] }"
+        assert analyze_source(self.SOURCE).diagnostics == ()
+
+    @pytest.mark.parametrize("mode", [CorrectnessMode.PARTIAL, CorrectnessMode.TOTAL])
+    def test_nested_loops_verify_from_source(self, mode):
+        assert verify_source(self.SOURCE, mode=mode).verified
+
+    def test_invariant_left_at_the_end_of_a_body_dangles(self):
+        source = (
+            "{ P0[q] };\n[q] := 0;\nwhile M [q] do\n  [q] *= X;\n  { inv: I[q] }\nend;\n{ P0[q] }"
+        )
+        found = [(d.code, d.span.line, d.span.column) for d in analyze_source(source).diagnostics]
+        assert found == [("QV112", 3, 1), ("QV204", 5, 3)]
+        assert parse_annotated_program(source).loop_invariants == {}

@@ -225,10 +225,34 @@ class TestPositionThreading:
         assert "(line 1, column 8)" in str(excinfo.value)
 
     def test_ast_nodes_carry_source_spans(self):
-        program = parse_program("[q] := 0;\n[q] *= H")
-        first, second = program.statements
-        assert (first.source_span.line, first.source_span.column) == (1, 1)
-        assert (second.source_span.line, second.source_span.column) == (2, 1)
+        # A sequence takes its first item's span, a choice its first token's,
+        # an empty branch its stop token's; an omitted else is a span-less skip.
+        program = parse_program(
+            "[q] := 0;\n"
+            "skip;\n"
+            "( abort # [q] *= H );\n"
+            "if M [q] then skip; [q] *= X end;\n"
+            "while M [q] do end"
+        )
+        spans = []
+        for node in program.walk():
+            span = node.source_span
+            spans.append((type(node).__name__, span and (span.line, span.column)))
+        assert spans == [
+            ("Seq", (1, 1)),
+            ("Init", (1, 1)),
+            ("Skip", (2, 1)),
+            ("NDet", (3, 3)),
+            ("Abort", (3, 3)),
+            ("Unitary", (3, 11)),
+            ("If", (4, 1)),
+            ("Seq", (4, 15)),
+            ("Skip", (4, 15)),
+            ("Unitary", (4, 21)),
+            ("Skip", None),
+            ("While", (5, 1)),
+            ("Skip", (5, 16)),
+        ]
 
     def test_spans_do_not_affect_equality(self):
         with_span = parse_program("[q] *= H")
@@ -489,16 +513,16 @@ class TestVerifyIntegration:
         assert issubclass(StaticAnalysisError, AssistantError)
 
     def test_verify_tokenizes_the_source_once(self, monkeypatch):
-        from repro.language import syntax
+        from repro.language import parser
 
         calls = []
-        tokenize = syntax.tokenize
+        tokenize = parser.tokenize
 
         def counting_tokenize(source):
             calls.append(source)
             return tokenize(source)
 
-        monkeypatch.setattr(syntax, "tokenize", counting_tokenize)
+        monkeypatch.setattr(parser, "tokenize", counting_tokenize)
         assert verify_source((EXAMPLES_DIR / "bitflip.nqpv").read_text()).verified
         assert len(calls) == 1
 
@@ -611,18 +635,18 @@ class TestCliBuildsTheTaskOnce:
 
     @staticmethod
     def run(capsys, monkeypatch, arguments):
-        from repro.language import syntax
+        from repro.language import parser
 
         calls = []
-        tokenize = syntax.tokenize
+        tokenize = parser.tokenize
 
         def counting_tokenize(source):
             calls.append(source)
             return tokenize(source)
 
-        monkeypatch.setattr(syntax, "tokenize", counting_tokenize)
+        monkeypatch.setattr(parser, "tokenize", counting_tokenize)
         code = cli_main(arguments)
-        monkeypatch.setattr(syntax, "tokenize", tokenize)
+        monkeypatch.setattr(parser, "tokenize", tokenize)
         captured = capsys.readouterr()
         return code, captured.out, captured.err, len(calls)
 
