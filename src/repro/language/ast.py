@@ -42,6 +42,7 @@ __all__ = [
     "measure",
     "if_then",
     "check_qubits",
+    "check_measurement",
     "MEAS_COMPUTATIONAL",
     "MEAS_PLUS_MINUS",
 ]
@@ -179,6 +180,7 @@ class Skip(Program):
     source_span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
     def quantum_variables(self) -> frozenset:
+        """``skip`` touches no quantum variable."""
         return frozenset()
 
 
@@ -189,6 +191,7 @@ class Abort(Program):
     source_span: Optional[SourceSpan] = field(default=None, compare=False, repr=False)
 
     def quantum_variables(self) -> frozenset:
+        """``abort`` touches no quantum variable."""
         return frozenset()
 
 
@@ -205,6 +208,7 @@ class Init(Program):
         check_qubits(qubits, "initialisation")
 
     def quantum_variables(self) -> frozenset:
+        """The reset qubits."""
         return frozenset(self.qubits)
 
 
@@ -237,6 +241,7 @@ class Unitary(Program):
             )
 
     def quantum_variables(self) -> frozenset:
+        """The qubits the operator acts on."""
         return frozenset(self.qubits)
 
     def __eq__(self, other: object) -> bool:
@@ -272,9 +277,11 @@ class Seq(Program):
         object.__setattr__(self, "statements", tuple(flattened))
 
     def children(self) -> Tuple[Program, ...]:
+        """The statements, in order."""
         return self.statements
 
     def quantum_variables(self) -> frozenset:
+        """The union of the statements' variables."""
         variables: frozenset = frozenset()
         for statement in self.statements:
             variables = variables | statement.quantum_variables()
@@ -300,18 +307,22 @@ class NDet(Program):
         object.__setattr__(self, "branches", tuple(flattened))
 
     def children(self) -> Tuple[Program, ...]:
+        """The branches, in order."""
         return self.branches
 
     def quantum_variables(self) -> frozenset:
+        """The union of the branches' variables."""
         variables: frozenset = frozenset()
         for branch in self.branches:
             variables = variables | branch.quantum_variables()
         return variables
 
     def is_deterministic(self) -> bool:
+        """A choice is never deterministic."""
         return False
 
     def nondeterministic_choice_count(self) -> int:
+        """This choice plus the choices inside its branches."""
         return 1 + sum(branch.nondeterministic_choice_count() for branch in self.branches)
 
 
@@ -328,12 +339,14 @@ class If(Program):
     def __post_init__(self):
         qubits = tuple(self.qubits)
         object.__setattr__(self, "qubits", qubits)
-        _check_measurement_arity(self.measurement, qubits)
+        check_measurement(self.measurement, qubits)
 
     def children(self) -> Tuple[Program, ...]:
+        """``(then_branch, else_branch)``."""
         return (self.then_branch, self.else_branch)
 
     def quantum_variables(self) -> frozenset:
+        """The measured qubits and both branches' variables."""
         return (
             frozenset(self.qubits)
             | self.then_branch.quantum_variables()
@@ -353,15 +366,18 @@ class While(Program):
     def __post_init__(self):
         qubits = tuple(self.qubits)
         object.__setattr__(self, "qubits", qubits)
-        _check_measurement_arity(self.measurement, qubits)
+        check_measurement(self.measurement, qubits)
 
     def children(self) -> Tuple[Program, ...]:
+        """``(body,)``."""
         return (self.body,)
 
     def quantum_variables(self) -> frozenset:
+        """The measured qubits and the body's variables."""
         return frozenset(self.qubits) | self.body.quantum_variables()
 
     def contains_while(self) -> bool:
+        """A loop contains itself."""
         return True
 
 
@@ -381,9 +397,15 @@ def check_qubits(qubits: Tuple[str, ...], context: str) -> None:
         seen.add(qubit)
 
 
-def _check_measurement_arity(measurement: Measurement, qubits: Sequence[str]) -> None:
-    # The measurement's name precedes its qubit list in the source, so its
-    # arity is checked first; an empty list is QV102, not an arity error.
+def check_measurement(measurement: Measurement, qubits: Sequence[str]) -> None:
+    """Reject a measurement of the wrong arity (``QV108``) or a bad qubit list.
+
+    The one check of an ``if``/``while`` construct's own parts, run by
+    :class:`If` and :class:`While` and by the parser when a branch or body
+    failed.  The measurement's name precedes its qubit list in the source,
+    so its arity is checked first; an empty list is ``QV102``, not an arity
+    error.
+    """
     if qubits and measurement.dimension != 2 ** len(qubits):
         raise LinalgError(
             f"measurement {measurement.name!r} has dimension {measurement.dimension} "

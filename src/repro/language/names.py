@@ -24,10 +24,12 @@ __all__ = ["OperatorEnvironment", "default_environment"]
 
 
 def _qwalk_measurement() -> Measurement:
-    """The absorbing-boundary measurement of the quantum walk (Sec. 5.3)."""
+    """The absorbing-boundary measurement of the quantum walk (Sec. 5.3), with read-only projectors."""
     p0 = np.zeros((4, 4), dtype=complex)
     p0[2, 2] = 1.0  # |10⟩⟨10|
     p1 = np.eye(4, dtype=complex) - p0
+    for projector in (p0, p1):
+        projector.setflags(write=False)
     return Measurement("MQWalk", p0, p1)
 
 
@@ -45,10 +47,20 @@ class OperatorEnvironment:
 
     # --------------------------------------------------------------- mutation
     def define(self, name: str, matrix: np.ndarray) -> None:
-        """Register a named operator (unitary, predicate, projector, ...)."""
+        """Register a named operator (unitary, predicate, projector, ...).
+
+        The environment keeps a read-only copy, so writing into ``matrix``
+        afterwards changes neither the environment nor the programs parsed
+        with it; a read-only complex array is kept as it is.
+        """
         if not name or not name.isidentifier():
             raise NameResolutionError(f"invalid operator name {name!r}")
-        self._operators[name] = np.asarray(matrix, dtype=complex)
+        if not (
+            isinstance(matrix, np.ndarray) and matrix.dtype == complex and not matrix.flags.writeable
+        ):
+            matrix = np.array(matrix, dtype=complex)
+            matrix.setflags(write=False)
+        self._operators[name] = matrix
 
     def define_measurement(self, name: str, measurement: Measurement) -> None:
         """Register a named two-outcome measurement."""
@@ -117,9 +129,8 @@ class OperatorEnvironment:
         promoted on the fly via :meth:`define_measurement_from_projector`.
         Raises :class:`~repro.exceptions.NameResolutionError` with the
         analyzer's code ``QV107`` when ``name`` is neither a measurement nor a
-        projector; the arity check (``QV108``) belongs to the
-        :class:`~repro.language.ast.If`/:class:`~repro.language.ast.While`
-        constructors.
+        projector; the arity check (``QV108``) is
+        :func:`~repro.language.ast.check_measurement`.
         """
         if name in self._measurements:
             return self._measurements[name]

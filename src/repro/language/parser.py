@@ -32,7 +32,7 @@ QV104  unknown operator name                                  ``names.operator``
 QV105  operator is not unitary                                ``ast.Unitary``
 QV106  operator dimension vs. qubit-list arity                ``ast.Unitary``
 QV107  name does not resolve to a two-outcome measurement     ``names.measurement``
-QV108  measurement dimension vs. qubit-list arity             ``ast.If``/``ast.While``
+QV108  measurement dimension vs. qubit-list arity             ``ast.check_measurement``
 QV109  unknown predicate name in an assertion                 ``names.predicate``
 QV110  operator is not a valid quantum predicate              ``names.predicate``
 QV111  predicate dimension vs. qubit-list arity               ``names.predicate``
@@ -93,7 +93,20 @@ import numpy as np
 
 from ..diagnostics import Diagnostic, SourceSpan, make_diagnostic, source_order
 from ..exceptions import NameResolutionError, ParseError, ReproError
-from .ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While, check_qubits, seq
+from .ast import (
+    Abort,
+    If,
+    Init,
+    NDet,
+    Program,
+    Seq,
+    Skip,
+    Unitary,
+    While,
+    check_measurement,
+    check_qubits,
+    seq,
+)
 from .lexer import Token, tokenize
 from .names import OperatorEnvironment, default_environment
 
@@ -225,8 +238,10 @@ class _Parser:
     Strict on syntax: an unexpected token raises ``QV001``.  Any other
     failed lookup, check or constructor is recorded as a diagnostic at its
     token and the walk goes on.  A node that failed, or has a failed child,
-    is ``None``, and a node with a failed child is not checked itself; each
-    such failure carries a strict code.
+    is ``None``; each such failure carries a strict code.  A node with a
+    failed child still checks its own parts: an ``if`` or ``while`` whose
+    branch or body failed still reports its measurement's arity and its
+    qubit list.
     """
 
     def __init__(self, tokens: Sequence[Token], environment: OperatorEnvironment):
@@ -414,6 +429,8 @@ class _Parser:
         else:
             else_branch = Skip()
         self.expect("END")
+        if measurement is not None and (then_branch is None or else_branch is None):
+            self._check(qubits, name, check_measurement, measurement, names)
         if measurement is None or then_branch is None or else_branch is None:
             return None
         span = SourceSpan.from_token(opening)
@@ -439,6 +456,8 @@ class _Parser:
                 span,
                 hint="write '{ inv: NAME[q ...] }' immediately before the loop",
             )
+        if measurement is not None and body is None:
+            self._check(qubits, name, check_measurement, measurement, names)
         if measurement is None or body is None:
             return None
         loop = self._check(qubits, name, While, measurement, names, body, span)

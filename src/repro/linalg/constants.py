@@ -168,3 +168,12 @@ NAMED_GATES = {
     "W1": W1,
     "W2": W2,
 }
+
+# The constants are shared by every caller (and every default environment),
+# so they are read-only: writing into one raises instead of changing it for
+# all of them.
+for _constant in (
+    I2, X, Y, Z, H, S, T, P0, P1, PPLUS, PMINUS, ZERO2, CX, C0X, CZ, SWAP, CCX, W1, W2
+):
+    _constant.setflags(write=False)
+del _constant

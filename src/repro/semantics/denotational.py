@@ -7,7 +7,7 @@ quantum variables:
 * the four basic statements are deterministic and denote singletons;
 * ``[[S0; S1]] = [[S1]] ∘ [[S0]]`` element-wise (the lifted model of Sec. 3.3.2);
   composition is associative, so each maximal run of consecutive unitary
-  statements is first multiplied into one matrix and composed once;
+  statements is one step of the fold;
 * ``[[S0 □ S1]] = [[S0]] ∪ [[S1]]``;
 * ``[[if]] = [[S0]] ∘ P⁰ + [[S1]] ∘ P¹`` element-wise;
 * ``[[while]]`` is the set of least upper bounds of the chains ``F^η_n`` over
@@ -26,17 +26,41 @@ through :func:`~repro.linalg.tensor.apply_to_qubits`, which multiplies by its
 cylinder extension (Sec. 2) contracting only the gate's qubits; measurement
 projectors enter as their ``2^n × 2^n`` extensions, built by the same kernel
 on the identity.  ``Set0``, whose Kraus operators ``|0⟩⟨i| ⊗ I`` only move
-entries, is never multiplied:
-:meth:`~repro.superop.kraus.SuperOperator.compose_reset` copies the rows or
-columns of the maps it meets, and the bare channel is that copy of the
-identity.
+entries, is never multiplied: it factors as ``Set0 = J ∘ Tr``, where ``Tr``
+traces out the reset qubits ``q̄`` and ``J`` prepares ``|0⟩`` on them (see
+:mod:`~repro.superop.kraus`).  An ``Init`` inside a sequence copies the rows
+of the maps composed so far
+(:meth:`~repro.superop.kraus.SuperOperator.compose_reset`), and the bare
+channel is that copy of the identity.
+
+A sequence that opens with ``q̄ := 0`` is folded as
+``([[S_k]] ∘ ⋯ ∘ [[S_2]] ∘ J) ∘ Tr``: from ``J`` on, every map of the fold
+is *restricted*, a ``(k, d, c)`` Kraus array on the ``c = d / 2^|q̄|``
+columns that ``Set0`` prepares, and ``Tr`` is composed once at the end by
+copying those columns into the ``2^|q̄|`` blocks of the register
+(:meth:`~repro.superop.kraus.SuperOperator.compose_trace`, the spread).
+Restricted maps never leave :func:`_denote_seq`; every statement other
+than a gate run (loops included) is still denoted on the full register and
+composed onto them.  A run of gates meets the maps of the fold gate by
+gate on their stacked ``d × Σ k·c`` columns when they are fewer than
+``d``, and as the run's product, built once, otherwise.
+
+The fold compresses a map
+(:meth:`~repro.superop.kraus.SuperOperator.simplified`) once it would
+carry more than :data:`SIMPLIFY_THRESHOLD` Kraus operators on the
+register: a restricted map counts ``2^|q̄|`` per operator, since the spread
+of a rank-``r`` restricted map has rank ``2^|q̄|·r``.  So a restricted map
+is compressed where its spread would be, on a ``d·c``-sided problem
+instead of a ``d²``-sided one, and the fold returns as many operators as
+composing ``Set0``'s operators on the register.  A gate run is unitary and
+keeps every map's count and rank, so no map is compressed after one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -61,7 +85,8 @@ __all__ = [
 
 #: Maps with more Kraus operators than this are re-canonicalised
 #: (:meth:`~repro.superop.kraus.SuperOperator.simplified`) to keep
-#: compositions tractable.
+#: compositions tractable; a restricted map of the sequence fold counts the
+#: operators of its spread.
 SIMPLIFY_THRESHOLD = 64
 
 
@@ -120,7 +145,7 @@ def initializer_channel(qubits: Sequence[str], register: QubitRegister) -> Super
     register.check_contains(qubits)
     with span("initializer", region="denotation"):
         identity = SuperOperator.identity(register.dimension)
-        return identity.compose_reset(register.positions(qubits), "rows")
+        return identity.compose_reset(register.positions(qubits))
 
 
 def initializer_adjoint(
@@ -240,72 +265,155 @@ def _denote_seq(
 ) -> List[SuperOperator]:
     """Fold ``[[S_k]] ∘ ⋯ ∘ [[S_1]]`` over the steps of a sequential composition.
 
-    ``Set0`` is never multiplied:
-    :meth:`~repro.superop.kraus.SuperOperator.compose_reset` copies the rows
-    of the maps composed so far for every ``Init`` step, and for an opening
-    ``Init`` it copies the columns of the next step's maps, so
-    ``q̄ := 0; U…`` costs one copy of ``U``'s columns instead of ``2^|q̄|``
-    matrix products.  Every other step is composed with
-    :meth:`~repro.superop.kraus.SuperOperator.compose`; both give the same
-    operators in the same order.
+    An opening ``q̄ := 0`` is ``J ∘ Tr`` (see the module docstring): the
+    fold starts from ``J``, carries restricted maps, and composes ``Tr``
+    once at the end (:func:`_spread`).  Any other ``Init`` step copies the
+    rows of the maps composed so far
+    (:meth:`~repro.superop.kraus.SuperOperator.compose_reset`), a gate run
+    meets the maps through :meth:`_GateRun.after`, and every other step is
+    composed with :meth:`~repro.superop.kraus.SuperOperator.compose`.
+
+    Each map is kept with its *register count*: the number of Kraus
+    operators it has once spread, ``2^|q̄|`` per operator of a restricted
+    map (the spread of a rank-``r`` restricted map has rank ``2^|q̄|·r``),
+    and one for a map compressed to zero.  After an ``Init`` or a composed
+    step, a map whose register count exceeds :data:`SIMPLIFY_THRESHOLD` is
+    compressed (:func:`_compressed`), so the fold compresses where composing
+    ``Set0``'s operators on the register does and returns as many operators.
+    A gate run is unitary: it keeps the count and the rank of every map, so
+    a map is as compressed after it as before and is not compressed again.
     """
     steps = _seq_steps(statements, register, options)
-    statement, current = next(steps)
-    if isinstance(statement, Init):
+    statement, step = next(steps)
+    positions = None
+    blocks = 1
+    if step is None:
         positions = register.positions(statement.qubits)
-        statement, step = next(steps)  # a sequence has a second step after an Init
-        if step is None:
-            step = [initializer_channel(statement.qubits, register)]
-        with span(
-            "seq-compose",
-            region="denotation",
-            statement=type(statement).__name__,
-            set_size=len(step),
-        ):
-            current = [
-                _maybe_simplify(later.compose_reset(positions, "columns"))
-                for later in step
-            ]
-    if options.dedup and len(current) > 1:
-        current = deduplicate(current)
+        blocks = 2 ** len(positions)
+        fold = [(SuperOperator.prepare_zero(positions, register.num_qubits), blocks)]
+    else:
+        maps = [step.product()] if isinstance(step, _GateRun) else step
+        fold = _deduplicated([(channel, len(channel.kraus_operators)) for channel in maps], options)
     for statement, step in steps:
         with span(
             "seq-compose",
             region="denotation",
             statement=type(statement).__name__,
-            set_size=len(current) * (len(step) if step is not None else 1),
+            set_size=len(fold) * (len(step) if isinstance(step, list) else 1),
         ):
-            if step is None:
-                positions = register.positions(statement.qubits)
-                current = [
-                    _maybe_simplify(earlier.compose_reset(positions, "rows"))
-                    for earlier in current
-                ]
+            if isinstance(step, _GateRun):
+                later = step.after([channel for channel, _ in fold])
+                fold = [(channel, count) for channel, (_, count) in zip(later, fold)]
             else:
-                current = [
-                    _maybe_simplify(later.compose(earlier))
-                    for earlier in current
-                    for later in step
-                ]
-            if options.dedup and len(current) > 1:
-                current = deduplicate(current)
-    return current
+                if step is None:
+                    reset = register.positions(statement.qubits)
+                    fold = [
+                        (channel.compose_reset(reset), count * 2 ** len(reset))
+                        for channel, count in fold
+                    ]
+                else:
+                    fold = [
+                        (later.compose(channel), count * len(later.kraus_operators))
+                        for channel, count in fold
+                        for later in step
+                    ]
+                fold = [_compressed(channel, count, blocks) for channel, count in fold]
+            fold = _deduplicated(fold, options)
+    if positions is None:
+        return [channel for channel, _ in fold]
+    return [_spread(channel, count, positions) for channel, count in fold]
+
+
+def _compressed(channel: SuperOperator, count: int, blocks: int) -> Tuple[SuperOperator, int]:
+    """Return a map of the fold and its register count, compressed above the threshold.
+
+    ``blocks`` is the register count of one Kraus operator: ``2^|q̄|`` for a
+    restricted map, 1 otherwise.  A single operator is already minimal, so
+    a one-operator map is not factored.  A map compressed to zero counts
+    one operator, as the zero map has on the register.
+    """
+    if count <= SIMPLIFY_THRESHOLD:
+        return channel, count
+    if len(channel.kraus_operators) > 1:
+        channel = channel.simplified()
+    if not channel.kraus_operators.any():
+        return channel, 1
+    return channel, len(channel.kraus_operators) * blocks
+
+
+def _spread(channel: SuperOperator, count: int, positions: Sequence[int]) -> SuperOperator:
+    """Return ``channel ∘ Tr`` for a restricted map of the fold with register count ``count``.
+
+    A map that descends from one compressed to zero has a register count
+    below its spread's: it is zero, and it spreads to ``count`` zero
+    operators, as composing on the register gives.
+    """
+    if count < len(channel.kraus_operators) * 2 ** len(positions):
+        dimension = channel.shape[0]
+        return SuperOperator(np.zeros((count, dimension, dimension), dtype=complex), validate=False)
+    return channel.compose_trace(positions)
+
+
+def _deduplicated(
+    fold: List[Tuple[SuperOperator, int]], options: DenotationOptions
+) -> List[Tuple[SuperOperator, int]]:
+    """Drop the duplicate maps of a fold, with their counts, when ``options.dedup`` asks for it."""
+    if not options.dedup or len(fold) <= 1:
+        return fold
+    counts = {id(channel): count for channel, count in fold}
+    return [(channel, counts[id(channel)]) for channel in deduplicate([c for c, _ in fold])]
+
+
+class _GateRun:
+    """A maximal run of consecutive :class:`Unitary` statements, one step of a fold.
+
+    Each gate is applied by :meth:`~repro.registers.QubitRegister.apply`,
+    which contracts only its own qubits.
+    """
+
+    def __init__(self, gates: Sequence[Unitary], register: QubitRegister):
+        self._gates = gates
+        self._register = register
+
+    def _apply(self, matrix: np.ndarray) -> np.ndarray:
+        """Return ``U_k ⋯ U_1 · matrix`` for the run's gates, one gate at a time."""
+        for gate in self._gates:
+            matrix = self._register.apply(gate.matrix, gate.qubits, matrix)
+        return matrix
+
+    def product(self) -> SuperOperator:
+        """Return the run's product ``U_k ⋯ U_1`` as a one-operator map."""
+        return SuperOperator([self._apply(self._register.identity())], validate=False)
+
+    def after(self, maps: Sequence[SuperOperator]) -> List[SuperOperator]:
+        """Return the run composed after each of ``maps``.
+
+        When the maps' operators have fewer columns in all than the
+        register's dimension ``d`` (``Σ k·c < d``), the gates meet their
+        stacked columns one by one
+        (:meth:`~repro.superop.kraus.SuperOperator.left_multiply`);
+        otherwise the run's product is built once and composed with each
+        map.  The two agree up to rounding, and a fold of square maps always
+        takes the product.
+        """
+        columns = sum(len(channel.kraus_operators) * channel.shape[1] for channel in maps)
+        if columns < self._register.dimension:
+            return SuperOperator.left_multiply(maps, self._apply)
+        product = self.product()
+        return [product.compose(channel) for channel in maps]
 
 
 def _seq_steps(
     statements: Sequence[Program], register: QubitRegister, options: DenotationOptions
-) -> Iterator[Tuple[Program, Optional[List[SuperOperator]]]]:
-    """Yield ``(statement, maps)`` for each step of a sequential composition.
+) -> Iterator[Tuple[Program, Union[None, _GateRun, List[SuperOperator]]]]:
+    """Yield ``(statement, step)`` for each step of a sequential composition.
 
-    A maximal run of consecutive :class:`Unitary` statements is one step: the
-    product ``U_k ⋯ U_1`` of their extensions, as one rank-one map, so the
-    maps composed so far meet the run once instead of once per gate.  Each
-    gate is folded into the running product by
-    :meth:`~repro.registers.QubitRegister.apply`, which contracts only its
-    own qubits.  Composition is associative, so the denoted set is
-    unchanged; the run is reported by its last statement.  An :class:`Init`
-    comes with no maps, since :func:`_denote_seq` applies it by copying.
-    Every other statement is a step of its own denotation.
+    A maximal run of consecutive :class:`Unitary` statements is one step, a
+    :class:`_GateRun` reported by its last statement, so the maps composed
+    so far meet the run once instead of once per gate; composition is
+    associative, so the denoted set is unchanged.  An :class:`Init` comes
+    with no maps, since :func:`_denote_seq` applies it by copying.  Every
+    other statement is a step of its own denotation.
     """
     for is_run, group in groupby(statements, key=lambda statement: isinstance(statement, Unitary)):
         if not is_run:
@@ -313,10 +421,8 @@ def _seq_steps(
                 maps = None if isinstance(statement, Init) else _denote(statement, register, options)
                 yield statement, maps
             continue
-        product = register.identity()
-        for statement in group:
-            product = register.apply(statement.matrix, statement.qubits, product)
-        yield statement, [SuperOperator([product], validate=False)]
+        gates = list(group)
+        yield gates[-1], _GateRun(gates, register)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Two interoperable representations of a completely positive map are provided:
 
 * **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}`` on the full
-  register, stored as one ``(k, d, d)`` array; the form the semantic
+  register, stored as one ``(k, d, d)`` array (``(k, d, c)`` for the
+  restricted maps inside the sequence fold); the form the semantic
   engines compute with, as in the paper's presentation.  A channel on a
   few qubits (an initialisation or a noise channel) enters as its cylinder
   extension (:meth:`~repro.superop.kraus.SuperOperator.embed`); gates are

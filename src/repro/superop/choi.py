@@ -13,18 +13,21 @@ Choi matrix, and a minimal Kraus decomposition falls out of its pivoted
 Cholesky factorisation (:func:`kraus_from_choi`), which needs no
 eigensolve.
 
-Stacking the row-vectorised Kraus operators as the rows of a ``k × d²``
-matrix ``V`` gives ``Choi = Vᵀ V̄``: :func:`choi_matrix` builds it with one
-matrix product on the ``(k, d, d)`` operator array, and its ``d⁴ · 16``
-bytes are the largest object the library allocates.
-:meth:`~repro.superop.kraus.SuperOperator.simplified` avoids it when
-``k < d²`` by factoring the ``k × k`` Gram matrix ``V̄ Vᵀ`` instead, which
-has the same non-zero spectrum.
+Stacking the row-vectorised Kraus operators as the rows of a ``k × s``
+matrix ``V`` (``s = d_out·d_in``) gives ``Choi = Vᵀ V̄``: :func:`choi_matrix`
+builds it with one matrix product on the ``(k, d_out, d_in)`` operator
+array, and its ``s² · 16`` bytes (``d⁴ · 16`` for a map on one
+``d``-dimensional space) are the largest object the library allocates.
+A restricted map of the sequence fold (see :mod:`~repro.superop.kraus`)
+has ``d_in = c < d_out`` and a Choi matrix ``(d/c)²`` times smaller than
+its spread.  :meth:`~repro.superop.kraus.SuperOperator.simplified` avoids
+the Choi matrix when ``k < s`` by factoring the ``k × k`` Gram matrix
+``V̄ Vᵀ`` instead, which has the same non-zero spectrum.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -50,18 +53,19 @@ def choi_matrix(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
     ``vec`` stacks matrix rows, so the Choi matrix equals
     ``Σ_{jk} |j⟩⟨k| ⊗ E(|j⟩⟨k|)`` up to the chosen vectorisation convention.
     The sum is one matrix product ``Vᵀ V̄``, where row ``i`` of ``V`` is
-    ``vec(E_i)``: a ``(k, d, d)`` array is reshaped in place, a sequence of
-    matrices is stacked first.
+    ``vec(E_i)``: a ``(k, d_out, d_in)`` array is reshaped in place, a
+    sequence of matrices is stacked first.  The result is
+    ``(d_out·d_in) × (d_out·d_in)``.
     """
-    kraus = operator_stack(kraus_operators)
+    kraus = operator_stack(kraus_operators, square=False)
     if not len(kraus):
         raise LinalgError("a Choi matrix needs at least one Kraus operator")
-    dimension = kraus.shape[1]
-    side = dimension * dimension
+    rows, columns = kraus.shape[1:]
+    side = rows * columns
     with span(
         "choi",
         region="superop",
-        dimension=dimension,
+        dimension=rows if rows == columns else (rows, columns),
         kraus_rank=len(kraus),
         bytes=side * side * 16,
     ):
@@ -88,26 +92,34 @@ def choi_from_apply(apply_map, dimension: int) -> np.ndarray:
     return tensor.reshape(dimension * dimension, dimension * dimension)
 
 
-def kraus_from_choi(choi: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    """Recover a minimal Kraus decomposition from a Choi matrix, as a ``(r, d, d)`` array.
+def kraus_from_choi(
+    choi: np.ndarray, atol: float = 1e-10, shape: Optional[Tuple[int, int]] = None
+) -> np.ndarray:
+    """Recover a minimal Kraus decomposition from a Choi matrix, as a ``(r, d_out, d_in)`` array.
 
-    The pivoted Cholesky factor ``W`` of :func:`~repro.linalg.operators.psd_factor`
-    has ``Choi ≈ W W†``, so its ``r`` columns, un-vectorised, are Kraus
+    ``shape`` is ``(d_out, d_in)``; by default the map is square and ``d``
+    is the square root of the Choi matrix's side.  The pivoted Cholesky
+    factor ``W`` of :func:`~repro.linalg.operators.psd_factor` has
+    ``Choi ≈ W W†``, so its ``r`` columns, un-vectorised, are Kraus
     operators of the map.  Pivoting stops once the largest remaining Schur
     diagonal is ``≤ atol``, so ``r`` is the numerical rank of the Choi
-    matrix and the part left out has trace at most ``(d² − r) · atol``.  A
-    Choi matrix with no diagonal entry above ``atol`` gives the single zero
-    operator.
+    matrix and the part left out has trace at most ``(s − r) · atol`` for
+    side ``s``.  A Choi matrix with no diagonal entry above ``atol`` gives
+    the single zero operator.
     """
     choi = np.asarray(choi, dtype=complex)
     side = choi.shape[0]
-    dimension = int(round(np.sqrt(side)))
-    if dimension * dimension != side:
-        raise LinalgError("Choi matrix side length must be a perfect square")
+    if shape is None:
+        dimension = int(round(np.sqrt(side)))
+        if dimension * dimension != side:
+            raise LinalgError("Choi matrix side length must be a perfect square")
+        shape = (dimension, dimension)
+    elif shape[0] * shape[1] != side:
+        raise LinalgError(f"a Choi matrix of side {side} has no {shape[0]} × {shape[1]} operators")
     factor = psd_factor(choi, atol)
     if not factor.shape[1]:
-        return np.zeros((1, dimension, dimension), dtype=complex)
-    return factor.T.reshape(-1, dimension, dimension)
+        return np.zeros((1, *shape), dtype=complex)
+    return factor.T.reshape(-1, *shape)
 
 
 def is_cp_choi(choi: np.ndarray, atol: float = ORDER_ATOL) -> bool:

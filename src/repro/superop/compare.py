@@ -5,8 +5,9 @@ super-operators; these helpers implement equality and the CPO order on
 individual maps (Lemma 3.1) and the induced comparisons on finite sets, which
 are used by the semantic model checker and the tests of Lemma 3.2.
 
-Two maps are the same set element when their flattened Choi matrices (the
-same ``d⁴`` complex numbers for equal maps, whatever their Kraus
+Two maps are the same set element when they have the same shape
+``(d_out, d_in)`` and their flattened Choi matrices (the same
+``(d_out·d_in)²`` complex numbers for equal maps, whatever their Kraus
 decompositions) agree entrywise under ``np.isclose``:
 ``|C_E − C_F| ≤ atol + rtol · |C_F|``.  The set-level functions screen every
 pair before building one.  Each map's image ``E(σ)`` of one fixed pure probe
@@ -26,6 +27,13 @@ trace.  Only the pairs neither screen decides are confirmed on Choi
 signatures, each built lazily and at most once per map, so duplicate
 detection and subset checks give exactly the verdicts of comparing every
 pair's Choi matrices.
+
+The restricted maps ``E ∘ J`` of the sequence fold (see
+:mod:`~repro.superop.kraus`) are compared the same way, with a probe of
+dimension ``d_in``.  Every entry of the Choi matrix of the spread
+``E ∘ J ∘ Tr`` is either 0 or an entry of the restricted map's, and each
+of those entries occurs, so two restricted maps match exactly when their
+spreads do.
 """
 
 from __future__ import annotations
@@ -76,7 +84,7 @@ class _Screen:
 
     def __init__(self, maps: Sequence):
         self.maps = maps
-        probe, self.probe_l1 = _probe(maps[0].dimension)
+        probe, self.probe_l1 = _probe(maps[0].shape[1])
         images = []
         for channel in maps:
             columns = channel.kraus_operators @ probe  # row i is E_i ψ
@@ -129,8 +137,8 @@ def superoperator_precedes(a, b, atol: float = ORDER_ATOL) -> bool:
     return a.precedes(b, atol=atol)
 
 
-def _mixed_dimensions(maps: Sequence) -> bool:
-    return len({channel.dimension for channel in maps}) > 1
+def _mixed_shapes(maps: Sequence) -> bool:
+    return len({channel.shape for channel in maps}) > 1
 
 
 def deduplicate(maps: Iterable, atol: float = ATOL) -> list:
@@ -144,8 +152,8 @@ def deduplicate(maps: Iterable, atol: float = ATOL) -> list:
     if len(maps) <= 1:
         return maps
     with span("deduplicate", region="compare", set_size=len(maps)):
-        if _mixed_dimensions(maps):
-            # Mixed dimensions cannot share a signature stack; fall back to pairwise.
+        if _mixed_shapes(maps):
+            # Mixed shapes cannot share a signature stack; fall back to pairwise.
             unique: List = []
             for candidate in maps:
                 if not any(candidate.equals(existing, atol=atol) for existing in unique):
@@ -174,14 +182,14 @@ def set_subset(smaller: Iterable, larger: Iterable, atol: float = ATOL) -> bool:
 
 def _set_subset_impl(smaller: List, larger: List, atol: float) -> bool:
     """The unspanned body of :func:`set_subset`."""
-    if _mixed_dimensions(smaller) or _mixed_dimensions(larger):
-        # Mixed dimensions cannot share a signature stack; fall back to pairwise
-        # (equals already returns False across dimensions).
+    if _mixed_shapes(smaller) or _mixed_shapes(larger):
+        # Mixed shapes cannot share a signature stack; fall back to pairwise
+        # (equals already returns False across shapes).
         return all(
             any(candidate.equals(existing, atol=atol) for existing in larger)
             for candidate in smaller
         )
-    if smaller[0].dimension != larger[0].dimension:
+    if smaller[0].shape != larger[0].shape:
         return False
     larger_screen = _Screen(larger)
     smaller_screen = _Screen(smaller)

@@ -1,9 +1,10 @@
-"""Tier-1 enforcement of public-API docstring coverage (ISSUE 5 satellite).
+"""Tier-1 enforcement of public-API docstring coverage.
 
-Runs the AST-based checker of ``tools/check_docstrings.py`` over the three
-documented packages — ``superop``, ``semantics`` and ``programs`` — so a
-missing docstring on any public symbol fails the ordinary test run, not just
-the dedicated CI step.
+Runs the AST-based checker of ``tools/check_docstrings.py`` over the
+documented packages of its ``DEFAULT_TARGETS`` — ``superop``, ``semantics``,
+``programs``, ``analysis/static``, ``fuzz``, ``linalg``, ``registers.py``,
+``predicates``, ``logic`` and ``language`` — so a missing docstring on any
+public symbol fails the ordinary test run, not just the dedicated CI step.
 """
 
 import sys

@@ -77,6 +77,30 @@ class TestOperatorEnvironment:
         with pytest.raises(NameResolutionError):
             environment.operator("missing")
 
+    def test_shared_constants_are_read_only(self):
+        environment = default_environment()
+        with pytest.raises(ValueError):
+            environment.operator("H")[0, 0] = 7
+        for name in ("H", "CX", "P0", "W1"):
+            assert not default_environment().operator(name).flags.writeable
+        assert np.array_equal(default_environment().operator("H"), np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+        for name in ("M", "Mpm", "MQWalk"):
+            measurement = environment.measurement(name)
+            assert not measurement.p0.flags.writeable and not measurement.p1.flags.writeable
+
+    def test_writing_into_a_defined_array_leaves_parsed_programs_alone(self):
+        environment = OperatorEnvironment()
+        gate = np.array(X, dtype=complex)
+        environment.define("G", gate)
+        program = parse_program("[q] *= G", environment)
+        gate[0, 0] = 7
+        assert np.array_equal(program.matrix, X)
+        assert np.array_equal(environment.operator("G"), X)
+        frozen = np.array(H, dtype=complex)
+        frozen.setflags(write=False)
+        environment.define("F", frozen)
+        assert environment.operator("F") is frozen
+
     def test_names_listing(self):
         environment = OperatorEnvironment({"A": X}, {})
         assert "A" in list(environment.names())

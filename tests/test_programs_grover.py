@@ -58,8 +58,8 @@ class TestProgramAndFormula:
         assert probability == pytest.approx(grover_success_probability(num_qubits), abs=1e-9)
 
     def test_gate_layout_7_reaches_the_analytic_success_probability(self):
-        # Each run of gates is one matrix composed once into Set0's 128 Kraus
-        # operators, so the 7-qubit circuit of 135 gates denotes in well under a second.
+        # The 135 gates meet the one column that [q0 … q6] := 0 prepares, and
+        # the column is spread to Set0's 128 Kraus operators once, at the end.
         (channel,) = denotation(grover_program(7, layout="gates"), grover_register(7))
         # [[Grover]](|0…0⟩⟨0…0|) at the marked basis state 0.
         kraus = np.stack(channel.kraus_operators)

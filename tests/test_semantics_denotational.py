@@ -6,7 +6,10 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.assistant.verify import build_task
 from repro.exceptions import SemanticsError
+from repro.fuzz import OracleConfig, generate_batch
+from repro.fuzz.generator import FInit
 from repro.language.ast import (
     Abort,
     If,
@@ -24,6 +27,7 @@ from repro.linalg.constants import CX, H, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.random import random_density_operator
 from repro.linalg.states import density, ket, maximally_mixed, minus_state, plus_state
+from repro.language.names import default_environment
 from repro.programs import (
     apply_noise,
     errcorr_program,
@@ -218,22 +222,101 @@ def _materialised_set0(qubits, register):
 
 
 def _materialised_fold(statements, register, options):
-    """The sequence fold that composes every step, ``Set0`` included, as Kraus products."""
+    """The sequence fold that composes every step, ``Set0`` included, as Kraus products.
+
+    Every map is on the full register.  Each run of gates is multiplied into
+    its product here, gate by gate, and composed once; a composed map is
+    compressed once it carries more than ``SIMPLIFY_THRESHOLD`` operators.
+    """
     current = None
-    for statement, step in denotational._seq_steps(statements, register, options):
-        if step is None:
-            step = [_materialised_set0(statement.qubits, register)]
-        if current is None:
-            current = step
+    for is_run, group in itertools.groupby(statements, key=lambda s: isinstance(s, Unitary)):
+        if is_run:
+            product = register.identity()
+            for gate in group:
+                product = register.apply(gate.matrix, gate.qubits, product)
+            steps = [[SuperOperator([product], validate=False)]]
         else:
-            current = [
-                denotational._maybe_simplify(later.compose(earlier))
-                for earlier in current
-                for later in step
+            steps = [
+                [_materialised_set0(statement.qubits, register)]
+                if isinstance(statement, Init)
+                else denotational._denote(statement, register, options)
+                for statement in group
             ]
-        if options.dedup and len(current) > 1:
-            current = deduplicate(current)
+        for step in steps:
+            if current is not None:
+                step = [later.compose(earlier) for earlier in current for later in step]
+                step = [
+                    channel.simplified()
+                    if len(channel.kraus_operators) > denotational.SIMPLIFY_THRESHOLD
+                    else channel
+                    for channel in step
+                ]
+            current = step
+            if options.dedup and len(current) > 1:
+                current = deduplicate(current)
     return current
+
+
+def _choi_distance(a, b):
+    """``‖Choi(a) − Choi(b)‖₁`` without either Choi matrix.
+
+    With the vectorised operators of both maps as the rows of ``W`` and
+    ``S = diag(1, …, −1, …)``, ``Choi(a) − Choi(b) = Wᵀ S W̄``; for
+    ``Wᵀ = QR`` it is ``Q (R S R†) Q†``, whose eigenvalues are those of the
+    small hermitian ``R S R†``.
+    """
+    rows = np.concatenate([a.kraus_operators.reshape(len(a.kraus_operators), -1),
+                           b.kraus_operators.reshape(len(b.kraus_operators), -1)])
+    signs = np.r_[np.ones(len(a.kraus_operators)), -np.ones(len(b.kraus_operators))]
+    _, triangle = np.linalg.qr(rows.T)
+    return float(np.abs(np.linalg.eigvalsh((triangle * signs) @ triangle.conj().T)).sum())
+
+
+#: ``simplified``'s pivoting threshold (its default ``atol``).
+SIMPLIFY_ATOL = 1e-10
+
+
+def _fold_tolerance(dimension, compressions, traces):
+    """The budget for ``_choi_distance`` of two folds of one map, fixed before any run.
+
+    ``simplified`` documents that a compression leaves out a completely
+    positive map of trace norm at most ``(min(k, s) − r) · atol ≤ s · atol``
+    on side ``s = d_out·d_in ≤ d²``; the spread scales a restricted map's
+    trace norm by ``d/c``, so its part left out is at most ``d² · atol`` on
+    the register too.  Composing a trace non-increasing map ``L`` after it
+    does not increase that trace norm, and composing one, ``R``, before it
+    scales it by at most ``λ_max(R(I)) ≤ d``.  So each compression of
+    either fold is charged ``d³ · atol``, which bounds the distance of
+    loop-free programs; a loop reuses its body's maps in every iteration,
+    which the charge does not multiply out.  Rounding gets ``d²`` units of
+    ``ε`` (complex128) of the Choi traces ``traces``.
+    """
+    rounding = dimension ** 2 * np.finfo(np.complex128).eps * traces
+    return compressions * dimension ** 3 * SIMPLIFY_ATOL + rounding
+
+
+def _assert_equals_the_materialised_fold(monkeypatch, program, register, options=None):
+    """Denote ``program`` both ways; the sets must pair up within :func:`_fold_tolerance`."""
+    compressions = []
+    simplified = SuperOperator.simplified
+
+    def counting(channel, *args, **kwargs):
+        compressions.append(len(channel.kraus_operators))
+        return simplified(channel, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SuperOperator, "simplified", counting)
+        maps = denotation(program, register, options)
+        patch.setattr(denotational, "_denote_seq", _materialised_fold)
+        patch.setattr(denotational, "initializer_channel", _materialised_set0)
+        reference = denotation(program, register, options)
+    assert len(maps) == len(reference)
+    for channel, expected in zip(maps, reference):
+        assert channel.shape == expected.shape == (register.dimension, register.dimension)
+        assert len(channel.kraus_operators) == len(expected.kraus_operators)
+        traces = channel.choi_trace() + expected.choi_trace()
+        tolerance = _fold_tolerance(register.dimension, len(compressions), traces)
+        assert _choi_distance(channel, expected) <= tolerance
 
 
 def _damped(program, register):
@@ -247,7 +330,7 @@ def _noisy_grover():
 
 
 class TestResetByCopying:
-    """``Set0`` copies rows or columns; the maps equal those of composing its operators."""
+    """``Set0 = J ∘ Tr``: the restricted fold's maps equal those of composing ``Set0``'s operators."""
 
     @pytest.mark.parametrize(
         "build",
@@ -263,14 +346,96 @@ class TestResetByCopying:
     )
     def test_benchmark_programs_equal_the_materialised_fold(self, monkeypatch, build):
         program, register = build()
-        maps = denotation(program, register)
-        monkeypatch.setattr(denotational, "_denote_seq", _materialised_fold)
-        monkeypatch.setattr(denotational, "initializer_channel", _materialised_set0)
-        reference = denotation(program, register)
-        assert len(maps) == len(reference)
-        for channel, expected in zip(maps, reference):
-            assert channel.kraus_operators.shape == expected.kraus_operators.shape
-            assert np.array_equal(channel.kraus_operators, expected.kraus_operators)
+        _assert_equals_the_materialised_fold(monkeypatch, program, register)
+
+
+#: Registers of the hand-written fold cases.
+ABC = QubitRegister(["a", "b", "c"])
+
+
+def _gate(qubits, name, matrix):
+    return Unitary(tuple(qubits), name, matrix)
+
+
+#: Hand-written sequences for the restricted fold, each with its register.
+FOLD_CASES = {
+    "two-opening-inits": (
+        seq(Init(("a",)), Init(("c",)), _gate("a", "H", H), _gate("ac", "CX", CX),
+            ndet(Skip(), _gate("b", "X", X))),
+        ABC,
+    ),
+    "init-on-every-qubit": (
+        seq(Init(("c", "a", "b")), _gate("a", "H", H), _gate("ab", "CX", CX),
+            If(MEAS_COMPUTATIONAL, ("b",), _gate("c", "X", X), Skip())),
+        ABC,
+    ),
+    "init-in-the-middle": (
+        seq(_gate("a", "H", H), Init(("b",)), _gate("ab", "CX", CX), Init(("a",)), _gate("b", "H", H)),
+        ABC,
+    ),
+    "init-in-the-middle-of-an-init-opened-sequence": (
+        seq(Init(("a", "b")), _gate("a", "H", H), _gate("ab", "CX", CX), Init(("a",)),
+            ndet(Skip(), _gate("ab", "CX", CX))),
+        ABC,
+    ),
+    "loop-body-opening-with-init": (
+        seq(Init(("a",)), _gate("a", "H", H),
+            While(MEAS_COMPUTATIONAL, ("a",),
+                  seq(Init(("b",)), _gate("b", "H", H), _gate("ba", "CX", CX)))),
+        ABC,
+    ),
+    "branches-opening-with-init": (
+        seq(_gate("a", "H", H),
+            If(MEAS_COMPUTATIONAL, ("a",), seq(Init(("b",)), _gate("b", "X", X)),
+               seq(Init(("b", "c")), _gate("c", "H", H))),
+            ndet(seq(Init(("a",)), _gate("ab", "CX", CX)), _gate("c", "X", X))),
+        ABC,
+    ),
+}
+
+
+class TestRestrictedFold:
+    """The fold of an ``Init``-opened sequence on the columns ``Set0`` prepares."""
+
+    @pytest.mark.parametrize("name", sorted(FOLD_CASES))
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "damped"])
+    def test_hand_written_sequences_equal_the_materialised_fold(self, monkeypatch, name, noisy):
+        program, register = FOLD_CASES[name]
+        if noisy:
+            program, register = _damped(program, register)
+        _assert_equals_the_materialised_fold(monkeypatch, program, register)
+
+    @pytest.mark.parametrize("chunk", range(4))
+    def test_fuzz_draws_equal_the_materialised_fold(self, monkeypatch, chunk):
+        # Every draw of the fuzz gate's seed opens with an Init.
+        options = DenotationOptions(max_iterations=OracleConfig().max_iterations)
+        for draw in generate_batch(2023, 200)[chunk * 50 : (chunk + 1) * 50]:
+            assert isinstance(draw.statements[0], FInit)
+            task = build_task(draw.source(), default_environment())
+            _assert_equals_the_materialised_fold(
+                monkeypatch, task.formula.program, task.register, options
+            )
+
+    def test_seven_qubit_reset_and_choice_builds_no_large_matrix(self, monkeypatch):
+        # The two restricted maps are equal, so dedup confirms the pair on
+        # 128 × 128 Choi signatures; their spreads' would take 4 GiB.
+        build = choi_module.choi_matrix
+
+        def refuse_large(kraus, *args, **kwargs):
+            rows, columns = np.shape(kraus)[1:]
+            if rows * columns > 128:
+                raise AssertionError(f"a {rows * columns}-sided Choi matrix was built")
+            return build(kraus, *args, **kwargs)
+
+        for module in (choi_module, kraus_module):
+            monkeypatch.setattr(module, "choi_matrix", refuse_large)
+        names = tuple(f"q{index}" for index in range(7))
+        maps = denotation(seq(Init(names), ndet(Skip(), Skip())), QubitRegister(names))
+        assert len(maps) == 1
+        assert len(maps[0].kraus_operators) == 128
+        assert np.allclose(maps[0].kraus_gram(), np.eye(128), rtol=0, atol=1e-12)
+        output = maps[0].apply(random_density_operator(128, seed=7))
+        assert output[0, 0] == pytest.approx(1.0) and np.count_nonzero(output) == 1
 
 
 class TestInitializerAdjoint:

@@ -195,6 +195,22 @@ class TestSpanAccuracy:
         assert diagnostic.code == "QV201"
         assert (diagnostic.span.line, diagnostic.span.column) == (2, 1)
 
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("[q] := 0;\nif M [q q] then [q] *= FOO end;\n{ P0[q] }", ["QV108@2:4", "QV104@2:24"]),
+            ("[q] := 0;\nif M [] then skip else [q] *= FOO end;\n{ P0[q] }", ["QV102@2:7", "QV104@2:31"]),
+            (
+                "[q] := 0;\n{ inv: P0[q] };\nwhile M [q q] do [q] *= FOO end;\n{ P0[q] }",
+                ["QV108@3:7", "QV104@3:25"],
+            ),
+        ],
+        ids=["if-arity", "if-empty-list", "while-arity"],
+    )
+    def test_construct_with_a_failed_child_still_checks_its_own_parts(self, source, expected):
+        analysis = analyze_source(source)
+        assert [f"{d.code}@{d.span}" for d in analysis.diagnostics] == expected
+
     def test_diagnostics_sorted_by_position(self):
         analysis = analyze_source("[q] := 1;\n[q] *= FOO;\n{ BAR[q] }")
         positions = [(d.span.line, d.span.column) for d in analysis.diagnostics]
@@ -540,6 +556,7 @@ _VERIFY_ON_CORPUS = {
     "duplicate_qubit.nqpv": ("ParseError", 1, 4, "QV101"),
     "empty_assertion.nqpv": ("ParseError", 3, 3, "QV114"),
     "empty_qubit_list.nqpv": ("ParseError", 1, 2, "QV102"),
+    "failed_branch_measurement_arity.nqpv": ("NameResolutionError", 2, 4, "QV108"),
     "init_never_used.nqpv": ["QV202"],
     "init_nonzero.nqpv": ("ParseError", 1, 8, "QV103"),
     "invalid_predicate.nqpv": ("StaticAnalysisError", None, None, "QV110"),

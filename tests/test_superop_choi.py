@@ -22,8 +22,8 @@ from repro.telemetry.tracing import configure_tracing, get_tracer
 
 def outer_product_choi(kraus):
     """The reference: one rank-one update ``vec(E) vec(E)†`` per Kraus operator."""
-    dimension = kraus[0].shape[0]
-    choi = np.zeros((dimension * dimension, dimension * dimension), dtype=complex)
+    side = kraus[0].size
+    choi = np.zeros((side, side), dtype=complex)
     for operator in kraus:
         vectorised = np.asarray(operator, dtype=complex).reshape(-1, 1)
         choi = choi + vectorised @ vectorised.conj().T
@@ -92,6 +92,19 @@ class TestChoiKernel:
             "kraus_rank": 5,
             "bytes": 16 ** 2 * 16,
         }
+
+    @pytest.mark.parametrize("rows, columns, count", [(8, 2, 3), (4, 1, 2), (16, 4, 40)])
+    def test_rectangular_operators(self, rows, columns, count):
+        rng = np.random.default_rng(rows * columns + count)
+        kraus = rng.normal(size=(count, rows, columns)) + 1j * rng.normal(size=(count, rows, columns))
+        choi = choi_matrix(kraus)
+        assert choi.shape == (rows * columns, rows * columns)
+        assert np.allclose(choi, outer_product_choi(kraus), rtol=0, atol=1e-12)
+        recovered = kraus_from_choi(choi, shape=(rows, columns))
+        assert recovered.shape == (min(count, rows * columns), rows, columns)
+        assert np.allclose(choi_matrix(recovered), choi, rtol=0, atol=1e-10)
+        with pytest.raises(LinalgError):
+            kraus_from_choi(choi, shape=(rows, columns + 1))
 
 
 class TestKrausRecovery:

@@ -9,11 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro.exceptions import DimensionMismatchError, RegisterError, SuperOperatorError
 from repro.linalg.constants import CX, H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
-from repro.linalg.random import random_kraus_operators
+from repro.linalg.random import random_density_operator, random_kraus_operators
 from repro.linalg.states import density, ket, maximally_mixed, plus_state
+from repro.linalg.tensor import embed_operator, partial_trace
 from repro.registers import QubitRegister
 from repro.superop import choi as choi_module
 from repro.superop import kraus as kraus_module
+from repro.superop.compare import deduplicate, set_equal, set_subset
 from repro.superop.kraus import SuperOperator
 from repro.telemetry.tracing import configure_tracing, get_tracer
 
@@ -310,7 +312,7 @@ def reset_cases(draw):
 
 
 class TestComposeReset:
-    """``compose_reset`` equals a product with the materialised ``Set0``, bit for bit."""
+    """``Set0 ∘ E`` and ``E ∘ Set0`` are copies, equal to the materialised ``Set0``'s products bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=reset_cases())
@@ -327,18 +329,144 @@ class TestComposeReset:
         shape = (count, dimension, dimension)
         channel = SuperOperator(rng.normal(size=shape) + 1j * rng.normal(size=shape), validate=False)
         set0 = SuperOperator.initializer(len(qubits)).embed(qubits, register)
-        for side, expected in (("rows", set0.compose(channel)), ("columns", channel.compose(set0))):
-            result = channel.compose_reset(positions, side).kraus_operators
-            assert result.shape == expected.kraus_operators.shape
-            assert np.array_equal(result, expected.kraus_operators)
+        # E ∘ Set0 = (E ∘ J) ∘ Tr: restrict (a product with J's 0/1 columns), then spread.
+        restricted = channel.compose(SuperOperator.prepare_zero(positions, num_qubits))
+        for result, expected in (
+            (channel.compose_reset(positions), set0.compose(channel)),
+            (restricted.compose_trace(positions), channel.compose(set0)),
+        ):
+            assert result.kraus_operators.shape == expected.kraus_operators.shape
+            assert np.array_equal(result.kraus_operators, expected.kraus_operators)
 
-    def test_rejects_bad_positions_and_sides(self):
+    def test_rejects_bad_positions(self):
         channel = SuperOperator.identity(4)
+        restricted = channel.compose(SuperOperator.prepare_zero([0], 2))
         for positions in ([0, 0], [2], [-1]):
             with pytest.raises(SuperOperatorError):
-                channel.compose_reset(positions, "rows")
-        with pytest.raises(SuperOperatorError):
-            channel.compose_reset([0], "left")
+                channel.compose_reset(positions)
+            with pytest.raises(SuperOperatorError):
+                SuperOperator.prepare_zero(positions, 2)
+            with pytest.raises(SuperOperatorError):
+                restricted.compose_trace(positions)  # positions on its 1 + |positions| qubits
+
+
+class TestRestrictedMaps:
+    """A restricted map ``R = E ∘ J`` against its spread ``S = R ∘ Tr = E ∘ Set0``.
+
+    Three qubits, ``q̄`` at positions ``(2, 0)``: ``R`` is ``8 × 2`` and
+    ``S`` is ``8 × 8``.  Every method either agrees with the spread or
+    raises :class:`DimensionMismatchError`.
+    """
+
+    POSITIONS = (2, 0)
+    REST = [1]  # the qubits R's two input columns are indexed by
+    SIZE = 4  # 2^|q̄|
+
+    @pytest.fixture
+    def maps(self):
+        prepare = SuperOperator.prepare_zero(self.POSITIONS, 3)
+        channels = [SuperOperator(random_kraus_operators(8, count=3, seed=seed)) for seed in (11, 12)]
+        restricted = [channel.compose(prepare) for channel in channels]
+        return restricted, [channel.compose_trace(self.POSITIONS) for channel in restricted]
+
+    def test_shape_and_dimension(self, maps):
+        (restricted, _), (spread, _) = maps
+        assert restricted.shape == (8, 2) and spread.shape == (8, 8)
+        assert spread.dimension == 8 and spread.num_qubits == 3
+        with pytest.raises(DimensionMismatchError):
+            restricted.dimension
+        with pytest.raises(DimensionMismatchError):
+            restricted.num_qubits
+        assert repr(restricted) == "SuperOperator(shape=(8, 2), kraus=3)"
+
+    def test_prepare_zero_maps_the_rest_into_zero_on_the_reset_qubits(self):
+        prepare = SuperOperator.prepare_zero(self.POSITIONS, 3)
+        assert prepare.shape == (8, 2)
+        # Column r is |0⟩ on qubits 2 and 0 and r on qubit 1: basis states 0 and 2.
+        assert np.array_equal(prepare.kraus_operators[0], np.eye(8)[:, [0, 2]])
+        set0 = SuperOperator.initializer(2).embed(["q2", "q0"], QubitRegister(["q0", "q1", "q2"]))
+        assert np.array_equal(
+            prepare.compose_trace(self.POSITIONS).kraus_operators, set0.kraus_operators
+        )
+
+    def test_application_and_gram(self, maps):
+        (restricted, _), (spread, _) = maps
+        rho = random_density_operator(8, seed=3)
+        reduced = partial_trace(rho, self.REST, 3)
+        assert np.allclose(spread.apply(rho), restricted.apply(reduced), atol=1e-12)
+        observable = random_density_operator(8, seed=4)
+        lifted = embed_operator(restricted.apply_adjoint(observable), self.REST, 3)
+        assert np.allclose(spread.apply_adjoint(observable), lifted, atol=1e-12)
+        assert np.allclose(restricted.adjoint().apply(observable), restricted.apply_adjoint(observable))
+        assert np.allclose(spread.kraus_gram(), embed_operator(restricted.kraus_gram(), self.REST, 3))
+        assert restricted.is_trace_preserving() and spread.is_trace_preserving()
+        assert restricted.is_trace_nonincreasing() and spread.is_trace_nonincreasing()
+        assert restricted.probability_bound() == pytest.approx(spread.probability_bound(), abs=1e-12)
+        with pytest.raises(DimensionMismatchError):
+            restricted.apply(rho)
+        with pytest.raises(DimensionMismatchError):
+            restricted.apply_adjoint(reduced)
+
+    def test_choi_entries_are_the_restricted_ones_or_zero(self, maps):
+        (restricted, _), (spread, _) = maps
+        assert spread.choi_trace() == pytest.approx(self.SIZE * restricted.choi_trace(), rel=1e-14)
+        lines = np.array([[0, 2], [4, 6], [1, 3], [5, 7]])  # lines[i]: index i on (q2, q0)
+        expected = np.zeros((8, 8, 8, 8), dtype=complex)
+        block = restricted.choi().reshape(8, 2, 8, 2)
+        for line in lines:
+            expected[np.ix_(range(8), line, range(8), line)] = block
+        assert np.allclose(spread.choi(), expected.reshape(64, 64), rtol=0, atol=1e-14)
+
+    def test_algebra_commutes_with_the_spread(self, maps):
+        (restricted, other), (spread, other_spread) = maps
+        later = SuperOperator(random_kraus_operators(8, count=2, seed=13))
+        assert later.compose(restricted).compose_trace(self.POSITIONS).equals(later.compose(spread))
+        reset = restricted.compose_reset([1]).compose_trace(self.POSITIONS)
+        assert np.array_equal(reset.kraus_operators, spread.compose_reset([1]).kraus_operators)
+        total = (restricted + other).compose_trace(self.POSITIONS)
+        assert np.array_equal(total.kraus_operators, (spread + other_spread).kraus_operators)
+        half = (0.5 * restricted).compose_trace(self.POSITIONS)
+        assert np.array_equal(half.kraus_operators, (0.5 * spread).kraus_operators)
+        flip = embed_operator(X, [1], 3)
+        (multiplied,) = SuperOperator.left_multiply([restricted], lambda matrix: flip @ matrix)
+        assert multiplied.compose_trace(self.POSITIONS).equals(SuperOperator([flip]).compose(spread))
+        coin = SuperOperator([P0, P1])
+        assert restricted.tensor(coin).compose_trace(self.POSITIONS).equals(spread.tensor(coin))
+        inner = SuperOperator([H])
+        assert restricted.compose(inner).compose_trace(self.POSITIONS).equals(
+            spread.compose(inner.embed(["q1"], QubitRegister(["q0", "q1", "q2"])))
+        )
+        with pytest.raises(DimensionMismatchError):
+            restricted.compose(SuperOperator.identity(8))
+        with pytest.raises(DimensionMismatchError):
+            restricted + spread
+        with pytest.raises(DimensionMismatchError):
+            restricted.embed(["q0", "q1", "q2"], QubitRegister(["q0", "q1", "q2"]))
+
+    def test_order_simplification_and_dedup_match_the_spread(self, maps):
+        (restricted, other), (spread, other_spread) = maps
+        assert restricted.equals(restricted) and not restricted.equals(spread)
+        assert restricted.equals(other) == spread.equals(other_spread) is False
+        smaller = 0.25 * restricted
+        assert smaller.precedes(restricted) and (0.25 * spread).precedes(spread)
+        assert not restricted.precedes(smaller) and not spread.precedes(0.25 * spread)
+        assert not restricted.precedes(spread)
+        redundant = restricted + restricted
+        simplified = redundant.simplified()
+        assert len(simplified.kraus_operators) == 3 and simplified.shape == (8, 2)
+        assert simplified.compose_trace(self.POSITIONS).equals(redundant.compose_trace(self.POSITIONS))
+        zero = (0.0 * restricted).simplified()
+        assert zero.shape == (8, 2) and not zero.kraus_operators.any()
+        assert len(deduplicate([restricted, other, 1.0 * restricted])) == 2
+        assert set_equal([restricted, other], [other, restricted])
+        assert not set_subset([restricted], [other, spread])
+
+    def test_constructor_and_unpickling_take_square_operators_only(self, maps):
+        (restricted, _), _ = maps
+        with pytest.raises(DimensionMismatchError):
+            SuperOperator(restricted.kraus_operators)
+        with pytest.raises(DimensionMismatchError):
+            pickle.loads(pickle.dumps(restricted))
 
 
 def redundant_kraus(dimension, rank, count, seed):

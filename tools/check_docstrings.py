@@ -28,6 +28,11 @@ DEFAULT_TARGETS = (
     "src/repro/programs",
     "src/repro/analysis/static",
     "src/repro/fuzz",
+    "src/repro/linalg",
+    "src/repro/registers.py",
+    "src/repro/predicates",
+    "src/repro/logic",
+    "src/repro/language",
 )
 
 
