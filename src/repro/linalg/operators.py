@@ -211,19 +211,17 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def operator_stack(operators: Iterable[np.ndarray], square: bool = True) -> np.ndarray:
+def operator_stack(operators: Iterable[np.ndarray]) -> np.ndarray:
     """Return equally shaped operators as one ``(k, d_out, d_in)`` complex array.
 
     A complex three-axis array is returned as it is, without a copy; a
     sequence or iterator of matrices is stacked.  An empty input gives an
-    empty array.  With ``square`` (the default) the operators must be
-    square, ``d_out = d_in``.
+    empty array.
 
     Raises
     ------
     DimensionMismatchError
-        If the operators differ in shape, are not matrices, or are not
-        square when ``square`` is set.
+        If the operators differ in shape or are not matrices.
     """
     if not isinstance(operators, np.ndarray):
         operators = [np.asarray(operator, dtype=complex) for operator in operators]
@@ -234,9 +232,8 @@ def operator_stack(operators: Iterable[np.ndarray], square: bool = True) -> np.n
                 f"operators of different shapes: {sorted({o.shape for o in operators})}"
             )
     stack = np.asarray(operators, dtype=complex)
-    if stack.ndim != 3 or (square and stack.shape[1] != stack.shape[2]):
-        kind = "square matrices" if square else "matrices"
-        raise DimensionMismatchError(f"expected {kind}, got a stack of shape {stack.shape}")
+    if stack.ndim != 3:
+        raise DimensionMismatchError(f"expected matrices, got a stack of shape {stack.shape}")
     return stack
 
 
@@ -249,7 +246,7 @@ def kraus_gram(operators: Iterable[np.ndarray]) -> np.ndarray:
     ``E_i`` into one ``(k·d_out) × d_in`` matrix ``R`` gives
     ``Σ_i E_i†E_i = R†R``, one matrix product.
     """
-    stack = operator_stack(operators, square=False)
+    stack = operator_stack(operators)
     if not len(stack):
         raise LinalgError("kraus_gram requires at least one operator")
     rows = stack.reshape(-1, stack.shape[2])

@@ -41,9 +41,9 @@ copying those columns into the ``2^|q̄|`` blocks of the register
 (:meth:`~repro.superop.kraus.SuperOperator.compose_trace`, the spread).
 Restricted maps never leave :func:`_denote_seq`; every statement other
 than a gate run (loops included) is still denoted on the full register and
-composed onto them.  A run of gates meets the maps of the fold gate by
-gate on their stacked ``d × Σ k·c`` columns when they are fewer than
-``d``, and as the run's product, built once, otherwise.
+composed onto them.  A run of gates meets the maps of every fold, square
+or restricted, gate by gate on their operators stacked side by side; its
+product is never built.
 
 The fold compresses a map
 (:meth:`~repro.superop.kraus.SuperOperator.simplified`) once it would
@@ -51,9 +51,10 @@ carry more than :data:`SIMPLIFY_THRESHOLD` Kraus operators on the
 register: a restricted map counts ``2^|q̄|`` per operator, since the spread
 of a rank-``r`` restricted map has rank ``2^|q̄|·r``.  So a restricted map
 is compressed where its spread would be, on a ``d·c``-sided problem
-instead of a ``d²``-sided one, and the fold returns as many operators as
-composing ``Set0``'s operators on the register.  A gate run is unitary and
-keeps every map's count and rank, so no map is compressed after one.
+instead of a ``d²``-sided one, and the fold returns no more operators than
+composing ``Set0``'s operators on the register: as many for a nonzero map,
+and one for the zero map.  A gate run is unitary and keeps every map's
+count and rank, so no map is compressed after one.
 """
 
 from __future__ import annotations
@@ -273,15 +274,12 @@ def _denote_seq(
     meets the maps through :meth:`_GateRun.after`, and every other step is
     composed with :meth:`~repro.superop.kraus.SuperOperator.compose`.
 
-    Each map is kept with its *register count*: the number of Kraus
-    operators it has once spread, ``2^|q̄|`` per operator of a restricted
-    map (the spread of a rank-``r`` restricted map has rank ``2^|q̄|·r``),
-    and one for a map compressed to zero.  After an ``Init`` or a composed
-    step, a map whose register count exceeds :data:`SIMPLIFY_THRESHOLD` is
-    compressed (:func:`_compressed`), so the fold compresses where composing
-    ``Set0``'s operators on the register does and returns as many operators.
-    A gate run is unitary: it keeps the count and the rank of every map, so
-    a map is as compressed after it as before and is not compressed again.
+    After an ``Init`` or a composed step, a map that would carry more than
+    :data:`SIMPLIFY_THRESHOLD` operators on the register is compressed
+    (:func:`_compressed`), so the fold compresses where composing
+    ``Set0``'s operators on the register does.  A gate run is unitary: it
+    keeps the count and the rank of every map, so a map is as compressed
+    after it as before and is not compressed again.
     """
     steps = _seq_steps(statements, register, options)
     statement, step = next(steps)
@@ -290,10 +288,13 @@ def _denote_seq(
     if step is None:
         positions = register.positions(statement.qubits)
         blocks = 2 ** len(positions)
-        fold = [(SuperOperator.prepare_zero(positions, register.num_qubits), blocks)]
+        fold = [SuperOperator.prepare_zero(positions, register.num_qubits)]
+    elif isinstance(step, _GateRun):
+        fold = step.after([SuperOperator.identity(register.dimension)])
     else:
-        maps = [step.product()] if isinstance(step, _GateRun) else step
-        fold = _deduplicated([(channel, len(channel.kraus_operators)) for channel in maps], options)
+        fold = step
+    if options.dedup and len(fold) > 1:
+        fold = deduplicate(fold)
     for statement, step in steps:
         with span(
             "seq-compose",
@@ -302,66 +303,44 @@ def _denote_seq(
             set_size=len(fold) * (len(step) if isinstance(step, list) else 1),
         ):
             if isinstance(step, _GateRun):
-                later = step.after([channel for channel, _ in fold])
-                fold = [(channel, count) for channel, (_, count) in zip(later, fold)]
+                fold = step.after(fold)
             else:
                 if step is None:
                     reset = register.positions(statement.qubits)
-                    fold = [
-                        (channel.compose_reset(reset), count * 2 ** len(reset))
-                        for channel, count in fold
-                    ]
+                    fold = [channel.compose_reset(reset) for channel in fold]
                 else:
-                    fold = [
-                        (later.compose(channel), count * len(later.kraus_operators))
-                        for channel, count in fold
-                        for later in step
-                    ]
-                fold = [_compressed(channel, count, blocks) for channel, count in fold]
-            fold = _deduplicated(fold, options)
+                    fold = [later.compose(channel) for channel in fold for later in step]
+                fold = [_compressed(channel, blocks) for channel in fold]
+            if options.dedup and len(fold) > 1:
+                fold = deduplicate(fold)
     if positions is None:
-        return [channel for channel, _ in fold]
-    return [_spread(channel, count, positions) for channel, count in fold]
-
-
-def _compressed(channel: SuperOperator, count: int, blocks: int) -> Tuple[SuperOperator, int]:
-    """Return a map of the fold and its register count, compressed above the threshold.
-
-    ``blocks`` is the register count of one Kraus operator: ``2^|q̄|`` for a
-    restricted map, 1 otherwise.  A single operator is already minimal, so
-    a one-operator map is not factored.  A map compressed to zero counts
-    one operator, as the zero map has on the register.
-    """
-    if count <= SIMPLIFY_THRESHOLD:
-        return channel, count
-    if len(channel.kraus_operators) > 1:
-        channel = channel.simplified()
-    if not channel.kraus_operators.any():
-        return channel, 1
-    return channel, len(channel.kraus_operators) * blocks
-
-
-def _spread(channel: SuperOperator, count: int, positions: Sequence[int]) -> SuperOperator:
-    """Return ``channel ∘ Tr`` for a restricted map of the fold with register count ``count``.
-
-    A map that descends from one compressed to zero has a register count
-    below its spread's: it is zero, and it spreads to ``count`` zero
-    operators, as composing on the register gives.
-    """
-    if count < len(channel.kraus_operators) * 2 ** len(positions):
-        dimension = channel.shape[0]
-        return SuperOperator(np.zeros((count, dimension, dimension), dtype=complex), validate=False)
-    return channel.compose_trace(positions)
-
-
-def _deduplicated(
-    fold: List[Tuple[SuperOperator, int]], options: DenotationOptions
-) -> List[Tuple[SuperOperator, int]]:
-    """Drop the duplicate maps of a fold, with their counts, when ``options.dedup`` asks for it."""
-    if not options.dedup or len(fold) <= 1:
         return fold
-    counts = {id(channel): count for channel, count in fold}
-    return [(channel, counts[id(channel)]) for channel in deduplicate([c for c, _ in fold])]
+    return [_spread(channel, positions) for channel in fold]
+
+
+def _compressed(channel: SuperOperator, blocks: int) -> SuperOperator:
+    """Return a map of the fold, compressed once it stands for more than the threshold.
+
+    ``blocks`` is the number of register operators one Kraus operator of
+    the map stands for: ``2^|q̄|`` for a restricted map, since the spread
+    of a rank-``r`` restricted map has rank ``2^|q̄|·r``, and 1 otherwise.
+    A single operator is already minimal, so a one-operator map is not
+    factored.
+    """
+    count = len(channel.kraus_operators)
+    if count * blocks <= SIMPLIFY_THRESHOLD or count == 1:
+        return channel
+    return channel.simplified()
+
+
+def _spread(channel: SuperOperator, positions: Sequence[int]) -> SuperOperator:
+    """Return ``channel ∘ Tr`` for a restricted map of the fold.
+
+    A zero map spreads to the zero map's one operator.
+    """
+    if not channel.kraus_operators.any():
+        return SuperOperator.zero(channel.shape[0])
+    return channel.compose_trace(positions)
 
 
 class _GateRun:
@@ -381,26 +360,15 @@ class _GateRun:
             matrix = self._register.apply(gate.matrix, gate.qubits, matrix)
         return matrix
 
-    def product(self) -> SuperOperator:
-        """Return the run's product ``U_k ⋯ U_1`` as a one-operator map."""
-        return SuperOperator([self._apply(self._register.identity())], validate=False)
-
     def after(self, maps: Sequence[SuperOperator]) -> List[SuperOperator]:
         """Return the run composed after each of ``maps``.
 
-        When the maps' operators have fewer columns in all than the
-        register's dimension ``d`` (``Σ k·c < d``), the gates meet their
-        stacked columns one by one
-        (:meth:`~repro.superop.kraus.SuperOperator.left_multiply`);
-        otherwise the run's product is built once and composed with each
-        map.  The two agree up to rounding, and a fold of square maps always
-        takes the product.
+        The gates meet the maps' operators, stacked side by side, one by one
+        (:meth:`~repro.superop.kraus.SuperOperator.left_multiply`): the
+        run's product is never built.  After the identity this is the
+        product itself.
         """
-        columns = sum(len(channel.kraus_operators) * channel.shape[1] for channel in maps)
-        if columns < self._register.dimension:
-            return SuperOperator.left_multiply(maps, self._apply)
-        product = self.product()
-        return [product.compose(channel) for channel in maps]
+        return SuperOperator.left_multiply(maps, self._apply)
 
 
 def _seq_steps(

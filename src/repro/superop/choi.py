@@ -57,7 +57,7 @@ def choi_matrix(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
     sequence of matrices is stacked first.  The result is
     ``(d_out·d_in) × (d_out·d_in)``.
     """
-    kraus = operator_stack(kraus_operators, square=False)
+    kraus = operator_stack(kraus_operators)
     if not len(kraus):
         raise LinalgError("a Choi matrix needs at least one Kraus operator")
     rows, columns = kraus.shape[1:]

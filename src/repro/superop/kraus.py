@@ -107,6 +107,10 @@ class SuperOperator:
 
     def __init__(self, kraus_operators: Iterable[np.ndarray], validate: bool = True):
         kraus = operator_stack(kraus_operators)
+        if kraus.shape[1] != kraus.shape[2]:
+            raise DimensionMismatchError(
+                f"expected square matrices, got a stack of shape {kraus.shape}"
+            )
         if not len(kraus):
             raise SuperOperatorError("a super-operator needs at least one Kraus operator")
         if kraus is kraus_operators:

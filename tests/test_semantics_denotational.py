@@ -227,6 +227,8 @@ def _materialised_fold(statements, register, options):
     Every map is on the full register.  Each run of gates is multiplied into
     its product here, gate by gate, and composed once; a composed map is
     compressed once it carries more than ``SIMPLIFY_THRESHOLD`` operators.
+    A sequence that opens with an ``Init`` returns a zero map as the zero
+    map's one operator, as the restricted fold does.
     """
     current = None
     for is_run, group in itertools.groupby(statements, key=lambda s: isinstance(s, Unitary)):
@@ -254,6 +256,11 @@ def _materialised_fold(statements, register, options):
             current = step
             if options.dedup and len(current) > 1:
                 current = deduplicate(current)
+    if isinstance(statements[0], Init):
+        current = [
+            channel if channel.kraus_operators.any() else SuperOperator.zero(register.dimension)
+            for channel in current
+        ]
     return current
 
 
@@ -415,6 +422,13 @@ class TestRestrictedFold:
             _assert_equals_the_materialised_fold(
                 monkeypatch, task.formula.program, task.register, options
             )
+
+    def test_a_zero_map_spreads_to_one_operator(self):
+        # Composing Set0's 4 operators on the register gives 4 zero operators.
+        maps = denotation(seq(Init(("a", "b")), _gate("a", "H", H), Abort()), ABC)
+        assert len(maps) == 1
+        assert maps[0].kraus_operators.shape == (1, 8, 8)
+        assert not maps[0].kraus_operators.any()
 
     def test_seven_qubit_reset_and_choice_builds_no_large_matrix(self, monkeypatch):
         # The two restricted maps are equal, so dedup confirms the pair on
