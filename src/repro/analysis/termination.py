@@ -12,9 +12,9 @@ counterpart used to cross-check the case studies:
   They certify statements such as "the quantum walk never terminates under
   any scheduler" or "the repeat-until-success loop terminates almost surely".
 
-An exact never-termination test is still open (ROADMAP.md, items 1 and 5):
-the smallest subspace that contains ``supp ρ`` and is closed under every
-Kraus operator of every ``E_k ∘ P¹`` meets ``P⁰`` only in 0.
+An exact never-termination test is still open (ROADMAP.md, item 1): the
+smallest subspace that contains ``supp ρ`` and is closed under every Kraus
+operator of every ``E_k ∘ P¹`` meets ``P⁰`` only in 0.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..predicates.assertion import QuantumAssertion
 from ..registers import QubitRegister
 from ..semantics.denotational import DenotationOptions, denotation, loop_iterates
 from ..semantics.schedulers import Scheduler, constant_schedulers
-from ..semantics.wp import weakest_liberal_precondition, weakest_precondition
+from ..semantics.wp import _transform
 
 __all__ = [
     "TerminationReport",
@@ -76,9 +76,10 @@ def termination_report(
     register = register or QubitRegister.for_program(program)
     identity = QuantumAssertion.identity(register.num_qubits)
     zero = QuantumAssertion.zero(register.num_qubits)
+    loops: dict = {}  # both calls read one analysis per loop
     return TerminationReport(
-        minimum=weakest_precondition(program, identity, register).expectation(rho),
-        maximum=1.0 - weakest_liberal_precondition(program, zero, register).expectation(rho),
+        minimum=_transform(program, identity, register, False, loops).expectation(rho),
+        maximum=1.0 - _transform(program, zero, register, True, loops).expectation(rho),
     )
 
 
@@ -88,15 +89,15 @@ def loop_termination_curve(
     register: Optional[QubitRegister] = None,
     scheduler: Optional[Scheduler] = None,
     max_iterations: int = 64,
-    options: Optional[DenotationOptions] = None,
 ) -> List[float]:
     """Return the cumulative termination probability after ``n`` loop iterations.
 
     The ``n``-th entry is ``tr(F^η_n(ρ))`` (Eq. (1)); the curve is non-decreasing
     and its limit is the loop's termination probability under the scheduler.
+    It has at most ``max_iterations + 1`` entries.
     """
     register = register or QubitRegister.for_program(loop)
-    options = options or DenotationOptions(max_iterations=max_iterations)
+    options = DenotationOptions(max_iterations=max_iterations)
     body_maps = denotation(loop.body, register, options)
     if scheduler is None:
         scheduler = constant_schedulers(len(body_maps))[0]

@@ -22,10 +22,12 @@ precision.  Both must hold; a false verdict, or an interval the order
 decision cannot place on one side of ``ε``, is a divergence.
 
 Every ``while`` of a loop draw gets a termination check.  The certificate
-of :mod:`repro.logic.ranking` runs with ``Θ̂ = {I}``; when it certifies with
-residual ``r``, every cyclic scheduler of period at most 3 over the body's
-choices must leave ``λ_max(T_w†(I)) ≤ r + ATOL`` after its first ``HORIZON``
-choices ``w``, with ``T_k = E_k ∘ P¹`` folded directly from the body maps.
+of :mod:`repro.logic.ranking` for ``Θ̂ = {I}`` is read off the loop's
+``I``-seeded pass (:class:`~repro.semantics.wp.LoopAnalysis`, the wlp call's
+for a top-level loop); when it certifies with residual ``r``, every cyclic
+scheduler of period at most 3 over the body's choices must leave
+``λ_max(T_w†(I)) ≤ r + ATOL`` after its first ``HORIZON`` choices ``w``, with
+``T_k = E_k ∘ P¹`` folded directly from the body maps.
 A loop the certificate refuses (at the horizon or over budget) is counted in
 the report, not treated as a divergence.
 
@@ -33,11 +35,11 @@ Loop draws are compared too when every top-level loop (one not inside
 another loop's body) is certified.  The wlp is the infimum over every
 scheduler, so the check is one-sided: for each dual ``D = E†(Q) + I − E†(I)``
 of the sampled denotation some wlp element ``M`` must have
-``λ_max(M − D) ≤ slack``, the sum of each top-level loop's certified residual
-plus ``HORIZON·ATOL``, plus ``atol``.  Truncating a chain only raises its dual
-(``D_n = I − E_n†(I − Q)`` falls as ``E_n`` grows), so the oracle's truncation
-needs no slack; a wlp pass that its antichain budget stops short of the
-certificate's depth is not covered.
+``λ_max(M − D) ≤ slack``: ``atol`` plus, for each top-level loop, the largest
+residual at which the wlp's pass over it stopped plus ``HORIZON·ATOL``, so a
+pass that its antichain budget stops early is covered.  Truncating a chain
+only raises its dual (``D_n = I − E_n†(I − Q)`` falls as ``E_n`` grows), so
+the oracle's truncation needs no slack.
 
 Any disagreement is reported as a :class:`Divergence` carrying the rendered
 source and the copy-pasteable repro line
@@ -59,11 +61,11 @@ from ..language.names import OperatorEnvironment, default_environment
 from ..linalg.constants import ATOL
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import Prover
-from ..logic.ranking import HORIZON, synthesize_ranking
+from ..logic.ranking import HORIZON, _threshold
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.order import leq_inf
-from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
-from ..semantics.wp import weakest_liberal_precondition
+from ..semantics.denotational import DenotationOptions, denotation
+from ..semantics.wp import LoopAnalysis, _transform
 from .generator import FuzzProgram
 
 __all__ = [
@@ -111,10 +113,10 @@ class OracleConfig:
         predicate matrices.  Both checks are exact on loop-free draws, so
         the library tolerance ``ATOL`` is all the slack they get; on loop
         draws the one-sided duality check adds the certified residuals.
-    max_iterations / convergence_tolerance / sampled_schedulers:
+    max_iterations:
         Forwarded to :class:`DenotationOptions` (the wlp covers every
-        scheduler and takes none); ``max_iterations`` defaults below the
-        engine's 64 to keep a 200-program sweep fast.
+        scheduler and takes none); it defaults below the engine's 64 to
+        keep a 200-program sweep fast.
     check_prover:
         Whether to compare the prover's verification condition against the
         semantic wlp on loop-free draws.
@@ -122,8 +124,6 @@ class OracleConfig:
 
     atol: float = ATOL
     max_iterations: int = 24
-    convergence_tolerance: float = 1e-9
-    sampled_schedulers: int = 2
     check_prover: bool = True
 
 
@@ -248,20 +248,13 @@ def _dual_wlp(channels, postcondition: QuantumAssertion) -> List[np.ndarray]:
     ]
 
 
-def _denotation_options(config: OracleConfig) -> DenotationOptions:
-    """Return the loop-truncation options of the oracle's denotations."""
-    return DenotationOptions(
-        max_iterations=config.max_iterations,
-        convergence_tolerance=config.convergence_tolerance,
-        sampled_schedulers=config.sampled_schedulers,
-    )
-
-
 def _engine_run(program, postcondition, register, config: OracleConfig):
-    """Run denotation + wlp once, returning ``(channels, wlp)``."""
-    channels = denotation(program, register, _denotation_options(config))
-    wlp = weakest_liberal_precondition(program, postcondition, register)
-    return channels, wlp
+    """Run denotation + wlp once: ``(channels, wlp, analyses)``, the wlp's by loop node id."""
+    options = DenotationOptions(max_iterations=config.max_iterations)
+    channels = denotation(program, register, options)
+    analyses: Dict[int, LoopAnalysis] = {}
+    wlp = _transform(program, postcondition, register, True, analyses)
+    return channels, wlp, analyses
 
 
 def _duality_excess(wlp: QuantumAssertion, duals: List[np.ndarray]) -> float:
@@ -283,31 +276,40 @@ def _cyclic_patterns(num_choices: int) -> List[Tuple[int, ...]]:
     ]
 
 
-def _termination_check(loop: While, register, options: DenotationOptions, outcomes: Counter):
-    """Certify ``loop`` with ``Θ̂ = {I}`` and replay the certificate on cyclic schedulers.
+def _certificate(analysis: LoopAnalysis) -> Tuple[str, float]:
+    """Return ``(outcome, residual)`` of a loop's ``Θ̂ = {I}`` certificate at the default ``ε``.
 
-    Returns the certificate and ``None`` when it is refused or every cyclic
-    scheduler stays within its residual, otherwise the detail of the first
-    scheduler that keeps more weight inside.
+    Its pass runs the levels of the ``I``-seeded pass: it stops at the first
+    within its threshold, else where that pass stopped.
     """
-    identity = QuantumAssertion.identity(register.num_qubits)
-    certificate = synthesize_ranking(loop, identity, register, options=options)
-    outcomes[certificate.outcome] += 1
-    if not certificate.certified:
-        return certificate, None
-    body_maps = denotation(loop.body, register, options)
-    _, p1 = measurement_superoperators(loop, register)
+    outcome, residuals = analysis.settle
+    certified = [residual for residual in residuals if residual <= _threshold()]
+    return ("certified", certified[0]) if certified else (outcome, residuals[-1])
+
+
+def _termination_check(analysis: LoopAnalysis, register, outcomes: Counter):
+    """Certify a loop with ``Θ̂ = {I}`` and replay the certificate on cyclic schedulers.
+
+    Returns whether the loop is certified and ``None`` when it is refused or
+    every cyclic scheduler stays within its residual, otherwise the detail
+    of the first scheduler that keeps more weight inside.
+    """
+    outcome, residual = _certificate(analysis)
+    outcomes[outcome] += 1
+    if outcome != "certified":
+        return False, None
+    body_maps, p1 = analysis.body, analysis.p1
     for pattern in _cyclic_patterns(len(body_maps)):
         weight = np.eye(register.dimension, dtype=complex)
         for step in reversed(range(HORIZON)):
             weight = p1.apply_adjoint(body_maps[pattern[step % len(pattern)]].apply_adjoint(weight))
         top = float(np.linalg.eigvalsh(weight)[-1])
-        if top > certificate.residual + ATOL:
-            return certificate, (
+        if top > residual + ATOL:
+            return True, (
                 f"cyclic scheduler {list(pattern)} keeps weight {top:.3e} inside the loop after "
-                f"{HORIZON} iterations; the certificate allows {certificate.residual:.3e}"
+                f"{HORIZON} iterations; the certificate allows {residual:.3e}"
             )
-    return certificate, None
+    return True, None
 
 
 def check_program(
@@ -355,22 +357,23 @@ def _check(
         )
 
     try:
-        channels, wlp = _engine_run(program, postcondition, register, config)
+        channels, wlp, analyses = _engine_run(program, postcondition, register, config)
     except Exception as error:  # pragma: no cover - only on real engine bugs
         diverge("error", "denotation+wlp", "", f"{type(error).__name__}: {error}")
         return divergences
     if fuzz_program.contains_while():
-        options = _denotation_options(config)
         loops = [node for node in program.walk() if isinstance(node, While)]
         inner = {id(node) for loop in loops for node in loop.body.walk() if isinstance(node, While)}
         slack = config.atol
         for loop in loops:
-            certificate, detail = _termination_check(loop, register, options, report.loops)
+            # The wlp analysed every top-level loop; only inner loops are analysed here.
+            analysis = analyses.get(id(loop)) or LoopAnalysis(loop, register)
+            certified, detail = _termination_check(analysis, register, report.loops)
             if detail is not None:
                 diverge("termination", "certificate", "cyclic scheduler", detail)
             if id(loop) not in inner:
                 # A refused top-level loop leaves the draw uncompared.
-                slack += certificate.residual + HORIZON * ATOL if certificate.certified else np.inf
+                slack += analysis.stop_residual + HORIZON * ATOL if certified else np.inf
         if slack < np.inf:
             report.loop_draws_compared += 1
             excess = _duality_excess(wlp, _dual_wlp(channels, postcondition))

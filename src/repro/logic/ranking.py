@@ -16,9 +16,9 @@ elements of ``{T_k†(Y) : Y ∈ X_n, k}``.  The pass accepts at the first
 ``max(10ε, 1e-4)``.  Otherwise it refuses and reports the word of the
 largest surviving element as a witness scheduler.  It also refuses, and
 never accepts, when an antichain grows past ``ANTICHAIN_BUDGET`` elements.
-The level step (``T_k†`` by GEMM, then the pruning) lives in
-:mod:`repro.semantics.wp`, whose loop transformers run the same pass over
-every scheduler; ``HORIZON`` and ``ANTICHAIN_BUDGET`` are defined there and
+The pass lives in :mod:`repro.semantics.wp` and runs on the stacks of the
+loop's :class:`~repro.semantics.wp.LoopAnalysis`; the loop transformers run it
+seeded with ``I``.  ``HORIZON`` and ``ANTICHAIN_BUDGET`` are defined there and
 re-exported here.
 
 Why the certificate is sound:
@@ -59,17 +59,15 @@ the pass is also complete up to its horizon and budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..exceptions import RankingError
 from ..language.ast import While
-from ..linalg.constants import ATOL
 from ..predicates.assertion import QuantumAssertion
 from ..registers import QubitRegister
-from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
-from ..semantics.wp import ANTICHAIN_BUDGET, HORIZON, _antichain_level, _iteration_stacks
+from ..semantics.wp import ANTICHAIN_BUDGET, HORIZON, LoopAnalysis, _antichain_pass
 
 __all__ = [
     "HORIZON",
@@ -87,10 +85,10 @@ class RankingCertificate:
     ----------
     outcome:
         ``"certified"``, ``"horizon"`` (the residual stayed above the
-        threshold for ``HORIZON`` levels) or ``"budget"`` (an antichain
-        outgrew ``ANTICHAIN_BUDGET``).
+        threshold for ``HORIZON`` levels) or ``"budget"`` (the next level
+        would outgrow ``ANTICHAIN_BUDGET``).
     depth:
-        The level ``n`` the pass stopped at.
+        The level ``n`` the pass stopped at, the last within the budget.
     residual:
         ``r_n``: a bound on the ``Θ̂``-weight still inside the loop after
         ``n`` or more iterations, for every scheduler and unit-trace input.
@@ -113,28 +111,9 @@ class RankingCertificate:
         return self.outcome == "certified"
 
 
-def _certify(seed: np.ndarray, stacks, threshold: float) -> RankingCertificate:
-    """Run the antichain pass from ``X_0 = {seed}``."""
-    matrices = seed[np.newaxis]
-    words: List[Tuple[int, ...]] = [()]
-    largest = 1
-    depth = 0
-    while True:
-        tops = np.linalg.eigvalsh(matrices)[:, -1]
-        worst = int(np.argmax(tops))
-        residual = float(tops[worst]) + depth * ATOL
-        if len(words) > ANTICHAIN_BUDGET:
-            outcome = "budget"
-        elif residual <= threshold:
-            outcome = "certified"
-        elif depth == HORIZON:
-            outcome = "horizon"
-        else:
-            depth += 1
-            matrices, words = _antichain_level(stacks, matrices, words)
-            largest = max(largest, len(words))
-            continue
-        return RankingCertificate(outcome, depth, residual, words[worst], largest)
+def _threshold(epsilon: float = 1e-6) -> float:
+    """Return the residual ``max(10ε, 1e-4)`` that certifies a loop at the precision ``ε``."""
+    return max(10 * epsilon, 1e-4)
 
 
 def synthesize_ranking(
@@ -142,7 +121,6 @@ def synthesize_ranking(
     theta_hat: QuantumAssertion,
     register: QubitRegister | None = None,
     epsilon: float = 1e-6,
-    options: DenotationOptions | None = None,
 ) -> RankingCertificate:
     """Build the termination certificate of ``loop`` for the loop condition ``Θ̂``.
 
@@ -152,13 +130,14 @@ def synthesize_ranking(
     threshold ``max(10ε, 1e-4)``.
     """
     register = register or QubitRegister.for_program(loop)
-    body_maps = denotation(loop.body, register, options or DenotationOptions())
-    _, p1 = measurement_superoperators(loop, register)
-    stacks = _iteration_stacks(body_maps, p1)
-    threshold = max(10 * epsilon, 1e-4)
+    stacks = LoopAnalysis(loop, register).stacks
+    threshold = _threshold(epsilon)
     refusals = []
     for matrix in theta_hat.matrices:
-        certificate = _certify(np.asarray(matrix, dtype=complex), stacks, threshold)
+        outcome, r, witness, largest = _antichain_pass(
+            np.asarray(matrix, dtype=complex), stacks, lambda _, r_n: r_n <= threshold, "certified"
+        )
+        certificate = RankingCertificate(outcome, len(r) - 1, r[-1], witness, largest)
         if certificate.certified:
             return certificate
         refusals.append(certificate)
@@ -170,7 +149,6 @@ def check_ranking(
     theta_hat: QuantumAssertion,
     register: QubitRegister | None = None,
     epsilon: float = 1e-6,
-    options: DenotationOptions | None = None,
 ) -> RankingCertificate:
     """Return the certificate of ``loop`` for ``Θ̂``, raising unless it certifies.
 
@@ -180,7 +158,7 @@ def check_ranking(
         When the pass is refused at the horizon or over budget; its
         ``witness`` is the surviving word of branch indices, in time order.
     """
-    certificate = synthesize_ranking(loop, theta_hat, register, epsilon, options)
+    certificate = synthesize_ranking(loop, theta_hat, register, epsilon)
     if certificate.outcome == "horizon":
         raise RankingError(
             f"no ranking assertion: Θ̂-weight {certificate.residual:.3e} stays inside the loop "
@@ -190,7 +168,7 @@ def check_ranking(
         )
     if certificate.outcome == "budget":
         raise RankingError(
-            f"no ranking assertion: the antichain outgrew {ANTICHAIN_BUDGET} elements at "
+            f"no ranking assertion: the antichain outgrew {ANTICHAIN_BUDGET} elements after "
             f"depth {certificate.depth} (residual {certificate.residual:.3e}, "
             f"prefix {_word(certificate.witness)})",
             witness=certificate.witness,

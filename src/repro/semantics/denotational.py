@@ -254,7 +254,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
         for else_map in else_maps:
             for then_map in then_maps:
                 total = else_map.compose(p0) + then_map.compose(p1)
-                combined.append(_maybe_simplify(total))
+                combined.append(_compressed(total))
         return combined
     if isinstance(program, While):
         return _denote_while(program, register, options)
@@ -318,8 +318,8 @@ def _denote_seq(
     return [_spread(channel, positions) for channel in fold]
 
 
-def _compressed(channel: SuperOperator, blocks: int) -> SuperOperator:
-    """Return a map of the fold, compressed once it stands for more than the threshold.
+def _compressed(channel: SuperOperator, blocks: int = 1) -> SuperOperator:
+    """Return ``channel``, compressed once it stands for more than :data:`SIMPLIFY_THRESHOLD`.
 
     ``blocks`` is the number of register operators one Kraus operator of
     the map stands for: ``2^|q̄|`` for a restricted map, since the spread
@@ -487,12 +487,12 @@ def loop_iterates(
                 step = steps.get(choice)
                 if step is None:
                     step = steps.setdefault(choice, body_maps[choice].compose(p1))
-                cached = _maybe_simplify(step.compose(prefix))
+                cached = _compressed(step.compose(prefix))
                 if prefix_cache is not None:
                     prefix_cache[choices] = cached
             prefix = cached
             increment = p0.compose(prefix)
-            total = _maybe_simplify(total + increment)
+            total = _compressed(total + increment)
             iterates.append(total)
             if increment.choi_trace() < options.convergence_tolerance:
                 break
@@ -518,10 +518,3 @@ def _probability_bound_below(prefix: SuperOperator, tolerance: float) -> bool:
     if trace >= prefix.dimension * tolerance:
         return False
     return prefix.probability_bound() < tolerance
-
-
-def _maybe_simplify(channel: SuperOperator) -> SuperOperator:
-    """Re-canonicalise a map that carries more than ``SIMPLIFY_THRESHOLD`` Kraus operators."""
-    if len(channel.kraus_operators) > SIMPLIFY_THRESHOLD:
-        return channel.simplified()
-    return channel

@@ -23,13 +23,15 @@ At depth ``n`` every word's value is within ``r = λ_max + n·ATOL`` of its
 limit, so the result is within ``r`` (plus ``n·ATOL`` of pruning) of the set
 over every scheduler.  The ``wp-loop`` span tags ``outcome``, ``depth``,
 ``residual`` (``r``) and ``antichain`` (its size).  Inner loops of a body are
-explored by the denotation's schedulers; rule (WhileT)'s certificate
-(:mod:`repro.logic.ranking`) runs the same level step.
+explored by the denotation's schedulers.  Rule (WhileT)'s certificate
+(:mod:`repro.logic.ranking`), ``termination_report`` and the fuzz oracle read
+the loop's :class:`LoopAnalysis` too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from ..linalg.constants import ATOL
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.predicate import QuantumPredicate, clip_to_predicate, distinct_predicates
 from ..registers import QubitRegister
-from ..superop.kraus import SuperOperator
 from ..telemetry.tracing import span
 from . import denotational
 from .denotational import initializer_adjoint, measurement_superoperators
@@ -48,6 +49,7 @@ __all__ = [
     "HORIZON",
     "ANTICHAIN_BUDGET",
     "SETTLED",
+    "LoopAnalysis",
     "weakest_precondition",
     "weakest_liberal_precondition",
 ]
@@ -85,6 +87,7 @@ def _transform(
     postcondition: QuantumAssertion,
     register: QubitRegister | None,
     liberal: bool,
+    loops: Dict[int, LoopAnalysis] | None = None,
 ) -> QuantumAssertion:
     register = register or QubitRegister.for_program(program)
     if postcondition.dimension != register.dimension:
@@ -97,9 +100,9 @@ def _transform(
         num_qubits=register.num_qubits,
         predicates=len(postcondition.predicates),
     ):
-        # Each loop's body and depth are computed once per call, however many
-        # predicates reach it: keyed by the loop node, dropped on return.
-        loops: Dict[int, tuple] = {}
+        # Each loop is analysed once per call, however many predicates reach
+        # it: keyed by the loop node, in a memo a caller may share among calls.
+        loops = {} if loops is None else loops
         predicates: List[QuantumPredicate] = []
         for predicate in postcondition.predicates:
             predicates.extend(_xp_single(program, predicate, register, liberal, loops))
@@ -111,7 +114,7 @@ def _xp_single(
     post: QuantumPredicate,
     register: QubitRegister,
     liberal: bool,
-    loops: Dict[int, tuple],
+    loops: Dict[int, LoopAnalysis],
 ) -> List[QuantumPredicate]:
     """Return the wp/wlp of ``program`` against one predicate, by structural recursion."""
     if isinstance(program, Skip):
@@ -159,7 +162,7 @@ def _xp_while(
     post: QuantumPredicate,
     register: QubitRegister,
     liberal: bool,
-    loops: Dict[int, tuple],
+    loops: Dict[int, LoopAnalysis],
 ) -> List[QuantumPredicate]:
     """Return the Löwner-minimal wp/wlp values of a loop over every branch word.
 
@@ -168,17 +171,20 @@ def _xp_while(
     """
     with span("wp-loop", region="wp", liberal=liberal) as loop_span:
         if id(program) not in loops:
-            loops[id(program)] = _settle(program, register)
-        p0, stacks, residuals, outcome = loops[id(program)]
+            loops[id(program)] = LoopAnalysis(program, register)
+        analysis = loops[id(program)]
+        outcome, residuals = analysis.settle
         identity = np.eye(register.dimension, dtype=complex)
+        p0 = analysis.p0
         offset = p0.apply(identity - post.matrix) if liberal else -p0.apply(post.matrix)
         matrices, words, depth = np.zeros((1,) + identity.shape, dtype=complex), [()], 0
         while depth < len(residuals) - 1:
-            images, labels = _antichain_level(stacks, matrices, words, offset)
+            images, labels = _antichain_level(analysis.stacks, matrices, words, offset)
             if len(labels) > ANTICHAIN_BUDGET:
                 outcome = "budget"
                 break
             matrices, words, depth = images, labels, depth + 1
+        analysis.stop_residual = max(analysis.stop_residual, residuals[depth])
         loop_span.set_tag("outcome", outcome)
         loop_span.set_tag("depth", depth)
         loop_span.set_tag("residual", residuals[depth])
@@ -187,43 +193,62 @@ def _xp_while(
     return [QuantumPredicate(clip_to_predicate(base - item), validate=False) for item in matrices]
 
 
-def _settle(program: While, register: QubitRegister):
-    """Denote the body and run the ``I``-seeded pass: ``(P⁰, stacks, residuals, outcome)``.
+class LoopAnalysis:
+    """One loop node's maps and ``I``-seeded pass, shared by the engines within one call.
+
+    ``p0``/``p1`` are the measurement maps and ``body`` the maps ``E_k`` of the
+    body's denotation (default options).  ``stacks`` applies each
+    ``T_k† = P¹† ∘ E_k†`` by GEMM: with ``A_j = K_j·P¹`` over the Kraus
+    operators ``K_j`` of ``E_k``, ``T_k†(Y) = Σ_j A_j† Y A_j``, and branch
+    ``k``'s ``(left, right)`` are ``[A_1† … A_r†]`` and ``[A_1 … A_r]`` side by
+    side, so one batched product builds every ``Y·A_j`` and a second sums
+    ``A_j†·(Y·A_j)``.  ``stop_residual`` is the largest residual at which a
+    transformer's pass over the loop stopped.
+    """
+
+    def __init__(self, loop: While, register: QubitRegister):
+        self.p0, self.p1 = measurement_superoperators(loop, register)
+        self.body = denotational.denotation(loop.body, register)
+        self.stacks = []
+        for channel in self.body:
+            operators = channel.kraus_operators @ self.p1.kraus_operators[0]
+            count, dimension, _ = operators.shape
+            right = operators.transpose(1, 0, 2).reshape(dimension, count * dimension)
+            left = operators.conj().transpose(2, 0, 1).reshape(dimension, count * dimension)
+            self.stacks.append((left, right))
+        self.stop_residual = 0.0
+
+    @cached_property
+    def settle(self) -> Tuple[str, List[float]]:
+        """``(outcome, residuals)`` of the ``I``-seeded pass, run when first read."""
+        seed = np.eye(self.p1.dimension, dtype=complex)
+        settled = _antichain_pass(seed, self.stacks, lambda top, _: top <= SETTLED, "settled")
+        return settled[:2]
+
+
+def _antichain_pass(seed: np.ndarray, stacks, stop: Callable[[float, float], bool], stopped: str):
+    """Run the pass from ``X_0 = {seed}``: ``(outcome, residuals, witness, largest)``.
 
     ``residuals[n] = λ_max(X_n) + n·ATOL`` up to the depth, its last index.
+    It stops as ``stopped`` once ``stop(λ_max, r_n)``, else as ``"horizon"``
+    at ``HORIZON``, or as ``"budget"`` before a level outgrows
+    ``ANTICHAIN_BUDGET``.  ``witness`` is the word of the last level's largest
+    element; ``largest`` is the most elements a level held, over budget or not.
     """
-    p0, p1 = measurement_superoperators(program, register)
-    stacks = _iteration_stacks(denotational.denotation(program.body, register), p1)
-    matrices, words, residuals = np.eye(register.dimension, dtype=complex)[np.newaxis], [()], []
+    matrices, words, residuals, largest = seed[np.newaxis], [()], [], 1
     while True:
-        top = float(np.linalg.eigvalsh(matrices)[:, -1].max())
-        residuals.append(top + len(residuals) * ATOL)
-        if top <= SETTLED:
-            return p0, stacks, residuals, "settled"
+        tops = np.linalg.eigvalsh(matrices)[:, -1]
+        worst = int(np.argmax(tops))
+        residuals.append(float(tops[worst]) + len(residuals) * ATOL)
+        if stop(float(tops[worst]), residuals[-1]):
+            return stopped, residuals, words[worst], largest
         if len(residuals) > HORIZON:
-            return p0, stacks, residuals, "horizon"
-        matrices, words = _antichain_level(stacks, matrices, words)
-        if len(words) > ANTICHAIN_BUDGET:
-            return p0, stacks, residuals, "budget"
-
-
-def _iteration_stacks(body_maps: Sequence[SuperOperator], p1: SuperOperator):
-    """Return ``(left, right)`` per branch for applying ``T_k† = P¹† ∘ E_k†`` by GEMM.
-
-    With ``A_j = K_j·P¹`` over the Kraus operators ``K_j`` of ``E_k``,
-    ``T_k†(Y) = Σ_j A_j† Y A_j``.  ``right`` is ``[A_1 … A_r]`` side by side
-    and ``left`` is ``[A_1† … A_r†]``, so one batched product builds every
-    ``Y·A_j`` and a second one sums ``A_j†·(Y·A_j)``.
-    """
-    projector = p1.kraus_operators[0]
-    stacks = []
-    for channel in body_maps:
-        operators = channel.kraus_operators @ projector
-        count, dimension, _ = operators.shape
-        right = operators.transpose(1, 0, 2).reshape(dimension, count * dimension)
-        left = operators.conj().transpose(2, 0, 1).reshape(dimension, count * dimension)
-        stacks.append((left, right))
-    return stacks
+            return "horizon", residuals, words[worst], largest
+        images, labels = _antichain_level(stacks, matrices, words)
+        largest = max(largest, len(labels))
+        if len(labels) > ANTICHAIN_BUDGET:
+            return "budget", residuals, words[worst], largest
+        matrices, words = images, labels
 
 
 def _maximal(matrices: np.ndarray, words: List[Tuple[int, ...]]):
@@ -253,7 +278,7 @@ def _maximal(matrices: np.ndarray, words: List[Tuple[int, ...]]):
 def _antichain_level(stacks, matrices: np.ndarray, words: List[Tuple[int, ...]], offset=None):
     """Return the next level ``(matrices, words)``: the maximal ``T_k†(Y) + offset``.
 
-    Every branch ``k`` of ``stacks`` (:func:`_iteration_stacks`) maps every
+    Every branch ``k`` of ``stacks`` (:class:`LoopAnalysis`) maps every
     ``Y`` of the ``(m, d, d)`` level, and ``k`` is put in front of ``Y``'s
     word: the new choice is the first iteration's.  ``offset`` defaults to 0.
     """

@@ -42,9 +42,37 @@ class TestTermination:
         register = QubitRegister(["q"])
         loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "H", H))
         curve = loop_termination_curve(loop, density(ket("1")), register, max_iterations=20)
+        assert len(curve) <= 20 + 1
         assert all(later >= earlier - 1e-12 for earlier, later in zip(curve, curve[1:]))
         assert curve[-1] == pytest.approx(1.0, abs=1e-4)
         assert curve[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_report_analyses_each_loop_once(self, monkeypatch):
+        """The wp and wlp calls share each loop's body maps and ``I``-seeded pass."""
+        from repro.semantics import denotational, wp
+
+        denoted, seeds = [], []
+        denote, run = denotational.denotation, wp._antichain_pass
+
+        def denoting(program, *args, **kwargs):
+            denoted.append(program)
+            return denote(program, *args, **kwargs)
+
+        def running(seed, *args, **kwargs):
+            seeds.append(seed)
+            return run(seed, *args, **kwargs)
+
+        monkeypatch.setattr(denotational, "denotation", denoting)
+        monkeypatch.setattr(wp, "_antichain_pass", running)
+        register = QubitRegister(["q"])
+        first = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "H", H))
+        both = ndet(Unitary(("q",), "H", H), seq(Unitary(("q",), "X", X), Unitary(("q",), "H", H)))
+        second = While(MEAS_COMPUTATIONAL, ("q",), both)
+        report = termination_report(seq(first, second), density(ket("1")), register)
+        assert report.always_terminates()
+        # The transformers run backwards: the last loop is reached first.
+        assert [id(body) for body in denoted] == [id(second.body), id(first.body)]
+        assert len(seeds) == 2
 
     def test_report_bounds(self):
         register = QubitRegister(["q"])

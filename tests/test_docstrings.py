@@ -1,10 +1,9 @@
 """Tier-1 enforcement of public-API docstring coverage.
 
-Runs the AST-based checker of ``tools/check_docstrings.py`` over the
-documented packages of its ``DEFAULT_TARGETS`` — ``superop``, ``semantics``,
-``programs``, ``analysis/static``, ``fuzz``, ``linalg``, ``registers.py``,
-``predicates``, ``logic`` and ``language`` — so a missing docstring on any
-public symbol fails the ordinary test run, not just the dedicated CI step.
+Runs the AST-based checker of ``tools/check_docstrings.py`` over its
+``DEFAULT_TARGETS`` — the whole ``src/repro`` package and ``tools/`` — so a
+missing docstring on any public symbol fails the ordinary test run, not just
+the dedicated CI step.
 """
 
 import sys

@@ -8,8 +8,6 @@ on CI; any divergence this module ever finds should be promoted to
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -139,7 +137,7 @@ class TestDifferentialSweep:
                 continue
             task = build_task(program.source())
             post = task.formula.postcondition
-            channels, wlp = _engine_run(task.formula.program, post, task.register, SWEEP_CONFIG)
+            channels, wlp, _ = _engine_run(task.formula.program, post, task.register, SWEEP_CONFIG)
             dual = _dual_wlp(channels, post)
             for matrix in _matrices(wlp):
                 assert min(np.abs(matrix - other).max() for other in dual) < 1e-12
@@ -204,15 +202,62 @@ class TestDifferentialSweep:
         program = ReplayProgram(source, seed=0, index=0)
         assert check_program(program, SWEEP_CONFIG) == []
 
-        real = differential.synthesize_ranking
-
-        def optimistic(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), outcome="certified", residual=0.0)
-
-        monkeypatch.setattr(differential, "synthesize_ranking", optimistic)
+        monkeypatch.setattr(differential, "_certificate", lambda analysis: ("certified", 0.0))
         divergences = check_program(program, SWEEP_CONFIG)
         assert [d.kind for d in divergences] == ["termination"]
         assert "cyclic scheduler [0]" in divergences[0].detail
+
+    def test_loop_draw_denotes_its_loop_body_once_outside_the_engine(self, monkeypatch):
+        # The termination check reads the loop analysis the wlp call built:
+        # no certificate is synthesized and the body is not denoted again.
+        import repro.fuzz.differential as differential
+        import repro.logic.ranking as ranking
+        from repro.semantics import denotational
+
+        tasks, denoted = [], []
+        build, denote = differential.build_task, denotational._denote
+
+        def building(*args, **kwargs):
+            tasks.append(build(*args, **kwargs))
+            return tasks[-1]
+
+        def denoting(program, *args, **kwargs):
+            denoted.append(program)
+            return denote(program, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle synthesized a ranking certificate")
+
+        monkeypatch.setattr(differential, "build_task", building)
+        monkeypatch.setattr(denotational, "_denote", denoting)
+        monkeypatch.setattr(ranking, "synthesize_ranking", forbidden)
+        assert check_program(_chunk(0)[3], SWEEP_CONFIG) == []
+        (loop,) = [node for node in tasks[0].formula.program.walk() if isinstance(node, While)]
+        # Once inside the engine's denotation of the draw, once for the analysis.
+        assert sum(program is loop.body for program in denoted) == 2
+
+    def test_slack_covers_a_wlp_pass_stopped_on_the_budget(self, monkeypatch):
+        # Both branches keep ½·P¹ of I inside, so the I-seeded antichain holds
+        # one element and certifies the loop at depth 31.  Against P1[q1] the
+        # branches' values on q1 are incomparable, so with a budget of one
+        # element the wlp pass stops at depth 1, where the residual is 1.
+        import repro.fuzz.differential as differential
+        from repro.semantics import wp
+
+        source = (
+            "[q0 q1] := 0; [q0] *= X; { inv: I[q0] }; "
+            "while M[q0] do ( [q0] *= H # [q0] *= X; [q0] *= H; [q1] *= X ) end; { P1[q1] }"
+        )
+        monkeypatch.setattr(wp, "ANTICHAIN_BUDGET", 1)
+        report = run_differential([ReplayProgram(source, seed=0, index=0)], SWEEP_CONFIG)
+        assert report.ok and report.loop_draws_compared == 1
+        assert report.loops == {"certified": 1}
+        task = build_task(source)
+        program, post = task.formula.program, task.formula.postcondition
+        _, _, analyses = differential._engine_run(program, post, task.register, SWEEP_CONFIG)
+        (analysis,) = analyses.values()
+        assert analysis.settle[0] == "settled"
+        assert analysis.stop_residual == pytest.approx(1.0, abs=1e-6)
 
     def test_sweep_counts_order_decisions(self):
         programs = [program for program in _chunk(0) if not program.contains_while()][:4]
