@@ -177,6 +177,9 @@ class DifferentialReport:
     with the denotation: those whose top-level loops were all certified.
     ``order_decisions`` counts the ``⊑_inf`` decisions between verification
     conditions and wlps: two per loop-free draw when the prover is checked.
+    ``denotation_maps`` and ``kraus_operators`` sum the maps of each draw's
+    denotation and their Kraus operators, so a change to deduplication or
+    compression shows in the report.
     """
 
     seed: int
@@ -186,6 +189,8 @@ class DifferentialReport:
     loop_draws_compared: int = 0
     prover_checked: int = 0
     order_decisions: int = 0
+    denotation_maps: int = 0
+    kraus_operators: int = 0
     loops: Counter = field(default_factory=Counter)
     divergences: List[Divergence] = field(default_factory=list)
 
@@ -204,6 +209,8 @@ class DifferentialReport:
             "loop_draws_compared": self.loop_draws_compared,
             "prover_checked": self.prover_checked,
             "order_decisions": self.order_decisions,
+            "denotation_maps": self.denotation_maps,
+            "kraus_operators": self.kraus_operators,
             "loops": dict(self.loops),
             "divergence_count": len(self.divergences),
             "divergences": [divergence.to_dict() for divergence in self.divergences],
@@ -332,7 +339,7 @@ def _check(
     environment: Optional[OperatorEnvironment],
     report: DifferentialReport,
 ) -> List[Divergence]:
-    """:func:`check_program`, counting certificates and order decisions in ``report``."""
+    """:func:`check_program`, counting certificates, order decisions and maps in ``report``."""
     environment = environment or default_environment()
     source = fuzz_program.source()
 
@@ -361,6 +368,8 @@ def _check(
     except Exception as error:  # pragma: no cover - only on real engine bugs
         diverge("error", "denotation+wlp", "", f"{type(error).__name__}: {error}")
         return divergences
+    report.denotation_maps += len(channels)
+    report.kraus_operators += sum(len(channel.kraus_operators) for channel in channels)
     if fuzz_program.contains_while():
         loops = [node for node in program.walk() if isinstance(node, While)]
         inner = {id(node) for loop in loops for node in loop.body.walk() if isinstance(node, While)}

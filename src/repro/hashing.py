@@ -1,7 +1,8 @@
 """A ``__hash__`` consistent with tolerance-based ``__eq__``.
 
-``QuantumPredicate`` and ``SuperOperator`` compare their matrices with
-``np.allclose``-style tolerances.  That equality is not transitive, so a
+``QuantumPredicate`` compares its matrix with ``np.allclose``-style
+tolerances, and ``SuperOperator`` compares maps by the trace norm of their
+Choi difference within ``atol``.  Neither equality is transitive, so a
 hash built from the numeric payload, even after rounding, separates some
 pair of equal objects that straddle a rounding boundary and puts them in
 different dict buckets.  The only invariants a consistent ``__hash__`` may
@@ -20,7 +21,7 @@ __all__ = ["tolerance_safe_hash"]
 def tolerance_safe_hash(kind: str, dimension: int) -> int:
     """Return a ``__hash__`` value consistent with tolerance-based ``__eq__``.
 
-    ``np.allclose``-style equality is reflexive and symmetric but *not*
+    Equality within a tolerance is reflexive and symmetric but *not*
     transitive, so a hash that inspects the numeric payload — even quantized —
     necessarily splits some pair of equal objects across a rounding boundary.
     The only sound hash inputs are exact discrete invariants preserved by

@@ -67,6 +67,7 @@ import numpy as np
 
 from ..exceptions import SemanticsError
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
+from ..linalg.constants import ATOL
 from ..linalg.tensor import embed_operator
 from ..registers import QubitRegister
 from ..superop.compare import deduplicate
@@ -90,6 +91,10 @@ __all__ = [
 #: operators of its spread.
 SIMPLIFY_THRESHOLD = 64
 
+#: Number of pseudo-random schedulers explored per loop with more than one
+#: body map, on top of the constant ones, when no schedulers are given.
+SAMPLED_SCHEDULERS = 2
+
 
 @dataclass
 class DenotationOptions:
@@ -107,10 +112,8 @@ class DenotationOptions:
         it bounds the probability mass the iteration adds for any input state.
     schedulers:
         Explicit schedulers to explore for every loop.  When ``None``, all
-        constant schedulers are used plus ``sampled_schedulers`` random ones;
-        a body with a single map gets ``ConstantScheduler(0)`` alone.
-    sampled_schedulers:
-        Number of additional pseudo-random schedulers to sample per loop.
+        constant schedulers are used plus :data:`SAMPLED_SCHEDULERS` random
+        ones; a body with a single map gets ``ConstantScheduler(0)`` alone.
     dedup:
         Whether to remove duplicate super-operators from denotation sets.
     """
@@ -118,7 +121,6 @@ class DenotationOptions:
     max_iterations: int = 64
     convergence_tolerance: float = 1e-9
     schedulers: Optional[Sequence[Scheduler]] = None
-    sampled_schedulers: int = 2
     dedup: bool = True
 
 
@@ -280,6 +282,10 @@ def _denote_seq(
     ``Set0``'s operators on the register does.  A gate run is unitary: it
     keeps the count and the rank of every map, so a map is as compressed
     after it as before and is not compressed again.
+
+    Restricted maps are deduplicated at ``ATOL / 2^|q̄|``: the Choi matrix
+    of a spread is the direct sum of ``2^|q̄|`` copies of its restricted
+    map's, so that is ``ATOL`` on the spreads.
     """
     steps = _seq_steps(statements, register, options)
     statement, step = next(steps)
@@ -294,7 +300,7 @@ def _denote_seq(
     else:
         fold = step
     if options.dedup and len(fold) > 1:
-        fold = deduplicate(fold)
+        fold = deduplicate(fold, atol=ATOL / blocks)
     for statement, step in steps:
         with span(
             "seq-compose",
@@ -312,7 +318,7 @@ def _denote_seq(
                     fold = [later.compose(channel) for channel in fold for later in step]
                 fold = [_compressed(channel, blocks) for channel in fold]
             if options.dedup and len(fold) > 1:
-                fold = deduplicate(fold)
+                fold = deduplicate(fold, atol=ATOL / blocks)
     if positions is None:
         return fold
     return [_spread(channel, positions) for channel in fold]
@@ -405,7 +411,7 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
     else:
         schedulers = list(constant_schedulers(len(body_maps)))
         if len(body_maps) > 1:
-            schedulers.extend(sample_schedulers(options.sampled_schedulers))
+            schedulers.extend(sample_schedulers(SAMPLED_SCHEDULERS))
     with span(
         "loop",
         region="loop",

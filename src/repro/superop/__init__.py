@@ -11,11 +11,15 @@ Two interoperable representations of a completely positive map are provided:
   applied by the register's gate kernel
   (:func:`~repro.linalg.tensor.apply_to_qubits`).
 * **Choi** (:mod:`.choi`) — the ``d²×d²`` positive matrix ``Σ vec(E_i)vec(E_i)†``;
-  best for order/positivity questions (Lemma 3.1) and for recovering minimal
-  Kraus decompositions.
+  built only to recover a minimal Kraus decomposition from a Kraus list
+  at least as large (:meth:`~repro.superop.kraus.SuperOperator.simplified`).
 
 Conversions are lossless: Kraus→Choi is one matrix product and Choi→Kraus
-is a pivoted Cholesky factorisation.
+is a pivoted Cholesky factorisation.  Equality and the CPO order ``⪯``
+(Lemma 3.1) are decided in Kraus space, on the spectrum of the Choi
+difference ``C_F − C_E`` computed from the two Kraus stacks
+(:func:`~repro.superop.choi.choi_difference_spectrum`), and the set
+comparisons of :mod:`.compare` build on them.
 """
 
 from .channels import (
@@ -32,23 +36,8 @@ from .channels import (
     reset_channel,
     unitary_channel,
 )
-from .choi import (
-    choi_from_apply,
-    choi_matrix,
-    choi_precedes,
-    is_cp_choi,
-    is_tni_choi,
-    is_tp_choi,
-    kraus_from_choi,
-)
-from .compare import (
-    deduplicate,
-    lub_of_chain,
-    set_equal,
-    set_subset,
-    superoperator_equal,
-    superoperator_precedes,
-)
+from .choi import choi_difference_spectrum, choi_from_apply, choi_matrix, kraus_from_choi
+from .compare import deduplicate, set_equal, set_subset
 from .kraus import SuperOperator
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,22 +7,23 @@ matrix is positive semidefinite.  The comparison of super-operators under the
 CPO order ``⪯`` of Sec. 3.2 reduces (Lemma 3.1) to a Löwner comparison of Choi
 matrices.
 
-Within :mod:`repro.superop` the Choi matrix is the *order* representation:
-positivity of a map and the ``⪯`` comparison are spectral properties of the
-Choi matrix, and a minimal Kraus decomposition falls out of its pivoted
-Cholesky factorisation (:func:`kraus_from_choi`), which needs no
-eigensolve.
-
 Stacking the row-vectorised Kraus operators as the rows of a ``k × s``
 matrix ``V`` (``s = d_out·d_in``) gives ``Choi = Vᵀ V̄``: :func:`choi_matrix`
 builds it with one matrix product on the ``(k, d_out, d_in)`` operator
 array, and its ``s² · 16`` bytes (``d⁴ · 16`` for a map on one
 ``d``-dimensional space) are the largest object the library allocates.
-A restricted map of the sequence fold (see :mod:`~repro.superop.kraus`)
-has ``d_in = c < d_out`` and a Choi matrix ``(d/c)²`` times smaller than
-its spread.  :meth:`~repro.superop.kraus.SuperOperator.simplified` avoids
-the Choi matrix when ``k < s`` by factoring the ``k × k`` Gram matrix
-``V̄ Vᵀ`` instead, which has the same non-zero spectrum.
+Within :mod:`repro.superop` it is built only where the Kraus list is
+already at least that large: by
+:meth:`~repro.superop.kraus.SuperOperator.simplified` when ``k ≥ s``, which
+recovers a minimal Kraus decomposition from its pivoted Cholesky
+factorisation (:func:`kraus_from_choi`, no eigensolve).  For ``k < s``
+``simplified`` factors the ``k × k`` Gram matrix ``V̄ Vᵀ`` instead, which
+has the same non-zero spectrum.
+
+Equality and the order ``⪯`` read the spectrum of a Choi *difference*
+``C_F − C_E``, and :func:`choi_difference_spectrum` computes it from the
+two Kraus stacks on an ``m × m`` matrix, ``m = k_E + k_F``, without either
+Choi matrix.
 """
 
 from __future__ import annotations
@@ -32,18 +33,14 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from ..exceptions import LinalgError
-from ..linalg.constants import ORDER_ATOL
-from ..linalg.operators import is_positive, loewner_le, operator_stack, psd_factor
+from ..linalg.operators import operator_stack, psd_factor
 from ..telemetry.tracing import span
 
 __all__ = [
     "choi_matrix",
     "choi_from_apply",
+    "choi_difference_spectrum",
     "kraus_from_choi",
-    "is_cp_choi",
-    "is_tp_choi",
-    "is_tni_choi",
-    "choi_precedes",
 ]
 
 
@@ -92,6 +89,25 @@ def choi_from_apply(apply_map, dimension: int) -> np.ndarray:
     return tensor.reshape(dimension * dimension, dimension * dimension)
 
 
+def choi_difference_spectrum(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Return the spectrum of ``C_second − C_first`` from the two Kraus stacks, ascending.
+
+    ``first`` and ``second`` are ``(k, d_out, d_in)`` arrays of one shape.
+    Their row-vectorised operators, ``second``'s first, are the
+    ``m = k_F + k_E`` rows of ``W``, so ``C_F − C_E = Wᵀ S W̄`` with
+    ``S = diag(I_{k_F}, −I_{k_E})``.  The thin QR ``Wᵀ = QR`` gives
+    ``Q (R S R†) Q†``, and ``Q`` has orthonormal columns, so the eigenvalues
+    of the Hermitian ``R S R†`` (side ``min(m, d_out·d_in)``) are every
+    non-zero eigenvalue of the difference, padded with zeros.  Only ``R``
+    is formed; no Choi matrix is built.
+    """
+    count = len(second)
+    vectors = np.concatenate([second, first]).reshape(count + len(first), -1)
+    triangle = np.linalg.qr(vectors.T, mode="r")
+    signs = np.where(np.arange(len(vectors)) < count, 1.0, -1.0)
+    return np.linalg.eigvalsh((triangle * signs) @ triangle.conj().T)
+
+
 def kraus_from_choi(
     choi: np.ndarray, atol: float = 1e-10, shape: Optional[Tuple[int, int]] = None
 ) -> np.ndarray:
@@ -120,35 +136,3 @@ def kraus_from_choi(
     if not factor.shape[1]:
         return np.zeros((1, *shape), dtype=complex)
     return factor.T.reshape(-1, *shape)
-
-
-def is_cp_choi(choi: np.ndarray, atol: float = ORDER_ATOL) -> bool:
-    """Return ``True`` when the Choi matrix certifies a completely positive map."""
-    return is_positive(choi, atol=atol)
-
-
-def _partial_trace_output(choi: np.ndarray) -> np.ndarray:
-    """Trace out the output system of a Choi matrix, yielding ``(Σ_i E_i†E_i)ᵀ``."""
-    choi = np.asarray(choi, dtype=complex)
-    side = choi.shape[0]
-    dimension = int(round(np.sqrt(side)))
-    reshaped = choi.reshape(dimension, dimension, dimension, dimension)
-    # Axes for the (output ⊗ input) convention: (row-out, row-in, col-out, col-in).
-    return np.trace(reshaped, axis1=0, axis2=2)
-
-
-def is_tp_choi(choi: np.ndarray, atol: float = 1e-7) -> bool:
-    """Return ``True`` when the Choi matrix corresponds to a trace-preserving map."""
-    reduced = _partial_trace_output(choi)
-    return bool(np.allclose(reduced, np.eye(reduced.shape[0]), atol=atol))
-
-
-def is_tni_choi(choi: np.ndarray, atol: float = ORDER_ATOL) -> bool:
-    """Return ``True`` when the Choi matrix corresponds to a trace non-increasing map."""
-    reduced = _partial_trace_output(choi)
-    return loewner_le(reduced, np.eye(reduced.shape[0]), atol=atol)
-
-
-def choi_precedes(choi_a: np.ndarray, choi_b: np.ndarray, atol: float = ORDER_ATOL) -> bool:
-    """Return ``True`` when the map of ``choi_a`` precedes that of ``choi_b`` (Lemma 3.1)."""
-    return is_positive(np.asarray(choi_b) - np.asarray(choi_a), atol=atol)

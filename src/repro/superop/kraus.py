@@ -10,8 +10,8 @@ precondition semantics: application to states, adjoint application to
 predicates, composition, pointwise addition, scaling, tensor products and the
 CPO order ``⪯`` of Sec. 3.2.
 
-The Kraus form is the representation the semantic engines compute with; the
-Choi matrix of :mod:`~repro.superop.choi` is derived from it for comparisons.
+The Kraus form is the representation the semantic engines compute with, and
+maps are compared in it too.
 The ``k`` operators are stored as one read-only ``(k, d_out, d_in)`` complex
 array, so every operation of the algebra is one batched numpy call on it:
 composition is one broadcast ``matmul`` of ``k·l`` products, addition one
@@ -38,9 +38,10 @@ method either handles ``d_out ≠ d_in`` too or raises
 :class:`~repro.exceptions.DimensionMismatchError`, and the constructor
 takes square operators only.
 
-:meth:`equals` and :meth:`precedes` build a ``(d_out·d_in)²`` Choi matrix
-per map, while the set comparisons of :mod:`~repro.superop.compare` build
-one only to confirm a pair their probe screen cannot separate.
+:meth:`equals` and :meth:`precedes` read the spectrum of the Choi
+difference ``C_F − C_E`` off the two Kraus stacks
+(:func:`~repro.superop.choi.choi_difference_spectrum`, an ``m × m``
+problem for ``m = k_E + k_F``), so no comparison builds a Choi matrix.
 :meth:`SuperOperator.simplified` keeps the count in check with a pivoted
 Cholesky factorisation of the ``k×k`` Gram matrix of the Kraus operators
 when ``k < d_out·d_in`` and of the Choi matrix otherwise, so compressing a
@@ -58,7 +59,6 @@ from ..exceptions import DimensionMismatchError, SuperOperatorError
 from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import (
-    is_positive,
     is_unitary,
     kraus_gram,
     loewner_le,
@@ -67,7 +67,7 @@ from ..linalg.operators import (
     psd_factor,
 )
 from ..telemetry.tracing import span
-from .choi import choi_matrix, kraus_from_choi
+from .choi import choi_difference_spectrum, choi_matrix, kraus_from_choi
 
 __all__ = ["SuperOperator"]
 
@@ -241,8 +241,9 @@ class SuperOperator:
         return kraus_gram(self._kraus)
 
     def is_trace_preserving(self, atol: float = ORDER_ATOL) -> bool:
-        """Return ``True`` when ``Σ E_i†E_i = I`` up to ``atol``."""
-        return bool(np.allclose(self.kraus_gram(), np.eye(self._kraus.shape[2]), atol=atol))
+        """Return ``True`` when ``Σ E_i†E_i = I`` up to ``atol``, entrywise."""
+        identity = np.eye(self._kraus.shape[2])
+        return bool(np.allclose(self.kraus_gram(), identity, rtol=0, atol=atol))
 
     def is_trace_nonincreasing(self, atol: float = ORDER_ATOL) -> bool:
         """Return ``True`` when ``Σ E_i†E_i ⊑ I`` up to ``atol``."""
@@ -426,10 +427,18 @@ class SuperOperator:
 
     # ----------------------------------------------------------------- ordering
     def equals(self, other: "SuperOperator", atol: float = ATOL) -> bool:
-        """Return ``True`` when both maps are equal (same Choi matrix)."""
+        """Return ``True`` when both maps have one shape and ``‖C_E − C_F‖_1 ≤ atol``.
+
+        The trace norm of the Choi difference is the sum of the absolute
+        values of :func:`~repro.superop.choi.choi_difference_spectrum`, read
+        off the two Kraus stacks.  It bounds the diamond distance of the
+        maps, so equal maps (whatever their Kraus decompositions) have
+        distance 0 and no Choi matrix is built.
+        """
         if self.shape != other.shape:
             return False
-        return bool(np.allclose(self.choi(), other.choi(), atol=atol))
+        spectrum = choi_difference_spectrum(self._kraus, other._kraus)
+        return bool(np.abs(spectrum).sum() <= atol)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SuperOperator):
@@ -447,11 +456,14 @@ class SuperOperator:
 
         By Lemma 3.1 this holds iff ``other − self`` is completely positive,
         i.e. iff the difference of Choi matrices is positive semidefinite.
+        It is taken to hold when the smallest eigenvalue of that difference,
+        read off the two Kraus stacks by
+        :func:`~repro.superop.choi.choi_difference_spectrum`, is at least
+        ``−atol``.
         """
         if self.shape != other.shape:
             return False
-        difference = other.choi() - self.choi()
-        return is_positive(difference, atol=atol)
+        return bool(choi_difference_spectrum(self._kraus, other._kraus)[0] >= -atol)
 
     # ------------------------------------------------------------------ misc
     def simplified(self, atol: float = 1e-10) -> "SuperOperator":

@@ -25,6 +25,7 @@ from repro.fuzz.generator import FGate, FuzzProgram
 from repro.language.ast import While
 from repro.language.parser import parse_annotated_program
 from repro.linalg.constants import ATOL
+from repro.semantics.denotational import DenotationOptions, denotation
 
 #: The fixed sweep identity: every run checks the same 200 programs.
 SWEEP_SEED = 20260808
@@ -258,6 +259,20 @@ class TestDifferentialSweep:
         (analysis,) = analyses.values()
         assert analysis.settle[0] == "settled"
         assert analysis.stop_residual == pytest.approx(1.0, abs=1e-6)
+
+    def test_sweep_counts_denotation_maps_and_kraus_operators(self):
+        programs = _chunk(0)[:10]
+        report = run_differential(programs, SWEEP_CONFIG)
+        options = DenotationOptions(max_iterations=SWEEP_CONFIG.max_iterations)
+        maps = []
+        for program in programs:
+            task = build_task(program.source())
+            maps.extend(denotation(task.formula.program, task.register, options))
+        kraus = sum(len(channel.kraus_operators) for channel in maps)
+        assert report.ok and len(maps) > len(programs)
+        assert (report.denotation_maps, report.kraus_operators) == (len(maps), kraus)
+        payload = report.to_dict()
+        assert (payload["denotation_maps"], payload["kraus_operators"]) == (len(maps), kraus)
 
     def test_sweep_counts_order_decisions(self):
         programs = [program for program in _chunk(0) if not program.contains_while()][:4]

@@ -1,6 +1,6 @@
 """Tests of hash/eq consistency for the tolerance-compared classes.
 
-The regression these guard: ``allclose``-equal objects straddling the old
+The regression these guard: tolerance-equal objects straddling the old
 1e-6 rounding boundary used to land in different dict buckets because
 ``__hash__`` hashed rounded bytes.  ``QuantumPredicate`` and
 ``SuperOperator`` now hash through :func:`repro.hashing.tolerance_safe_hash`
@@ -26,11 +26,12 @@ from repro.predicates.predicate import QuantumPredicate
 from repro.superop.kraus import SuperOperator
 
 
-#: Two values within 2e-8 of each other that straddle a 1e-6 rounding
-#: boundary: np.round(…, 6) maps them to 0.499999 and 0.500000, so any hash
-#: built from round-6 bytes separates them while __eq__ holds.
-_BOUNDARY_LO = 0.49999949
-_BOUNDARY_HI = 0.49999951
+#: Two values 4e-9 apart that straddle a 1e-6 rounding boundary:
+#: np.round(…, 6) maps them to 0.499999 and 0.500000, so any hash built from
+#: round-6 bytes separates them while __eq__ holds.  The one-qubit maps
+#: scaled by them are 2·4e-9 apart in Choi trace norm, within ATOL.
+_BOUNDARY_LO = 0.4999995 - 2e-9
+_BOUNDARY_HI = 0.4999995 + 2e-9
 
 #: Perturbation scale far below the comparison tolerance of ``__eq__``.
 _NOISE = 1e-12
@@ -95,6 +96,7 @@ def test_boundary_straddling_predicates_share_a_dict_bucket():
 def test_boundary_straddling_superoperators_share_a_dict_bucket():
     lo = SuperOperator([np.sqrt(_BOUNDARY_LO) * np.eye(2, dtype=complex)], validate=False)
     hi = SuperOperator([np.sqrt(_BOUNDARY_HI) * np.eye(2, dtype=complex)], validate=False)
+    assert np.round(_BOUNDARY_LO, 6) != np.round(_BOUNDARY_HI, 6)
     assert lo == hi
     assert hash(lo) == hash(hi)
     assert hi in {lo: "cached"}

@@ -431,25 +431,27 @@ class TestRestrictedFold:
         assert not maps[0].kraus_operators.any()
 
     def test_seven_qubit_reset_and_choice_builds_no_large_matrix(self, monkeypatch):
-        # The two restricted maps are equal, so dedup confirms the pair on
-        # 128 × 128 Choi signatures; their spreads' would take 4 GiB.
-        build = choi_module.choi_matrix
-
-        def refuse_large(kraus, *args, **kwargs):
+        # Each pair of equal maps is confirmed on the spectrum of their Choi
+        # difference, read off the two Kraus stacks: no Choi matrix is built,
+        # where the 128-dimensional identities' would take 4 GiB.
+        def refuse(kraus, *args, **kwargs):
             rows, columns = np.shape(kraus)[1:]
-            if rows * columns > 128:
-                raise AssertionError(f"a {rows * columns}-sided Choi matrix was built")
-            return build(kraus, *args, **kwargs)
+            raise AssertionError(f"a {rows * columns}-sided Choi matrix was built")
 
         for module in (choi_module, kraus_module):
-            monkeypatch.setattr(module, "choi_matrix", refuse_large)
+            monkeypatch.setattr(module, "choi_matrix", refuse)
         names = tuple(f"q{index}" for index in range(7))
-        maps = denotation(seq(Init(names), ndet(Skip(), Skip())), QubitRegister(names))
+        register = QubitRegister(names)
+        maps = denotation(seq(Init(names), ndet(Skip(), Skip())), register)
         assert len(maps) == 1
         assert len(maps[0].kraus_operators) == 128
         assert np.allclose(maps[0].kraus_gram(), np.eye(128), rtol=0, atol=1e-12)
         output = maps[0].apply(random_density_operator(128, seed=7))
         assert output[0, 0] == pytest.approx(1.0) and np.count_nonzero(output) == 1
+        (identity,) = denotation(ndet(Skip(), Skip()), register)
+        assert np.array_equal(identity.kraus_operators, np.eye(128)[np.newaxis])
+        other = SuperOperator.identity(128)
+        assert identity.equals(other) and identity.precedes(other) and other.precedes(identity)
 
 
 class TestInitializerAdjoint:
@@ -525,9 +527,9 @@ class TestWhileLoops:
         body = ndet(Unitary(("q",), "H", H), Unitary(("q",), "X", X))
         loop = While(MEAS_COMPUTATIONAL, ("q",), body)
         # Without deduplication one channel per explored scheduler is produced
-        # (two constant schedulers plus two sampled ones).
-        options = DenotationOptions(sampled_schedulers=2, dedup=False)
-        maps = denotation(loop, register, options)
+        # (two constant schedulers plus SAMPLED_SCHEDULERS sampled ones).
+        maps = denotation(loop, register, DenotationOptions(dedup=False))
+        assert denotational.SAMPLED_SCHEDULERS == 2
         assert len(maps) == 4
         for channel in maps:
             assert channel.is_trace_nonincreasing()

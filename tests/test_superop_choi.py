@@ -1,4 +1,4 @@
-"""Unit tests for the Choi-representation helpers."""
+"""Unit tests for the Choi-representation helpers and the Kraus-space Choi spectrum."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,9 @@ from repro.linalg.constants import H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.random import random_kraus_operators
 from repro.superop.choi import (
+    choi_difference_spectrum,
     choi_from_apply,
     choi_matrix,
-    choi_precedes,
-    is_cp_choi,
-    is_tni_choi,
-    is_tp_choi,
     kraus_from_choi,
 )
 from repro.superop.kraus import SuperOperator
@@ -30,12 +27,19 @@ def outer_product_choi(kraus):
     return choi
 
 
+def assert_cp_and_tp(choi, dimension, atol=1e-10):
+    """A Choi matrix of a channel is positive and traces out to ``I`` on the output."""
+    assert np.linalg.eigvalsh(choi).min() >= -atol
+    # Axes (row-out, row-in, col-out, col-in): tracing the output leaves (Σ E_i†E_i)ᵀ.
+    reduced = np.trace(choi.reshape((dimension,) * 4), axis1=0, axis2=2)
+    assert np.allclose(reduced, np.eye(dimension), rtol=0, atol=atol)
+
+
 class TestChoiMatrix:
     def test_identity_channel_choi_is_maximally_entangled(self):
         choi = choi_matrix([I2])
         assert np.trace(choi).real == pytest.approx(2.0)
-        assert is_cp_choi(choi)
-        assert is_tp_choi(choi)
+        assert_cp_and_tp(choi, 2)
 
     def test_choi_agrees_with_extensional_construction(self):
         kraus = [P0, X @ P1]
@@ -47,8 +51,7 @@ class TestChoiMatrix:
     def test_choi_of_random_channel(self):
         kraus = random_kraus_operators(4, count=3, seed=0)
         choi = choi_matrix(kraus)
-        assert is_cp_choi(choi)
-        assert is_tp_choi(choi)
+        assert_cp_and_tp(choi, 4)
 
     def test_choi_requires_kraus(self):
         with pytest.raises(LinalgError):
@@ -134,25 +137,77 @@ class TestKrausRecovery:
         assert np.linalg.matrix_rank(vectors) == len(recovered)
 
 
-class TestTraceConditions:
-    def test_trace_nonincreasing_but_not_preserving(self):
-        choi = choi_matrix([P0])
-        assert is_tni_choi(choi)
-        assert not is_tp_choi(choi)
+def random_pair(rows, columns, first, second, seed):
+    """Two random ``rows × columns`` maps with ``first`` and ``second`` operators.
 
-    def test_trace_increasing_detected(self):
-        choi = choi_matrix([np.sqrt(2) * I2])
-        assert not is_tni_choi(choi)
+    A restricted pair (``columns < rows``) is two square maps composed with
+    ``J``, which prepares ``|0⟩`` on the leading qubits.
+    """
+    rng = np.random.default_rng(seed)
+    num_qubits = rows.bit_length() - 1
+    reset = list(range((rows // columns).bit_length() - 1))
 
-    def test_non_cp_map_detected(self):
-        # The transpose map is positive but not completely positive.
-        transpose_choi = choi_from_apply(lambda m: m.T, 2)
-        assert not is_cp_choi(transpose_choi)
+    def random_map(count):
+        square = rng.normal(size=(count, rows, rows)) + 1j * rng.normal(size=(count, rows, rows))
+        channel = SuperOperator(square, validate=False)
+        return channel.compose(SuperOperator.prepare_zero(reset, num_qubits)) if reset else channel
+
+    return random_map(first), random_map(second)
 
 
-class TestChoiOrder:
-    def test_precedes_matches_superoperator_order(self):
-        smaller = SuperOperator([P0])
-        larger = SuperOperator([P0, P1])
-        assert choi_precedes(smaller.choi(), larger.choi())
-        assert not choi_precedes(larger.choi(), smaller.choi())
+def explicit_spectrum(first, second):
+    """The full spectrum of ``C_second − C_first`` on explicit Choi matrices."""
+    return np.linalg.eigvalsh(choi_matrix(second.kraus_operators) - choi_matrix(first.kraus_operators))
+
+
+class TestChoiDifferenceSpectrum:
+    """The Kraus-space spectrum of a Choi difference against explicit Choi matrices."""
+
+    # (d_out, d_in, k_E, k_F): square and restricted, k ≥ d_out·d_in in some.
+    CASES = [
+        (2, 2, 1, 1), (2, 2, 5, 3), (4, 4, 3, 5), (8, 8, 2, 4), (8, 8, 5, 1),
+        (2, 1, 4, 5), (4, 2, 2, 3), (4, 1, 5, 2), (8, 2, 1, 5), (8, 4, 3, 3),
+    ]
+
+    @pytest.mark.parametrize("rows, columns, first_count, second_count", CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_the_explicit_spectrum(self, rows, columns, first_count, second_count, seed):
+        first, second = random_pair(rows, columns, first_count, second_count, seed)
+        spectrum = choi_difference_spectrum(first.kraus_operators, second.kraus_operators)
+        assert len(spectrum) == min(first_count + second_count, rows * columns)
+        assert np.all(np.diff(spectrum) >= 0)
+        explicit = explicit_spectrum(first, second)
+        padded = np.sort(np.concatenate([spectrum, np.zeros(len(explicit) - len(spectrum))]))
+        scale = first.choi_trace() + second.choi_trace()
+        assert np.allclose(padded, explicit, rtol=0, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("rows, columns, first_count, second_count", CASES)
+    def test_equals_and_precedes_agree_with_the_explicit_rule(
+        self, rows, columns, first_count, second_count
+    ):
+        first, second = random_pair(rows, columns, first_count, second_count, seed=7)
+        explicit = explicit_spectrum(first, second)
+        distance, lowest = np.abs(explicit).sum(), explicit.min()
+        assert lowest < 0
+        for factor in (0.99, 1.01):
+            atol = factor * distance
+            assert first.equals(second, atol=atol) == (distance <= atol) == (factor > 1)
+            atol = -factor * lowest
+            assert first.precedes(second, atol=atol) == (lowest >= -atol) == (factor > 1)
+
+    @pytest.mark.parametrize("positions", [(0,), (2, 0), (1, 2, 0)])
+    def test_a_spread_pair_is_as_far_apart_as_its_blocks(self, positions):
+        # The spread's Choi matrix is 2^|q̄| copies of the restricted map's.
+        prepare = SuperOperator.prepare_zero(positions, 3)
+        first, second = (
+            SuperOperator(random_kraus_operators(8, count=count, seed=seed)).compose(prepare)
+            for count, seed in ((2, 21), (3, 22))
+        )
+
+        def distance(a, b):
+            return np.abs(choi_difference_spectrum(a.kraus_operators, b.kraus_operators)).sum()
+
+        restricted = distance(first, second)
+        spread = distance(first.compose_trace(positions), second.compose_trace(positions))
+        assert restricted > 0.1
+        assert restricted == pytest.approx(spread / 2 ** len(positions), rel=1e-10)

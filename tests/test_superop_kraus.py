@@ -131,6 +131,12 @@ class TestApplication:
         output = channel.apply(density(plus_state()))
         assert np.trace(output).real == pytest.approx(0.5)
 
+    def test_trace_preserving_has_no_relative_slack(self):
+        # The gram is (1 + 5e-6)·I: 5e-6 from I on the diagonal, above atol.
+        channel = SuperOperator([np.sqrt(1 + 5e-6) * I2], validate=False)
+        assert not channel.is_trace_preserving()
+        assert channel.is_trace_preserving(atol=1e-5)
+
 
 class TestAlgebra:
     def test_compose_order(self):

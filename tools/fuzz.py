@@ -191,8 +191,9 @@ def main(argv=None) -> int:
             f"draw(s), prover on {report.prover_checked}, "
             f"{report.order_decisions} order decision(s) between VC and wlp, "
             f"termination on {report.with_loops} with loops: {loops['certified']} loop(s) "
-            f"certified, {loops['horizon']} refused at the horizon, {loops['budget']} over budget): "
-            f"{len(failures)} divergent program(s)"
+            f"certified, {loops['horizon']} refused at the horizon, {loops['budget']} over budget; "
+            f"{report.denotation_maps} denotation map(s) with {report.kraus_operators} Kraus "
+            f"operator(s)): {len(failures)} divergent program(s)"
         )
 
     if args.report is not None:
