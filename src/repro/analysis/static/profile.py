@@ -1,11 +1,9 @@
 """Nondeterminism/structure profile: cost-model features of a program.
 
 The :class:`ProgramProfile` summarises the structural facts of a typed
-:class:`~repro.language.ast.Program`.  ``analyze_source`` reports it with
-its diagnostics (``--diagnostics-json``), and a future auto-tuning planner
-can read the counts (choice points, loop nesting depth, gate locality,
-Clifford classification) as design-space features, in the spirit of the
-Xel-FPGAs-style exploration discussed in PAPERS.md.
+:class:`~repro.language.ast.Program`: choice points, loop nesting depth,
+gate locality and Clifford classification.  ``analyze_source`` reports it
+with its diagnostics (``--diagnostics-json``).
 
 The profile describes the program the engines run: the AST flattens nested
 sequences and nested choices, so ``( S0 # ( S1 # S2 ) )`` is one choice
@@ -38,8 +36,7 @@ class ProgramProfile:
     ``max_gate_arity`` is the per-statement gate locality: the largest number
     of qubits any single unitary statement touches (0 for gate-free
     programs).  ``clifford_segments`` counts the maximal straight-line runs
-    of consecutive Clifford unitary statements — the segments a
-    stabilizer-style fast path could batch.
+    of consecutive Clifford unitary statements.
     """
 
     statement_count: int

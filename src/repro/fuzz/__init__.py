@@ -1,7 +1,7 @@
 """Program fuzzing and differential testing of the semantic engines.
 
 The package is the test-infrastructure spine behind ``tools/fuzz.py`` and the
-``tests/test_fuzz_differential.py`` sweep (ROADMAP scenario-diversity item):
+``tests/test_fuzz_differential.py`` sweep:
 
 * :mod:`repro.fuzz.generator` — a seeded, size-bounded generator of
   well-typed nondeterministic quantum programs in ``.nqpv`` surface syntax,
@@ -12,7 +12,9 @@ The package is the test-infrastructure spine behind ``tools/fuzz.py`` and the
   through the denotation engine and the wlp transformer; on loop-free draws
   the wlp must be the dual ``{E†(Q) + I − E†(I) : E ∈ [[S]]}`` of the
   denotation to ``ATOL`` and the prover's verification condition must equal
-  the semantic wlp, while loop draws are checked for engine errors only;
+  the semantic wlp, while every loop of a loop draw gets a termination
+  check and a draw whose top-level loops are all certified a one-sided
+  duality check;
 * :mod:`repro.fuzz.shrink` — a delta-debugging shrinker (statement deletion,
   branch collapsing, qubit removal) that minimises a failing program while
   re-checking the oracle at every step.

@@ -35,7 +35,7 @@ Loop draws are compared too when every top-level loop (one not inside
 another loop's body) is certified.  The wlp is the infimum over every
 scheduler, so the check is one-sided: for each dual ``D = E†(Q) + I − E†(I)``
 of the sampled denotation some wlp element ``M`` must have
-``λ_max(M − D) ≤ slack``: ``atol`` plus, for each top-level loop, the largest
+``λ_max(M − D) ≤ slack``: ``ATOL`` plus, for each top-level loop, the largest
 residual at which the wlp's pass over it stopped plus ``HORIZON·ATOL``, so a
 pass that its antichain budget stops early is covered.  Truncating a chain
 only raises its dual (``D_n = I − E_n†(I − Q)`` falls as ``E_n`` grows), so
@@ -104,27 +104,22 @@ class ReplayProgram:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Tolerances and scope of one differential run.
+    """Loop truncation of one differential run.
+
+    The duality and prover checks are exact on loop-free draws, so the
+    library tolerance ``ATOL`` is all the slack they get, entrywise on
+    predicate matrices; on loop draws the one-sided duality check adds the
+    certified residuals.
 
     Attributes
     ----------
-    atol:
-        Agreement tolerance of the duality and prover checks, entrywise on
-        predicate matrices.  Both checks are exact on loop-free draws, so
-        the library tolerance ``ATOL`` is all the slack they get; on loop
-        draws the one-sided duality check adds the certified residuals.
     max_iterations:
         Forwarded to :class:`DenotationOptions` (the wlp covers every
         scheduler and takes none); it defaults below the engine's 64 to
         keep a 200-program sweep fast.
-    check_prover:
-        Whether to compare the prover's verification condition against the
-        semantic wlp on loop-free draws.
     """
 
-    atol: float = ATOL
     max_iterations: int = 24
-    check_prover: bool = True
 
 
 @dataclass(frozen=True)
@@ -176,10 +171,12 @@ class DifferentialReport:
     ``loop_draws_compared`` counts the loop draws whose wlp was compared
     with the denotation: those whose top-level loops were all certified.
     ``order_decisions`` counts the ``⊑_inf`` decisions between verification
-    conditions and wlps: two per loop-free draw when the prover is checked.
-    ``denotation_maps`` and ``kraus_operators`` sum the maps of each draw's
-    denotation and their Kraus operators, so a change to deduplication or
-    compression shows in the report.
+    conditions and wlps: two per loop-free draw.  ``prover_rules`` counts
+    the ``rule`` events of the prover's run on each loop-free draw, one per
+    rule handler run, so a change to the prover's traversal shows in the
+    report.  ``denotation_maps`` and ``kraus_operators`` sum the maps of
+    each draw's denotation and their Kraus operators, so a change to
+    deduplication or compression shows too.
     """
 
     seed: int
@@ -187,8 +184,8 @@ class DifferentialReport:
     loop_free: int = 0
     with_loops: int = 0
     loop_draws_compared: int = 0
-    prover_checked: int = 0
     order_decisions: int = 0
+    prover_rules: int = 0
     denotation_maps: int = 0
     kraus_operators: int = 0
     loops: Counter = field(default_factory=Counter)
@@ -207,8 +204,8 @@ class DifferentialReport:
             "loop_free": self.loop_free,
             "with_loops": self.with_loops,
             "loop_draws_compared": self.loop_draws_compared,
-            "prover_checked": self.prover_checked,
             "order_decisions": self.order_decisions,
+            "prover_rules": self.prover_rules,
             "denotation_maps": self.denotation_maps,
             "kraus_operators": self.kraus_operators,
             "loops": dict(self.loops),
@@ -227,15 +224,14 @@ def _matrices(assertion: QuantumAssertion) -> List[np.ndarray]:
     return [np.asarray(predicate.matrix) for predicate in assertion.predicates]
 
 
-def _matrix_sets_close(a: List[np.ndarray], b: List[np.ndarray], atol: float) -> bool:
-    """Set-compare two lists of predicate matrices by mutual inclusion at ``atol``.
+def _matrix_sets_close(a: List[np.ndarray], b: List[np.ndarray]) -> bool:
+    """Set-compare two lists of predicate matrices by mutual inclusion at ``ATOL``.
 
-    :meth:`QuantumAssertion.set_equal` compares at the fixed ``ORDER_ATOL``;
-    the oracle needs the tolerance to follow :class:`OracleConfig`.
+    :meth:`QuantumAssertion.set_equal` compares at the looser ``ORDER_ATOL``.
     """
 
     def included(xs, ys):
-        return all(any(np.allclose(x, y, atol=atol, rtol=0.0) for y in ys) for x in xs)
+        return all(any(np.allclose(x, y, rtol=0, atol=ATOL) for y in ys) for x in xs)
 
     return included(a, b) and included(b, a)
 
@@ -339,7 +335,7 @@ def _check(
     environment: Optional[OperatorEnvironment],
     report: DifferentialReport,
 ) -> List[Divergence]:
-    """:func:`check_program`, counting certificates, order decisions and maps in ``report``."""
+    """:func:`check_program`, counting its checks, prover rules and maps in ``report``."""
     environment = environment or default_environment()
     source = fuzz_program.source()
 
@@ -373,7 +369,7 @@ def _check(
     if fuzz_program.contains_while():
         loops = [node for node in program.walk() if isinstance(node, While)]
         inner = {id(node) for loop in loops for node in loop.body.walk() if isinstance(node, While)}
-        slack = config.atol
+        slack = ATOL
         for loop in loops:
             # The wlp analysed every top-level loop; only inner loops are analysed here.
             analysis = analyses.get(id(loop)) or LoopAnalysis(loop, register)
@@ -396,37 +392,37 @@ def _check(
                 )
         return divergences
 
-    if not _matrix_sets_close(_matrices(wlp), _dual_wlp(channels, postcondition), config.atol):
+    if not _matrix_sets_close(_matrices(wlp), _dual_wlp(channels, postcondition)):
         diverge(
             "duality",
             "wlp",
             "denotation",
             f"wlp.S.Θ differs from {{E†(Q) + I − E†(I) : E ∈ [[S]]}} over "
-            f"{len(channels)} channel(s) (atol={config.atol:g})",
+            f"{len(channels)} channel(s) (atol={ATOL:g})",
         )
-    if config.check_prover:
-        prover = Prover(register, mode=CorrectnessMode.PARTIAL, invariants=task.invariants)
-        outline = prover.generate(program, postcondition)
-        if not _matrix_sets_close(_matrices(outline.precondition), _matrices(wlp), config.atol):
-            diverge(
-                "prover",
-                "prover",
-                "wlp",
-                "prover verification condition differs from semantic wlp",
-            )
-        vc = outline.precondition
-        for name_a, lower, name_b, upper in (
-            ("prover", vc, "wlp", wlp),
-            ("wlp", wlp, "prover", vc),
-        ):
-            report.order_decisions += 1
-            try:
-                holds = leq_inf(lower, upper).holds
-            except Exception as error:  # an undecided interval or a solver bug
-                diverge("order", name_a, name_b, f"{type(error).__name__}: {error}")
-                continue
-            if not holds:
-                diverge("order", name_a, name_b, f"{name_a} ⊑_inf {name_b} does not hold")
+    prover = Prover(register, mode=CorrectnessMode.PARTIAL, invariants=task.invariants)
+    outline = prover.generate(program, postcondition)
+    report.prover_rules += sum(1 for event in prover.events if event.kind == "rule")
+    vc = outline.precondition
+    if not _matrix_sets_close(_matrices(vc), _matrices(wlp)):
+        diverge(
+            "prover",
+            "prover",
+            "wlp",
+            "prover verification condition differs from semantic wlp",
+        )
+    for name_a, lower, name_b, upper in (
+        ("prover", vc, "wlp", wlp),
+        ("wlp", wlp, "prover", vc),
+    ):
+        report.order_decisions += 1
+        try:
+            holds = leq_inf(lower, upper).holds
+        except Exception as error:  # an undecided interval or a solver bug
+            diverge("order", name_a, name_b, f"{type(error).__name__}: {error}")
+            continue
+        if not holds:
+            diverge("order", name_a, name_b, f"{name_a} ⊑_inf {name_b} does not hold")
     return divergences
 
 
@@ -453,8 +449,6 @@ def run_differential(
             report.with_loops += 1
         else:
             report.loop_free += 1
-            if config.check_prover:
-                report.prover_checked += 1
         report.divergences.extend(divergences)
         if on_program is not None:
             on_program(position, fuzz_program, divergences)

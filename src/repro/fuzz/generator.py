@@ -100,8 +100,7 @@ class GeneratorConfig:
         cost, so the default keeps at most one per draw.
     clifford_bias:
         Probability in ``[0, 1]`` that a gate draw is restricted to the
-        Clifford pool (``1.0`` generates Clifford-only circuits, the fast
-        path targeted by the ROADMAP stabilizer item).
+        Clifford pool (``1.0`` generates Clifford-only circuits).
     loop_probability / choice_probability / if_probability:
         Relative weights of the compound statement kinds at draw time.
     abort_probability:

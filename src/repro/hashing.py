@@ -1,8 +1,8 @@
 """A ``__hash__`` consistent with tolerance-based ``__eq__``.
 
-``QuantumPredicate`` compares its matrix with ``np.allclose``-style
-tolerances, and ``SuperOperator`` compares maps by the trace norm of their
-Choi difference within ``atol``.  Neither equality is transitive, so a
+``QuantumPredicate`` compares its matrix entry by entry within an absolute
+``ORDER_ATOL``, and ``SuperOperator`` compares maps by the trace norm of
+their Choi difference within ``atol``.  Neither equality is transitive, so a
 hash built from the numeric payload, even after rounding, separates some
 pair of equal objects that straddle a rounding boundary and puts them in
 different dict buckets.  The only invariants a consistent ``__hash__`` may

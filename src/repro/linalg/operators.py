@@ -77,26 +77,23 @@ def dagger(matrix: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(matrix: np.ndarray, atol: float = ATOL) -> bool:
-    """Return ``True`` when ``matrix`` equals its adjoint up to ``atol``."""
+    """Return ``True`` when ``matrix`` equals its adjoint up to ``atol`` in every entry."""
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    return bool(np.allclose(matrix, dagger(matrix), atol=atol))
+    return bool(np.allclose(matrix, dagger(matrix), rtol=0, atol=atol))
 
 
 def is_unitary(matrix: np.ndarray, atol: float = ATOL) -> bool:
     """Return ``True`` when ``matrix`` is unitary (``U†U = I``) up to ``atol``.
 
-    This is ``np.allclose(U†U, I, atol=atol)`` written out against the
-    identity: ``|U†U − I| ≤ atol + 1e-5·I`` entrywise, ``1e-5`` being
-    ``allclose``'s relative tolerance on ``|I|``.  NaN and infinite entries
-    fail it, as they fail ``allclose`` against a finite ``I``.
+    The test is absolute: ``|U†U − I| ≤ atol`` in every entry, with no
+    relative term.  NaN and infinite entries fail it.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         return False
-    identity = np.eye(matrix.shape[0])
-    return bool((np.abs(dagger(matrix) @ matrix - identity) <= atol + 1e-5 * identity).all())
+    return bool((np.abs(dagger(matrix) @ matrix - np.eye(matrix.shape[0])) <= atol).all())
 
 
 def is_positive(matrix: np.ndarray, atol: float = ATOL) -> bool:
@@ -109,11 +106,11 @@ def is_positive(matrix: np.ndarray, atol: float = ATOL) -> bool:
 
 
 def is_projector(matrix: np.ndarray, atol: float = ORDER_ATOL) -> bool:
-    """Return ``True`` when ``matrix`` is hermitian and idempotent up to ``atol``."""
+    """Return ``True`` when ``matrix`` is hermitian and idempotent up to ``atol`` in every entry."""
     matrix = np.asarray(matrix, dtype=complex)
     if not is_hermitian(matrix, atol=atol):
         return False
-    return bool(np.allclose(matrix @ matrix, matrix, atol=atol))
+    return bool(np.allclose(matrix @ matrix, matrix, rtol=0, atol=atol))
 
 
 def is_density_operator(matrix: np.ndarray, atol: float = ATOL) -> bool:
@@ -151,12 +148,12 @@ def loewner_ge(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
 
 
 def operators_close(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
-    """Return ``True`` when the two operators are entry-wise equal up to ``atol``."""
+    """Return ``True`` when the two operators are entry-wise equal up to ``atol`` (no relative term)."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         return False
-    return bool(np.allclose(a, b, atol=atol))
+    return bool(np.allclose(a, b, rtol=0, atol=atol))
 
 
 def spectral_decomposition(

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from ..exceptions import InvariantError, VerificationError
 from ..telemetry.metrics import METRICS
@@ -83,10 +81,7 @@ class VerificationReport:
     events:
         The full structured provenance log: one timestamped
         :class:`~repro.telemetry.provenance.ProofEvent` per rule application,
-        invariant validation, ranking synthesis, memo reuse and the final
-        order decision.  When the prover reuses an annotation it already
-        computed in the same run, the events of that annotation are
-        re-emitted with ``replayed=True``.
+        invariant validation, ranking synthesis and the final order decision.
     diagnostics:
         Static-analyzer findings attached by the source-level front end
         (:func:`repro.assistant.verify.verify_source` pre-flight): a tuple of
@@ -132,9 +127,6 @@ class Prover:
         self.invariants = invariants or {}
         self.options = options or ProverOptions()
         self.events: List[ProofEvent] = []
-        # Annotations of the running generate() call: id(node) -> the
-        # (annotation, events) pairs computed for it (see _annotate).
-        self._memo: Dict[int, List[Tuple[AnnotatedStatement, Tuple[ProofEvent, ...]]]] = {}
 
     @property
     def messages(self) -> List[str]:
@@ -145,13 +137,7 @@ class Prover:
     def generate(self, program: Program, postcondition: QuantumAssertion) -> ProofOutline:
         """Produce the proof outline for ``program`` against ``postcondition``.
 
-        Within the call, annotations are memoized per node: when the
-        per-predicate (Meas)+(Union) expansion asks again for a node's
-        annotation against a postcondition exactly equal to one it already
-        annotated, the stored annotation is reused and its events are
-        replayed.  Structurally equal but separately built subtrees are
-        annotated separately.  The memo is dropped when the call returns, so
-        a recycled ``id()`` can never alias a node of another program.  The
+        Every annotation request runs the rule handler of its node.  The
         call's events are counted into ``prover.events{kind=…}`` when it
         returns, once per kind.
         """
@@ -169,7 +155,6 @@ class Prover:
             ):
                 root = self._annotate(program, postcondition)
         finally:
-            self._memo.clear()
             kinds = Counter(event.kind for event in self.events[first_event:])
             for kind, count in kinds.items():
                 METRICS.counter("prover.events", kind=kind).inc(count)
@@ -177,27 +162,9 @@ class Prover:
 
     # ----------------------------------------------------------------- helpers
     def _annotate(self, program: Program, post: QuantumAssertion) -> AnnotatedStatement:
-        entries = self._memo.get(id(program), ())
-        for annotated, events in entries:
-            if _same_predicates(annotated.postcondition, post):
-                # Re-emit the events the original annotation produced
-                # (invariant validations, ranking syntheses, rule
-                # applications) as copies tagged ``replayed=True`` with fresh
-                # timestamps: the rendered report reads as if recomputed.
-                self.events.append(
-                    proof_event(
-                        "cache",
-                        f"annotation for {type(program).__name__} reused from earlier in this run",
-                        level="debug",
-                        replayed_events=len(events),
-                    )
-                )
-                self.events.extend(event.replay() for event in events)
-                return annotated
         handler = self._HANDLERS.get(type(program))
         if handler is None:
             raise VerificationError(f"unsupported construct {type(program).__name__}")
-        event_mark = len(self.events)
         with span("annotate", region="prover", node=type(program).__name__) as annotate_span:
             annotated = handler(self, program, post)
             annotate_span.set_tag("rule", annotated.rule)
@@ -208,9 +175,6 @@ class Prover:
                 rule=annotated.rule,
                 level="debug",
             )
-        )
-        self._memo.setdefault(id(program), []).append(
-            (annotated, tuple(self.events[event_mark:]))
         )
         return annotated
 
@@ -280,9 +244,9 @@ class Prover:
             # node is labelled with the derived rule "Meas+Union": its children
             # summarise the branches against the full postcondition (for
             # display), so the node is NOT a single (Meas) instance and is not
-            # replayable through check_rule("Meas", ...).  The per-predicate
-            # branch annotations hit the prover's memo when posts repeat, so
-            # nested conditionals do not compound the extra traversals.
+            # replayable through check_rule("Meas", ...).  Each branch is
+            # annotated once against the full postcondition and once per
+            # predicate, so nested conditionals compound these traversals.
             pre: QuantumAssertion | None = None
             for predicate in post.predicates:
                 single = QuantumAssertion([predicate])
@@ -362,18 +326,6 @@ class Prover:
         If: _annotate_if,
         While: _annotate_while,
     }
-
-
-def _same_predicates(first: QuantumAssertion, second: QuantumAssertion) -> bool:
-    """Return whether two assertions hold exactly equal predicates in the same order."""
-    if first is second:
-        return True
-    if len(first.predicates) != len(second.predicates):
-        return False
-    return all(
-        mine is theirs or np.array_equal(mine.matrix, theirs.matrix)
-        for mine, theirs in zip(first.predicates, second.predicates)
-    )
 
 
 def verify_formula(

@@ -182,12 +182,11 @@ class QuantumPredicate:
 def distinct_predicates(predicates: Sequence[QuantumPredicate]) -> List[QuantumPredicate]:
     """Return ``predicates`` without those close to an earlier kept one, in order.
 
-    ``a`` is dropped when ``np.isclose(a, b, atol=ORDER_ATOL)`` holds in
-    every entry for some kept ``b``: the test :meth:`QuantumPredicate.close_to`
-    runs (``np.allclose``, with the tolerance scaled by ``b``).  So the kept
-    list is exactly the one of the pairwise ``close_to`` loop, but each
-    predicate is compared with the stack of kept matrices in one numpy
-    expression.  The predicates must share one dimension.
+    ``a`` is dropped when ``|a − b| ≤ ORDER_ATOL`` holds in every entry for
+    some kept ``b``: the absolute test :meth:`QuantumPredicate.close_to`
+    runs.  So the kept list is exactly the one of the pairwise ``close_to``
+    loop, but each predicate is compared with the stack of kept matrices in
+    one numpy expression.  The predicates must share one dimension.
     """
     if len(predicates) < 2:
         return list(predicates)
@@ -196,7 +195,7 @@ def distinct_predicates(predicates: Sequence[QuantumPredicate]) -> List[QuantumP
     for predicate in predicates:
         matrix = predicate.matrix
         count = len(kept)
-        if count and np.isclose(matrix, stack[:count], atol=ORDER_ATOL).all(axis=(1, 2)).any():
+        if count and (np.abs(matrix - stack[:count]) <= ORDER_ATOL).all(axis=(1, 2)).any():
             continue
         if count == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])

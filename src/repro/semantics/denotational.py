@@ -190,9 +190,7 @@ def denotation(
     loops, one super-operator per explored scheduler is produced, each obtained
     by truncating the non-decreasing chain of Eq. (1) at numerical convergence.
 
-    Returns a list of :class:`SuperOperator` on the full register.  Nothing
-    is memoized across calls: a loop's prefix chains are shared among its
-    schedulers within the call (see :func:`loop_iterates`) and dropped with it.
+    Returns a list of :class:`SuperOperator` on the full register.
     """
     register = register or QubitRegister.for_program(program)
     options = options or DenotationOptions()
@@ -404,8 +402,11 @@ def _seq_steps(
 # ---------------------------------------------------------------------------
 
 
-def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List[SuperOperator]:
+def _denote_while(
+    program: While, register: QubitRegister, options: DenotationOptions
+) -> List[SuperOperator]:
     """Run :func:`loop_iterates` for every scheduler of ``options`` and collect the chain limits."""
+    body_maps = _denote(program.body, register, options)
     if options.schedulers is not None:
         schedulers = list(options.schedulers)
     else:
@@ -419,23 +420,10 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
         body_maps=len(body_maps),
         num_qubits=register.num_qubits,
     ):
-        # One prefix memo per loop and call: the schedulers share the chains
-        # of their common choice prefixes, and nothing outlives the call.
-        prefix_cache = {} if len(schedulers) > 1 else None
-        results = []
-        for scheduler in schedulers:
-            iterates = loop_iterates(
-                program, register, body_maps, scheduler, options, prefix_cache=prefix_cache
-            )
-            results.append(iterates[-1])
-    return results
-
-
-def _denote_while(
-    program: While, register: QubitRegister, options: DenotationOptions
-) -> List[SuperOperator]:
-    body_maps = _denote(program.body, register, options)
-    return _explore_loop(program, register, body_maps, options)
+        return [
+            loop_iterates(program, register, body_maps, scheduler, options)[-1]
+            for scheduler in schedulers
+        ]
 
 
 def loop_iterates(
@@ -444,7 +432,6 @@ def loop_iterates(
     body_maps: Sequence[SuperOperator],
     scheduler: Scheduler,
     options: DenotationOptions | None = None,
-    prefix_cache: Optional[Dict[Tuple[int, ...], SuperOperator]] = None,
 ) -> List[SuperOperator]:
     """Return the chain ``F^η_0 ⪯ F^η_1 ⪯ …`` of Eq. (1) under one scheduler.
 
@@ -458,45 +445,26 @@ def loop_iterates(
     element approximates the least upper bound, i.e. the loop's semantics
     under the scheduler.
 
-    ``body_maps`` are the loop body's denotations.
-
-    ``prefix_cache``, when supplied, memoises the loop prefixes
-    ``η_n ∘ P¹ ∘ … ∘ η_1 ∘ P¹`` keyed by the scheduler's choice sequence, so
-    the ``F^η_n`` chains of different schedulers share the work of any common
-    prefix (all schedulers share at least the empty prefix, and sampled
-    schedulers frequently agree on longer ones) instead of recomputing every
-    composition per scheduler.  Pass ``None`` (the default) when exploring a
-    single scheduler: the chain is then computed with a rolling prefix and no
-    history is retained.
+    ``body_maps`` are the loop body's denotations.  The chain keeps one
+    rolling prefix ``η_n ∘ P¹ ∘ … ∘ η_1 ∘ P¹`` and no history of it.
     """
     options = options or DenotationOptions()
     p0, p1 = measurement_superoperators(program, register)
-    identity = SuperOperator.identity(register.dimension)
 
     iterates: List[SuperOperator] = []
     with span("loop-chain", region="loop") as chain_span:
         # step_k = η_k ∘ P¹ is iteration-independent; build each at most once.
         steps: Dict[int, SuperOperator] = {}
         # prefix_i = η_i ∘ P¹ ∘ … ∘ η_1 ∘ P¹ ; the i = 0 prefix is the identity map.
-        choices: Tuple[int, ...] = ()
-        if prefix_cache is not None:
-            prefix = prefix_cache.setdefault(choices, identity)
-        else:
-            prefix = identity
+        prefix = SuperOperator.identity(register.dimension)
         total = p0.compose(prefix)
         iterates.append(total)
         for iteration in range(1, options.max_iterations + 1):
             choice = scheduler.select(iteration, len(body_maps))
-            choices = choices + (choice,)
-            cached = prefix_cache.get(choices) if prefix_cache is not None else None
-            if cached is None:
-                step = steps.get(choice)
-                if step is None:
-                    step = steps.setdefault(choice, body_maps[choice].compose(p1))
-                cached = _compressed(step.compose(prefix))
-                if prefix_cache is not None:
-                    prefix_cache[choices] = cached
-            prefix = cached
+            step = steps.get(choice)
+            if step is None:
+                step = steps[choice] = body_maps[choice].compose(p1)
+            prefix = _compressed(step.compose(prefix))
             increment = p0.compose(prefix)
             total = _compressed(total + increment)
             iterates.append(total)

@@ -106,12 +106,8 @@ class RandomScheduler(Scheduler):
     The choice at ``iteration`` is derived from ``(seed, iteration,
     num_choices)`` alone by seeding a fresh generator per query, so the
     scheduler is one fixed element of ``[[S]]^N`` no matter how often, in what
-    order, or at what ``num_choices`` it is queried.  (The historical
-    implementation memoised the first draw per iteration at whatever
-    ``num_choices`` it happened to see and silently rescaled stale choices
-    with ``index % num_choices``, so a reused instance drifted away from a
-    fresh one.)  Instances carry no hidden state, so a pickled copy selects
-    exactly what the original does.
+    order, or at what ``num_choices`` it is queried.  Instances carry no
+    hidden state, so a pickled copy selects exactly what the original does.
     """
 
     def __init__(self, seed: int = 0):

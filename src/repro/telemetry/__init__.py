@@ -18,8 +18,7 @@ Three zero-dependency pillars, all process-wide and safe under threads:
 
 * **Proof provenance** (:mod:`repro.telemetry.provenance`) — the prover's log
   as typed, timestamped :class:`ProofEvent` records that still render to the
-  historical strings; events of an annotation the prover reuses within one
-  run are re-emitted with ``replayed=True``.
+  historical strings.
 
 The CLI exposes the tracer via ``--trace`` / ``--trace-json PATH`` /
 ``--metrics``; ``benchmarks/bench_scaling.py`` embeds

@@ -24,7 +24,7 @@ from repro.fuzz.differential import ReplayProgram, check_program, repro_line, ru
 from repro.fuzz.generator import FGate, FuzzProgram
 from repro.language.ast import While
 from repro.language.parser import parse_annotated_program
-from repro.linalg.constants import ATOL
+from repro.logic.prover import Prover
 from repro.semantics.denotational import DenotationOptions, denotation
 
 #: The fixed sweep identity: every run checks the same 200 programs.
@@ -102,11 +102,6 @@ class TestGeneratorValidity:
 
 class TestDifferentialSweep:
     """On every fixed-seed draw the engines run, and loop-free ones are dual."""
-
-    def test_oracle_checks_at_the_library_tolerance(self):
-        config = OracleConfig()
-        assert config.atol == ATOL
-        assert config.check_prover
 
     @pytest.mark.parametrize("chunk", range(SWEEP_COUNT // CHUNK))
     def test_sweep_chunk_has_no_divergence(self, chunk):
@@ -277,11 +272,21 @@ class TestDifferentialSweep:
     def test_sweep_counts_order_decisions(self):
         programs = [program for program in _chunk(0) if not program.contains_while()][:4]
         report = run_differential(programs, SWEEP_CONFIG)
-        assert report.ok and report.prover_checked == len(programs) == 4
+        assert report.ok and report.loop_free == len(programs) == 4
         assert report.order_decisions == 2 * len(programs)
         assert report.to_dict()["order_decisions"] == report.order_decisions
-        unproven = run_differential(programs, OracleConfig(max_iterations=16, check_prover=False))
-        assert unproven.order_decisions == 0
+
+    def test_sweep_counts_prover_rules(self):
+        programs = [program for program in _chunk(0) if not program.contains_while()][:4]
+        report = run_differential(programs, SWEEP_CONFIG)
+        rules = 0
+        for program in programs:
+            task = build_task(program.source())
+            prover = Prover(task.register, invariants=task.invariants)
+            prover.generate(task.formula.program, task.formula.postcondition)
+            rules += sum(1 for event in prover.events if event.kind == "rule")
+        assert report.ok and report.prover_rules == rules > 0
+        assert report.to_dict()["prover_rules"] == rules
 
     def test_refused_or_undecided_order_is_an_order_divergence(self, monkeypatch):
         import repro.fuzz.differential as differential
@@ -378,8 +383,6 @@ class TestDivergenceReporting:
         program = _first_loop_free()
         divergences = check_program(program, SWEEP_CONFIG)
         assert [d.kind for d in divergences] == ["duality", "prover"]
-        unproven = check_program(program, OracleConfig(check_prover=False))
-        assert [d.kind for d in unproven] == ["duality"]
         first = divergences[0]
         assert first.repro == repro_line(program.seed, program.index)
         assert first.source == program.source()

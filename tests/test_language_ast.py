@@ -41,6 +41,12 @@ class TestMeasurement:
         with pytest.raises(LinalgError):
             Measurement("bad", H, np.eye(2) - H)
 
+    def test_projector_check_is_absolute(self):
+        # (1 + 5e-6)·P0 squares to itself only within a relative 1e-5.
+        with pytest.raises(LinalgError) as excinfo:
+            Measurement("m", (1 + 5e-6) * P0, P1)
+        assert excinfo.value.code == "QV107"
+
     def test_invalid_outcome(self):
         with pytest.raises(LinalgError):
             MEAS_COMPUTATIONAL.projector(2)

@@ -74,15 +74,15 @@ class TestStructuralChecks:
 
 
 class TestIsUnitaryMatchesAllclose:
-    """``is_unitary`` gives ``np.allclose(U†U, I, atol=ATOL)``'s answer on every square input."""
+    """``is_unitary`` gives ``np.allclose(U†U, I, rtol=0, atol=ATOL)``'s answer on every square input."""
 
-    # ``allclose``'s bound on a diagonal entry of ``U†U − I`` (``rtol = 1e-5`` times ``|I|``).
-    DIAGONAL_BOUND = ATOL + 1e-5
+    # The bound on a diagonal entry of ``U†U − I``: ``ATOL``, with no relative term.
+    DIAGONAL_BOUND = ATOL
 
     @staticmethod
     def reference(matrix):
         matrix = np.asarray(matrix, dtype=complex)
-        return bool(np.allclose(dagger(matrix) @ matrix, np.eye(len(matrix)), atol=ATOL))
+        return bool(np.allclose(dagger(matrix) @ matrix, np.eye(len(matrix)), rtol=0, atol=ATOL))
 
     @pytest.mark.parametrize("dimension", [2, 4, 8])
     @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
@@ -124,6 +124,26 @@ class TestIsUnitaryMatchesAllclose:
         assert not is_unitary(isometry)
         assert not is_unitary(np.ones(2))
         assert not is_unitary(np.stack([constants.H, constants.H]))
+
+
+class TestChecksHaveNoRelativeTerm:
+    """Every check compares entries with its ``atol`` alone, whatever their size."""
+
+    def test_operators_close(self):
+        assert not operators_close(np.eye(2) * (1 + 5e-6), np.eye(2))
+        assert operators_close(np.eye(2) * (1 + 5e-9), np.eye(2))
+
+    def test_is_hermitian(self):
+        assert not is_hermitian(np.array([[1, 1 + 5e-6], [1, 1]]))
+        assert is_hermitian(np.array([[1, 1 + 5e-9], [1, 1]]))
+
+    def test_is_projector(self):
+        assert not is_projector((1 + 5e-6) * constants.P0)
+        assert is_projector((1 + 5e-9) * constants.P0)
+
+    def test_is_unitary(self):
+        assert not is_unitary((1 + 2e-6) * constants.I2)
+        assert is_unitary((1 + 2e-9) * constants.I2)
 
 
 class TestLoewnerOrder:

@@ -18,7 +18,6 @@ from repro.language.ast import (
 from repro.linalg.constants import H, I2, P0, P1, X, Z
 from repro.linalg.operators import operators_close
 from repro.linalg.random import random_predicate_matrix
-from repro.logic import prover as prover_module
 from repro.logic.formula import CorrectnessFormula, CorrectnessMode
 from repro.logic.prover import Prover, ProverOptions, assign_invariants, verify_formula
 from repro.logic.semantic_check import check_formula_semantically
@@ -186,29 +185,30 @@ def _nested_conditional(depth, qubits):
     )
 
 
-class TestAnnotationMemo:
-    """Within one ``generate`` call each node's annotation is reused per postcondition."""
+class TestAnnotationRequests:
+    """Within one ``generate`` call every annotation request runs its node's rule handler."""
 
-    def _handler_runs(self, program, register, post):
-        prover = Prover(register)
-        outline = prover.generate(program, post)
-        runs = sum(1 for event in prover.events if event.kind == "rule" and not event.replayed)
-        return runs, outline
-
-    def test_memo_halves_the_handler_runs_of_nested_conditionals(self, monkeypatch):
+    def test_nested_conditionals_annotate_each_branch_once_per_predicate(self):
+        # (Meas)+(Union) annotates both branches against the whole
+        # postcondition and once against each predicate: a depth-4 nest of
+        # 3-qubit leaves runs 741 handlers against 3 predicates.
         register = QubitRegister(["q0", "q1", "q2"])
-        post = QuantumAssertion(
-            [random_predicate_matrix(register.dimension, seed=seed) for seed in (1, 2, 3)]
-        )
+        matrices = [random_predicate_matrix(register.dimension, seed=seed) for seed in (1, 2, 3)]
         program = _nested_conditional(4, register.names)
-        memo_runs, memo_outline = self._handler_runs(program, register, post)
-        monkeypatch.setattr(prover_module, "_same_predicates", lambda first, second: False)
-        miss_runs, miss_outline = self._handler_runs(program, register, post)
-        assert memo_runs < miss_runs / 2, (memo_runs, miss_runs)
-        memo_vc, miss_vc = memo_outline.precondition, miss_outline.precondition
-        assert len(memo_vc.predicates) == len(miss_vc.predicates) == 3
-        for mine, theirs in zip(memo_vc.predicates, miss_vc.predicates):
-            assert np.array_equal(mine.matrix, theirs.matrix)
+        prover = Prover(register)
+        outline = prover.generate(program, QuantumAssertion(matrices))
+        assert [event.kind for event in prover.events].count("rule") == 741
+        per_predicate = [
+            predicate.matrix
+            for matrix in matrices
+            for predicate in Prover(register)
+            .generate(program, QuantumAssertion([matrix]))
+            .precondition.predicates
+        ]
+        whole = [predicate.matrix for predicate in outline.precondition.predicates]
+        assert len(whole) == len(per_predicate) == 3
+        for mine, theirs in zip(whole, per_predicate):
+            assert np.array_equal(mine, theirs)
 
     def test_one_prover_annotates_each_program_with_its_own_nodes(self):
         register = QubitRegister(["q"])
@@ -228,20 +228,20 @@ class TestAnnotationMemo:
             assert operators_close(then_pre, gate.conj().T @ P0 @ gate)
             del program, outline
 
-    def test_node_met_again_with_an_equal_post_is_replayed(self):
+    def test_node_met_again_with_an_equal_post_is_annotated_again(self):
         idle = Skip()
         prover = Prover(QubitRegister(["q"]))
         prover.generate(seq(idle, idle), A(P0))
-        reuses = [event for event in prover.events if event.kind == "cache"]
-        assert len(reuses) == 1
-        assert dict(reuses[0].data) == {"replayed_events": 1}
-        assert [event.rule for event in prover.events if event.replayed] == ["Skip"]
+        assert [(event.kind, event.rule) for event in prover.events] == [
+            ("rule", "Skip"),
+            ("rule", "Skip"),
+            ("rule", "Seq"),
+        ]
 
     def test_node_met_again_with_another_post_is_annotated_again(self):
         gate = Unitary(("q",), "H", H)
         prover = Prover(QubitRegister(["q"]))
         outline = prover.generate(seq(gate, gate), A(P0))
-        assert not any(event.replayed for event in prover.events)
         unit_runs = [event for event in prover.events if event.rule == "Unit"]
         assert len(unit_runs) == 2
         # H·H = I, so the precondition is the postcondition again.
@@ -256,31 +256,11 @@ class TestAnnotationMemo:
         outline = prover.generate(
             ndet(first, second), A(random_predicate_matrix(register.dimension, seed=4))
         )
-        assert not any(event.replayed for event in prover.events)
         left, right = outline.root.children
         assert left is not right
         assert np.array_equal(
             left.precondition.predicates[0].matrix, right.precondition.predicates[0].matrix
         )
-
-    def test_memo_is_dropped_when_generate_returns_or_raises(self):
-        prover = Prover(QubitRegister(["q"]))
-        prover.generate(seq(Skip(), Unitary(("q",), "H", H)), A(P0))
-        assert prover._memo == {}
-        loop = While(MEAS_COMPUTATIONAL, ("q",), Unitary(("q",), "H", H))
-        with pytest.raises(InvariantError, match="a loop invariant is required"):
-            prover.generate(seq(Skip(), loop), A(P0))
-        assert prover._memo == {}
-
-    def test_only_exactly_equal_postconditions_match(self):
-        same = prover_module._same_predicates
-        post = A(P0)
-        assert same(post, post)
-        assert same(post, A(P0.copy()))
-        nudged = A(P0 * (1 - 1e-12))
-        assert nudged.predicates[0].close_to(post.predicates[0])
-        assert not same(post, nudged)
-        assert not same(post, A(P0, P1))
 
 
 class TestProofOutlines:

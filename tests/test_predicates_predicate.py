@@ -161,9 +161,9 @@ def _pairwise_kept(predicates):
 
 
 def _nudged(base, entry, scale, phase):
-    """``base`` with one entry moved by ``scale`` times its closeness bound ``atol + rtol·|b|``."""
+    """``base`` with one entry moved by ``scale`` times the closeness bound ``ORDER_ATOL``."""
     matrix = base.copy()
-    matrix[entry] += scale * (ORDER_ATOL + 1e-5 * abs(base[entry])) * np.exp(1j * phase)
+    matrix[entry] += scale * ORDER_ATOL * np.exp(1j * phase)
     return QuantumPredicate(matrix, validate=False)
 
 
@@ -186,15 +186,12 @@ class TestDistinctPredicates:
         # Inside the bound a copy is dropped; just outside it is kept.
         assert len(kept) == 1 + 3 * 2
 
-    def test_the_bound_is_taken_from_the_kept_predicate(self):
-        small = np.diag([0.1, 0.2]).astype(complex)
-        bound = ORDER_ATOL + 1e-5 * 0.1
-        large = small.copy()
-        large[0, 0] += bound * (1 + 5e-6)
-        first, second = QuantumPredicate(small, validate=False), QuantumPredicate(large, validate=False)
-        # |large − small| exceeds small's bound but not large's own.
-        assert len(self._assert_same_as_pairwise([first, second])) == 2
-        assert len(self._assert_same_as_pairwise([second, first])) == 1
+    def test_a_relative_nudge_is_kept(self):
+        # 8e-6 is within a relative 1e-5 of 0.9 but far above ORDER_ATOL.
+        first = QuantumPredicate(0.9 * I2, validate=False)
+        second = QuantumPredicate((0.9 + 8e-6) * I2, validate=False)
+        assert first != second
+        assert self._assert_same_as_pairwise([first, second]) == [first, second]
 
     def test_random_batches_near_the_bound(self):
         rng = np.random.default_rng(11)

@@ -5,19 +5,15 @@ identical results in identical order: the same number of maps or predicates,
 each equal to its counterpart at ``ATOL``, and the same rendered messages.
 The sweep covers the case-study families at 1–4 qubits, with loops.
 
-The memos local to one call must not change a result either.  Against a
-three-predicate postcondition, the prover's reuse of annotations gives the
-verification condition and messages of a run that recomputes every node,
-and one wp/wlp call over the whole assertion, which denotes each loop body
-once, gives the per-predicate calls in order.
+The memo local to one call must not change a result either.  Against a
+three-predicate postcondition, one wp/wlp call over the whole assertion,
+which denotes each loop body once, gives the per-predicate calls in order.
 """
 
 import numpy as np
 import pytest
 
 from repro.linalg.constants import ATOL
-from repro.logic import prover as prover_module
-from repro.logic.formula import CorrectnessFormula
 from repro.logic.prover import ProverOptions, verify_formula
 from repro.predicates.assertion import QuantumAssertion
 from repro.programs.deutsch import deutsch_formula
@@ -107,33 +103,6 @@ def _three_predicate_post(formula, register):
     (target,) = formula.postcondition.predicates
     identity = np.eye(register.dimension, dtype=complex)
     return QuantumAssertion([target.matrix, (target.matrix + identity) / 2, identity])
-
-
-@pytest.mark.parametrize(
-    "name,formula,register,invariants",
-    _REPRODUCIBILITY_CASES,
-    ids=[case[0] for case in _REPRODUCIBILITY_CASES],
-)
-def test_prover_memo_gives_the_recomputed_result(
-    monkeypatch, name, formula, register, invariants
-):
-    widened = CorrectnessFormula(
-        formula.precondition,
-        formula.program,
-        _three_predicate_post(formula, register),
-        formula.mode,
-    )
-    reused = verify_formula(widened, register, invariants or None)
-    monkeypatch.setattr(prover_module, "_same_predicates", lambda first, second: False)
-    recomputed = verify_formula(widened, register, invariants or None)
-    assert reused.verified and recomputed.verified, name
-    assert not any(event.replayed for event in recomputed.events)
-    assert reused.messages == recomputed.messages
-    _assert_same_matrices_in_order(
-        [p.matrix for p in recomputed.verification_condition.predicates],
-        [p.matrix for p in reused.verification_condition.predicates],
-        name,
-    )
 
 
 @pytest.mark.parametrize(

@@ -669,96 +669,6 @@ class TestMeasurementSuperoperators:
         assert operators_close(p1.apply(density(plus_state())), 0.5 * density(ket("1")))
 
 
-class TestLoopPrefixCache:
-    def test_schedulers_share_the_empty_prefix(self):
-        program = nondeterministic_rus_program()
-        loop = next(node for node in program.walk() if isinstance(node, While))
-        register = QubitRegister(["q"])
-        options = DenotationOptions(max_iterations=12, convergence_tolerance=0.0)
-        bodies = denotation(loop.body, register, options)
-        cache = {}
-        for scheduler in (ConstantScheduler(0), ConstantScheduler(1)):
-            cached_chain = loop_iterates(
-                loop, register, bodies, scheduler, options, prefix_cache=cache
-            )
-            rolling_chain = loop_iterates(loop, register, bodies, scheduler, options)
-            assert len(cached_chain) == len(rolling_chain)
-            for cached, rolling in zip(cached_chain, rolling_chain):
-                assert cached.equals(rolling, atol=1e-8)
-        # The empty prefix is shared; each constant scheduler contributes its own
-        # chain of choice-keyed prefixes on top of it.
-        assert () in cache
-        assert len(cache) == 2 * 12 + 1
-
-    def test_prefix_cache_reuse_gives_identical_results(self):
-        program = rus_program()
-        register = QubitRegister(["q"])
-        loop = next(node for node in program.walk() if isinstance(node, While))
-        options = DenotationOptions(max_iterations=10, convergence_tolerance=0.0)
-        bodies = denotation(loop.body, register, options)
-        scheduler = ConstantScheduler(0)
-        cold = loop_iterates(loop, register, bodies, scheduler, options)
-        cache = {}
-        warm_first = loop_iterates(loop, register, bodies, scheduler, options, prefix_cache=cache)
-        populated = dict(cache)
-        warm_second = loop_iterates(loop, register, bodies, scheduler, options, prefix_cache=cache)
-        assert populated.keys() == cache.keys()
-        for a, b, c in zip(cold, warm_first, warm_second):
-            assert len(b.kraus_operators) == len(c.kraus_operators)
-            assert all(
-                np.array_equal(x, y) for x, y in zip(b.kraus_operators, c.kraus_operators)
-            )
-            assert a.equals(b, atol=1e-10)
-
-    @pytest.mark.parametrize("name", sorted(LOOP_PROGRAMS))
-    def test_shared_prefixes_give_the_unshared_chains(self, name):
-        runs = _loop_runs(name)
-        alone = _loop_chains(runs)
-        memos = {}
-        for key, arguments in runs.items():
-            memo = memos.setdefault(key[0], {})
-            shared = loop_iterates(*arguments, prefix_cache=memo)
-            assert len(shared) == len(alone[key]), key
-            for position, (mine, theirs) in enumerate(zip(shared, alone[key])):
-                assert mine.equals(theirs, atol=1e-12), (key, position)
-        assert all(() in memo for memo in memos.values())
-
-    def _record_prefix_memos(self, monkeypatch):
-        memos = []
-        original = denotational.loop_iterates
-
-        def recording(*args, prefix_cache=None, **kwargs):
-            memos.append(prefix_cache)
-            return original(*args, prefix_cache=prefix_cache, **kwargs)
-
-        monkeypatch.setattr(denotational, "loop_iterates", recording)
-        return memos
-
-    def test_one_call_shares_one_memo_across_the_schedulers(self, monkeypatch):
-        memos = self._record_prefix_memos(monkeypatch)
-        register = QubitRegister(["q"])
-        loop = While(
-            MEAS_COMPUTATIONAL, ("q",), ndet(Unitary(("q",), "H", H), Unitary(("q",), "X", X))
-        )
-        denotation(loop, register)
-        first_call = list(memos)
-        assert len(first_call) > 1
-        assert isinstance(first_call[0], dict) and () in first_call[0]
-        assert all(memo is first_call[0] for memo in first_call)
-        memos.clear()
-        denotation(loop, register)
-        assert memos and memos[0] is not first_call[0]
-
-    def test_a_single_scheduler_keeps_no_memo(self, monkeypatch):
-        memos = self._record_prefix_memos(monkeypatch)
-        loop = While(
-            MEAS_COMPUTATIONAL, ("q",), ndet(Unitary(("q",), "H", H), Unitary(("q",), "X", X))
-        )
-        options = DenotationOptions(schedulers=[ConstantScheduler(1)])
-        denotation(loop, QubitRegister(["q"]), options)
-        assert memos == [None]
-
-
 def test_denotation_options_pickle_roundtrip():
     options = DenotationOptions(max_iterations=16, dedup=False)
     assert pickle.loads(pickle.dumps(options)) == options

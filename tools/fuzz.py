@@ -188,7 +188,7 @@ def main(argv=None) -> int:
         print(
             f"checked {report.programs_checked} programs "
             f"(duality on {report.loop_free} loop-free and {report.loop_draws_compared} loop "
-            f"draw(s), prover on {report.prover_checked}, "
+            f"draw(s), {report.prover_rules} prover rule(s) on the loop-free draws, "
             f"{report.order_decisions} order decision(s) between VC and wlp, "
             f"termination on {report.with_loops} with loops: {loops['certified']} loop(s) "
             f"certified, {loops['horizon']} refused at the horizon, {loops['budget']} over budget; "
